@@ -17,11 +17,15 @@ S1Value(coeff=2, degree=1)
 
 The projection sends t_i to (n + 1 - i) t, the weight ladder of the circle
 inside the diagonal torus; a root t_l - t_k lands on (k - l) t.
+
+``restriction_matrix`` fills each column from one prefix recurrence over
+the column's word instead of walking subwords entry by entry, keeping only
+partial products no longer than the longest row, and never consults Bruhat
+order, so checking its vanishing against Bruhat order is not a tautology.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -383,29 +387,42 @@ def restriction_matrix(
     points: Iterable[Perm],
     rolldowns: Mapping[Perm, Perm],
     words: Optional[Mapping[Perm, Word]] = None,
-    jobs: int = 1,
 ) -> RestrictionMatrix:
     """Projected restrictions of all rolldown classes at all fixed points.
 
     ``words`` optionally supplies a reduced word per column point (for
     instance a catalog word); columns without one use the canonical word.
+
+    Each column is one pass over its word b, mapping every partial product
+    u of a reduced subword of b_1..b_j to its summed projected weight;
+    letter j adds u * s_{b_j} with weight times r(j, b) where the length
+    rises.  A subword reaching v has l(v) letters, so products longer than
+    every row are dropped.
     """
     pts = tuple(sorted(points))
     rolls = tuple(rolldowns[w] for w in pts)
-    col_words = tuple(
-        (words or {}).get(w, canonical_word(w)) for w in pts
+    if len({len(p) for p in pts + rolls}) > 1:
+        raise ValueError("size mismatch among points and rolldowns")
+    lengths = tuple(inversions(v) for v in rolls)
+    cap = max(lengths, default=0)
+    columns = []
+    for w in pts:
+        b = _checked_word(w, (words or {}).get(w))
+        # levels[k] maps each partial product of length k to its weight
+        levels = [{identity(len(w)): 1}] + [{} for _ in range(cap)]
+        for i, root in zip(b, roots_along_word(b, len(w))):
+            weight = root.s1()
+            # u * s_i has a descent at i, so one letter never extends it twice
+            for below, above in zip(levels, levels[1:]):
+                for u, c in below.items():
+                    if u[i - 1] < u[i]:
+                        u2 = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+                        above[u2] = above.get(u2, 0) + c * weight
+        columns.append([levels[k].get(v, 0) for v, k in zip(rolls, lengths)])
+    values = tuple(
+        tuple(S1Value(c, k) if c else S1_ZERO for c in row)
+        for row, k in zip(zip(*columns), lengths)
     )
-
-    def row(roll: Perm) -> tuple[S1Value, ...]:
-        return tuple(
-            p_restriction(roll, w, b) for w, b in zip(pts, col_words)
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = tuple(pool.map(row, rolls))
-    else:
-        values = tuple(row(r) for r in rolls)
     return RestrictionMatrix(points=pts, rolldowns=rolls, values=values)
 
 

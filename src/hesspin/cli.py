@@ -9,7 +9,7 @@ Four subcommands cover the pipeline:
 
 Every subcommand takes --n, --h (comma list, defaulting to the 334 family
 for n >= 4 and its nearest valid relative below), --lambda (row lengths,
-defaulting to the single row), --format {table,json,csv} and --jobs.
+defaulting to the single row) and --format {table,json,csv}.
 
 The json format is the machine format: one record per line, keys sorted,
 integers that can grow without bound carried as strings.  Projected values
@@ -18,7 +18,9 @@ as the zero sentinel; full multivariate values (matrix --full-torus) as
 lists of {"exps": [..], "coeff": "<int>"}.  Identical flags produce
 byte-identical output.
 
-Exit status: 0 on success, 1 when a verification fails, 2 on invalid input.
+Exit status: 0 on success, 1 when a verification fails, 2 on invalid input,
+3 on an internal error (a broken invariant of the library, reported in one
+line on stderr).
 """
 
 from __future__ import annotations
@@ -162,8 +164,6 @@ def _resolve(args) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     n = args.n
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     h = tuple(args.h) if args.h is not None else default_hessenberg(n)
     if len(h) != n:
         raise ValueError(f"h has {len(h)} values but n = {n}")
@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
         _require_single_row(shape, "verify --mode basis334")
         if n >= 4 and h != hessenberg_334(n):
             raise ValueError(f"basis334 needs h = {hessenberg_334(n)}, got {h}")
-        report = verify_334_theorem(n, jobs=args.jobs)
+        report = verify_334_theorem(n)
     else:
         report = verify_pinball(shape, h)
     checks = report.checks()
@@ -281,7 +281,7 @@ def cmd_matrix(args) -> int:
             )
             rows.append((_fmt_entries(v, n), *[repr(p) for p in sigmas]))
     else:
-        matrix = restriction_matrix(points, table, jobs=args.jobs)
+        matrix = restriction_matrix(points, table)
         for i, v in enumerate(points):
             records.append(
                 {"v": list(v), "entries": [_s1_json(s) for s in matrix.values[i]]}
@@ -336,9 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="table",
             help="output format (json is the machine format, one record per line)",
         )
-        sp.add_argument(
-            "--jobs", type=int, default=1, help="worker threads for matrix rows"
-        )
 
     p_fillings = sub.add_parser(
         "fillings", help="permissible fillings with dimension pairs"
@@ -389,6 +386,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

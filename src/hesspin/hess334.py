@@ -563,7 +563,7 @@ class Theorem334Report:
         return all(c.passed for c in self.checks())
 
 
-def verify_334_theorem(n: int, jobs: int = 1) -> Theorem334Report:
+def verify_334_theorem(n: int) -> Theorem334Report:
     """Recheck the 334 module-basis theorem exhaustively for one n.
 
     Builds every fixed point, compares pinball rolldowns against the class
@@ -614,7 +614,7 @@ def verify_334_theorem(n: int, jobs: int = 1) -> Theorem334Report:
             prefix_fails.append((w, rolls[w], expect))
     add("rolldown-one-line-prefix", prefix_fails)
 
-    matrix = restriction_matrix(points, rolls, words=words, jobs=jobs)
+    matrix = restriction_matrix(points, rolls, words=words)
     tri = check_upper_triangular(matrix)
     structural.append(
         CheckResult("diagonal-nonzero", tri.diagonal_ok, tri.diagonal_zeros)

@@ -40,7 +40,6 @@ __all__ = [
     "canonical_word",
     "random_reduced_word",
     "bruhat_leq",
-    "bruhat_leq_oracle",
     "all_permutations",
 ]
 
@@ -226,25 +225,6 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
         if any(a > b for a, b in zip(vseg, wseg)):
             return False
     return True
-
-
-def bruhat_leq_oracle(v: Perm, w: Perm) -> bool:
-    """Whether v <= w, by the subword property.  Cross-check only.
-
-    Enumerates every length-l(v) position subset of a reduced word for w,
-    so it is practical only for small n.
-    """
-    if len(v) != len(w):
-        raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
-    b = canonical_word(w)
-    lv = inversions(v)
-    if lv > len(b):
-        return False
-    n = len(w)
-    for positions in itertools.combinations(range(len(b)), lv):
-        if from_word(n, tuple(b[j] for j in positions)) == v:
-            return True
-    return False
 
 
 def all_permutations(n: int) -> tuple[Perm, ...]:

@@ -8,7 +8,7 @@ checks.  Slow on purpose; tests pick sizes accordingly.
 from itertools import combinations, permutations
 
 from hesspin.billey import Polynomial
-from hesspin.permutations import compose, identity, inversions, simple
+from hesspin.permutations import canonical_word, compose, identity, inversions, simple
 
 
 def brute_fillings(diagram, h):
@@ -60,6 +60,20 @@ def inversion_tops(w):
             if w[i] > w[j]:
                 counts[w[i]] += 1
     return tuple(counts[2:])
+
+
+def bruhat_leq_oracle(v, w):
+    """Whether v <= w by the subword property: some l(v)-letter subword of
+    a reduced word for w multiplies to v.  Practical only for small n."""
+    b = canonical_word(w)
+    n = len(w)
+    for pos in combinations(range(len(b)), inversions(v)):
+        prod = identity(n)
+        for j in pos:
+            prod = compose(prod, simple(b[j], n))
+        if prod == v:
+            return True
+    return False
 
 
 def brute_root(b, j, n):

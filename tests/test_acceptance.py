@@ -36,7 +36,6 @@ from hesspin.hess334 import (
 from hesspin.permutations import (
     all_permutations,
     bruhat_leq,
-    bruhat_leq_oracle,
     canonical_word,
     from_word,
     inversions,
@@ -45,7 +44,7 @@ from hesspin.permutations import (
 from hesspin.pinball import fixed_points, rolldown, rolldown_word, verify_pinball
 from hesspin.hess334 import verify_334_theorem
 
-from oracles import brute_project, brute_sigma
+from oracles import bruhat_leq_oracle, brute_project, brute_sigma
 
 
 @contextmanager

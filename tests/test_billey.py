@@ -1,9 +1,11 @@
 """Restrictions over reduced subwords and the circle projection."""
 
+import functools
 import random
 
 import pytest
 
+from hesspin import billey
 from hesspin.billey import (
     S1_ZERO,
     Polynomial,
@@ -205,10 +207,55 @@ class TestMatrix:
         assert not report.diagonal_ok
         assert (1, 2, 3) in report.diagonal_zeros
 
-    def test_jobs_do_not_change_values(self):
+    def test_rejects_size_mismatch(self):
         points = all_permutations(3)
-        rolls = {w: w for w in points}
-        assert (
-            restriction_matrix(points, rolls, jobs=3).values
-            == restriction_matrix(points, rolls).values
+        rolls = {w: w + (4,) for w in points}
+        with pytest.raises(ValueError, match="size mismatch"):
+            restriction_matrix(points, rolls)
+
+    def test_makes_no_bruhat_comparison(self, monkeypatch):
+        # bruhat-vanishing checks the matrix against bruhat_leq, so the
+        # matrix itself must not consult it
+        def refuse(v, w):
+            raise AssertionError("restriction_matrix called bruhat_leq")
+
+        monkeypatch.setattr(billey, "bruhat_leq", refuse)
+        points = all_permutations(4)
+        matrix = restriction_matrix(points, {w: w for w in points})
+        assert matrix.entry((1, 2, 3, 4), (4, 3, 2, 1)) == S1Value(1, 0)
+
+
+class TestMatrixOracle:
+    """The column recurrence against brute-force subword sums, entry by entry."""
+
+    @staticmethod
+    def assert_matches_oracle(n, rolls, words=None):
+        oracle = functools.cache(
+            lambda v, w, b: brute_project(brute_sigma(v, w, b), n)
         )
+        matrix = restriction_matrix(all_permutations(n), rolls, words=words)
+        for v, row in zip(matrix.rolldowns, matrix.values):
+            for w, value in zip(matrix.points, row):
+                b = (words or {}).get(w, canonical_word(w))
+                assert tuple(value) == oracle(v, w, b), (v, w, b)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_identity_rolls(self, n):
+        # rows reach the longest element, so the length cap never binds
+        perms = all_permutations(n)
+        self.assert_matches_oracle(n, {w: w for w in perms})
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_short_rolls_cut_most_columns(self, n):
+        perms = all_permutations(n)
+        short = [v for v in perms if inversions(v) <= 2]
+        assert 2 * sum(inversions(w) > 2 for w in perms) > len(perms)
+        rolls = {w: short[k % len(short)] for k, w in enumerate(perms)}
+        self.assert_matches_oracle(n, rolls)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_random_words(self, n):
+        rng = random.Random(20261018 + n)
+        perms = all_permutations(n)
+        words = {w: random_reduced_word(w, rng) for w in perms}
+        self.assert_matches_oracle(n, {w: w for w in perms}, words)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hesspin import hess334
 from hesspin.cli import default_hessenberg, main, parse_records
 
 
@@ -134,7 +135,7 @@ class TestMatrix:
     def test_n8_diagonal_entry(self, capsys):
         code, out, _ = run(
             capsys, "matrix", "--n", "8", "--h", "3,3,4,5,6,7,8,8",
-            "--jobs", "4", "--format", "json",
+            "--format", "json",
         )
         assert code == 0
         records = parse_records(out)
@@ -189,10 +190,16 @@ class TestErrors:
         assert code == 2
         assert "n must be" in err
 
-    def test_bad_jobs(self, capsys):
-        code, _, err = run(capsys, "matrix", "--n", "4", "--jobs", "0")
-        assert code == 2
-        assert "jobs" in err
+    def test_internal_error_is_one_line(self, capsys, monkeypatch):
+        def broken(w):
+            raise RuntimeError(f"unclassifiable filling {w}")
+
+        monkeypatch.setattr(hess334, "classify", broken)
+        code, out, err = run(capsys, "verify", "--n", "4", "--mode", "basis334")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: unclassifiable filling")
+        assert err.count("\n") == 1
 
 
 class TestDeterminismAndFormats:
@@ -211,13 +218,6 @@ class TestDeterminismAndFormats:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
-
-    def test_jobs_do_not_change_output(self, capsys):
-        _, serial, _ = run(capsys, "matrix", "--n", "4", "--format", "json")
-        _, parallel, _ = run(
-            capsys, "matrix", "--n", "4", "--jobs", "3", "--format", "json"
-        )
-        assert serial == parallel
 
     def test_machine_round_trip(self, capsys):
         _, out, _ = run(capsys, "rolldowns", "--n", "4", "--format", "json")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hesspin.permutations import (
     all_permutations,
     bruhat_leq,
-    bruhat_leq_oracle,
     canonical_word,
     compose,
     descents,
@@ -23,6 +22,8 @@ from hesspin.permutations import (
     simple,
     validate,
 )
+
+from oracles import bruhat_leq_oracle
 
 
 @st.composite
