@@ -32,7 +32,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .permutations import (
     Perm,
     Word,
-    bruhat_leq,
+    bruhat_keys,
+    bruhat_table,
     canonical_word,
     from_word,
     identity,
@@ -248,15 +249,18 @@ def reduced_subword_positions(b: Word, v: Perm) -> list[tuple[int, ...]]:
 
     Since the subwords have exactly l(v) letters, every partial product must
     gain length letter by letter and stay below v in Bruhat order; both facts
-    prune the search.
+    prune the search.  The partial product's Bruhat key is carried along, so
+    each step updates it and tests it against v's key in O(1).
     """
     n = len(v)
+    keys = bruhat_keys(n)
+    top = keys.key(v)
     target = inversions(v)
     m = len(b)
     out: list[tuple[int, ...]] = []
     taken: list[int] = []
 
-    def walk(j: int, u: tuple[int, ...]) -> None:
+    def walk(j: int, u: tuple[int, ...], key: int) -> None:
         if len(taken) == target:
             if u == v:
                 out.append(tuple(taken))
@@ -265,14 +269,15 @@ def reduced_subword_positions(b: Word, v: Perm) -> list[tuple[int, ...]]:
             return
         i = b[j]
         if u[i - 1] < u[i]:
-            u2 = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-            if bruhat_leq(u2, v):
+            key2 = keys.lift(key, u, i)
+            if keys.leq(key2, top):
                 taken.append(j)
-                walk(j + 1, u2)
+                walk(j + 1, u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :], key2)
                 taken.pop()
-        walk(j + 1, u)
+        walk(j + 1, u, key)
 
-    walk(0, identity(n))
+    start = identity(n)
+    walk(0, start, keys.key(start))
     return out
 
 
@@ -440,21 +445,31 @@ class TriangularReport:
         return self.diagonal_ok and self.vanishing_ok
 
 
-def check_upper_triangular(matrix: RestrictionMatrix, bruhat=bruhat_leq) -> TriangularReport:
+def check_upper_triangular(
+    matrix: RestrictionMatrix,
+    below: Optional[Sequence[Sequence[int]]] = None,
+) -> TriangularReport:
     """Diagonal entries must be nonzero; entry (v, w) must vanish unless v <= w.
 
-    ``bruhat`` decides v <= w between the row and column fixed points.
+    ``below[i][j]`` is true exactly when ``matrix.points[i] <=
+    matrix.points[j]``; when omitted it is computed here with
+    ``bruhat_table``.
     """
+    size = len(matrix.points)
+    if below is None:
+        below = bruhat_table(matrix.points, matrix.points)
+    elif len(below) != size or any(len(row) != size for row in below):
+        raise ValueError(f"below must be a {size} x {size} table")
     diagonal_zeros = tuple(
         w
         for i, w in enumerate(matrix.points)
         if matrix.values[i][i] == S1_ZERO
     )
     violations = []
-    for i, v in enumerate(matrix.points):
-        for j, w in enumerate(matrix.points):
-            if not bruhat(v, w) and matrix.values[i][j] != S1_ZERO:
-                violations.append((v, w, matrix.values[i][j]))
+    for v, row, leq in zip(matrix.points, matrix.values, below):
+        for w, value, ok in zip(matrix.points, row, leq):
+            if not ok and value != S1_ZERO:
+                violations.append((v, w, value))
     return TriangularReport(
         diagonal_ok=not diagonal_zeros,
         diagonal_zeros=diagonal_zeros,

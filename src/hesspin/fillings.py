@@ -40,7 +40,6 @@ __all__ = [
     "diagram_size",
     "column_lengths",
     "reading_order",
-    "validate_filling",
     "reading_word",
     "filling_from_word",
     "filling_of_fixed_point",
@@ -179,19 +178,6 @@ def reading_order(diagram: Diagram) -> tuple[tuple[int, int], ...]:
         for c in range(1, len(cols) + 1)
         for r in range(cols[c - 1], 0, -1)
     )
-
-
-def validate_filling(filling: Filling, diagram: Optional[Diagram] = None) -> Filling:
-    """Check shape and that the entries are a bijection onto 1..n."""
-    rows = tuple(tuple(row) for row in filling)
-    shape = tuple(len(row) for row in rows)
-    validate_diagram(shape)
-    if diagram is not None and shape != tuple(diagram):
-        raise ValueError(f"filling shape {shape} does not match diagram {tuple(diagram)}")
-    flat = [v for row in rows for v in row]
-    if sorted(flat) != list(range(1, len(flat) + 1)):
-        raise ValueError(f"entries are not a bijection onto 1..{len(flat)}")
-    return rows
 
 
 def reading_word(filling: Filling) -> Perm:

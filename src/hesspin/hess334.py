@@ -51,7 +51,7 @@ from .fillings import (
 from .permutations import (
     Perm,
     Word,
-    bruhat_leq,
+    bruhat_table,
     from_word,
     inverse,
     inversions,
@@ -614,8 +614,19 @@ def verify_334_theorem(n: int) -> Theorem334Report:
             prefix_fails.append((w, rolls[w], expect))
     add("rolldown-one-line-prefix", prefix_fails)
 
+    # Every Bruhat relation the checks read, from keys computed once:
+    # below[a][b] is points[a] <= points[b], roll_below[a][b] is
+    # rolls[points[a]] <= points[b], and simple_below[i - 1][a] (likewise
+    # simple_below_roll) is s_i <= points[a] (its rolldown).
+    roll_list = [rolls[w] for w in points]
+    below = bruhat_table(points, points)
+    roll_below = bruhat_table(roll_list, points)
+    simples = [simple(i, n) for i in range(1, n)]
+    simple_below = bruhat_table(simples, points)
+    simple_below_roll = bruhat_table(simples, roll_list)
+
     matrix = restriction_matrix(points, rolls, words=words)
-    tri = check_upper_triangular(matrix)
+    tri = check_upper_triangular(matrix, below)
     structural.append(
         CheckResult("diagonal-nonzero", tri.diagonal_ok, tri.diagonal_zeros)
     )
@@ -636,19 +647,18 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         "rolldown-bruhat-equivalence",
         (
             (w, wp)
-            for w in points
-            for wp in points
-            if bruhat_leq(rolls[w], wp) != bruhat_leq(w, wp)
+            for a, w in enumerate(points)
+            for b, wp in enumerate(points)
+            if roll_below[a][b] != below[a][b]
         ),
     )
 
     member_fails = []
-    for w in points:
+    for a, w in enumerate(points):
         for i in range(1, n):
-            si = simple(i, n)
-            if bruhat_leq(si, w) != (i in subsets[w]):
+            if simple_below[i - 1][a] != (i in subsets[w]):
                 member_fails.append((w, i, "fixed-point"))
-            if bruhat_leq(si, rolls[w]) != (i in subsets[w]):
+            if simple_below_roll[i - 1][a] != (i in subsets[w]):
                 member_fails.append((w, i, "rolldown"))
     add("simple-reflection-membership", member_fails)
 
@@ -656,29 +666,29 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         "subset-monotonicity",
         (
             (w, wp)
-            for w in points
-            for wp in points
-            if (bruhat_leq(w, wp) or bruhat_leq(rolls[w], wp))
+            for a, w in enumerate(points)
+            for b, wp in enumerate(points)
+            if (below[a][b] or roll_below[a][b])
             and not subsets[w] <= subsets[wp]
         ),
     )
 
     contain_fails = []
-    for w, cw in zip(points, classes):
-        for wp, cwp in zip(points, classes):
+    for a, (w, cw) in enumerate(zip(points, classes)):
+        for b, (wp, cwp) in enumerate(zip(points, classes)):
             same_type = cw == cwp or (cw in _PETERSON and cwp in _PETERSON)
             qualifying = (
                 same_type
                 or (cw is FixedPointClass.PETERSON_NO_321 and cwp in _NON_PETERSON)
                 or (cw in _NON_PETERSON and cwp in _PETERSON)
             )
-            if qualifying and bruhat_leq(w, wp) != (subsets[w] <= subsets[wp]):
+            if qualifying and below[a][b] != (subsets[w] <= subsets[wp]):
                 contain_fails.append((w, wp))
     add("containment-criterion", contain_fails)
 
     forbidden_fails = []
-    for w, cw in zip(points, classes):
-        for wp, cwp in zip(points, classes):
+    for a, (w, cw) in enumerate(zip(points, classes)):
+        for b, (wp, cwp) in enumerate(zip(points, classes)):
             forbidden = (
                 cwp is FixedPointClass.PETERSON_NO_321
                 and cw is not FixedPointClass.PETERSON_NO_321
@@ -686,21 +696,21 @@ def verify_334_theorem(n: int) -> Theorem334Report:
                 cwp is FixedPointClass.TYPE_231
                 and cw in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_312)
             )
-            if forbidden and (bruhat_leq(w, wp) or bruhat_leq(rolls[w], wp)):
+            if forbidden and (below[a][b] or roll_below[a][b]):
                 forbidden_fails.append((w, wp))
     add("forbidden-relations", forbidden_fails)
 
     segment_fails = []
-    for w, cw in zip(points, classes):
+    for a, (w, cw) in enumerate(zip(points, classes)):
         if cw not in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_231):
             continue
         a2 = head(subsets[w], 1)
-        for wp, cwp in zip(points, classes):
+        for b, (wp, cwp) in enumerate(zip(points, classes)):
             if cwp is not FixedPointClass.TYPE_312:
                 continue
             b2 = head(subsets[wp], 1)
             expected = subsets[w] <= subsets[wp] and b2 >= a2 + 1
-            if bruhat_leq(w, wp) != expected:
+            if below[a][b] != expected:
                 segment_fails.append((w, wp))
     add("initial-segment-criterion", segment_fails)
 

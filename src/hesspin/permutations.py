@@ -1,5 +1,9 @@
 """Permutations in one-line notation, reduced words, and Bruhat order.
 
+Bruhat order is decided by packed rank keys (``BruhatKeys``): each
+permutation's rank counts fit in one integer, and one comparison is one
+subtraction.  Bulk consumers compute each key once (``bruhat_table``).
+
 A permutation ``w`` in S_n is stored as the tuple ``(w(1), ..., w(n))`` of
 1-indexed values, so ``w[i - 1]`` is ``w(i)``.  Products compose as
 functions, ``compose(u, v)(i) = u(v(i))``, and a word ``s_{b_1} ... s_{b_k}``
@@ -21,6 +25,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
@@ -38,8 +43,11 @@ __all__ = [
     "inversions",
     "descents",
     "canonical_word",
-    "random_reduced_word",
+    "BruhatKeys",
+    "bruhat_keys",
+    "bruhat_key",
     "bruhat_leq",
+    "bruhat_table",
     "all_permutations",
 ]
 
@@ -187,30 +195,89 @@ def canonical_word(w: Perm) -> Word:
     return tuple(reversed(stripped))
 
 
-def random_reduced_word(w: Perm, rng) -> Word:
-    """A reduced word for ``w`` built by stripping a random descent each step.
+class BruhatKeys:
+    """Packed rank keys for Bruhat order on S_n.
 
-    ``rng`` is a random.Random instance; a seeded one gives a reproducible
-    word.  Not uniform over reduced words, but reaches enough of them to
-    exercise word-independence.
+    The key of w packs the rank counts c_w(k, j) = #{a <= k : w(a) <= j}
+    for 1 <= k, j <= n - 1 into one integer, a field of
+    ``n.bit_length() + 1`` bits per count.  Counts stay below n, so the
+    top (guard) bit of every field is free.  v <= w exactly when
+    c_v >= c_w in every field (Bjorner and Brenti, *Combinatorics of
+    Coxeter Groups*, Sec. 2.1), and one subtraction with every guard bit
+    set borrows out of a field's guard exactly where that field of v is
+    smaller.  Row k of the counts is row k - 1 plus a 1 in each field
+    j >= w(k).
+
+    >>> keys = bruhat_keys(3)
+    >>> keys.leq(keys.key((2, 1, 3)), keys.key((3, 2, 1)))
+    True
+    >>> keys.lift(keys.key((1, 2, 3)), (1, 2, 3), 2) == keys.key((1, 3, 2))
+    True
     """
-    cur = list(w)
-    stripped = []
-    while True:
-        ds = [i for i in range(len(cur) - 1) if cur[i] > cur[i + 1]]
-        if not ds:
-            break
-        i = rng.choice(ds)
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
-        stripped.append(i + 1)
-    return tuple(reversed(stripped))
+
+    __slots__ = ("n", "_row", "_guard", "_tails")
+
+    def __init__(self, n: int):
+        width = n.bit_length() + 1
+        self.n = n
+        self._row = width * (n - 1)
+        # _tails[v] has a 1 in each field j >= v of one row; _tails[n] = 0
+        tails = [0] * (n + 1)
+        for v in range(n - 1, 0, -1):
+            tails[v] = tails[v + 1] | (1 << (width * (v - 1)))
+        self._tails = tuple(tails)
+        guards = tails[1] << (width - 1)
+        self._guard = sum(guards << (self._row * k) for k in range(n - 1))
+
+    def key(self, w: Perm) -> int:
+        """The packed rank counts of w, row 1 in the top bits."""
+        if len(w) != self.n:
+            raise ValueError(f"size mismatch: {len(w)} vs {self.n}")
+        tails, shift = self._tails, self._row
+        key = row = 0
+        for value in w[:-1]:
+            row += tails[value]
+            key = (key << shift) | row
+        return key
+
+    def leq(self, kv: int, kw: int) -> bool:
+        """Whether v <= w, given their keys."""
+        guard = self._guard
+        return ((kv | guard) - kw) & guard == guard
+
+    def row(self, kv: int, kws: Sequence[int]) -> bytes:
+        """One byte per key kw of ``kws``: 1 where v <= w, else 0."""
+        guard = self._guard
+        top = kv | guard
+        return bytes((top - kw) & guard == guard for kw in kws)
+
+    def lift(self, key: int, u: Perm, i: int) -> int:
+        """The key of u * s_i from the key of u, when u(i) < u(i + 1).
+
+        Only row i changes: its fields u(i) .. u(i + 1) - 1 each lose 1.
+        """
+        tails = self._tails
+        drop = tails[u[i - 1]] - tails[u[i]]
+        return key - (drop << (self._row * (self.n - 1 - i)))
+
+
+@functools.lru_cache(maxsize=None)
+def bruhat_keys(n: int) -> BruhatKeys:
+    """The (shared) packed rank keys of S_n."""
+    return BruhatKeys(n)
+
+
+def bruhat_key(w: Perm) -> int:
+    """The packed rank key of w; see ``BruhatKeys``.
+
+    >>> bruhat_key((1, 2)), bruhat_key((2, 1))
+    (1, 0)
+    """
+    return bruhat_keys(len(w)).key(w)
 
 
 def bruhat_leq(v: Perm, w: Perm) -> bool:
-    """Whether v <= w in Bruhat order, by the tableau criterion.
-
-    For each right descent position k of v, the increasing rearrangements
-    of the initial segments v(1..k) and w(1..k) must compare entrywise.
+    """Whether v <= w in Bruhat order, by comparing packed rank keys.
 
     >>> bruhat_leq((2, 1, 3), (3, 1, 2))
     True
@@ -219,12 +286,27 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
     """
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
-    for k in descents(v):
-        vseg = sorted(v[:k])
-        wseg = sorted(w[:k])
-        if any(a > b for a, b in zip(vseg, wseg)):
-            return False
-    return True
+    keys = bruhat_keys(len(v))
+    return keys.leq(keys.key(v), keys.key(w))
+
+
+def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[bytes, ...]:
+    """Rows ``bytes(bruhat_leq(v, w) for w in upper)`` for each v in lower.
+
+    An entry is 1 where v <= w and 0 elsewhere, one byte each, so a table
+    over N points takes N^2 bytes.  Each permutation's key is computed once.
+
+    >>> [list(row) for row in bruhat_table([(1, 2), (2, 1)], [(2, 1), (1, 2)])]
+    [[1, 1], [1, 0]]
+    """
+    sizes = {len(p) for p in itertools.chain(lower, upper)}
+    if len(sizes) > 1:
+        raise ValueError(f"size mismatch among sizes {sorted(sizes)}")
+    if not sizes:
+        return tuple(b"" for _ in lower)
+    keys = bruhat_keys(sizes.pop())
+    tops = [keys.key(w) for w in upper]
+    return tuple(keys.row(keys.key(v), tops) for v in lower)
 
 
 def all_permutations(n: int) -> tuple[Perm, ...]:

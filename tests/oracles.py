@@ -11,6 +11,25 @@ from hesspin.billey import Polynomial
 from hesspin.permutations import canonical_word, compose, identity, inversions, simple
 
 
+def random_reduced_word(w, rng):
+    """A reduced word for ``w`` built by stripping a random descent each step.
+
+    ``rng`` is a random.Random instance; a seeded one gives a reproducible
+    word.  Not uniform over reduced words, but reaches enough of them to
+    exercise word-independence.
+    """
+    cur = list(w)
+    stripped = []
+    while True:
+        ds = [i for i in range(len(cur) - 1) if cur[i] > cur[i + 1]]
+        if not ds:
+            break
+        i = rng.choice(ds)
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+        stripped.append(i + 1)
+    return tuple(reversed(stripped))
+
+
 def brute_fillings(diagram, h):
     """Permissible fillings by filtering every arrangement of 1..n."""
     n = sum(diagram)
@@ -74,6 +93,32 @@ def bruhat_leq_oracle(v, w):
         if prod == v:
             return True
     return False
+
+
+def bruhat_leq_tableau(v, w):
+    """Whether v <= w by the tableau criterion: for each right descent k of
+    v, the sorted initial segments v(1..k) and w(1..k) compare entrywise."""
+    assert len(v) == len(w), "size mismatch"
+    for k in range(1, len(v)):
+        if v[k - 1] > v[k]:
+            if any(a > b for a, b in zip(sorted(v[:k]), sorted(w[:k]))):
+                return False
+    return True
+
+
+def brute_subword_table(b, n):
+    """Map each v in S_n to the position tuples of the l(v)-letter subwords
+    of b multiplying to v, in lexicographic order, by multiplying out every
+    combination of positions."""
+    table = {}
+    for k in range(len(b) + 1):
+        for pos in combinations(range(len(b)), k):
+            prod = identity(n)
+            for j in pos:
+                prod = compose(prod, simple(b[j], n))
+            if inversions(prod) == k:
+                table.setdefault(prod, []).append(pos)
+    return table
 
 
 def brute_root(b, j, n):

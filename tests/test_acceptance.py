@@ -39,12 +39,11 @@ from hesspin.permutations import (
     canonical_word,
     from_word,
     inversions,
-    random_reduced_word,
 )
 from hesspin.pinball import fixed_points, rolldown, rolldown_word, verify_pinball
 from hesspin.hess334 import verify_334_theorem
 
-from oracles import bruhat_leq_oracle, brute_project, brute_sigma
+from oracles import bruhat_leq_oracle, brute_project, brute_sigma, random_reduced_word
 
 
 @contextmanager
@@ -176,7 +175,7 @@ def test_criterion_7_core_properties():
                     v5, u + (5, 4)
                 )
 
-        # tableau criterion agrees with the subword property on S_4 x S_4
+        # Bruhat keys agree with the subword property on S_4 x S_4
         for a in all_permutations(4):
             for b in all_permutations(4):
                 assert bruhat_leq(a, b) == bruhat_leq_oracle(a, b)

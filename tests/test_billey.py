@@ -26,10 +26,14 @@ from hesspin.permutations import (
     bruhat_leq,
     canonical_word,
     inversions,
-    random_reduced_word,
 )
 
-from oracles import brute_project, brute_sigma
+from oracles import (
+    brute_project,
+    brute_sigma,
+    brute_subword_table,
+    random_reduced_word,
+)
 
 
 class TestPolynomial:
@@ -89,6 +93,19 @@ class TestSubwords:
     def test_repeated_letter_gives_two_subwords(self):
         positions = reduced_subword_positions((1, 2, 1), (2, 1, 3))
         assert positions == [(0,), (2,)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_brute_force_on_random_words(self, n):
+        # the walk prunes on an incrementally updated Bruhat key; a wrong
+        # update would silently drop subwords
+        rng = random.Random(4000 + n)
+        perms = all_permutations(n)
+        targets = [tuple(range(n, 0, -1))] + rng.sample(perms, min(3, len(perms)))
+        for w in targets:
+            b = random_reduced_word(w, rng)
+            table = brute_subword_table(b, n)
+            for v in perms:
+                assert reduced_subword_positions(b, v) == table.get(v, []), (b, v)
 
 
 class TestSigma:
@@ -214,15 +231,67 @@ class TestMatrix:
             restriction_matrix(points, rolls)
 
     def test_makes_no_bruhat_comparison(self, monkeypatch):
-        # bruhat-vanishing checks the matrix against bruhat_leq, so the
-        # matrix itself must not consult it
-        def refuse(v, w):
-            raise AssertionError("restriction_matrix called bruhat_leq")
+        # bruhat-vanishing checks the matrix against Bruhat order, so the
+        # matrix itself must not consult any Bruhat entry point billey has
+        def refuse(*args, **kwargs):
+            raise AssertionError("restriction_matrix consulted Bruhat order")
 
-        monkeypatch.setattr(billey, "bruhat_leq", refuse)
+        names = [name for name in vars(billey) if "bruhat" in name.lower()]
+        assert {"bruhat_keys", "bruhat_table"} <= set(names)
+        for name in names:
+            monkeypatch.setattr(billey, name, refuse)
         points = all_permutations(4)
         matrix = restriction_matrix(points, {w: w for w in points})
         assert matrix.entry((1, 2, 3, 4), (4, 3, 2, 1)) == S1Value(1, 0)
+
+
+class TestUpperTriangularTable:
+    """check_upper_triangular reads the relation it is given, entry by entry."""
+
+    @staticmethod
+    def matrix():
+        points = all_permutations(3)
+        return restriction_matrix(points, {w: w for w in points})
+
+    def test_default_table_is_bruhat_order(self):
+        matrix = self.matrix()
+        table = [[bruhat_leq(v, w) for w in matrix.points] for v in matrix.points]
+        assert check_upper_triangular(matrix, table) == check_upper_triangular(matrix)
+
+    def test_all_false_table_flags_every_nonzero_entry(self):
+        matrix = self.matrix()
+        size = len(matrix.points)
+        report = check_upper_triangular(matrix, [[False] * size] * size)
+        nonzero = [
+            (v, w, value)
+            for v, row in zip(matrix.points, matrix.values)
+            for w, value in zip(matrix.points, row)
+            if value != S1_ZERO
+        ]
+        off_diagonal = [(v, w, value) for v, w, value in nonzero if v != w]
+        assert off_diagonal
+        assert list(report.vanishing_violations) == nonzero
+        assert set(off_diagonal) <= set(report.vanishing_violations)
+        assert not report.vanishing_ok and report.diagonal_ok
+
+    def test_diagonal_table_flags_exactly_the_off_diagonal_entries(self):
+        matrix = self.matrix()
+        table = [[v == w for w in matrix.points] for v in matrix.points]
+        report = check_upper_triangular(matrix, table)
+        assert list(report.vanishing_violations) == [
+            (v, w, value)
+            for v, row in zip(matrix.points, matrix.values)
+            for w, value in zip(matrix.points, row)
+            if value != S1_ZERO and v != w
+        ]
+
+    def test_rejects_misshapen_table(self):
+        matrix = self.matrix()
+        size = len(matrix.points)
+        with pytest.raises(ValueError):
+            check_upper_triangular(matrix, [[True] * size] * (size - 1))
+        with pytest.raises(ValueError):
+            check_upper_triangular(matrix, [[True] * (size - 1)] * size)
 
 
 class TestMatrixOracle:

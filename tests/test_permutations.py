@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from hesspin.permutations import (
     all_permutations,
+    bruhat_key,
+    bruhat_keys,
     bruhat_leq,
+    bruhat_table,
     canonical_word,
     compose,
     descents,
@@ -18,12 +21,11 @@ from hesspin.permutations import (
     inverse,
     inversions,
     is_reduced_word,
-    random_reduced_word,
     simple,
     validate,
 )
 
-from oracles import bruhat_leq_oracle
+from oracles import bruhat_leq_oracle, bruhat_leq_tableau, random_reduced_word
 
 
 @st.composite
@@ -123,10 +125,51 @@ class TestWords:
 
 class TestBruhat:
     def test_matches_subword_oracle_exhaustively(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             for v in all_permutations(n):
                 for w in all_permutations(n):
                     assert bruhat_leq(v, w) == bruhat_leq_oracle(v, w), (v, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17])
+    def test_matches_tableau_criterion_at_field_widths(self, n):
+        # n = 7, 8 / 15, 16 / 16, 17 straddle a change of key field width
+        rng = random.Random(1000 + n)
+        pairs = []
+        for _ in range(200):
+            v = tuple(rng.sample(range(1, n + 1), n))
+            w = tuple(rng.sample(range(1, n + 1), n))
+            # a subword of a reduced word of w multiplies to some u <= w
+            b = random_reduced_word(w, rng)
+            u = from_word(n, [i for i in b if rng.random() < 0.7])
+            # moving one value changes w by a transposition, near the order
+            if n > 1:
+                p, q = sorted(rng.sample(range(n), 2))
+                t = list(w)
+                t[p], t[q] = t[q], t[p]
+                pairs.append((tuple(t), w))
+                pairs.append((w, tuple(t)))
+            pairs += [(v, w), (u, w), (w, u)]
+        outcomes = {bruhat_leq(v, w) for v, w in pairs}
+        for v, w in pairs:
+            assert bruhat_leq(v, w) == bruhat_leq_tableau(v, w), (v, w)
+        assert outcomes == ({True} if n == 1 else {True, False})
+
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            bruhat_leq((1, 2), (1, 2, 3))
+
+    def test_keys_are_injective(self):
+        # the rank counts determine the permutation
+        perms = all_permutations(5)
+        assert len({bruhat_key(w) for w in perms}) == len(perms)
+
+    def test_lift_matches_key_of_product(self):
+        keys = bruhat_keys(5)
+        for u in all_permutations(5):
+            for i in range(1, 5):
+                if u[i - 1] < u[i]:
+                    lifted = keys.lift(keys.key(u), u, i)
+                    assert lifted == keys.key(compose(u, simple(i, 5))), (u, i)
 
     def test_tableau_criterion_large_example(self):
         v = (3, 6, 8, 4, 7, 5, 9, 1, 2)
@@ -155,3 +198,27 @@ class TestBruhat:
             letters = set(canonical_word(w))
             for i in (1, 2, 3):
                 assert bruhat_leq(simple(i, 4), w) == (i in letters)
+
+
+class TestBruhatTable:
+    def test_matches_bruhat_leq_on_rectangles(self):
+        rng = random.Random(5)
+        perms = all_permutations(4)
+        lower = rng.sample(perms, 7)
+        for rows, cols in ((lower, perms), (perms, lower)):
+            table = bruhat_table(rows, cols)
+            assert len(table) == len(rows)
+            for v, row in zip(rows, table):
+                assert list(row) == [bruhat_leq(v, w) for w in cols]
+
+    def test_empty_inputs(self):
+        perms = all_permutations(3)
+        assert bruhat_table([], []) == ()
+        assert bruhat_table([], perms) == ()
+        assert bruhat_table(perms[:2], []) == (b"", b"")
+
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            bruhat_table([(1, 2)], [(1, 2, 3)])
+        with pytest.raises(ValueError, match="size mismatch"):
+            bruhat_table([(1, 2), (1, 2, 3)], [])
