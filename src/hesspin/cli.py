@@ -16,7 +16,8 @@ integers that can grow without bound carried as strings.  Projected values
 serialize as {"coeff": "<int>", "deg": <int>} with {"coeff": "0", "deg": 0}
 as the zero sentinel; full multivariate values (matrix --full-torus) as
 lists of {"exps": [..], "coeff": "<int>"}.  Identical flags produce
-byte-identical output.
+byte-identical output.  json and csv lines are written as their records
+are made; table output is written once all rows are known.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on invalid input,
 3 on an internal error (a broken invariant of the library, reported in one
@@ -34,17 +35,15 @@ from typing import Optional, Sequence
 from .billey import S1Value, restriction_matrix, sigma_restriction
 from .fillings import (
     diagram_size,
-    dimension_pairs,
-    enumerate_permissible,
     hessenberg_334,
-    reading_word,
+    permissible_records,
     single_row,
-    top_parts,
     validate_diagram,
     validate_hessenberg,
 )
 from .hess334 import verify_334_theorem
-from .pinball import rolldown_table, rolldown_word, verify_pinball
+from .permutations import from_word
+from .pinball import CheckResult, rolldown_table, rolldown_words, verify_pinball
 
 __all__ = ["main", "build_parser", "parse_records", "default_hessenberg"]
 
@@ -114,9 +113,7 @@ def _jsonable(obj):
 # Emission
 
 
-def _emit_json(records, out) -> None:
-    for r in records:
-        out.write(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n")
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def parse_records(text: str) -> list[dict]:
@@ -141,19 +138,24 @@ def _emit_table(headers, rows, out) -> None:
         out.write(line(row) + "\n")
 
 
-def _emit_csv(headers, rows, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
+def _emit(args, items, headers, record, row) -> None:
+    """Write one line per item: ``record(item)`` in json, ``row(item)``'s
+    cells in csv and table.
 
-
-def _emit(args, records, headers, rows) -> None:
+    json and csv write each line as its item arrives; table keeps its rows,
+    since every row sets the column widths.
+    """
+    out = sys.stdout
     if args.format == "json":
-        _emit_json(records, sys.stdout)
+        encode = _JSON.encode
+        for item in items:
+            out.write(encode(record(item)) + "\n")
     elif args.format == "csv":
-        _emit_csv(headers, rows, sys.stdout)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(map(row, items))
     else:
-        _emit_table(headers, rows, sys.stdout)
+        _emit_table(headers, [row(item) for item in items], out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,54 +190,46 @@ def _require_single_row(shape, command: str) -> None:
 
 def cmd_fillings(args) -> int:
     n, h, shape = _resolve(args)
-    records, rows = [], []
-    for f in enumerate_permissible(shape, h):
-        pairs = dimension_pairs(f, h)
-        ordered = sorted(pairs)
-        x = top_parts(pairs, n)
-        records.append(
-            {
-                "filling": [list(row) for row in f],
-                "word": list(reading_word(f)),
-                "pairs": [list(p) for p in ordered],
-                "x": list(x),
-            }
+
+    def row(rec) -> tuple[str, ...]:
+        return (
+            " | ".join(_fmt_entries(r, n) for r in rec.filling),
+            _fmt_entries(rec.word, n),
+            _fmt_pairs(rec.pairs),
+            ",".join(map(str, rec.x)) or "-",
         )
-        rows.append(
-            (
-                " | ".join(_fmt_entries(row, n) for row in f),
-                _fmt_entries(reading_word(f), n),
-                _fmt_pairs(ordered),
-                ",".join(str(v) for v in x) if x else "-",
-            )
-        )
-    _emit(args, records, ("filling", "reading-word", "dimension-pairs", "x"), rows)
+
+    _emit(
+        args,
+        permissible_records(shape, h),
+        ("filling", "reading-word", "dimension-pairs", "x"),
+        lambda rec: rec._asdict(),
+        row,
+    )
     return 0
 
 
 def cmd_rolldowns(args) -> int:
     n, h, shape = _resolve(args)
     _require_single_row(shape, "rolldowns")
-    records, rows = [], []
-    for w, roll in rolldown_table(shape, h).items():
-        word = rolldown_word(w, shape, h)
-        records.append(
-            {
-                "w": list(w),
-                "rolldown": list(roll),
-                "word": list(word),
-                "length": len(word),
-            }
+
+    def record(item) -> dict:
+        w, roll, word = item
+        return {"w": w, "rolldown": roll, "word": word, "length": len(word)}
+
+    def row(item) -> tuple[str, ...]:
+        w, roll, word = item
+        return (
+            _fmt_entries(w, n),
+            _fmt_entries(roll, n),
+            _fmt_word(word),
+            str(len(word)),
         )
-        rows.append(
-            (
-                _fmt_entries(w, n),
-                _fmt_entries(roll, n),
-                _fmt_word(word),
-                str(len(word)),
-            )
-        )
-    _emit(args, records, ("w", "rolldown", "word", "length"), rows)
+
+    items = (
+        (w, from_word(n, word), word) for w, word in rolldown_words(shape, h).items()
+    )
+    _emit(args, items, ("w", "rolldown", "word", "length"), record, row)
     return 0
 
 
@@ -248,22 +242,17 @@ def cmd_verify(args) -> int:
         report = verify_334_theorem(n)
     else:
         report = verify_pinball(shape, h)
-    checks = report.checks()
-    records = [
-        {
+    _emit(
+        args,
+        (*report.checks(), CheckResult("result", report.passed)),
+        ("check", "status", "witnesses"),
+        lambda c: {
             "check": c.name,
             "passed": c.passed,
             "witnesses": _jsonable(c.witnesses),
-        }
-        for c in checks
-    ]
-    records.append({"check": "result", "passed": report.passed, "witnesses": []})
-    rows = [
-        (c.name, "pass" if c.passed else "FAIL", str(len(c.witnesses)))
-        for c in checks
-    ]
-    rows.append(("result", "pass" if report.passed else "FAIL", "0"))
-    _emit(args, records, ("check", "status", "witnesses"), rows)
+        },
+        lambda c: (c.name, "pass" if c.passed else "FAIL", str(len(c.witnesses))),
+    )
     return 0 if report.passed else 1
 
 
@@ -272,25 +261,24 @@ def cmd_matrix(args) -> int:
     _require_single_row(shape, "matrix")
     table = rolldown_table(shape, h)
     points = tuple(sorted(table))
-    records, rows = [], []
     if args.full_torus:
-        for v in points:
-            sigmas = [sigma_restriction(table[v], w) for w in points]
-            records.append(
-                {"v": list(v), "entries": [_poly_json(p) for p in sigmas]}
-            )
-            rows.append((_fmt_entries(v, n), *[repr(p) for p in sigmas]))
+        items = (
+            (v, [sigma_restriction(table[v], w) for w in points]) for v in points
+        )
+        as_json, as_cell = _poly_json, repr
     else:
-        matrix = restriction_matrix(points, table)
-        for i, v in enumerate(points):
-            records.append(
-                {"v": list(v), "entries": [_s1_json(s) for s in matrix.values[i]]}
-            )
-            rows.append(
-                (_fmt_entries(v, n), *[_fmt_s1(s) for s in matrix.values[i]])
-            )
-    headers = ("v", *(_fmt_entries(w, n) for w in points))
-    _emit(args, records, headers, rows)
+        items = zip(points, restriction_matrix(points, table).values)
+        as_json, as_cell = _s1_json, _fmt_s1
+
+    def record(item) -> dict:
+        v, entries = item
+        return {"v": v, "entries": [as_json(e) for e in entries]}
+
+    def row(item) -> tuple[str, ...]:
+        v, entries = item
+        return (_fmt_entries(v, n), *map(as_cell, entries))
+
+    _emit(args, items, ("v", *(_fmt_entries(w, n) for w in points)), record, row)
     return 0
 
 

@@ -18,11 +18,19 @@ below a in the same column or anywhere in a column strictly left of a, and
 b <= h(c) whenever some entry c sits directly right of a.  Collecting the
 counts x_l of pairs with top part l gives a vector with 0 <= x_l <= l - 1,
 and ``omega`` turns such vectors into permutations bijectively.
+
+Since reading order lists each column bottom to top, columns left to right,
+"b below a in its column or in a column strictly left of a" says exactly
+that b comes before a in the reading word.  ``permissible_records`` uses
+this to yield every permissible filling with its reading word, dimension
+pairs and x from one backtracking pass, which places the boxes in reading
+order.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import functools
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .permutations import Perm, Word, from_word, inverse, validate
 
@@ -46,6 +54,8 @@ __all__ = [
     "is_permissible",
     "permissibility_violation",
     "permissibility_error",
+    "PermissibleRecord",
+    "permissible_records",
     "enumerate_permissible",
     "dimension_pairs",
     "top_parts",
@@ -211,14 +221,6 @@ def filling_of_fixed_point(w: Perm, diagram: Diagram) -> Filling:
 # Permissibility
 
 
-def _positions(filling: Filling) -> dict[int, tuple[int, int]]:
-    return {
-        val: (r, c)
-        for r, row in enumerate(filling, start=1)
-        for c, val in enumerate(row, start=1)
-    }
-
-
 def permissibility_violation(
     filling: Filling, h: Sequence[int]
 ) -> Optional[tuple[int, int, int, int]]:
@@ -257,40 +259,119 @@ def is_permissible(filling: Filling, h: Sequence[int]) -> bool:
     return permissibility_violation(filling, h) is None
 
 
-def enumerate_permissible(diagram: Diagram, h: Sequence[int]) -> list[Filling]:
-    """All permissible fillings, in lexicographic order of reading word.
+class PermissibleRecord(NamedTuple):
+    """One permissible filling with its reading word, sorted dimension
+    pairs and top-part vector x; the field names are the json keys of
+    ``hesspin fillings``."""
 
-    Backtracks over boxes in reading order; when a box is placed its left
-    neighbor is already present (it lives in the previous column), so each
-    adjacency is checked exactly once, as early as possible.
+    filling: Filling
+    word: Perm
+    pairs: tuple[tuple[int, int], ...]
+    x: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _reading_layout(diagram: Diagram):
+    """Neighbors in reading-order positions: for each position, the
+    positions of its box's left and right neighbors (-1 for none), and for
+    each row, the positions of its boxes from left to right."""
+    order = reading_order(diagram)
+    index = {box: k for k, box in enumerate(order)}
+    left = tuple(index.get((r, c - 1), -1) for r, c in order)
+    right = tuple(index.get((r, c + 1), -1) for r, c in order)
+    rows = tuple(
+        tuple(index[(r, c)] for c in range(1, part + 1))
+        for r, part in enumerate(diagram, start=1)
+    )
+    return left, right, rows
+
+
+def _word_pairs(word: Perm, right: Sequence[int], h: Sequence[int]):
+    """Sorted dimension pairs and x of the filling read as ``word``.
+
+    (a, b) is a pair iff a < b <= cap(a) and b comes before a in the word,
+    where cap(a) is h of a's right neighbor, or n if a has none.
+    """
+    n = len(word)
+    pos = [0] * (n + 1)
+    for k, val in enumerate(word):
+        pos[val] = k
+    pairs = []
+    counts = [0] * (n + 1)
+    for a in range(1, n + 1):
+        k = pos[a]
+        r = right[k]
+        for b in range(a + 1, (h[word[r] - 1] if r >= 0 else n) + 1):
+            if pos[b] < k:
+                pairs.append((a, b))
+                counts[b] += 1
+    return tuple(pairs), tuple(counts[2:])
+
+
+def permissible_records(
+    diagram: Diagram, h: Sequence[int]
+) -> Iterator[PermissibleRecord]:
+    """Every permissible filling as a record, in lexicographic order of
+    reading word, from one backtracking pass.
+
+    The pass places boxes in reading order, so the reading word is the
+    sequence of placed values, and a box's left neighbor (in the previous
+    column) is already placed: each adjacency is checked once, as early as
+    possible.  The arguments are checked when this is called; the records
+    come lazily.
     """
     diagram = validate_diagram(diagram)
     h = validate_hessenberg(h)
     n = diagram_size(diagram)
     if len(h) != n:
         raise ValueError(f"h has length {len(h)}, diagram has {n} boxes")
-    order = reading_order(diagram)
-    grid = [[0] * part for part in diagram]
+    return _records(diagram, h)
+
+
+def _records(
+    diagram: Diagram, h: tuple[int, ...]
+) -> Iterator[PermissibleRecord]:
+    n = len(h)
+    left, right, rows = _reading_layout(diagram)
+    # least[k] is the least v with h(v) >= k: v may sit right of k iff
+    # v >= least[k], since h is weakly increasing
+    least = [0] + [
+        next(v for v in range(1, n + 1) if h[v - 1] >= k) for k in range(1, n + 1)
+    ]
+    # An explicit stack: start[k] is the next value to try at position k.
+    # Nested generators would pass every record up through n frames.
+    word = [0] * n
     used = [False] * (n + 1)
-    out: list[Filling] = []
+    start = [1] * n
+    last = n - 1
+    k = 0
+    while True:
+        val = start[k]
+        while val <= n and used[val]:
+            val += 1
+        if val > n:
+            if k == 0:
+                return
+            k -= 1
+            used[word[k]] = False
+            start[k] = word[k] + 1
+            continue
+        word[k] = val
+        if k == last:
+            start[k] = val + 1
+            w = tuple(word)
+            pairs, x = _word_pairs(w, right, h)
+            filling = tuple(tuple(w[p] for p in row) for row in rows)
+            yield PermissibleRecord(filling, w, pairs, x)
+            continue
+        used[val] = True
+        k += 1
+        start[k] = least[word[left[k]]] if left[k] >= 0 else 1
 
-    def place(k: int) -> None:
-        if k == n:
-            out.append(tuple(tuple(row) for row in grid))
-            return
-        r, c = order[k]
-        left = grid[r - 1][c - 2] if c > 1 else 0
-        for val in range(1, n + 1):
-            if used[val] or left > h[val - 1]:
-                continue
-            used[val] = True
-            grid[r - 1][c - 1] = val
-            place(k + 1)
-            used[val] = False
-        grid[r - 1][c - 1] = 0
 
-    place(0)
-    return out
+def enumerate_permissible(diagram: Diagram, h: Sequence[int]) -> list[Filling]:
+    """All permissible fillings, in lexicographic order of reading word."""
+    return [rec.filling for rec in permissible_records(diagram, h)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +384,12 @@ def dimension_pairs(filling: Filling, h: Sequence[int]) -> frozenset[tuple[int, 
     >>> sorted(dimension_pairs(((2, 4, 3, 1, 5),), (3, 3, 4, 5, 5)))
     [(1, 2), (1, 3), (1, 4)]
     """
-    pos = _positions(filling)
-    n = len(pos)
+    diagram = validate_diagram(tuple(len(row) for row in filling))
+    n = diagram_size(diagram)
     if len(h) != n:
         raise ValueError(f"h has length {len(h)}, filling has {n} boxes")
-    pairs = set()
-    for a in range(1, n + 1):
-        ra, ca = pos[a]
-        row = filling[ra - 1]
-        # the right-neighbor condition caps b at h(c); no neighbor, no cap
-        cap = h[row[ca] - 1] if ca < len(row) else n
-        for b in range(a + 1, min(cap, n) + 1):
-            rb, cb = pos[b]
-            if cb < ca or (cb == ca and rb > ra):
-                pairs.add((a, b))
+    _, right, _ = _reading_layout(diagram)
+    pairs, _ = _word_pairs(validate(reading_word(filling)), right, h)
     return frozenset(pairs)
 
 

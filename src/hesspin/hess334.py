@@ -62,7 +62,6 @@ from .pinball import (
     CheckResult,
     PinballReport,
     fixed_points,
-    rolldown_table,
     verify_pinball,
 )
 
@@ -578,8 +577,8 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     h = hessenberg_334(n)
     diagram = single_row(n)
     pin = verify_pinball(diagram, h)
-    points = fixed_points(diagram, h)
-    rolls = rolldown_table(diagram, h)
+    points = tuple(w for w, _ in pin.rolldowns)
+    rolls = dict(pin.rolldowns)
     classes = tuple(classify(w) for w in points)
     subsets = {w: associated_subset(w) for w in points}
     words = {w: catalog_reduced_word(w) for w in points}

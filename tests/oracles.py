@@ -5,7 +5,7 @@ enumeration, sharing as little code as possible with the library paths it
 checks.  Slow on purpose; tests pick sizes accordingly.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from hesspin.billey import Polynomial
 from hesspin.permutations import canonical_word, compose, identity, inversions, simple
@@ -163,3 +163,30 @@ def brute_project(p, n):
             prod *= (n - i) ** e
         coeff += prod
     return (coeff, degrees.pop()) if coeff else (0, 0)
+
+
+def all_diagrams(n):
+    """Every Young diagram with n boxes, as weakly decreasing row lengths."""
+    def parts(rest, cap):
+        if rest == 0:
+            yield ()
+        for p in range(min(rest, cap), 0, -1):
+            for tail in parts(rest - p, p):
+                yield (p,) + tail
+
+    return list(parts(n, n))
+
+
+def all_hessenberg(n):
+    """Every Hessenberg function on 1..n: weakly increasing, i <= h(i) <= n."""
+    return [
+        h
+        for h in product(range(1, n + 1), repeat=n)
+        if all(h[i] >= i + 1 for i in range(n))
+        and all(h[i] <= h[i + 1] for i in range(n - 1))
+    ]
+
+
+def all_diagram_h(n):
+    """Every (diagram, h) pair of size n."""
+    return [(d, h) for d in all_diagrams(n) for h in all_hessenberg(n)]

@@ -1,0 +1,83 @@
+"""CLI output pinned byte for byte, and the streaming of long outputs.
+
+``data/cli_sha256.json`` holds the exit status, size and sha256 of the
+standard output of ``fillings``, ``rolldowns`` and ``verify --mode
+pinball`` in json, csv and table format, for n = 4..7 with the 334,
+Peterson and full-flag h and for the Springer shape ``--lambda 2,2 --h
+1,2,3,4``.  They were recorded before these commands moved onto one
+enumeration pass per run, from the per-point implementation.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from hesspin import cli
+from hesspin.cli import main
+
+PINNED = json.loads((Path(__file__).parent / "data" / "cli_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED))
+def test_output_matches_pinned_digest(capsys, argv):
+    code = main(argv.split())
+    out = capsys.readouterr().out.encode()
+    expected = PINNED[argv]
+    assert code == expected["code"]
+    assert len(out) == expected["bytes"]
+    assert hashlib.sha256(out).hexdigest() == expected["sha256"]
+
+
+class _Watched(io.StringIO):
+    """A stdout that notes how many records were produced at each write."""
+
+    def __init__(self, produced):
+        super().__init__()
+        self.produced = produced
+        self.seen = []
+
+    def write(self, text):
+        self.seen.append(len(self.produced))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fillings_streams(monkeypatch, fmt):
+    produced = []
+    real = cli.permissible_records
+
+    def watched(shape, h):
+        for rec in real(shape, h):
+            produced.append(rec)
+            yield rec
+
+    monkeypatch.setattr(cli, "permissible_records", watched)
+    # the table emitter is the one that keeps every row
+    monkeypatch.setattr(cli, "_emit_table", None)
+    out = _Watched(produced)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["fillings", "--n", "6", "--h", "6,6,6,6,6,6", "--format", fmt]) == 0
+    assert len(produced) == 720
+    # record k is written before record k + 1 is enumerated
+    assert out.seen[-720:] == list(range(1, 721))
+    assert out.getvalue().count("\n") == 720 + (fmt == "csv")
+
+
+def test_fillings_json_builds_no_table_cells(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("table cell built for json output")
+
+    monkeypatch.setattr(cli, "_fmt_entries", refuse)
+    monkeypatch.setattr(cli, "_fmt_pairs", refuse)
+    assert main(["fillings", "--n", "5", "--format", "json"]) == 0
+    assert capsys.readouterr().out.count("\n") == 24
+
+
+def test_rolldowns_make_one_enumeration_pass(enumerations, capsys):
+    assert main(["rolldowns", "--n", "6", "--format", "json"]) == 0
+    assert len(enumerations) == 1
+    assert capsys.readouterr().out.count("\n") == 48

@@ -22,6 +22,7 @@ from hesspin.fillings import (
     omega_word,
     permissibility_error,
     permissibility_violation,
+    permissible_records,
     reading_order,
     reading_word,
     top_parts,
@@ -30,7 +31,12 @@ from hesspin.fillings import (
 )
 from hesspin.permutations import all_permutations, inversions
 
-from oracles import brute_dimension_pairs, brute_fillings, inversion_tops
+from oracles import (
+    all_diagram_h,
+    brute_dimension_pairs,
+    brute_fillings,
+    inversion_tops,
+)
 
 
 class TestHessenbergFunctions:
@@ -168,6 +174,55 @@ class TestDimensionPairs:
         for f in enumerate_permissible((5,), h):
             x = top_parts(dimension_pairs(f, h), 5)
             assert all(0 <= x[k] <= k + 1 for k in range(len(x)))
+
+
+class TestPermissibleRecords:
+    """Every record field against the definitions, on every (diagram, h)
+    with n <= 6 (1,836 pairs).  The oracles share no code with the
+    reading-word criterion of ``permissible_records``."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+    )
+    def test_every_field_matches_oracles(self, n):
+        for diagram, h in all_diagram_h(n):
+            records = list(permissible_records(diagram, h))
+            words = [rec.word for rec in records]
+            assert words == sorted(set(words))
+            brute = brute_fillings(diagram, h)
+            assert len(records) == len(brute)
+            assert {rec.filling for rec in records} == set(brute)
+            for rec in records:
+                assert rec.word == reading_word(rec.filling)
+                pairs = brute_dimension_pairs(rec.filling, h)
+                assert rec.pairs == tuple(sorted(pairs)), (diagram, h, rec)
+                assert rec.x == top_parts(frozenset(pairs), n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_list_and_pair_functions_agree(self, n):
+        for diagram, h in all_diagram_h(n):
+            records = list(permissible_records(diagram, h))
+            assert enumerate_permissible(diagram, h) == [r.filling for r in records]
+            for rec in records:
+                assert dimension_pairs(rec.filling, h) == set(rec.pairs)
+
+    def test_records_are_frozen(self):
+        rec = next(permissible_records((2, 1), (2, 3, 3)))
+        assert rec._fields == ("filling", "word", "pairs", "x")
+        with pytest.raises(AttributeError):
+            rec.word = (1, 2, 3)
+
+    def test_arguments_checked_before_iteration(self):
+        with pytest.raises(ValueError, match="h has length 3, diagram has 4 boxes"):
+            permissible_records((2, 2), (2, 3, 3))
+        with pytest.raises(ValueError, match="weakly decrease"):
+            permissible_records((1, 2), (2, 3, 3))
+
+    def test_dimension_pairs_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="h has length 4, filling has 5 boxes"):
+            dimension_pairs(((2, 4, 3, 1, 5),), (3, 3, 4, 4))
+        with pytest.raises(ValueError, match="not a permutation"):
+            dimension_pairs(((2, 2, 3),), (3, 3, 3))
 
 
 class TestOmega:

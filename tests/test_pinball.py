@@ -9,8 +9,16 @@ from hesspin.fillings import (
     hessenberg_full,
     hessenberg_identity,
     hessenberg_peterson,
+    omega_word,
 )
-from hesspin.permutations import all_permutations, from_word, identity, inversions
+from hesspin import hess334, pinball
+from hesspin.permutations import (
+    all_permutations,
+    from_word,
+    identity,
+    inverse,
+    inversions,
+)
 from hesspin.pinball import (
     betti_numbers,
     degree,
@@ -19,8 +27,12 @@ from hesspin.pinball import (
     rolldown,
     rolldown_table,
     rolldown_word,
+    rolldown_words,
     verify_pinball,
 )
+
+from oracles import all_diagram_h
+
 
 
 class TestRolldown:
@@ -49,9 +61,22 @@ class TestRolldown:
 
     def test_non_fixed_point_names_adjacency(self):
         h = hessenberg_334(4)
-        with pytest.raises(ValueError, match=r"adjacency 4\|1"):
-            rolldown((2, 3, 4, 1), (4,), h)
+        for fn in (rolldown, rolldown_word, degree):
+            with pytest.raises(ValueError, match=r"adjacency 4\|1"):
+                fn((2, 3, 4, 1), (4,), h)
         assert not is_fixed_point((2, 3, 4, 1), (4,), h)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_table_matches_per_point_functions(self, n, enumerations):
+        h = hessenberg_334(n)
+        words = rolldown_words((n,), h)
+        table = rolldown_table((n,), h)
+        assert len(enumerations) == 2
+        assert list(words) == list(table) == list(fixed_points((n,), h))
+        for w, word in words.items():
+            assert word == rolldown_word(w, (n,), h)
+            assert table[w] == rolldown(w, (n,), h) == from_word(n, word)
+            assert len(word) == degree(w, (n,), h)
 
     def test_table_sorted(self):
         h = hessenberg_334(4)
@@ -108,6 +133,56 @@ class TestVerifyPinball:
 
     def test_full_flag_succeeds(self):
         assert verify_pinball((4,), hessenberg_full(4)).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_small_pair_passes(self, n):
+        # no (diagram, h) is known to fail; see the pinball module docstring
+        for diagram, h in all_diagram_h(n):
+            report = verify_pinball(diagram, h)
+            assert report.passed, (diagram, h, report.checks())
+
+    def test_one_enumeration_pass(self, enumerations):
+        verify_pinball((2, 2), hessenberg_identity(4))
+        assert enumerations == [((2, 2), (1, 2, 3, 4))]
+
+    def test_theorem_enumerates_once(self, enumerations):
+        report = hess334.verify_334_theorem(5)
+        assert report.passed
+        assert len(enumerations) == 1
+        assert report.points == tuple(w for w, _ in report.pinball.rolldowns)
+
+    def test_rolldowns_match_per_point_functions(self):
+        h = (2, 3, 3, 4)
+        report = verify_pinball((2, 2), h)
+        assert [w for w, _ in report.rolldowns] == list(fixed_points((2, 2), h))
+        for w, r in report.rolldowns:
+            assert r == rolldown(w, (2, 2), h)
+
+    def test_checks_catch_colliding_rolldowns(self, monkeypatch):
+        # every rolldown the identity: all collide, lengths all 0
+        monkeypatch.setattr(pinball, "omega_word", lambda x: ())
+        report = verify_pinball((4,), hessenberg_334(4))
+        assert not report.injective
+        points = fixed_points((4,), hessenberg_334(4))
+        assert report.collisions == ((identity(4), points),)
+        assert report.below_fixed_point
+        assert not report.betti_matched
+        assert report.betti_mismatches[0] == (0, 1, 12)
+        assert not report.passed
+
+    def test_checks_catch_rolldowns_above(self, monkeypatch):
+        # For the full flag the rolldown of w is w itself.  The unreversed
+        # omega word multiplies out to w^{-1} instead: still distinct and
+        # of the right lengths, but not below w unless w is an involution.
+        monkeypatch.setattr(pinball, "_word_of", omega_word)
+        report = verify_pinball((4,), hessenberg_full(4))
+        assert report.injective
+        assert report.betti_matched
+        assert not report.below_fixed_point
+        assert report.bruhat_failures == tuple(
+            (w, inverse(w)) for w in all_permutations(4) if w != inverse(w)
+        )
+        assert len(report.bruhat_failures) == 24 - 10
 
     def test_report_is_exhaustive(self):
         report = verify_pinball((4,), hessenberg_334(4))
