@@ -18,10 +18,14 @@ S1Value(coeff=2, degree=1)
 The projection sends t_i to (n + 1 - i) t, the weight ladder of the circle
 inside the diagonal torus; a root t_l - t_k lands on (k - l) t.
 
-``restriction_matrix`` fills each column from one prefix recurrence over
-the column's word instead of walking subwords entry by entry, keeping only
-partial products no longer than the longest row, and never consults Bruhat
-order, so checking its vanishing against Bruhat order is not a tautology.
+Neither restriction enumerates subwords.  ``sigma_restriction`` makes one
+backward pass over b from v down to the identity, carrying polynomials as
+maps from packed monomials to coefficients.  ``restriction_matrix`` fills
+each column from one prefix recurrence over the column's word, keeping only
+partial products no longer than the longest row.  Neither consults Bruhat
+order, so checking their vanishing against Bruhat order is not a tautology.
+The subword walk ``reduced_subword_positions`` serves ``p_summands`` and
+``p_restriction``, which report one summand per subword.
 """
 
 from __future__ import annotations
@@ -200,11 +204,6 @@ class Root(NamedTuple):
     lower: int
     upper: int
 
-    def poly(self, nvars: int) -> Polynomial:
-        return Polynomial.variable(self.lower, nvars) - Polynomial.variable(
-            self.upper, nvars
-        )
-
     def s1(self) -> int:
         """Coefficient of t after the projection t_i -> (n + 1 - i) t."""
         return self.upper - self.lower
@@ -293,21 +292,57 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     """The full-torus restriction of v's class at w, in t_1..t_n.
 
     Zero exactly when v is not below w in Bruhat order.  Independent of the
-    reduced word chosen for w, which may be supplied to steer the subword
-    enumeration.
+    reduced word b chosen for w, which may be supplied; the canonical word
+    is used otherwise.
+
+    One backward pass over b.  After letters b_m..b_j, each state x maps to
+    the summed root products of the reduced subwords of b_j..b_m that
+    multiply x up to v; it starts as {v: 1}.  Letter j adds x * s_{b_j}
+    for every x with a descent at b_j, times r(j, b), and the answer is
+    the identity's value.  States are kept by length, and those longer
+    than the letters left are dropped.  Roots come from the prefix
+    w s_{b_m} ... s_{b_j} = s_{b_1} ... s_{b_{j-1}}, one swap per letter.
+
+    Values map packed monomials to coefficients: t_a's exponent sits in
+    the a-th field from the top, so integer order is exponent-tuple lex
+    order and t_lower - t_upper multiplies a term by two additions.  A
+    summand multiplies distinct roots, at most n - 1 of which involve t_a,
+    so a field of (n - 1).bit_length() bits never carries.
     """
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
     n = len(w)
     b = _checked_word(w, word)
-    roots = [r.poly(n) for r in roots_along_word(b, n)]
-    total = Polynomial.zero(n)
-    for positions in reduced_subword_positions(b, v):
-        term = Polynomial.one(n)
-        for j in positions:
-            term = term * roots[j]
-        total = total + term
-    return total
+    width = max(1, (n - 1).bit_length())
+    shifts = [(n - a) * width for a in range(1, n + 1)]
+    unit = [0] + [1 << s for s in shifts]
+    prefix = list(w)
+    # levels[k] maps each state of length k to its packed value
+    levels: list[dict[Perm, dict[int, int]]] = [{} for _ in range(inversions(v))]
+    levels.append({v: {0: 1}})
+    for j in range(len(b), 0, -1):
+        # a state longer than j cannot reach the identity in the j letters left
+        del levels[j + 1 :]
+        i = b[j - 1]
+        prefix[i - 1], prefix[i] = prefix[i], prefix[i - 1]
+        lower, upper = unit[prefix[i - 1]], unit[prefix[i]]
+        # x * s_i has an ascent at i, so no state moves twice on one letter
+        for k in range(len(levels) - 1, 0, -1):
+            below = levels[k - 1]
+            for x, value in levels[k].items():
+                if x[i - 1] > x[i]:
+                    y = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
+                    out = below.get(y)
+                    if out is None:
+                        below[y] = out = {}
+                    for mono, c in value.items():
+                        out[mono + lower] = out.get(mono + lower, 0) + c
+                        out[mono + upper] = out.get(mono + upper, 0) - c
+    mask = (1 << width) - 1
+    value = levels[0].get(identity(n), {})
+    return Polynomial(
+        n, {tuple(mono >> s & mask for s in shifts): c for mono, c in value.items()}
+    )
 
 
 def project_s1(p: Polynomial) -> S1Value:

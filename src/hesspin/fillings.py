@@ -176,8 +176,12 @@ def column_lengths(diagram: Diagram) -> tuple[int, ...]:
     return tuple(sum(1 for part in diagram if part >= c) for c in range(1, ncols + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def reading_order(diagram: Diagram) -> tuple[tuple[int, int], ...]:
     """Boxes in reading order: columns left to right, bottom to top.
+
+    Cached per diagram, which must be a tuple: ``reading_word`` asks for
+    the order of its filling's shape on every call.
 
     >>> reading_order((2, 2))
     ((2, 1), (1, 1), (2, 2), (1, 2))

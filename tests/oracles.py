@@ -190,3 +190,54 @@ def all_hessenberg(n):
 def all_diagram_h(n):
     """Every (diagram, h) pair of size n."""
     return [(d, h) for d in all_diagrams(n) for h in all_hessenberg(n)]
+
+
+def specialize(p, a, b):
+    """The terms of ``p`` after substituting t_a for t_b, zeros dropped."""
+    out = {}
+    for exps, coeff in p.terms.items():
+        e = list(exps)
+        e[a - 1] += e[b - 1]
+        e[b - 1] = 0
+        key = tuple(e)
+        out[key] = out.get(key, 0) + coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def gkm_edges(perms):
+    """Each (w, w', a, b) once, where w' is w with the values a < b swapped:
+    the fixed points joined by a torus-invariant curve of weight t_a - t_b."""
+    out = []
+    for w in perms:
+        n = len(w)
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                w2 = tuple(b if x == a else a if x == b else x for x in w)
+                if w < w2:
+                    out.append((w, w2, a, b))
+    return out
+
+
+def gkm_violations(sigma, perms):
+    """(v, w, w', a, b) where sigma[v, w] - sigma[v, w'] does not vanish at
+    t_b = t_a, the condition of Goresky, Kottwitz and MacPherson (Invent.
+    Math. 131, 1998) on an equivariant class.  Reads only the polynomials
+    in the table ``sigma``, keyed by (v, w)."""
+    return [
+        (v, w, w2, a, b)
+        for v in perms
+        for w, w2, a, b in gkm_edges(perms)
+        if specialize(sigma[v, w], a, b) != specialize(sigma[v, w2], a, b)
+    ]
+
+
+def vandermonde(n):
+    """The product of t_i - t_j over i < j, expanded as a determinant: the
+    sum over permutations p of sign(p) prod_i t_i^(n - p(i))."""
+    terms = {}
+    for p in permutations(range(1, n + 1)):
+        sign = (-1) ** sum(
+            1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]
+        )
+        terms[tuple(n - x for x in p)] = sign
+    return Polynomial(n, terms)

@@ -25,14 +25,20 @@ from hesspin.permutations import (
     all_permutations,
     bruhat_leq,
     canonical_word,
+    compose,
+    identity,
     inversions,
+    simple,
 )
 
 from oracles import (
     brute_project,
     brute_sigma,
     brute_subword_table,
+    gkm_edges,
+    gkm_violations,
     random_reduced_word,
+    vandermonde,
 )
 
 
@@ -79,7 +85,6 @@ class TestRoots:
 
     def test_s1_weights(self):
         assert Root(1, 4).s1() == 3
-        assert Root(1, 4).poly(4) == Polynomial.variable(1, 4) - Polynomial.variable(4, 4)
 
 
 class TestSubwords:
@@ -119,11 +124,81 @@ class TestSigma:
                 value = sigma_restriction(v, w)
                 assert bool(value) == bruhat_leq(v, w), (v, w)
 
-    def test_matches_brute_force_exhaustively(self):
-        for v in all_permutations(4):
-            for w in all_permutations(4):
-                b = canonical_word(w)
-                assert sigma_restriction(v, w, b) == brute_sigma(v, w, b)
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_matches_brute_force_exhaustively(self, n):
+        perms = all_permutations(n)
+        nonzero = 0
+        for w in perms:
+            b = canonical_word(w)
+            for v in perms:
+                value = sigma_restriction(v, w, b)
+                assert value == brute_sigma(v, w, b), (v, w)
+                nonzero += bool(value)
+        assert nonzero == sum(bruhat_leq(v, w) for v in perms for w in perms)
+
+    def test_small_values(self):
+        one = Polynomial.one(1)
+        assert sigma_restriction((1,), (1,)) == one
+        assert sigma_restriction((1,), (1,), ()) == one
+        e, s = (1, 2), (2, 1)
+        t1, t2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+        assert sigma_restriction(e, e) == sigma_restriction(e, s) == Polynomial.one(2)
+        assert sigma_restriction(s, e) == Polynomial.zero(2)
+        assert sigma_restriction(s, s) == t1 - t2
+
+    def test_matches_brute_force_on_random_words_s6(self):
+        rng = random.Random(20261018)
+        perms = all_permutations(6)
+        nonzero = 0
+        for k in range(30):
+            w = tuple(range(6, 0, -1)) if k == 0 else rng.choice(perms)
+            b = random_reduced_word(w, rng)
+            # a subword product of b lies below w, so its value is nonzero
+            v = identity(6)
+            for letter in b:
+                if rng.random() < 0.5:
+                    v = compose(v, simple(letter, 6))
+            for u in (v, rng.choice(perms)):
+                value = sigma_restriction(u, w, b)
+                assert value == brute_sigma(u, w, b), (u, w, b)
+                nonzero += bool(value)
+        assert nonzero > 30
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_longest_element_is_root_product(self, n):
+        # t_1 occurs in n - 1 roots: at n = 8 its exponent 7 fills a 3-bit
+        # field, so a packed exponent field one bit short would carry
+        w0 = tuple(range(n, 0, -1))
+        expected = vandermonde(n)
+        if n == 7:
+            product = Polynomial.one(n)
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    product = product * (
+                        Polynomial.variable(i, n) - Polynomial.variable(j, n)
+                    )
+            assert product == expected
+        assert sigma_restriction(w0, w0) == expected
+        assert max(e for exps in expected.terms for e in exps) == n - 1
+
+    def test_makes_no_subword_walk(self, monkeypatch):
+        # no subword walk, Polynomial product, root tuple or Bruhat comparison
+        cases = [
+            ((2, 1, 3, 4), (4, 3, 2, 1)),
+            ((3, 1, 2, 4), (3, 4, 1, 2)),
+            ((2, 1, 4, 3), (4, 2, 3, 1)),
+        ]
+        expected = [brute_sigma(v, w, canonical_word(w)) for v, w in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sigma_restriction took a refused path")
+
+        refused = ["reduced_subword_positions", "roots_along_word", "bruhat_keys", "bruhat_table"]
+        for name in refused:
+            monkeypatch.setattr(billey, name, refuse)
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        assert [sigma_restriction(v, w) for v, w in cases] == expected
+        assert all(expected)
 
     def test_word_independence_random_s5(self):
         rng = random.Random(20260817)
@@ -138,7 +213,9 @@ class TestSigma:
             value = sigma_restriction(w, w)
             expected = Polynomial.one(4)
             for root in roots_along_word(canonical_word(w), 4):
-                expected = expected * root.poly(4)
+                expected = expected * (
+                    Polynomial.variable(root.lower, 4) - Polynomial.variable(root.upper, 4)
+                )
             assert value == expected
             assert value.degree() == inversions(w)
 
@@ -156,6 +233,40 @@ class TestSigma:
                 assert sigma_restriction(v5, w_plain) == sigma_restriction(
                     v5, w_swapped
                 )
+
+
+class TestGKM:
+    """The restrictions satisfy the GKM condition, checked by an oracle that
+    reads only the polynomials and shares no code with Billey's formula."""
+
+    @staticmethod
+    def table(perms):
+        return {(v, w): sigma_restriction(v, w) for v in perms for w in perms}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_exhaustive(self, n):
+        perms = all_permutations(n)
+        sigma = self.table(perms)
+        assert gkm_violations(sigma, perms) == []
+        # not vacuous: many edges join different restrictions
+        differ = sum(
+            sigma[v, w] != sigma[v, w2] for v in perms for w, w2, _, _ in gkm_edges(perms)
+        )
+        assert 2 * differ > len(perms) * len(gkm_edges(perms)) // 4
+
+    def test_flags_every_edge_at_a_perturbed_entry(self):
+        perms = all_permutations(4)
+        sigma = self.table(perms)
+        v, w = (2, 1, 3, 4), (3, 4, 1, 2)
+        sigma[v, w] = sigma[v, w] + 1
+        expected = {
+            (w1, w2) for w1, w2, _, _ in gkm_edges(perms) if w in (w1, w2)
+        }
+        flagged = gkm_violations(sigma, perms)
+        assert {(u, w1, w2) for u, w1, w2, _, _ in flagged} == {
+            (v, w1, w2) for w1, w2 in expected
+        }
+        assert len(expected) == 6
 
 
 class TestProjection:

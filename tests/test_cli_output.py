@@ -6,6 +6,11 @@ pinball`` in json, csv and table format, for n = 4..7 with the 334,
 Peterson and full-flag h and for the Springer shape ``--lambda 2,2 --h
 1,2,3,4``.  They were recorded before these commands moved onto one
 enumeration pass per run, from the per-point implementation.
+
+It also pins ``matrix --n 4..7``, projected and ``--full-torus``, in the
+same three formats.  Those were recorded while ``sigma_restriction`` still
+summed Polynomial products over the reduced subwords it walked, before
+its backward pass over packed monomials.
 """
 
 import hashlib

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from hesspin import fillings
 from hesspin.fillings import (
     column_lengths,
     diagram_size,
@@ -95,6 +96,25 @@ class TestReadingWords:
     def test_fixed_point_filling_inverts(self):
         w = (2, 4, 3, 1, 5)
         assert filling_of_fixed_point(w, (5,)) == ((4, 1, 3, 2, 5),)
+
+    def test_reading_order_built_once_per_shape(self, monkeypatch):
+        calls = []
+        real = fillings.column_lengths
+
+        def counted(diagram):
+            calls.append(diagram)
+            return real(diagram)
+
+        monkeypatch.setattr(fillings, "column_lengths", counted)
+        reading_order.cache_clear()
+        try:
+            for word in itertools.permutations(range(1, 7)):
+                f = filling_from_word(word, (3, 2, 1))
+                assert reading_word(f) == word
+                assert reading_word(((1, 2), (3,))) == (3, 1, 2)
+        finally:
+            reading_order.cache_clear()
+        assert calls == [(3, 2, 1), (2, 1)]
 
 
 class TestPermissibility:
