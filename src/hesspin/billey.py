@@ -20,18 +20,26 @@ inside the diagonal torus; a root t_l - t_k lands on (k - l) t.
 
 Neither restriction enumerates subwords.  ``sigma_restriction`` makes one
 backward pass over b from v down to the identity, carrying polynomials as
-maps from packed monomials to coefficients.  ``restriction_matrix`` fills
-each column from one prefix recurrence over the column's word, keeping only
-partial products no longer than the longest row.  Neither consults Bruhat
-order, so checking their vanishing against Bruhat order is not a tautology.
-The subword walk ``reduced_subword_positions`` serves ``p_summands`` and
-``p_restriction``, which report one summand per subword.
+maps from packed monomials to coefficients; ``sigma_rows`` runs that pass
+for a whole table, deriving and checking each column's word once.
+``restriction_matrix`` fills each column from one prefix recurrence over
+the column's word, keeping only partial products inside the Bruhat
+down-closure of the rows (``down_closure``, built once from descending
+covers).  Neither consults Bruhat keys, so checking their vanishing
+against Bruhat order is not a tautology.
+
+``p_restriction`` and ``p_summand_counts`` run the same prefix recurrence
+over one column, for one row v, pruned by Bruhat keys and by the letters
+left; the first sums the projected weights, the second counts how many
+subwords give each summand.  The subword walk ``reduced_subword_positions``
+serves only ``p_summands``, which reports one summand per subword in
+subword order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .permutations import (
     Perm,
@@ -49,14 +57,16 @@ __all__ = [
     "Root",
     "S1Value",
     "S1_ZERO",
-    "billey_r",
     "roots_along_word",
     "reduced_subword_positions",
     "sigma_restriction",
+    "sigma_rows",
     "project_s1",
     "p_restriction",
+    "p_summand_counts",
     "p_summands",
     "RestrictionMatrix",
+    "down_closure",
     "restriction_matrix",
     "TriangularReport",
     "check_upper_triangular",
@@ -219,17 +229,6 @@ class S1Value(NamedTuple):
 S1_ZERO = S1Value(0, 0)
 
 
-def billey_r(j: int, b: Sequence[int], n: int) -> Root:
-    """The root r(j, b) = s_{b_1} ... s_{b_{j-1}} (t_{b_j} - t_{b_j+1}).
-
-    >>> billey_r(2, (1, 2), 3)
-    Root(lower=1, upper=3)
-    """
-    if not 1 <= j <= len(b):
-        raise ValueError(f"position {j} out of range for word of length {len(b)}")
-    return roots_along_word(tuple(b), n)[j - 1]
-
-
 def roots_along_word(b: Word, n: int) -> tuple[Root, ...]:
     """All roots r(j, b) for j = 1..len(b), via running prefix products."""
     prefix = list(identity(n))
@@ -311,14 +310,34 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     """
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
+    return _sigma_pass(v, inversions(v), w, _checked_word(w, word))
+
+
+def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[Polynomial, ...]]:
+    """``sigma_restriction(v, w)`` for every w in ``points``, one row v at a time.
+
+    Rows are computed as they are asked for, so a caller can stream them.
+    Each point's canonical word is derived and checked once, and each
+    row's length once, instead of once per entry.
+    """
+    columns = [(w, _checked_word(w, None)) for w in points]
+    sizes = {len(w) for w in points}
+    for v in rows:
+        if sizes - {len(v)}:
+            raise ValueError(f"size mismatch: {len(v)} vs {sorted(sizes)}")
+        length = inversions(v)
+        yield tuple(_sigma_pass(v, length, w, b) for w, b in columns)
+
+
+def _sigma_pass(v: Perm, length: int, w: Perm, b: Word) -> Polynomial:
+    # the backward pass of sigma_restriction; length is l(v), b a reduced word for w
     n = len(w)
-    b = _checked_word(w, word)
     width = max(1, (n - 1).bit_length())
     shifts = [(n - a) * width for a in range(1, n + 1)]
     unit = [0] + [1 << s for s in shifts]
     prefix = list(w)
     # levels[k] maps each state of length k to its packed value
-    levels: list[dict[Perm, dict[int, int]]] = [{} for _ in range(inversions(v))]
+    levels: list[dict[Perm, dict[int, int]]] = [{} for _ in range(length)]
     levels.append({v: {0: 1}})
     for j in range(len(b), 0, -1):
         # a state longer than j cannot reach the identity in the j letters left
@@ -372,18 +391,88 @@ def project_s1(p: Polynomial) -> S1Value:
 def p_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) -> S1Value:
     """The circle-projected restriction: project_s1 of sigma_restriction.
 
-    Computed summand by summand without expanding polynomials.
+    One prefix recurrence over the word summing projected weights; see
+    ``_subword_sums``.
     """
-    total = sum(value.coeff for value in p_summands(v, w, word))
-    if total == 0:
-        return S1_ZERO
-    return S1Value(total, inversions(v))
+    if len(v) != len(w):
+        raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
+    b = _checked_word(w, word)
+    total = _subword_sums(b, v, census=False)
+    return S1Value(total, inversions(v)) if total else S1_ZERO
+
+
+def p_summand_counts(
+    v: Perm, w: Perm, word: Optional[Sequence[int]] = None
+) -> dict[S1Value, int]:
+    """The projected summands of the restriction as a multiset.
+
+    Maps each summand to the number of reduced subwords giving it, in
+    ascending order of coefficient: the multiset of ``p_summands``,
+    counted by one prefix recurrence over the word (``_subword_sums``)
+    instead of a walk over the subwords.
+
+    >>> p_summand_counts((2, 1, 3), (3, 2, 1))
+    {S1Value(coeff=1, degree=1): 2}
+    """
+    if len(v) != len(w):
+        raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
+    b = _checked_word(w, word)
+    counts = _subword_sums(b, v, census=True)
+    degree = inversions(v)
+    return {S1Value(c, degree): counts[c] for c in sorted(counts)}
+
+
+def _subword_sums(b: Word, v: Perm, census: bool):
+    """Billey's sum at v over the reduced subwords of b, by a prefix recurrence.
+
+    After letters b_1..b_j each state u, a partial product of a reduced
+    subword, maps to the summed projected weights of the subwords reaching
+    it, or with ``census`` to a {weight: count} multiset.  Letter j adds
+    u * s_{b_j} where the length rises, times the weight of r(j, b).  Two
+    prunes keep only states that can still reach v: u * s_{b_j} must lie
+    below v (its Bruhat key is lifted from u's in O(1)), and a state of
+    length k needs l(v) - k of the letters left.  Returns v's value: zero,
+    or an empty multiset, when no subword reaches it.
+    """
+    n = len(v)
+    keys = bruhat_keys(n)
+    top = keys.key(v)
+    target = inversions(v)
+    m = len(b)
+    start = identity(n)
+    key_of = {start: keys.key(start)}
+    # levels[k] maps each state of length k to its value
+    levels: list[dict] = [{start: {1: 1} if census else 1}]
+    levels += [{} for _ in range(target)]
+    weights = [root.s1() for root in roots_along_word(b, n)]
+    for j, (i, weight) in enumerate(zip(b, weights)):
+        # with m - j letters left, only lengths >= target - (m - j) still extend;
+        # descending, so a state added on this letter is not visited again
+        for k in range(target - 1, max(target - (m - j), 0) - 1, -1):
+            above = levels[k + 1]
+            for u, value in levels[k].items():
+                if u[i - 1] < u[i]:
+                    key = keys.lift(key_of[u], u, i)
+                    if not keys.leq(key, top):
+                        continue
+                    u2 = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+                    key_of[u2] = key
+                    if not census:
+                        above[u2] = above.get(u2, 0) + value * weight
+                        continue
+                    out = above.get(u2)
+                    if out is None:
+                        above[u2] = out = {}
+                    for c, count in value.items():
+                        out[c * weight] = out.get(c * weight, 0) + count
+    return levels[target].get(v, {} if census else 0)
 
 
 def p_summands(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) -> tuple[S1Value, ...]:
     """The projected summands of the restriction, one per reduced subword.
 
-    Order follows the lexicographic order of the subword position tuples.
+    Order follows the lexicographic order of the subword position tuples,
+    which the subword walk ``reduced_subword_positions`` enumerates.
     """
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
@@ -415,12 +504,50 @@ class RestrictionMatrix:
     points: tuple[Perm, ...]
     rolldowns: tuple[Perm, ...]
     values: tuple[tuple[S1Value, ...], ...]
+    # each point's position, built once; derived from points, so not compared
+    _position: dict[Perm, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        position = {w: k for k, w in enumerate(self.points)}
+        object.__setattr__(self, "_position", position)
 
     def index(self, w: Perm) -> int:
-        return self.points.index(w)
+        try:
+            return self._position[w]
+        except KeyError:
+            raise ValueError(f"{w} is not a point of the matrix") from None
 
     def entry(self, v: Perm, w: Perm) -> S1Value:
         return self.values[self.index(v)][self.index(w)]
+
+
+def down_closure(tops: Iterable[Perm]) -> frozenset[Perm]:
+    """Every permutation at or below one of ``tops`` in Bruhat order.
+
+    Descends by covers, comparing no Bruhat keys: u covers u * (a b)
+    exactly when a < b, u(a) > u(b), and no position between a and b holds
+    a value between u(b) and u(a) (Bjorner and Brenti, *Combinatorics of
+    Coxeter Groups*, Sec. 2.1).
+
+    >>> sorted(down_closure([(2, 3, 1)]))
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)]
+    """
+    seen = set(tops)
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for a, high in enumerate(u):
+            # floor: the largest value below u(a) between position a and b
+            floor = 0
+            for b in range(a + 1, len(u)):
+                low = u[b]
+                if floor < low < high:
+                    floor = low
+                    x = u[:a] + (low,) + u[a + 1 : b] + (high,) + u[b + 1 :]
+                    if x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+    return frozenset(seen)
 
 
 def restriction_matrix(
@@ -436,8 +563,11 @@ def restriction_matrix(
     Each column is one pass over its word b, mapping every partial product
     u of a reduced subword of b_1..b_j to its summed projected weight;
     letter j adds u * s_{b_j} with weight times r(j, b) where the length
-    rises.  A subword reaching v has l(v) letters, so products longer than
-    every row are dropped.
+    rises.  Every partial product of a subword reaching v lies below v, so
+    only products in the down-closure I of the rows are kept: I is built
+    once, from covers (``down_closure``), and each step tests membership.
+    I is the same for every column and compares no keys, so checking the
+    matrix's vanishing against Bruhat order still tests something.
     """
     pts = tuple(sorted(points))
     rolls = tuple(rolldowns[w] for w in pts)
@@ -445,6 +575,7 @@ def restriction_matrix(
         raise ValueError("size mismatch among points and rolldowns")
     lengths = tuple(inversions(v) for v in rolls)
     cap = max(lengths, default=0)
+    ideal = down_closure(rolls)
     columns = []
     for w in pts:
         b = _checked_word(w, (words or {}).get(w))
@@ -452,12 +583,14 @@ def restriction_matrix(
         levels = [{identity(len(w)): 1}] + [{} for _ in range(cap)]
         for i, root in zip(b, roots_along_word(b, len(w))):
             weight = root.s1()
-            # u * s_i has a descent at i, so one letter never extends it twice
-            for below, above in zip(levels, levels[1:]):
-                for u, c in below.items():
+            # descending: u * s_i has a descent at i, so it is not extended again
+            for k in range(len(levels) - 2, -1, -1):
+                above = levels[k + 1]
+                for u, c in levels[k].items():
                     if u[i - 1] < u[i]:
                         u2 = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-                        above[u2] = above.get(u2, 0) + c * weight
+                        if u2 in ideal:
+                            above[u2] = above.get(u2, 0) + c * weight
         columns.append([levels[k].get(v, 0) for v, k in zip(rolls, lengths)])
     values = tuple(
         tuple(S1Value(c, k) if c else S1_ZERO for c in row)

@@ -32,7 +32,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .billey import S1Value, restriction_matrix, sigma_restriction
+from .billey import S1Value, restriction_matrix, sigma_rows
 from .fillings import (
     diagram_size,
     hessenberg_334,
@@ -262,9 +262,7 @@ def cmd_matrix(args) -> int:
     table = rolldown_table(shape, h)
     points = tuple(sorted(table))
     if args.full_torus:
-        items = (
-            (v, [sigma_restriction(table[v], w) for w in points]) for v in points
-        )
+        items = zip(points, sigma_rows((table[v] for v in points), points))
         as_json, as_cell = _poly_json, repr
     else:
         items = zip(points, restriction_matrix(points, table).values)

@@ -23,7 +23,15 @@ and the circle-projected restriction of the rolldown class at its own
 fixed point.  ``verify_334_theorem`` recomputes all of them from the
 dimension-pair definitions, builds the full restriction matrix, and checks
 the poset upper triangularity that makes the rolldown classes a module
-basis, together with the supporting Bruhat-order lemmas.
+basis, together with the supporting Bruhat-order lemmas.  It classifies
+each point once and hands the class, subset, catalog word and closed-form
+rolldown to the checks through private helpers; the public per-point
+functions derive the same facts, validating their point first.
+
+The summand census counts the subword summands of a catalog word by one
+prefix recurrence (``billey.p_summand_counts``) rather than enumerating
+the subwords, so ``SummandCensus.summands`` lists them by ascending
+coefficient.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .billey import (
     RestrictionMatrix,
     S1Value,
     check_upper_triangular,
-    p_summands,
+    p_summand_counts,
     restriction_matrix,
     roots_along_word,
 )
@@ -161,7 +169,10 @@ def classify(w: Perm) -> FixedPointClass:
     Peterson type (split by the 321 string), otherwise the position of the
     adjacency separates 312-type from 231-type.
     """
-    w = _require_fixed_point(w)
+    return _classify(_require_fixed_point(w))
+
+
+def _classify(w: Perm) -> FixedPointClass:
     f = inverse(w)
     n = len(f)
     cut = next(
@@ -213,7 +224,17 @@ def associated_subset(w: Perm) -> frozenset[int]:
     swap their leading pair (w s_1), and 231-type points shuffle the 1
     back with w s_2 s_3 ... s_{a_2}, landing on a Peterson point each time.
     """
-    cls = classify(w)
+    return _facts(w)[2]
+
+
+def _facts(w: Perm) -> tuple[Perm, FixedPointClass, frozenset[int]]:
+    # a validated fixed point with its class and associated subset
+    w = _require_fixed_point(w)
+    cls = _classify(w)
+    return w, cls, _associated_subset(w, cls)
+
+
+def _associated_subset(w: Perm, cls: FixedPointClass) -> frozenset[int]:
     cur = list(w)
     if cls is FixedPointClass.TYPE_312:
         cur[0], cur[1] = cur[1], cur[0]
@@ -343,10 +364,11 @@ def catalog_reduced_word(w: Perm) -> Word:
     >>> catalog_reduced_word((4, 1, 3, 2, 7, 6, 5))
     (2, 3, 2, 1, 5, 6, 5)
     """
-    w = _require_fixed_point(w)
+    return _catalog_word(*_facts(w))
+
+
+def _catalog_word(w: Perm, cls: FixedPointClass, subset: frozenset[int]) -> Word:
     n = len(w)
-    cls = classify(w)
-    subset = associated_subset(w)
     runs = consecutive_substrings(subset)
     word: list[int] = []
     if cls in _NON_PETERSON:
@@ -372,8 +394,11 @@ def catalog_reduced_word(w: Perm) -> Word:
 
 def rolldown_closed_form_word(w: Perm) -> Word:
     """The class closed form: descending s_j for j in A, class-specific tail."""
-    cls = classify(w)
-    js = sorted(associated_subset(w))
+    return _rolldown_word(*_facts(w)[1:])
+
+
+def _rolldown_word(cls: FixedPointClass, subset: frozenset[int]) -> Word:
+    js = sorted(subset)
     if cls is FixedPointClass.PETERSON_NO_321:
         return tuple(reversed(js))
     lead = tuple(reversed(js[2:]))
@@ -408,8 +433,10 @@ def closed_form_restriction(w: Perm) -> S1Value:
     >>> closed_form_restriction((5, 4, 3, 2, 1, 8, 7, 6))
     S1Value(coeff=144, degree=7)
     """
-    cls = classify(w)
-    subset = associated_subset(w)
+    return _closed_form(*_facts(w)[1:])
+
+
+def _closed_form(cls: FixedPointClass, subset: frozenset[int]) -> S1Value:
     size = len(subset)
     if cls is FixedPointClass.PETERSON_NO_321:
         coeff = 1
@@ -436,7 +463,11 @@ def closed_form_restriction(w: Perm) -> S1Value:
 
 @dataclass(frozen=True)
 class SummandCensus:
-    """Summand structure of the rolldown class restricted to its own point."""
+    """Summand structure of the rolldown class restricted to its own point.
+
+    ``summands`` lists one projected summand per reduced subword of the
+    catalog word, in ascending order of coefficient.
+    """
 
     point: Perm
     cls: FixedPointClass
@@ -467,25 +498,32 @@ class SummandCensus:
 
 
 def summand_census(w: Perm) -> SummandCensus:
-    """Enumerate the subword summands of the rolldown restriction at w.
+    """The subword summands of the rolldown restriction at w.
 
     The count must be H1 - 1 for PETERSON_321 and TYPE_312 points and 1
-    for the other two classes, and all summands must agree.
+    for the other two classes, and all summands must agree.  The summands
+    of the catalog word are counted by one prefix recurrence over it
+    (``billey.p_summand_counts``), not enumerated subword by subword.
     """
-    cls = classify(w)
-    word = catalog_reduced_word(w)
-    roll = rolldown_closed_form(w)
-    summands = p_summands(roll, w, word)
+    w, cls, subset = _facts(w)
+    roll = from_word(len(w), _rolldown_word(cls, subset))
+    return _census(w, cls, subset, _catalog_word(w, cls, subset), roll)
+
+
+def _census(
+    w: Perm, cls: FixedPointClass, subset: frozenset[int], word: Word, roll: Perm
+) -> SummandCensus:
+    counts = p_summand_counts(roll, w, word)
     if cls in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_312):
-        expected = head(associated_subset(w), 1) - 1
+        expected = head(subset, 1) - 1
     else:
         expected = 1
     return SummandCensus(
         point=w,
         cls=cls,
-        summands=summands,
+        summands=tuple(s for s, count in counts.items() for _ in range(count)),
         expected_count=expected,
-        closed_form=closed_form_restriction(w),
+        closed_form=_closed_form(cls, subset),
     )
 
 
@@ -514,9 +552,13 @@ def simple_summand_census(w: Perm) -> tuple[SimpleSummandRow, ...]:
     every summand equals (i - T(i) + 1) t, except on a 231-type leading
     run where i = 1 gives H1 t and 2 <= i <= H1 gives (i - 1) t.
     """
-    cls = classify(w)
-    subset = associated_subset(w)
-    word = catalog_reduced_word(w)
+    w, cls, subset = _facts(w)
+    return _simple_rows(w, cls, subset, _catalog_word(w, cls, subset))
+
+
+def _simple_rows(
+    w: Perm, cls: FixedPointClass, subset: frozenset[int], word: Word
+) -> tuple[SimpleSummandRow, ...]:
     weights = [r.s1() for r in roots_along_word(word, len(w))]
     rows = []
     for i in range(1, len(w)):
@@ -579,9 +621,15 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     pin = verify_pinball(diagram, h)
     points = tuple(w for w, _ in pin.rolldowns)
     rolls = dict(pin.rolldowns)
+    # each point's facts, derived once: classify validates the point, and
+    # the checks below read these instead of re-deriving them
     classes = tuple(classify(w) for w in points)
-    subsets = {w: associated_subset(w) for w in points}
-    words = {w: catalog_reduced_word(w) for w in points}
+    subsets = {w: _associated_subset(w, cls) for w, cls in zip(points, classes)}
+    words = {w: _catalog_word(w, cls, subsets[w]) for w, cls in zip(points, classes)}
+    closed_rolls = {
+        w: from_word(n, _rolldown_word(cls, subsets[w]))
+        for w, cls in zip(points, classes)
+    }
 
     structural: list[CheckResult] = []
 
@@ -592,9 +640,9 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     add(
         "rolldown-closed-form",
         (
-            (w, rolls[w], rolldown_closed_form(w))
+            (w, rolls[w], closed_rolls[w])
             for w in points
-            if rolls[w] != rolldown_closed_form(w)
+            if rolls[w] != closed_rolls[w]
         ),
     )
 
@@ -633,14 +681,12 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         CheckResult("bruhat-vanishing", tri.vanishing_ok, tri.vanishing_violations)
     )
 
-    add(
-        "closed-form-diagonal",
-        (
-            (w, matrix.entry(w, w), closed_form_restriction(w))
-            for w in points
-            if matrix.entry(w, w) != closed_form_restriction(w)
-        ),
-    )
+    diagonal_fails = []
+    for a, (w, cls) in enumerate(zip(points, classes)):
+        value, expect = matrix.values[a][a], _closed_form(cls, subsets[w])
+        if value != expect:
+            diagonal_fails.append((w, value, expect))
+    add("closed-form-diagonal", diagonal_fails)
 
     add(
         "rolldown-bruhat-equivalence",
@@ -715,14 +761,18 @@ def verify_334_theorem(n: int) -> Theorem334Report:
 
     add(
         "summand-census",
-        (w for w in points if not summand_census(w).passed),
+        (
+            w
+            for w, cls in zip(points, classes)
+            if not _census(w, cls, subsets[w], words[w], closed_rolls[w]).passed
+        ),
     )
     add(
         "simple-summand-values",
         (
             (w, row.index)
-            for w in points
-            for row in simple_summand_census(w)
+            for w, cls in zip(points, classes)
+            for row in _simple_rows(w, cls, subsets[w], words[w])
             if not row.passed
         ),
     )

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,17 +12,21 @@ from hesspin.billey import (
     Polynomial,
     Root,
     S1Value,
-    billey_r,
     check_upper_triangular,
+    down_closure,
     p_restriction,
+    p_summand_counts,
     p_summands,
     project_s1,
     reduced_subword_positions,
     restriction_matrix,
     roots_along_word,
     sigma_restriction,
+    sigma_rows,
 )
+from hesspin.fillings import hessenberg_334, single_row
 from hesspin.permutations import (
+    BruhatKeys,
     all_permutations,
     bruhat_leq,
     canonical_word,
@@ -30,11 +35,14 @@ from hesspin.permutations import (
     inversions,
     simple,
 )
+from hesspin.pinball import rolldown_table
 
 from oracles import (
+    all_hessenberg,
     brute_project,
     brute_sigma,
     brute_subword_table,
+    bruhat_leq_tableau,
     gkm_edges,
     gkm_violations,
     random_reduced_word,
@@ -67,8 +75,8 @@ class TestPolynomial:
 
 class TestRoots:
     def test_first_letters(self):
-        assert billey_r(1, (2, 1), 3) == Root(2, 3)
-        assert billey_r(2, (1, 2), 3) == Root(1, 3)
+        assert roots_along_word((2, 1), 3)[0] == Root(2, 3)
+        assert roots_along_word((1, 2), 3)[1] == Root(1, 3)
 
     def test_longest_word_roots(self):
         # along 1,2,1,3,2,1 every positive root appears exactly once
@@ -200,6 +208,31 @@ class TestSigma:
         assert [sigma_restriction(v, w) for v, w in cases] == expected
         assert all(expected)
 
+    def test_rows_match_single_entries(self):
+        perms = all_permutations(4)
+        rows = [perms[k] for k in range(0, 24, 5)]
+        table = list(sigma_rows(iter(rows), perms))
+        assert table == [tuple(sigma_restriction(v, w) for w in perms) for v in rows]
+
+    def test_rows_check_each_word_once(self, monkeypatch):
+        # one canonical word per column, however many rows
+        calls = []
+        real = billey.canonical_word
+
+        def counted(w):
+            calls.append(w)
+            return real(w)
+
+        monkeypatch.setattr(billey, "canonical_word", counted)
+        perms = all_permutations(4)
+        assert len(list(sigma_rows(perms, perms))) == len(perms)
+        assert sorted(calls) == list(perms)
+
+    def test_rows_reject_size_mismatch(self):
+        rows = sigma_rows([(2, 1, 3, 4)], all_permutations(3))
+        with pytest.raises(ValueError, match="size mismatch"):
+            next(rows)
+
     def test_word_independence_random_s5(self):
         rng = random.Random(20260817)
         perms = all_permutations(5)
@@ -310,6 +343,60 @@ class TestSummands:
                 total = sum(s.coeff for s in parts)
                 assert p_restriction(v, w).coeff == total
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_counts_are_the_walk_multiset(self, n):
+        rng = random.Random(7100 + n)
+        perms = all_permutations(n)
+        for w in perms:
+            for b in (canonical_word(w), random_reduced_word(w, rng)):
+                for v in perms:
+                    counts = p_summand_counts(v, w, b)
+                    assert counts == Counter(p_summands(v, w, b)), (v, w, b)
+                    assert list(counts) == sorted(counts), (v, w, b)
+
+    def test_restriction_matches_oracle_s4(self):
+        perms = all_permutations(4)
+        for w in perms:
+            b = canonical_word(w)
+            for v in perms:
+                assert p_restriction(v, w, b) == project_s1(brute_sigma(v, w, b)), (v, w)
+
+    def test_restriction_matches_oracle_s5(self):
+        rng = random.Random(20261019)
+        perms = all_permutations(5)
+        columns = [tuple(range(5, 0, -1))] + rng.sample(perms, 24)
+        for w in columns:
+            b = random_reduced_word(w, rng)
+            for v in perms:
+                assert p_restriction(v, w, b) == project_s1(brute_sigma(v, w, b)), (v, w, b)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_letters_left_prune(self, monkeypatch, n):
+        # restricting w's class to w, only the whole word has l(w) letters:
+        # with the letters-left prune one state survives each letter, so
+        # the recurrence lifts exactly one key per letter
+        lifts = []
+        real = BruhatKeys.lift
+
+        def counted(self, key, u, i):
+            lifts.append(i)
+            return real(self, key, u, i)
+
+        monkeypatch.setattr(BruhatKeys, "lift", counted)
+        rng = random.Random(7200 + n)
+        for w in all_permutations(n):
+            b = random_reduced_word(w, rng)
+            for compute in (p_restriction, p_summand_counts):
+                lifts.clear()
+                assert compute(w, w, b)
+                assert lifts == list(b), (compute.__name__, w, b)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            p_restriction((2, 1, 3), (2, 1, 3, 4))
+        with pytest.raises(ValueError, match="not a reduced word"):
+            p_summand_counts((2, 1, 3), (2, 1, 3), (1, 1, 1))
+
     def test_worked_diagonal_entry(self):
         w = (5, 4, 3, 2, 1, 8, 7, 6)
         roll = (5, 2, 1, 3, 4, 8, 6, 7)
@@ -340,6 +427,19 @@ class TestMatrix:
         rolls = {w: w + (4,) for w in points}
         with pytest.raises(ValueError, match="size mismatch"):
             restriction_matrix(points, rolls)
+
+    def test_index_is_a_lookup(self):
+        points = all_permutations(4)
+        matrix = restriction_matrix(points, {w: w for w in points})
+        for k, w in enumerate(points):
+            assert matrix.index(w) == k
+            assert matrix.entry(w, w) is matrix.values[k][k]
+        with pytest.raises(ValueError, match="not a point"):
+            matrix.index((1, 2, 3))
+        # the lookup is derived from points: equality and hashing ignore it
+        again = restriction_matrix(points, {w: w for w in points})
+        assert again == matrix and hash(again) == hash(matrix)
+        assert "_position" not in repr(matrix)
 
     def test_makes_no_bruhat_comparison(self, monkeypatch):
         # bruhat-vanishing checks the matrix against Bruhat order, so the
@@ -405,6 +505,37 @@ class TestUpperTriangularTable:
             check_upper_triangular(matrix, [[True] * (size - 1)] * size)
 
 
+def _down_set_oracle(rows, n):
+    return {u for u in all_permutations(n) if any(bruhat_leq_tableau(u, r) for r in rows)}
+
+
+class TestDownClosure:
+    """The Bruhat down-closure from covers against the tableau criterion."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_334_rolldowns(self, n):
+        rows = set(rolldown_table(single_row(n), hessenberg_334(n)).values())
+        assert down_closure(rows) == _down_set_oracle(rows, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_row_sets(self, n):
+        rng = random.Random(7300 + n)
+        perms = all_permutations(n)
+        for size in (1, 1, 2, 3, 5):
+            rows = rng.sample(perms, min(size, len(perms)))
+            assert down_closure(rows) == _down_set_oracle(rows, n), rows
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_single_row_rolldowns_are_lower_ideals(self, n):
+        # for every h, the rolldown set is already closed downwards
+        for h in all_hessenberg(n):
+            rows = set(rolldown_table(single_row(n), h).values())
+            assert down_closure(rows) == rows == _down_set_oracle(rows, n), h
+
+    def test_empty(self):
+        assert down_closure([]) == frozenset()
+
+
 class TestMatrixOracle:
     """The column recurrence against brute-force subword sums, entry by entry."""
 
@@ -432,6 +563,15 @@ class TestMatrixOracle:
         assert 2 * sum(inversions(w) > 2 for w in perms) > len(perms)
         rolls = {w: short[k % len(short)] for k, w in enumerate(perms)}
         self.assert_matches_oracle(n, rolls)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_random_rows_below_a_larger_ideal(self, n):
+        # rows whose down-closure holds far more than the rows themselves
+        rng = random.Random(7400 + n)
+        perms = all_permutations(n)
+        rows = rng.sample(perms, 6)
+        assert len(down_closure(rows)) > 2 * len(rows)
+        self.assert_matches_oracle(n, {w: rows[k % len(rows)] for k, w in enumerate(perms)})
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_random_words(self, n):

@@ -86,3 +86,21 @@ def test_rolldowns_make_one_enumeration_pass(enumerations, capsys):
     assert main(["rolldowns", "--n", "6", "--format", "json"]) == 0
     assert len(enumerations) == 1
     assert capsys.readouterr().out.count("\n") == 48
+
+
+def test_full_torus_streams_rows(monkeypatch):
+    produced = []
+    real = cli.sigma_rows
+
+    def watched(rows, points):
+        for row in real(rows, points):
+            produced.append(row)
+            yield row
+
+    monkeypatch.setattr(cli, "sigma_rows", watched)
+    out = _Watched(produced)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["matrix", "--n", "5", "--full-torus", "--format", "json"]) == 0
+    assert len(produced) == 24
+    # row k is written before row k + 1 is computed
+    assert out.seen == list(range(1, 25))

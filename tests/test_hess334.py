@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from hesspin.billey import S1Value, p_restriction
+from hesspin import billey, hess334
+from hesspin.billey import S1Value, p_restriction, p_summands
 from hesspin.hess334 import (
     FixedPointClass,
     Theorem334Report,
@@ -216,6 +217,25 @@ class TestSummandCensuses:
             for row in simple_summand_census(w):
                 assert row.passed, (w, row)
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.slow)])
+    def test_summands_are_the_walk_multiset(self, n):
+        # the prefix recurrence against the subword walk, point by point
+        for w in fixed_points_334(n):
+            census = summand_census(w)
+            walk = p_summands(rolldown_closed_form(w), w, catalog_reduced_word(w))
+            assert Counter(census.summands) == Counter(walk), w
+            assert list(census.summands) == sorted(census.summands), w
+
+    def test_makes_no_subword_walk(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the subword walk ran")
+
+        monkeypatch.setattr(billey, "reduced_subword_positions", refuse)
+        for w in fixed_points_334(5):
+            assert summand_census(w).passed
+            assert p_restriction(rolldown_closed_form(w), w) == closed_form_restriction(w)
+        assert verify_334_theorem(6).passed
+
     def test_worked_example_counts(self):
         assert summand_census((5, 4, 3, 2, 1, 8, 7, 6)).count == 3
         assert summand_census((4, 5, 3, 2, 1, 8, 7, 6)).count == 3
@@ -259,6 +279,19 @@ class TestTheorem:
     @pytest.mark.slow
     def test_passes_n9(self):
         assert verify_334_theorem(9).passed
+
+    def test_classifies_each_point_once(self, monkeypatch):
+        calls = []
+        real = hess334.classify
+
+        def counted(w):
+            calls.append(w)
+            return real(w)
+
+        monkeypatch.setattr(hess334, "classify", counted)
+        report = verify_334_theorem(6)
+        assert report.passed
+        assert sorted(calls) == list(report.points)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 4"):
