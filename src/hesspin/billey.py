@@ -24,16 +24,15 @@ maps from packed monomials to coefficients; ``sigma_rows`` runs that pass
 for a whole table, deriving and checking each column's word once.
 ``restriction_matrix`` fills each column from one prefix recurrence over
 the column's word, keeping only partial products inside the Bruhat
-down-closure of the rows (``down_closure``, built once from descending
+down-closure of the rows (``_down_closure``, built once from descending
 covers).  Neither consults Bruhat keys, so checking their vanishing
 against Bruhat order is not a tautology.
 
-``p_restriction`` and ``p_summand_counts`` run the same prefix recurrence
-over one column, for one row v, pruned by Bruhat keys and by the letters
-left; the first sums the projected weights, the second counts how many
-subwords give each summand.  The subword walk ``reduced_subword_positions``
-serves only ``p_summands``, which reports one summand per subword in
-subword order.
+``p_summand_counts`` runs the same prefix recurrence over one column, for
+one row v, pruned by Bruhat keys and by the letters left, and counts how
+many subwords give each summand; ``p_restriction`` sums those summands.
+The subword walk ``reduced_subword_positions`` serves only ``p_summands``,
+which reports one summand per subword in subword order.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ __all__ = [
     "p_summand_counts",
     "p_summands",
     "RestrictionMatrix",
-    "down_closure",
     "restriction_matrix",
     "TriangularReport",
     "check_upper_triangular",
@@ -391,13 +389,9 @@ def project_s1(p: Polynomial) -> S1Value:
 def p_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) -> S1Value:
     """The circle-projected restriction: project_s1 of sigma_restriction.
 
-    One prefix recurrence over the word summing projected weights; see
-    ``_subword_sums``.
+    The sum of the summands that ``p_summand_counts`` counts.
     """
-    if len(v) != len(w):
-        raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
-    b = _checked_word(w, word)
-    total = _subword_sums(b, v, census=False)
+    total = sum(s.coeff * k for s, k in p_summand_counts(v, w, word).items())
     return S1Value(total, inversions(v)) if total else S1_ZERO
 
 
@@ -408,8 +402,15 @@ def p_summand_counts(
 
     Maps each summand to the number of reduced subwords giving it, in
     ascending order of coefficient: the multiset of ``p_summands``,
-    counted by one prefix recurrence over the word (``_subword_sums``)
-    instead of a walk over the subwords.
+    counted by one prefix recurrence over the word instead of a walk over
+    the subwords.
+
+    After letters b_1..b_j each state u, a partial product of a reduced
+    subword, maps to the {weight: count} multiset of the subwords reaching
+    it.  Letter j adds u * s_{b_j} where the length rises, times the
+    weight of r(j, b).  Two prunes keep only states that can still reach
+    v: u * s_{b_j} must lie below v (its Bruhat key is lifted from u's in
+    O(1)), and a state of length k needs l(v) - k of the letters left.
 
     >>> p_summand_counts((2, 1, 3), (3, 2, 1))
     {S1Value(coeff=1, degree=1): 2}
@@ -417,23 +418,6 @@ def p_summand_counts(
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
     b = _checked_word(w, word)
-    counts = _subword_sums(b, v, census=True)
-    degree = inversions(v)
-    return {S1Value(c, degree): counts[c] for c in sorted(counts)}
-
-
-def _subword_sums(b: Word, v: Perm, census: bool):
-    """Billey's sum at v over the reduced subwords of b, by a prefix recurrence.
-
-    After letters b_1..b_j each state u, a partial product of a reduced
-    subword, maps to the summed projected weights of the subwords reaching
-    it, or with ``census`` to a {weight: count} multiset.  Letter j adds
-    u * s_{b_j} where the length rises, times the weight of r(j, b).  Two
-    prunes keep only states that can still reach v: u * s_{b_j} must lie
-    below v (its Bruhat key is lifted from u's in O(1)), and a state of
-    length k needs l(v) - k of the letters left.  Returns v's value: zero,
-    or an empty multiset, when no subword reaches it.
-    """
     n = len(v)
     keys = bruhat_keys(n)
     top = keys.key(v)
@@ -441,8 +425,8 @@ def _subword_sums(b: Word, v: Perm, census: bool):
     m = len(b)
     start = identity(n)
     key_of = {start: keys.key(start)}
-    # levels[k] maps each state of length k to its value
-    levels: list[dict] = [{start: {1: 1} if census else 1}]
+    # levels[k] maps each state of length k to its {weight: count} multiset
+    levels: list[dict[Perm, dict[int, int]]] = [{start: {1: 1}}]
     levels += [{} for _ in range(target)]
     weights = [root.s1() for root in roots_along_word(b, n)]
     for j, (i, weight) in enumerate(zip(b, weights)):
@@ -457,15 +441,13 @@ def _subword_sums(b: Word, v: Perm, census: bool):
                         continue
                     u2 = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
                     key_of[u2] = key
-                    if not census:
-                        above[u2] = above.get(u2, 0) + value * weight
-                        continue
                     out = above.get(u2)
                     if out is None:
                         above[u2] = out = {}
                     for c, count in value.items():
                         out[c * weight] = out.get(c * weight, 0) + count
-    return levels[target].get(v, {} if census else 0)
+    counts = levels[target].get(v, {})
+    return {S1Value(c, target): counts[c] for c in sorted(counts)}
 
 
 def p_summands(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) -> tuple[S1Value, ...]:
@@ -521,7 +503,7 @@ class RestrictionMatrix:
         return self.values[self.index(v)][self.index(w)]
 
 
-def down_closure(tops: Iterable[Perm]) -> frozenset[Perm]:
+def _down_closure(tops: Iterable[Perm]) -> frozenset[Perm]:
     """Every permutation at or below one of ``tops`` in Bruhat order.
 
     Descends by covers, comparing no Bruhat keys: u covers u * (a b)
@@ -529,7 +511,7 @@ def down_closure(tops: Iterable[Perm]) -> frozenset[Perm]:
     a value between u(b) and u(a) (Bjorner and Brenti, *Combinatorics of
     Coxeter Groups*, Sec. 2.1).
 
-    >>> sorted(down_closure([(2, 3, 1)]))
+    >>> sorted(_down_closure([(2, 3, 1)]))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)]
     """
     seen = set(tops)
@@ -565,7 +547,7 @@ def restriction_matrix(
     letter j adds u * s_{b_j} with weight times r(j, b) where the length
     rises.  Every partial product of a subword reaching v lies below v, so
     only products in the down-closure I of the rows are kept: I is built
-    once, from covers (``down_closure``), and each step tests membership.
+    once, from covers (``_down_closure``), and each step tests membership.
     I is the same for every column and compares no keys, so checking the
     matrix's vanishing against Bruhat order still tests something.
     """
@@ -575,7 +557,7 @@ def restriction_matrix(
         raise ValueError("size mismatch among points and rolldowns")
     lengths = tuple(inversions(v) for v in rolls)
     cap = max(lengths, default=0)
-    ideal = down_closure(rolls)
+    ideal = _down_closure(rolls)
     columns = []
     for w in pts:
         b = _checked_word(w, (words or {}).get(w))
