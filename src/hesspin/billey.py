@@ -25,8 +25,12 @@ for a whole table, deriving and checking each column's word once.
 ``restriction_matrix`` fills each column from one prefix recurrence over
 the column's word, keeping only partial products inside the Bruhat
 down-closure of the rows (``_down_closure``, built once from descending
-covers).  Neither consults Bruhat keys, so checking their vanishing
-against Bruhat order is not a tautology.
+covers and numbered, so a step is a list lookup).  It stores each row
+sparsely, as a bitmask of its nonzero columns and their coefficients, and
+``check_upper_triangular`` reads violations off those masks against the
+row masks of ``permutations.bruhat_table``.  Neither restriction consults
+Bruhat keys, so checking their vanishing against Bruhat order is not a
+tautology.
 
 ``p_summand_counts`` runs the same prefix recurrence over one column, for
 one row v, pruned by Bruhat keys and by the letters left, and counts how
@@ -49,6 +53,7 @@ from .permutations import (
     from_word,
     identity,
     inversions,
+    set_bits,
 )
 
 __all__ = [
@@ -477,21 +482,28 @@ def p_summands(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) -> tuple[
 
 @dataclass(frozen=True)
 class RestrictionMatrix:
-    """Matrix of projected restrictions p_{rolldown(row)}(column).
+    """Matrix of projected restrictions p_{rolldown(row)}(column), stored by row.
 
     Points label both axes, sorted lexicographically by one-line notation;
-    ``values[i][j]`` restricts the class of ``rolldowns[i]`` to ``points[j]``.
+    row a restricts the class of ``rolldowns[a]`` to every point.  Only
+    nonzero entries are kept: bit b of ``nonzero[a]`` is set when entry
+    (a, b) is nonzero, and ``coeffs[a]`` lists those entries' coefficients
+    in column order.  Every entry of row a has degree l(rolldowns[a]).
+    ``values`` is the dense view, ``values[a][b]`` as an ``S1Value``.
     """
 
     points: tuple[Perm, ...]
     rolldowns: tuple[Perm, ...]
-    values: tuple[tuple[S1Value, ...], ...]
-    # each point's position, built once; derived from points, so not compared
+    nonzero: tuple[int, ...]
+    coeffs: tuple[tuple[int, ...], ...]
+    # derived from points and rolldowns, built once, so not compared
     _position: dict[Perm, int] = field(init=False, repr=False, compare=False)
+    _degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         position = {w: k for k, w in enumerate(self.points)}
         object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_degrees", tuple(map(inversions, self.rolldowns)))
 
     def index(self, w: Perm) -> int:
         try:
@@ -500,7 +512,27 @@ class RestrictionMatrix:
             raise ValueError(f"{w} is not a point of the matrix") from None
 
     def entry(self, v: Perm, w: Perm) -> S1Value:
-        return self.values[self.index(v)][self.index(w)]
+        return self._at(self.index(v), self.index(w))
+
+    def _at(self, a: int, b: int) -> S1Value:
+        mask = self.nonzero[a]
+        if not mask >> b & 1:
+            return S1_ZERO
+        # the entry's place in coeffs[a] is the number of nonzeros before it
+        place = (mask & ((1 << b) - 1)).bit_count()
+        return S1Value(self.coeffs[a][place], self._degrees[a])
+
+    @property
+    def values(self) -> tuple[tuple[S1Value, ...], ...]:
+        """The dense matrix, built anew on each access."""
+        size = len(self.points)
+        rows = []
+        for mask, coeffs, degree in zip(self.nonzero, self.coeffs, self._degrees):
+            row = [S1_ZERO] * size
+            for b, c in zip(set_bits(mask), coeffs):
+                row[b] = S1Value(c, degree)
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def _down_closure(tops: Iterable[Perm]) -> frozenset[Perm]:
@@ -546,39 +578,54 @@ def restriction_matrix(
     u of a reduced subword of b_1..b_j to its summed projected weight;
     letter j adds u * s_{b_j} with weight times r(j, b) where the length
     rises.  Every partial product of a subword reaching v lies below v, so
-    only products in the down-closure I of the rows are kept: I is built
-    once, from covers (``_down_closure``), and each step tests membership.
-    I is the same for every column and compares no keys, so checking the
-    matrix's vanishing against Bruhat order still tests something.
+    only products in the down-closure I of the rows are kept.  I is built
+    once, from covers (``_down_closure``), and numbered; ``up[i][k]`` is
+    the number of ``ideal[k] * s_i`` when that is longer and in I, so a
+    pass steps states by list lookups.  I is the same for every column and
+    compares no keys, so checking the matrix's vanishing against Bruhat
+    order still tests something.  Each row takes its column's value from
+    the state of its rolldown.
     """
     pts = tuple(sorted(points))
     rolls = tuple(rolldowns[w] for w in pts)
     if len({len(p) for p in pts + rolls}) > 1:
         raise ValueError("size mismatch among points and rolldowns")
-    lengths = tuple(inversions(v) for v in rolls)
-    cap = max(lengths, default=0)
-    ideal = _down_closure(rolls)
-    columns = []
-    for w in pts:
+    ideal = tuple(_down_closure(rolls))
+    number = {u: k for k, u in enumerate(ideal)}
+    n = len(pts[0]) if pts else 1
+    up = [[-1] * len(ideal) for _ in range(n)]
+    for k, u in enumerate(ideal):
+        for i in range(1, n):
+            if u[i - 1] < u[i]:
+                up[i][k] = number.get(u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :], -1)
+    # the rows of each state; the same rolldown may serve several rows
+    rows_of: list[list[int]] = [[] for _ in ideal]
+    for a, v in enumerate(rolls):
+        rows_of[number[v]].append(a)
+    columns: list[list[int]] = [[] for _ in rolls]
+    coeffs: list[list[int]] = [[] for _ in rolls]
+    for col, w in enumerate(pts):
         b = _checked_word(w, (words or {}).get(w))
-        # levels[k] maps each partial product of length k to its weight
-        levels = [{identity(len(w)): 1}] + [{} for _ in range(cap)]
-        for i, root in zip(b, roots_along_word(b, len(w))):
-            weight = root.s1()
-            # descending: u * s_i has a descent at i, so it is not extended again
-            for k in range(len(levels) - 2, -1, -1):
-                above = levels[k + 1]
-                for u, c in levels[k].items():
-                    if u[i - 1] < u[i]:
-                        u2 = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-                        if u2 in ideal:
-                            above[u2] = above.get(u2, 0) + c * weight
-        columns.append([levels[k].get(v, 0) for v, k in zip(rolls, lengths)])
-    values = tuple(
-        tuple(S1Value(c, k) if c else S1_ZERO for c in row)
-        for row, k in zip(zip(*columns), lengths)
+        weights = {number[identity(n)]: 1}
+        for i, root in zip(b, roots_along_word(b, n)):
+            weight, step = root.s1(), up[i]
+            # u * s_i has a descent at i, so a state added here is not
+            # extended again by the same letter
+            for u, c in list(weights.items()):
+                u2 = step[u]
+                if u2 >= 0:
+                    weights[u2] = weights.get(u2, 0) + c * weight
+        for u, c in weights.items():
+            if c:
+                for a in rows_of[u]:
+                    columns[a].append(col)
+                    coeffs[a].append(c)
+    return RestrictionMatrix(
+        points=pts,
+        rolldowns=rolls,
+        nonzero=tuple(sum(1 << col for col in cols) for cols in columns),
+        coeffs=tuple(map(tuple, coeffs)),
     )
-    return RestrictionMatrix(points=pts, rolldowns=rolls, values=values)
 
 
 @dataclass(frozen=True)
@@ -597,29 +644,30 @@ class TriangularReport:
 
 def check_upper_triangular(
     matrix: RestrictionMatrix,
-    below: Optional[Sequence[Sequence[int]]] = None,
+    below: Optional[Sequence[int]] = None,
 ) -> TriangularReport:
     """Diagonal entries must be nonzero; entry (v, w) must vanish unless v <= w.
 
-    ``below[i][j]`` is true exactly when ``matrix.points[i] <=
-    matrix.points[j]``; when omitted it is computed here with
-    ``bruhat_table``.
+    ``below[a]`` is a bitmask over the points: bit b is set exactly when
+    ``matrix.points[a] <= matrix.points[b]``, as ``bruhat_table`` gives it,
+    which computes it here when ``below`` is omitted.  Violations are the
+    set bits of ``nonzero[a] & ~below[a]``, listed row by row in column
+    order.
     """
     size = len(matrix.points)
     if below is None:
         below = bruhat_table(matrix.points, matrix.points)
-    elif len(below) != size or any(len(row) != size for row in below):
-        raise ValueError(f"below must be a {size} x {size} table")
+    elif len(below) != size or any(not 0 <= mask < 1 << size for mask in below):
+        raise ValueError(f"below must hold {size} masks of {size} bits")
+    points = matrix.points
     diagonal_zeros = tuple(
-        w
-        for i, w in enumerate(matrix.points)
-        if matrix.values[i][i] == S1_ZERO
+        w for a, (w, mask) in enumerate(zip(points, matrix.nonzero)) if not mask >> a & 1
     )
-    violations = []
-    for v, row, leq in zip(matrix.points, matrix.values, below):
-        for w, value, ok in zip(matrix.points, row, leq):
-            if not ok and value != S1_ZERO:
-                violations.append((v, w, value))
+    violations = [
+        (points[a], points[b], matrix._at(a, b))
+        for a, (mask, leq) in enumerate(zip(matrix.nonzero, below))
+        for b in set_bits(mask & ~leq)
+    ]
     return TriangularReport(
         diagonal_ok=not diagonal_zeros,
         diagonal_zeros=diagonal_zeros,

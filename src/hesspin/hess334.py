@@ -24,9 +24,15 @@ fixed point.  ``verify_334_theorem`` recomputes all of them from the
 dimension-pair definitions, builds the full restriction matrix, and checks
 the poset upper triangularity that makes the rolldown classes a module
 basis, together with the supporting Bruhat-order lemmas.  It classifies
-each point once and hands the class, subset, catalog word and closed-form
-rolldown to the checks through private helpers; the public per-point
-functions derive the same facts, validating their point first.
+each point once and hands the class, subset, its runs, catalog word and
+closed-form rolldown to the checks through private helpers; the public
+per-point functions derive the same facts, validating their point first.
+The Bruhat-order lemmas read the relation as bitmasks over the points
+(``permutations.bruhat_table``) and compare it with masks built once per
+run: one per class, one per j of the points whose subset holds j, one per
+point of the points whose subset holds its own, and H1 thresholds over the
+312-type points.  Each lemma thus takes a few big-int operations per
+point, and its witnesses are the set bits of the masks where it fails.
 
 The summand census counts the subword summands of a catalog word by one
 prefix recurrence (``billey.p_summand_counts``) rather than enumerating
@@ -63,6 +69,7 @@ from .permutations import (
     from_word,
     inverse,
     inversions,
+    set_bits,
     simple,
     validate,
 )
@@ -106,7 +113,6 @@ class FixedPointClass(enum.Enum):
     TYPE_231 = "231"
 
 
-_PETERSON = {FixedPointClass.PETERSON_NO_321, FixedPointClass.PETERSON_321}
 _NON_PETERSON = {FixedPointClass.TYPE_312, FixedPointClass.TYPE_231}
 
 
@@ -245,7 +251,12 @@ def _associated_subset(w: Perm, cls: FixedPointClass) -> frozenset[int]:
     return _peterson_subset(tuple(cur))
 
 
-def consecutive_substrings(subset: frozenset[int]) -> tuple[tuple[int, int], ...]:
+# maximal consecutive runs [a, b] of a subset, ascending; for every class
+# but PETERSON_NO_321 the subset holds {1, 2}, so runs[0] is [1, H1]
+Runs = tuple[tuple[int, int], ...]
+
+
+def consecutive_substrings(subset: frozenset[int]) -> Runs:
     """Decomposition into maximal consecutive runs [a, b], ascending.
 
     >>> consecutive_substrings(frozenset({1, 2, 3, 5, 6, 9, 10, 11}))
@@ -364,12 +375,12 @@ def catalog_reduced_word(w: Perm) -> Word:
     >>> catalog_reduced_word((4, 1, 3, 2, 7, 6, 5))
     (2, 3, 2, 1, 5, 6, 5)
     """
-    return _catalog_word(*_facts(w))
+    w, cls, subset = _facts(w)
+    return _catalog_word(w, cls, consecutive_substrings(subset))
 
 
-def _catalog_word(w: Perm, cls: FixedPointClass, subset: frozenset[int]) -> Word:
+def _catalog_word(w: Perm, cls: FixedPointClass, runs: Runs) -> Word:
     n = len(w)
-    runs = consecutive_substrings(subset)
     word: list[int] = []
     if cls in _NON_PETERSON:
         a2 = runs[0][1]
@@ -433,26 +444,18 @@ def closed_form_restriction(w: Perm) -> S1Value:
     >>> closed_form_restriction((5, 4, 3, 2, 1, 8, 7, 6))
     S1Value(coeff=144, degree=7)
     """
-    return _closed_form(*_facts(w)[1:])
+    _, cls, subset = _facts(w)
+    return _closed_form(cls, consecutive_substrings(subset))
 
 
-def _closed_form(cls: FixedPointClass, subset: frozenset[int]) -> S1Value:
-    size = len(subset)
-    if cls is FixedPointClass.PETERSON_NO_321:
-        coeff = 1
-        for i in subset:
-            coeff *= i - tail(subset, i) + 1
+def _closed_form(cls: FixedPointClass, runs: Runs) -> S1Value:
+    # prod (i - T(i) + 1) over a run [a, b] is (b - a + 1)!, and for TYPE_231
+    # the leading run [1, H1] gives H1 * (H1 - 1)! = H1!
+    size = sum(b - a + 1 for a, b in runs)
+    coeff = math.prod(math.factorial(b - a + 1) for a, b in runs)
+    if cls in (FixedPointClass.PETERSON_NO_321, FixedPointClass.TYPE_231):
         return S1Value(coeff, size)
-    h1 = head(subset, 1)
-    if cls is FixedPointClass.TYPE_231:
-        coeff = h1 * math.factorial(h1 - 1)
-        for i in subset:
-            if i > h1:
-                coeff *= i - tail(subset, i) + 1
-        return S1Value(coeff, size)
-    coeff = h1 - 1
-    for i in subset:
-        coeff *= i - tail(subset, i) + 1
+    coeff *= runs[0][1] - 1
     degree = size + 1 if cls is FixedPointClass.PETERSON_321 else size
     return S1Value(coeff, degree)
 
@@ -506,16 +509,17 @@ def summand_census(w: Perm) -> SummandCensus:
     (``billey.p_summand_counts``), not enumerated subword by subword.
     """
     w, cls, subset = _facts(w)
+    runs = consecutive_substrings(subset)
     roll = from_word(len(w), _rolldown_word(cls, subset))
-    return _census(w, cls, subset, _catalog_word(w, cls, subset), roll)
+    return _census(w, cls, runs, _catalog_word(w, cls, runs), roll)
 
 
 def _census(
-    w: Perm, cls: FixedPointClass, subset: frozenset[int], word: Word, roll: Perm
+    w: Perm, cls: FixedPointClass, runs: Runs, word: Word, roll: Perm
 ) -> SummandCensus:
     counts = p_summand_counts(roll, w, word)
     if cls in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_312):
-        expected = head(subset, 1) - 1
+        expected = runs[0][1] - 1
     else:
         expected = 1
     return SummandCensus(
@@ -523,7 +527,7 @@ def _census(
         cls=cls,
         summands=tuple(s for s, count in counts.items() for _ in range(count)),
         expected_count=expected,
-        closed_form=_closed_form(cls, subset),
+        closed_form=_closed_form(cls, runs),
     )
 
 
@@ -553,29 +557,33 @@ def simple_summand_census(w: Perm) -> tuple[SimpleSummandRow, ...]:
     run where i = 1 gives H1 t and 2 <= i <= H1 gives (i - 1) t.
     """
     w, cls, subset = _facts(w)
-    return _simple_rows(w, cls, subset, _catalog_word(w, cls, subset))
+    runs = consecutive_substrings(subset)
+    return _simple_rows(w, cls, runs, _catalog_word(w, cls, runs))
 
 
 def _simple_rows(
-    w: Perm, cls: FixedPointClass, subset: frozenset[int], word: Word
+    w: Perm, cls: FixedPointClass, runs: Runs, word: Word
 ) -> tuple[SimpleSummandRow, ...]:
     weights = [r.s1() for r in roots_along_word(word, len(w))]
+    # T(i) for each i of the subset
+    tails = {i: a for a, b in runs for i in range(a, b + 1)}
+    h1 = runs[0][1] if cls is FixedPointClass.TYPE_231 else 0
     rows = []
     for i in range(1, len(w)):
         sums = tuple(
             weight for letter, weight in zip(word, weights) if letter == i
         )
-        if i not in subset:
+        if i not in tails:
             expected = None
-        elif cls is FixedPointClass.TYPE_231 and i == 1:
-            expected = head(subset, 1)
-        elif cls is FixedPointClass.TYPE_231 and i <= head(subset, 1):
+        elif i == 1 and h1:
+            expected = h1
+        elif i <= h1:
             expected = i - 1
         else:
-            expected = i - tail(subset, i) + 1
+            expected = i - tails[i] + 1
         rows.append(
             SimpleSummandRow(
-                index=i, in_subset=i in subset, summands=sums, expected=expected
+                index=i, in_subset=i in tails, summands=sums, expected=expected
             )
         )
     return tuple(rows)
@@ -620,16 +628,16 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     diagram = single_row(n)
     pin = verify_pinball(diagram, h)
     points = tuple(w for w, _ in pin.rolldowns)
-    rolls = dict(pin.rolldowns)
+    rolls = tuple(r for _, r in pin.rolldowns)
     # each point's facts, derived once: classify validates the point, and
     # the checks below read these instead of re-deriving them
     classes = tuple(classify(w) for w in points)
-    subsets = {w: _associated_subset(w, cls) for w, cls in zip(points, classes)}
-    words = {w: _catalog_word(w, cls, subsets[w]) for w, cls in zip(points, classes)}
-    closed_rolls = {
-        w: from_word(n, _rolldown_word(cls, subsets[w]))
-        for w, cls in zip(points, classes)
-    }
+    subsets = [_associated_subset(w, cls) for w, cls in zip(points, classes)]
+    runs = [consecutive_substrings(s) for s in subsets]
+    words = [_catalog_word(*facts) for facts in zip(points, classes, runs)]
+    closed_rolls = [
+        from_word(n, _rolldown_word(cls, s)) for cls, s in zip(classes, subsets)
+    ]
 
     structural: list[CheckResult] = []
 
@@ -640,39 +648,39 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     add(
         "rolldown-closed-form",
         (
-            (w, rolls[w], closed_rolls[w])
-            for w in points
-            if rolls[w] != closed_rolls[w]
+            (w, roll, closed)
+            for w, roll, closed in zip(points, rolls, closed_rolls)
+            if roll != closed
         ),
     )
 
     prefix_fails = []
-    for w, cls in zip(points, classes):
+    for w, roll, cls, r in zip(points, rolls, classes, runs):
         if cls is FixedPointClass.PETERSON_NO_321:
             continue
-        a2 = head(subsets[w], 1)
+        a2 = r[0][1]
         if cls is FixedPointClass.PETERSON_321:
             expect = (a2 + 1, 2, 1) + tuple(range(3, a2 + 1))
         elif cls is FixedPointClass.TYPE_312:
             expect = (2, a2 + 1, 1) + tuple(range(3, a2 + 1))
         else:
             expect = (a2 + 1, 1, 2) + tuple(range(3, a2 + 1))
-        if rolls[w][: a2 + 1] != expect:
-            prefix_fails.append((w, rolls[w], expect))
+        if roll[: a2 + 1] != expect:
+            prefix_fails.append((w, roll, expect))
     add("rolldown-one-line-prefix", prefix_fails)
 
-    # Every Bruhat relation the checks read, from keys computed once:
-    # below[a][b] is points[a] <= points[b], roll_below[a][b] is
-    # rolls[points[a]] <= points[b], and simple_below[i - 1][a] (likewise
-    # simple_below_roll) is s_i <= points[a] (its rolldown).
-    roll_list = [rolls[w] for w in points]
+    # Every Bruhat relation the checks read, as bitmasks over the points
+    # (see _bruhat_sweeps), from keys computed once per table
     below = bruhat_table(points, points)
-    roll_below = bruhat_table(roll_list, points)
     simples = [simple(i, n) for i in range(1, n)]
-    simple_below = bruhat_table(simples, points)
-    simple_below_roll = bruhat_table(simples, roll_list)
+    tables = (
+        below,
+        bruhat_table(rolls, points),
+        bruhat_table(simples, points),
+        bruhat_table(simples, rolls),
+    )
 
-    matrix = restriction_matrix(points, rolls, words=words)
+    matrix = restriction_matrix(points, dict(pin.rolldowns), words=dict(zip(points, words)))
     tri = check_upper_triangular(matrix, below)
     structural.append(
         CheckResult("diagonal-nonzero", tri.diagonal_ok, tri.diagonal_zeros)
@@ -682,97 +690,29 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     )
 
     diagonal_fails = []
-    for a, (w, cls) in enumerate(zip(points, classes)):
-        value, expect = matrix.values[a][a], _closed_form(cls, subsets[w])
+    for w, cls, r in zip(points, classes, runs):
+        value, expect = matrix.entry(w, w), _closed_form(cls, r)
         if value != expect:
             diagonal_fails.append((w, value, expect))
     add("closed-form-diagonal", diagonal_fails)
 
-    add(
-        "rolldown-bruhat-equivalence",
-        (
-            (w, wp)
-            for a, w in enumerate(points)
-            for b, wp in enumerate(points)
-            if roll_below[a][b] != below[a][b]
-        ),
-    )
-
-    member_fails = []
-    for a, w in enumerate(points):
-        for i in range(1, n):
-            if simple_below[i - 1][a] != (i in subsets[w]):
-                member_fails.append((w, i, "fixed-point"))
-            if simple_below_roll[i - 1][a] != (i in subsets[w]):
-                member_fails.append((w, i, "rolldown"))
-    add("simple-reflection-membership", member_fails)
-
-    add(
-        "subset-monotonicity",
-        (
-            (w, wp)
-            for a, w in enumerate(points)
-            for b, wp in enumerate(points)
-            if (below[a][b] or roll_below[a][b])
-            and not subsets[w] <= subsets[wp]
-        ),
-    )
-
-    contain_fails = []
-    for a, (w, cw) in enumerate(zip(points, classes)):
-        for b, (wp, cwp) in enumerate(zip(points, classes)):
-            same_type = cw == cwp or (cw in _PETERSON and cwp in _PETERSON)
-            qualifying = (
-                same_type
-                or (cw is FixedPointClass.PETERSON_NO_321 and cwp in _NON_PETERSON)
-                or (cw in _NON_PETERSON and cwp in _PETERSON)
-            )
-            if qualifying and below[a][b] != (subsets[w] <= subsets[wp]):
-                contain_fails.append((w, wp))
-    add("containment-criterion", contain_fails)
-
-    forbidden_fails = []
-    for a, (w, cw) in enumerate(zip(points, classes)):
-        for b, (wp, cwp) in enumerate(zip(points, classes)):
-            forbidden = (
-                cwp is FixedPointClass.PETERSON_NO_321
-                and cw is not FixedPointClass.PETERSON_NO_321
-            ) or (
-                cwp is FixedPointClass.TYPE_231
-                and cw in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_312)
-            )
-            if forbidden and (below[a][b] or roll_below[a][b]):
-                forbidden_fails.append((w, wp))
-    add("forbidden-relations", forbidden_fails)
-
-    segment_fails = []
-    for a, (w, cw) in enumerate(zip(points, classes)):
-        if cw not in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_231):
-            continue
-        a2 = head(subsets[w], 1)
-        for b, (wp, cwp) in enumerate(zip(points, classes)):
-            if cwp is not FixedPointClass.TYPE_312:
-                continue
-            b2 = head(subsets[wp], 1)
-            expected = subsets[w] <= subsets[wp] and b2 >= a2 + 1
-            if below[a][b] != expected:
-                segment_fails.append((w, wp))
-    add("initial-segment-criterion", segment_fails)
+    for name, failures in _bruhat_sweeps(points, classes, subsets, *tables):
+        add(name, failures)
 
     add(
         "summand-census",
         (
             w
-            for w, cls in zip(points, classes)
-            if not _census(w, cls, subsets[w], words[w], closed_rolls[w]).passed
+            for w, cls, r, word, roll in zip(points, classes, runs, words, closed_rolls)
+            if not _census(w, cls, r, word, roll).passed
         ),
     )
     add(
         "simple-summand-values",
         (
             (w, row.index)
-            for w, cls in zip(points, classes)
-            for row in _simple_rows(w, cls, subsets[w], words[w])
+            for w, cls, r, word in zip(points, classes, runs, words)
+            for row in _simple_rows(w, cls, r, word)
             if not row.passed
         ),
     )
@@ -784,6 +724,110 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         pinball=pin,
         matrix=matrix,
         structural=tuple(structural),
+    )
+
+
+def _bruhat_sweeps(
+    points: Sequence[Perm],
+    classes: Sequence[FixedPointClass],
+    subsets: Sequence[frozenset[int]],
+    below: Sequence[int],
+    roll_below: Sequence[int],
+    simple_below: Sequence[int],
+    simple_below_roll: Sequence[int],
+) -> tuple[tuple[str, tuple], ...]:
+    """The theorem's six Bruhat-order lemmas, as (name, witnesses) pairs.
+
+    Bit b of below[a] is set when points[a] <= points[b], and of
+    roll_below[a] when the rolldown of points[a] is below points[b]; bit a
+    of simple_below[i - 1] (simple_below_roll[i - 1]) is set when s_i <=
+    points[a] (its rolldown), as ``bruhat_table`` gives them.  Every check
+    takes a few big-int operations per point, on masks over the points: one
+    per class, one per j of the points whose subset holds j, and one per
+    point of the points whose subset holds its own.  Witnesses are read off
+    nonzero difference masks, lowest bit first, so they come out in the
+    order of a loop over all pairs (a, b).
+    """
+    no_321, with_321 = FixedPointClass.PETERSON_NO_321, FixedPointClass.PETERSON_321
+    t312, t231 = FixedPointClass.TYPE_312, FixedPointClass.TYPE_231
+    n = len(simple_below) + 1
+    full = (1 << len(points)) - 1
+    of_class = dict.fromkeys(FixedPointClass, 0)
+    # holding[j]: the points whose subset contains j
+    holding = [0] * n
+    for a, (cls, subset) in enumerate(zip(classes, subsets)):
+        of_class[cls] |= 1 << a
+        for j in subset:
+            holding[j] |= 1 << a
+    # superset[a]: the points whose subset contains the subset of points[a]
+    superset = []
+    for subset in subsets:
+        mask = full
+        for j in subset:
+            mask &= holding[j]
+        superset.append(mask)
+    # at_least[t]: the 312-type points with H1 >= t
+    at_least = [0] * (n + 1)
+    for b in set_bits(of_class[t312]):
+        at_least[head(subsets[b], 1)] |= 1 << b
+    for t in range(n - 1, -1, -1):
+        at_least[t] |= at_least[t + 1]
+    peterson = of_class[no_321] | of_class[with_321]
+    # per class of points[a], the classes of points[b] each check reads
+    qualifying = {
+        no_321: full,
+        with_321: peterson,
+        t312: peterson | of_class[t312],
+        t231: peterson | of_class[t231],
+    }
+    forbidden = {
+        no_321: 0,
+        with_321: of_class[no_321] | of_class[t231],
+        t312: of_class[no_321] | of_class[t231],
+        t231: of_class[no_321],
+    }
+    related = [x | y for x, y in zip(below, roll_below)]
+
+    def pairs(rows) -> tuple[tuple[Perm, Perm], ...]:
+        return tuple(
+            (points[a], points[b]) for a, row in enumerate(rows) for b in set_bits(row)
+        )
+
+    fixed = [m ^ holding[i] for i, m in enumerate(simple_below, 1)]
+    rolled = [m ^ holding[i] for i, m in enumerate(simple_below_roll, 1)]
+    missed = 0
+    for mask in fixed + rolled:
+        missed |= mask
+    member = []
+    for a in set_bits(missed):
+        for i, (f, r) in enumerate(zip(fixed, rolled), 1):
+            if f >> a & 1:
+                member.append((points[a], i, "fixed-point"))
+            if r >> a & 1:
+                member.append((points[a], i, "rolldown"))
+
+    segment = [
+        of_class[t312] & (x ^ (sup & at_least[head(subset, 1) + 1]))
+        if cls is with_321 or cls is t231
+        else 0
+        for cls, subset, x, sup in zip(classes, subsets, below, superset)
+    ]
+    return (
+        ("rolldown-bruhat-equivalence", pairs(x ^ y for x, y in zip(roll_below, below))),
+        ("simple-reflection-membership", tuple(member)),
+        ("subset-monotonicity", pairs(r & ~sup for r, sup in zip(related, superset))),
+        (
+            "containment-criterion",
+            pairs(
+                qualifying[cls] & (x ^ sup)
+                for cls, x, sup in zip(classes, below, superset)
+            ),
+        ),
+        (
+            "forbidden-relations",
+            pairs(forbidden[cls] & r for cls, r in zip(classes, related)),
+        ),
+        ("initial-segment-criterion", pairs(segment)),
     )
 
 

@@ -2,7 +2,9 @@
 
 Bruhat order is decided by packed rank keys (``BruhatKeys``): each
 permutation's rank counts fit in one integer, and one comparison is one
-subtraction.  Bulk consumers compute each key once (``bruhat_table``).
+subtraction.  Bulk consumers take a whole relation at once from
+``bruhat_table``, one bitmask per row, built from rank-count thresholds;
+``set_bits`` reads a mask's set bits in ascending order.
 
 A permutation ``w`` in S_n is stored as the tuple ``(w(1), ..., w(n))`` of
 1-indexed values, so ``w[i - 1]`` is ``w(i)``.  Products compose as
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "Perm",
@@ -48,6 +50,7 @@ __all__ = [
     "bruhat_key",
     "bruhat_leq",
     "bruhat_table",
+    "set_bits",
     "all_permutations",
 ]
 
@@ -215,7 +218,7 @@ class BruhatKeys:
     True
     """
 
-    __slots__ = ("n", "_row", "_guard", "_tails")
+    __slots__ = ("n", "_row", "_guard", "_tails", "_shifts", "_field")
 
     def __init__(self, n: int):
         width = n.bit_length() + 1
@@ -228,6 +231,8 @@ class BruhatKeys:
         self._tails = tuple(tails)
         guards = tails[1] << (width - 1)
         self._guard = sum(guards << (self._row * k) for k in range(n - 1))
+        self._shifts = range(0, self._row * (n - 1), width)
+        self._field = (1 << width) - 1
 
     def key(self, w: Perm) -> int:
         """The packed rank counts of w, row 1 in the top bits."""
@@ -245,11 +250,14 @@ class BruhatKeys:
         guard = self._guard
         return ((kv | guard) - kw) & guard == guard
 
-    def row(self, kv: int, kws: Sequence[int]) -> bytes:
-        """One byte per key kw of ``kws``: 1 where v <= w, else 0."""
-        guard = self._guard
-        top = kv | guard
-        return bytes((top - kw) & guard == guard for kw in kws)
+    def counts(self, key: int) -> list[int]:
+        """The (n - 1)^2 rank counts packed in ``key``, bottom field first.
+
+        >>> bruhat_keys(3).counts(bruhat_key((2, 3, 1)))
+        [0, 1, 0, 1]
+        """
+        field = self._field
+        return [key >> s & field for s in self._shifts]
 
     def lift(self, key: int, u: Perm, i: int) -> int:
         """The key of u * s_i from the key of u, when u(i) < u(i + 1).
@@ -290,23 +298,59 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
     return keys.leq(keys.key(v), keys.key(w))
 
 
-def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[bytes, ...]:
-    """Rows ``bytes(bruhat_leq(v, w) for w in upper)`` for each v in lower.
+# _AT_MOST[t] translates a count c to the digit "1" if c <= t, else "0"
+_AT_MOST = tuple(b"1" * (t + 1) + b"0" * (255 - t) for t in range(255))
 
-    An entry is 1 where v <= w and 0 elsewhere, one byte each, so a table
-    over N points takes N^2 bytes.  Each permutation's key is computed once.
 
-    >>> [list(row) for row in bruhat_table([(1, 2), (2, 1)], [(2, 1), (1, 2)])]
-    [[1, 1], [1, 0]]
+def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...]:
+    """One bitmask per v in ``lower``: bit b is set exactly when v <= upper[b].
+
+    v <= w exactly when no rank count of v is below w's (``BruhatKeys``).
+    So for each count field f and each t, take the mask of the upper points
+    whose count in f is at most t; v's row is the AND of one such mask per
+    field, picked by v's own count.  Each permutation's counts are read
+    from its key once; the masks come from one byte string per field, so
+    the Python work is one count list per permutation and (n - 1)^2 ANDs
+    per row.
+
+    >>> bruhat_table([(1, 2), (2, 1)], [(2, 1), (1, 2)])
+    (3, 1)
     """
     sizes = {len(p) for p in itertools.chain(lower, upper)}
     if len(sizes) > 1:
         raise ValueError(f"size mismatch among sizes {sorted(sizes)}")
     if not sizes:
-        return tuple(b"" for _ in lower)
-    keys = bruhat_keys(sizes.pop())
-    tops = [keys.key(w) for w in upper]
-    return tuple(keys.row(keys.key(v), tops) for v in lower)
+        return tuple(0 for _ in lower)
+    n = sizes.pop()
+    keys = bruhat_keys(n)
+    full = (1 << len(upper)) - 1
+    # masks[f][t] holds the upper points whose count in field f is at most
+    # t; a column's bytes run from the last upper point to the first, so
+    # int(..., 2) puts upper[b] at bit b
+    masks = []
+    for column in zip(*(keys.counts(keys.key(w)) for w in reversed(upper))):
+        text, top = bytes(column), max(column)
+        masks.append(
+            [int(text.translate(_AT_MOST[t]), 2) for t in range(top)]
+            + [full] * (n - top)
+        )
+    pick = list.__getitem__
+    return tuple(
+        functools.reduce(int.__and__, map(pick, masks, keys.counts(keys.key(v))), full)
+        for v in lower
+    )
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative ``mask``, ascending.
+
+    >>> list(set_bits(0b101100))
+    [2, 3, 5]
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def all_permutations(n: int) -> tuple[Perm, ...]:

@@ -8,6 +8,7 @@ checks.  Slow on purpose; tests pick sizes accordingly.
 from itertools import combinations, permutations, product
 
 from hesspin.billey import Polynomial
+from hesspin.hess334 import FixedPointClass
 from hesspin.permutations import canonical_word, compose, identity, inversions, simple
 
 
@@ -71,6 +72,47 @@ def brute_dimension_pairs(filling, h):
     return pairs
 
 
+def brute_records(diagram):
+    """A function of h giving {filling: dimension pairs} for every
+    permissible filling of ``diagram``: ``brute_fillings`` and
+    ``brute_dimension_pairs`` for many h at once.
+
+    Every arrangement of 1..n is sliced into rows once, with its adjacent
+    pairs and the pairs (a, b) that pass the position clause, each with
+    the box right of a (or None); for one h only the clauses that read h
+    are tested."""
+    n = sum(diagram)
+    bit = {(x, y): 1 << (n * (x - 1) + y - 1) for x, y in product(range(1, n + 1), repeat=2)}
+    arrangements = []
+    for perm in permutations(range(1, n + 1)):
+        rows, k = [], 0
+        for length in diagram:
+            rows.append(tuple(perm[k : k + length]))
+            k += length
+        adjacent = sum(bit[row[i], row[i + 1]] for row in rows for i in range(len(row) - 1))
+        pos = {rows[r][c]: (r, c) for r in range(len(rows)) for c in range(len(rows[r]))}
+        candidates = []
+        for a in range(1, n + 1):
+            ra, ca = pos[a]
+            right = rows[ra][ca + 1] if ca + 1 < len(rows[ra]) else None
+            for b in range(a + 1, n + 1):
+                rb, cb = pos[b]
+                if cb < ca or (cb == ca and rb > ra):
+                    candidates.append((a, b, right))
+        arrangements.append((tuple(rows), adjacent, candidates))
+
+    def records(h):
+        # the adjacencies x y that break row[i] <= h(row[i + 1])
+        bad = sum(m for (x, y), m in bit.items() if x > h[y - 1])
+        return {
+            rows: {(a, b) for a, b, right in candidates if right is None or b <= h[right - 1]}
+            for rows, adjacent, candidates in arrangements
+            if not adjacent & bad
+        }
+
+    return records
+
+
 def inversion_tops(w):
     """(x_2, ..., x_n) where x_l counts inversions whose larger value is l."""
     counts = [0] * (len(w) + 1)
@@ -104,6 +146,95 @@ def bruhat_leq_tableau(v, w):
             if any(a > b for a, b in zip(sorted(v[:k]), sorted(w[:k]))):
                 return False
     return True
+
+
+def relation_tables(points, rolls):
+    """The four Bruhat tables the 334 theorem reads, dense, by the tableau
+    criterion: below[a][b] is points[a] <= points[b], roll_below[a][b] is
+    rolls[a] <= points[b], and simple_below[i - 1][a] (simple_below_roll)
+    is s_i <= points[a] (rolls[a])."""
+    n = len(points[0])
+    simples = [simple(i, n) for i in range(1, n)]
+    return (
+        [[bruhat_leq_tableau(v, w) for w in points] for v in points],
+        [[bruhat_leq_tableau(v, w) for w in points] for v in rolls],
+        [[bruhat_leq_tableau(s, w) for w in points] for s in simples],
+        [[bruhat_leq_tableau(s, r) for r in rolls] for s in simples],
+    )
+
+
+def _h1(subset):
+    # the largest j with 1..j all in the subset; fails when 1 is not in it
+    return max(j for j in range(1, max(subset) + 1) if set(range(1, j + 1)) <= subset)
+
+
+def bruhat_sweeps(points, classes, subsets, below, roll_below, simple_below, simple_below_roll):
+    """The 334 theorem's six Bruhat-order lemmas by plain loops over every
+    pair (a, b) of points, reading the dense tables of ``relation_tables``:
+    (name, witnesses) pairs, witnesses in loop order."""
+    n = len(points[0])
+    pet = (FixedPointClass.PETERSON_NO_321, FixedPointClass.PETERSON_321)
+    non_pet = (FixedPointClass.TYPE_312, FixedPointClass.TYPE_231)
+    pairs = [(a, b) for a in range(len(points)) for b in range(len(points))]
+    out = []
+
+    out.append(("rolldown-bruhat-equivalence", tuple(
+        (points[a], points[b]) for a, b in pairs if roll_below[a][b] != below[a][b]
+    )))
+
+    member = []
+    for a, w in enumerate(points):
+        for i in range(1, n):
+            if simple_below[i - 1][a] != (i in subsets[a]):
+                member.append((w, i, "fixed-point"))
+            if simple_below_roll[i - 1][a] != (i in subsets[a]):
+                member.append((w, i, "rolldown"))
+    out.append(("simple-reflection-membership", tuple(member)))
+
+    out.append(("subset-monotonicity", tuple(
+        (points[a], points[b])
+        for a, b in pairs
+        if (below[a][b] or roll_below[a][b]) and not subsets[a] <= subsets[b]
+    )))
+
+    contain = []
+    for a, b in pairs:
+        cw, cwp = classes[a], classes[b]
+        qualifying = (
+            cw == cwp
+            or (cw in pet and cwp in pet)
+            or (cw is FixedPointClass.PETERSON_NO_321 and cwp in non_pet)
+            or (cw in non_pet and cwp in pet)
+        )
+        if qualifying and below[a][b] != (subsets[a] <= subsets[b]):
+            contain.append((points[a], points[b]))
+    out.append(("containment-criterion", tuple(contain)))
+
+    forbidden = []
+    for a, b in pairs:
+        cw, cwp = classes[a], classes[b]
+        bad = (
+            cwp is FixedPointClass.PETERSON_NO_321
+            and cw is not FixedPointClass.PETERSON_NO_321
+        ) or (
+            cwp is FixedPointClass.TYPE_231
+            and cw in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_312)
+        )
+        if bad and (below[a][b] or roll_below[a][b]):
+            forbidden.append((points[a], points[b]))
+    out.append(("forbidden-relations", tuple(forbidden)))
+
+    segment = []
+    for a, b in pairs:
+        if classes[a] not in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_231):
+            continue
+        if classes[b] is not FixedPointClass.TYPE_312:
+            continue
+        expected = subsets[a] <= subsets[b] and _h1(subsets[b]) >= _h1(subsets[a]) + 1
+        if below[a][b] != expected:
+            segment.append((points[a], points[b]))
+    out.append(("initial-segment-criterion", tuple(segment)))
+    return tuple(out)
 
 
 def brute_subword_table(b, n):

@@ -433,7 +433,7 @@ class TestMatrix:
         matrix = restriction_matrix(points, {w: w for w in points})
         for k, w in enumerate(points):
             assert matrix.index(w) == k
-            assert matrix.entry(w, w) is matrix.values[k][k]
+            assert matrix.entry(w, w) == matrix.values[k][k]
         with pytest.raises(ValueError, match="not a point"):
             matrix.index((1, 2, 3))
         # the lookup is derived from points: equality and hashing ignore it
@@ -457,28 +457,40 @@ class TestMatrix:
 
 
 class TestUpperTriangularTable:
-    """check_upper_triangular reads the relation it is given, entry by entry."""
+    """check_upper_triangular reads the relation it is given, row mask by row mask."""
 
     @staticmethod
     def matrix():
         points = all_permutations(3)
         return restriction_matrix(points, {w: w for w in points})
 
+    @staticmethod
+    def masks(matrix, related):
+        return [
+            sum(1 << b for b, w in enumerate(matrix.points) if related(v, w))
+            for v in matrix.points
+        ]
+
+    @staticmethod
+    def dense_violations(matrix, related):
+        # every nonzero (v, w) outside the relation, in row-major order
+        return [
+            (v, w, value)
+            for v, row in zip(matrix.points, matrix.values)
+            for w, value in zip(matrix.points, row)
+            if value != S1_ZERO and not related(v, w)
+        ]
+
     def test_default_table_is_bruhat_order(self):
         matrix = self.matrix()
-        table = [[bruhat_leq(v, w) for w in matrix.points] for v in matrix.points]
+        table = self.masks(matrix, bruhat_leq)
         assert check_upper_triangular(matrix, table) == check_upper_triangular(matrix)
 
     def test_all_false_table_flags_every_nonzero_entry(self):
         matrix = self.matrix()
         size = len(matrix.points)
-        report = check_upper_triangular(matrix, [[False] * size] * size)
-        nonzero = [
-            (v, w, value)
-            for v, row in zip(matrix.points, matrix.values)
-            for w, value in zip(matrix.points, row)
-            if value != S1_ZERO
-        ]
+        report = check_upper_triangular(matrix, [0] * size)
+        nonzero = self.dense_violations(matrix, lambda v, w: False)
         off_diagonal = [(v, w, value) for v, w, value in nonzero if v != w]
         assert off_diagonal
         assert list(report.vanishing_violations) == nonzero
@@ -487,22 +499,41 @@ class TestUpperTriangularTable:
 
     def test_diagonal_table_flags_exactly_the_off_diagonal_entries(self):
         matrix = self.matrix()
-        table = [[v == w for w in matrix.points] for v in matrix.points]
+        table = [1 << a for a in range(len(matrix.points))]
         report = check_upper_triangular(matrix, table)
-        assert list(report.vanishing_violations) == [
-            (v, w, value)
-            for v, row in zip(matrix.points, matrix.values)
-            for w, value in zip(matrix.points, row)
-            if value != S1_ZERO and v != w
-        ]
+        assert list(report.vanishing_violations) == self.dense_violations(
+            matrix, lambda v, w: v == w
+        )
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_random_tables_flag_in_row_major_order(self, n):
+        rng = random.Random(7900 + n)
+        perms = all_permutations(n)
+        short = [v for v in perms if inversions(v) <= 3]
+        matrix = restriction_matrix(perms, {w: rng.choice(short) for w in perms})
+        values = matrix.values
+        for _ in range(5):
+            related = functools.cache(lambda v, w: rng.random() < 0.5)
+            report = check_upper_triangular(matrix, self.masks(matrix, related))
+            expected = self.dense_violations(matrix, related)
+            assert expected
+            assert list(report.vanishing_violations) == expected
+            assert list(report.diagonal_zeros) == [
+                w for k, w in enumerate(matrix.points) if values[k][k] == S1_ZERO
+            ]
 
     def test_rejects_misshapen_table(self):
         matrix = self.matrix()
         size = len(matrix.points)
+        full = (1 << size) - 1
         with pytest.raises(ValueError):
-            check_upper_triangular(matrix, [[True] * size] * (size - 1))
+            check_upper_triangular(matrix, [full] * (size - 1))
         with pytest.raises(ValueError):
-            check_upper_triangular(matrix, [[True] * (size - 1)] * size)
+            check_upper_triangular(matrix, [full] * (size + 1))
+        with pytest.raises(ValueError):
+            check_upper_triangular(matrix, [full] * (size - 1) + [1 << size])
+        with pytest.raises(ValueError):
+            check_upper_triangular(matrix, [full] * (size - 1) + [-1])
 
 
 def _down_set_oracle(rows, n):
@@ -545,12 +576,23 @@ class TestMatrixOracle:
             lambda v, w, b: brute_project(brute_sigma(v, w, b), n)
         )
         matrix = restriction_matrix(all_permutations(n), rolls, words=words)
-        for v, row in zip(matrix.rolldowns, matrix.values):
-            for w, value in zip(matrix.points, row):
-                b = (words or {}).get(w, canonical_word(w))
-                assert tuple(value) == oracle(v, w, b), (v, w, b)
+        values = matrix.values
+        assert len(values) == len(matrix.points)
+        for a, (u, v) in enumerate(zip(matrix.points, matrix.rolldowns)):
+            assert len(values[a]) == len(matrix.points)
+            cells = []
+            for b, w in enumerate(matrix.points):
+                word = (words or {}).get(w, canonical_word(w))
+                expected = oracle(v, w, word)
+                assert tuple(values[a][b]) == expected, (v, w, word)
+                assert tuple(matrix.entry(u, w)) == expected, (v, w, word)
+                if expected[0]:
+                    cells.append((b, expected[0]))
+            # the stored row: a mask of its nonzero columns, coefficients in column order
+            assert matrix.nonzero[a] == sum(1 << b for b, _ in cells)
+            assert matrix.coeffs[a] == tuple(c for _, c in cells)
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_identity_rolls(self, n):
         # rows reach the longest element, so the length cap never binds
         perms = all_permutations(n)
@@ -562,6 +604,8 @@ class TestMatrixOracle:
         short = [v for v in perms if inversions(v) <= 2]
         assert 2 * sum(inversions(w) > 2 for w in perms) > len(perms)
         rolls = {w: short[k % len(short)] for k, w in enumerate(perms)}
+        # each short rolldown serves several rows
+        assert len(set(rolls.values())) < len(rolls)
         self.assert_matches_oracle(n, rolls)
 
     @pytest.mark.parametrize("n", [4, 5])

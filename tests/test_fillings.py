@@ -1,5 +1,6 @@
 """Fillings, permissibility, dimension pairs, and the omega map."""
 
+import functools
 import itertools
 
 import pytest
@@ -34,8 +35,11 @@ from hesspin.permutations import all_permutations, inversions
 
 from oracles import (
     all_diagram_h,
+    all_diagrams,
+    all_hessenberg,
     brute_dimension_pairs,
     brute_fillings,
+    brute_records,
     inversion_tops,
 )
 
@@ -205,18 +209,24 @@ class TestPermissibleRecords:
         "n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
     )
     def test_every_field_matches_oracles(self, n):
-        for diagram, h in all_diagram_h(n):
-            records = list(permissible_records(diagram, h))
-            words = [rec.word for rec in records]
-            assert words == sorted(set(words))
-            brute = brute_fillings(diagram, h)
-            assert len(records) == len(brute)
-            assert {rec.filling for rec in records} == set(brute)
-            for rec in records:
-                assert rec.word == reading_word(rec.filling)
-                pairs = brute_dimension_pairs(rec.filling, h)
-                assert rec.pairs == tuple(sorted(pairs)), (diagram, h, rec)
-                assert rec.x == top_parts(frozenset(pairs), n)
+        # a filling recurs under many h, and a pair set under many fillings
+        word_of = functools.cache(reading_word)
+        tops_of = functools.cache(lambda pairs: top_parts(pairs, n))
+        hs = all_hessenberg(n)
+        for diagram in all_diagrams(n):
+            oracle = brute_records(diagram)
+            for h in hs:
+                records = list(permissible_records(diagram, h))
+                words = [rec.word for rec in records]
+                assert words == sorted(set(words))
+                brute = oracle(h)
+                assert len(records) == len(brute)
+                assert {rec.filling for rec in records} == set(brute)
+                for rec in records:
+                    assert rec.word == word_of(rec.filling)
+                    pairs = brute[rec.filling]
+                    assert rec.pairs == tuple(sorted(pairs)), (diagram, h, rec)
+                    assert rec.x == tops_of(frozenset(pairs))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_list_and_pair_functions_agree(self, n):

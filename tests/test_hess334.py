@@ -1,6 +1,7 @@
 """Fixed point classes, catalog words, closed forms, and the basis theorem."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -29,9 +30,11 @@ from hesspin.hess334 import (
     type_312_fixed_point,
     verify_334_theorem,
 )
-from hesspin.fillings import hessenberg_334
+from hesspin.fillings import hessenberg_334, single_row
 from hesspin.permutations import from_word, inversions, is_reduced_word
-from hesspin.pinball import rolldown
+from hesspin.pinball import rolldown, rolldown_table
+
+from oracles import bruhat_sweeps, relation_tables
 
 PET_NO = FixedPointClass.PETERSON_NO_321
 PET_321 = FixedPointClass.PETERSON_321
@@ -296,3 +299,83 @@ class TestTheorem:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 4"):
             verify_334_theorem(3)
+
+
+def _masks(table):
+    return [sum(1 << b for b, x in enumerate(row) if x) for row in table]
+
+
+class TestBruhatSweeps:
+    """The theorem's mask sweeps against the pairwise loops of the oracle.
+
+    The theorem passes for every n, so equal reports would never reach the
+    witness paths; corrupted inputs do.  Both sides read the same inputs:
+    the oracle dense tables from the tableau criterion, the sweeps the same
+    tables as masks.
+    """
+
+    @staticmethod
+    def inputs(n):
+        table = rolldown_table(single_row(n), hessenberg_334(n))
+        points = tuple(sorted(table))
+        rolls = [table[w] for w in points]
+        classes = [classify(w) for w in points]
+        subsets = [associated_subset(w) for w in points]
+        return points, classes, subsets, relation_tables(points, rolls)
+
+    @staticmethod
+    def assert_agree(points, classes, subsets, dense):
+        expected = bruhat_sweeps(points, classes, subsets, *dense)
+        got = hess334._bruhat_sweeps(
+            points, classes, subsets, *(_masks(t) for t in dense)
+        )
+        assert got == expected
+        return sum(len(witnesses) for _, witnesses in expected)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_true_inputs_have_no_witnesses(self, n):
+        assert self.assert_agree(*self.inputs(n)) == 0
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_flipped_bruhat_bit(self, n):
+        points, classes, subsets, dense = self.inputs(n)
+        rng = random.Random(7500 + n)
+        for _ in range(30):
+            tables = [[list(row) for row in t] for t in dense]
+            table = rng.choice(tables)
+            row = rng.choice(table)
+            k = rng.randrange(len(row))
+            row[k] = not row[k]
+            assert self.assert_agree(points, classes, subsets, tables) > 0
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_swapped_subsets(self, n):
+        points, classes, subsets, dense = self.inputs(n)
+        rng = random.Random(7600 + n)
+        size, seen = len(points), 0
+        for _ in range(30):
+            a, b = rng.sample(range(size), 2)
+            swapped = list(subsets)
+            swapped[a], swapped[b] = subsets[b], subsets[a]
+            # H1 must stay defined where the class reads it
+            if any(
+                classes[k] is not PET_NO and 1 not in swapped[k] for k in (a, b)
+            ) or swapped == subsets:
+                continue
+            assert self.assert_agree(points, classes, swapped, dense) > 0
+            seen += 1
+        assert seen >= 10
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_relabelled_class(self, n):
+        points, classes, subsets, dense = self.inputs(n)
+        rng = random.Random(7700 + n)
+        witnessed = 0
+        for a in rng.sample(range(len(points)), 12):
+            for cls in FixedPointClass:
+                if cls is classes[a] or (cls is not PET_NO and 1 not in subsets[a]):
+                    continue
+                relabelled = list(classes)
+                relabelled[a] = cls
+                witnessed += self.assert_agree(points, relabelled, subsets, dense) > 0
+        assert witnessed > 0

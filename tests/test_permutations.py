@@ -17,6 +17,7 @@ from hesspin.permutations import (
     compose,
     descents,
     from_word,
+    set_bits,
     identity,
     inverse,
     inversions,
@@ -201,6 +202,18 @@ class TestBruhat:
 
 
 class TestBruhatTable:
+    """Bitmask rows against the tableau criterion, which shares no code."""
+
+    @staticmethod
+    def assert_matches_tableau(rows, cols):
+        table = bruhat_table(rows, cols)
+        assert len(table) == len(rows)
+        for v, mask in zip(rows, table):
+            assert 0 <= mask < 1 << len(cols)
+            assert [mask >> b & 1 for b in range(len(cols))] == [
+                bruhat_leq_tableau(v, w) for w in cols
+            ], v
+
     def test_matches_bruhat_leq_on_rectangles(self):
         rng = random.Random(5)
         perms = all_permutations(4)
@@ -208,17 +221,40 @@ class TestBruhatTable:
         for rows, cols in ((lower, perms), (perms, lower)):
             table = bruhat_table(rows, cols)
             assert len(table) == len(rows)
-            for v, row in zip(rows, table):
-                assert list(row) == [bruhat_leq(v, w) for w in cols]
+            for v, mask in zip(rows, table):
+                assert list(set_bits(mask)) == [
+                    b for b, w in enumerate(cols) if bruhat_leq(v, w)
+                ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_tableau_exhaustively(self, n):
+        perms = all_permutations(n)
+        self.assert_matches_tableau(perms, perms)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_matches_tableau_on_random_rectangles(self, n):
+        rng = random.Random(7800 + n)
+        perms = all_permutations(n)
+        for rows, cols in ((40, 90), (90, 40), (1, 200), (200, 1)):
+            self.assert_matches_tableau(rng.sample(perms, rows), rng.sample(perms, cols))
 
     def test_empty_inputs(self):
         perms = all_permutations(3)
         assert bruhat_table([], []) == ()
         assert bruhat_table([], perms) == ()
-        assert bruhat_table(perms[:2], []) == (b"", b"")
+        assert bruhat_table(perms[:2], []) == (0, 0)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError, match="size mismatch"):
             bruhat_table([(1, 2)], [(1, 2, 3)])
         with pytest.raises(ValueError, match="size mismatch"):
             bruhat_table([(1, 2), (1, 2, 3)], [])
+
+
+class TestSetBits:
+    def test_ascending_positions(self):
+        assert list(set_bits(0)) == []
+        for mask in (1, 0b1011, 1 << 200 | 1 << 3, (1 << 70) - 1):
+            bits = list(set_bits(mask))
+            assert bits == sorted(bits)
+            assert sum(1 << b for b in bits) == mask
