@@ -661,7 +661,9 @@ def check_upper_triangular(
         raise ValueError(f"below must hold {size} masks of {size} bits")
     points = matrix.points
     diagonal_zeros = tuple(
-        w for a, (w, mask) in enumerate(zip(points, matrix.nonzero)) if not mask >> a & 1
+        w
+        for a, (w, mask) in enumerate(zip(points, matrix.nonzero))
+        if not mask >> a & 1
     )
     violations = [
         (points[a], points[b], matrix._at(a, b))

@@ -30,8 +30,8 @@ per-point functions derive the same facts, validating their point first.
 The Bruhat-order lemmas read the relation as bitmasks over the points
 (``permutations.bruhat_table``) and compare it with masks built once per
 run: one per class, one per j of the points whose subset holds j, one per
-point of the points whose subset holds its own, and H1 thresholds over the
-312-type points.  Each lemma thus takes a few big-int operations per
+point of the points whose subset contains that point's, and H1 thresholds
+over the 312-type points.  Each lemma thus takes a few big-int operations per
 point, and its witnesses are the set bits of the masks where it fails.
 
 The summand census counts the subword summands of a catalog word by one
@@ -680,7 +680,9 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         bruhat_table(simples, rolls),
     )
 
-    matrix = restriction_matrix(points, dict(pin.rolldowns), words=dict(zip(points, words)))
+    matrix = restriction_matrix(
+        points, dict(pin.rolldowns), words=dict(zip(points, words))
+    )
     tri = check_upper_triangular(matrix, below)
     structural.append(
         CheckResult("diagonal-nonzero", tri.diagonal_ok, tri.diagonal_zeros)
@@ -744,9 +746,9 @@ def _bruhat_sweeps(
     points[a] (its rolldown), as ``bruhat_table`` gives them.  Every check
     takes a few big-int operations per point, on masks over the points: one
     per class, one per j of the points whose subset holds j, and one per
-    point of the points whose subset holds its own.  Witnesses are read off
-    nonzero difference masks, lowest bit first, so they come out in the
-    order of a loop over all pairs (a, b).
+    point of the points whose subset contains that point's.  Witnesses are
+    read off nonzero difference masks, lowest bit first, so they come out
+    in the order of a loop over all pairs (a, b).
     """
     no_321, with_321 = FixedPointClass.PETERSON_NO_321, FixedPointClass.PETERSON_321
     t312, t231 = FixedPointClass.TYPE_312, FixedPointClass.TYPE_231
@@ -813,7 +815,10 @@ def _bruhat_sweeps(
         for cls, subset, x, sup in zip(classes, subsets, below, superset)
     ]
     return (
-        ("rolldown-bruhat-equivalence", pairs(x ^ y for x, y in zip(roll_below, below))),
+        (
+            "rolldown-bruhat-equivalence",
+            pairs(x ^ y for x, y in zip(roll_below, below)),
+        ),
         ("simple-reflection-membership", tuple(member)),
         ("subset-monotonicity", pairs(r & ~sup for r, sup in zip(related, superset))),
         (

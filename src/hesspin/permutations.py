@@ -298,10 +298,6 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
     return keys.leq(keys.key(v), keys.key(w))
 
 
-# _AT_MOST[t] translates a count c to the digit "1" if c <= t, else "0"
-_AT_MOST = tuple(b"1" * (t + 1) + b"0" * (255 - t) for t in range(255))
-
-
 def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...]:
     """One bitmask per v in ``lower``: bit b is set exactly when v <= upper[b].
 
@@ -324,6 +320,8 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...
     n = sizes.pop()
     keys = bruhat_keys(n)
     full = (1 << len(upper)) - 1
+    # at_most[t] translates a count c to the digit "1" if c <= t, else "0"
+    at_most = [b"1" * (t + 1) + b"0" * (255 - t) for t in range(n)]
     # masks[f][t] holds the upper points whose count in field f is at most
     # t; a column's bytes run from the last upper point to the first, so
     # int(..., 2) puts upper[b] at bit b
@@ -331,7 +329,7 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...
     for column in zip(*(keys.counts(keys.key(w)) for w in reversed(upper))):
         text, top = bytes(column), max(column)
         masks.append(
-            [int(text.translate(_AT_MOST[t]), 2) for t in range(top)]
+            [int(text.translate(at_most[t]), 2) for t in range(top)]
             + [full] * (n - top)
         )
     pick = list.__getitem__

@@ -82,15 +82,16 @@ def brute_records(diagram):
     the box right of a (or None); for one h only the clauses that read h
     are tested."""
     n = sum(diagram)
-    bit = {(x, y): 1 << (n * (x - 1) + y - 1) for x, y in product(range(1, n + 1), repeat=2)}
+    # one bit per ordered pair (x, y) of values
+    bit = {pair: 1 << k for k, pair in enumerate(product(range(1, n + 1), repeat=2))}
     arrangements = []
     for perm in permutations(range(1, n + 1)):
         rows, k = [], 0
         for length in diagram:
             rows.append(tuple(perm[k : k + length]))
             k += length
-        adjacent = sum(bit[row[i], row[i + 1]] for row in rows for i in range(len(row) - 1))
-        pos = {rows[r][c]: (r, c) for r in range(len(rows)) for c in range(len(rows[r]))}
+        adjacent = sum(bit[pair] for row in rows for pair in zip(row, row[1:]))
+        pos = {x: (r, c) for r, row in enumerate(rows) for c, x in enumerate(row)}
         candidates = []
         for a in range(1, n + 1):
             ra, ca = pos[a]
@@ -105,7 +106,7 @@ def brute_records(diagram):
         # the adjacencies x y that break row[i] <= h(row[i + 1])
         bad = sum(m for (x, y), m in bit.items() if x > h[y - 1])
         return {
-            rows: {(a, b) for a, b, right in candidates if right is None or b <= h[right - 1]}
+            rows: {(a, b) for a, b, r in candidates if r is None or b <= h[r - 1]}
             for rows, adjacent, candidates in arrangements
             if not adjacent & bad
         }
@@ -168,7 +169,9 @@ def _h1(subset):
     return max(j for j in range(1, max(subset) + 1) if set(range(1, j + 1)) <= subset)
 
 
-def bruhat_sweeps(points, classes, subsets, below, roll_below, simple_below, simple_below_roll):
+def bruhat_sweeps(
+    points, classes, subsets, below, roll_below, simple_below, simple_below_roll
+):
     """The 334 theorem's six Bruhat-order lemmas by plain loops over every
     pair (a, b) of points, reading the dense tables of ``relation_tables``:
     (name, witnesses) pairs, witnesses in loop order."""
