@@ -489,7 +489,8 @@ class RestrictionMatrix:
     nonzero entries are kept: bit b of ``nonzero[a]`` is set when entry
     (a, b) is nonzero, and ``coeffs[a]`` lists those entries' coefficients
     in column order.  Every entry of row a has degree l(rolldowns[a]).
-    ``values`` is the dense view, ``values[a][b]`` as an ``S1Value``.
+    ``dense_rows()`` yields the dense rows one at a time, and ``values`` is
+    the whole dense view, ``values[a][b]`` as an ``S1Value``.
     """
 
     points: tuple[Perm, ...]
@@ -522,17 +523,19 @@ class RestrictionMatrix:
         place = (mask & ((1 << b) - 1)).bit_count()
         return S1Value(self.coeffs[a][place], self._degrees[a])
 
-    @property
-    def values(self) -> tuple[tuple[S1Value, ...], ...]:
-        """The dense matrix, built anew on each access."""
+    def dense_rows(self) -> Iterator[tuple[S1Value, ...]]:
+        """The dense rows in order, each built when it is asked for."""
         size = len(self.points)
-        rows = []
         for mask, coeffs, degree in zip(self.nonzero, self.coeffs, self._degrees):
             row = [S1_ZERO] * size
             for b, c in zip(set_bits(mask), coeffs):
                 row[b] = S1Value(c, degree)
-            rows.append(tuple(row))
-        return tuple(rows)
+            yield tuple(row)
+
+    @property
+    def values(self) -> tuple[tuple[S1Value, ...], ...]:
+        """The dense matrix, built anew on each access."""
+        return tuple(self.dense_rows())
 
 
 def _down_closure(tops: Iterable[Perm]) -> frozenset[Perm]:

@@ -265,7 +265,7 @@ def cmd_matrix(args) -> int:
         items = zip(points, sigma_rows((table[v] for v in points), points))
         as_json, as_cell = _poly_json, repr
     else:
-        items = zip(points, restriction_matrix(points, table).values)
+        items = zip(points, restriction_matrix(points, table).dense_rows())
         as_json, as_cell = _s1_json, _fmt_s1
 
     def record(item) -> dict:

@@ -21,18 +21,27 @@ and ``omega`` turns such vectors into permutations bijectively.
 
 Since reading order lists each column bottom to top, columns left to right,
 "b below a in its column or in a column strictly left of a" says exactly
-that b comes before a in the reading word.  ``permissible_records`` uses
-this to yield every permissible filling with its reading word, dimension
-pairs and x from one backtracking pass, which places the boxes in reading
-order.
+that b comes before a in the reading word.  So when boxes are placed in
+reading order, the pairs of a value a are settled as soon as its cap is
+known: a's pairs are the values in (a, cap(a)] placed before a.  That is
+when a's right neighbor is placed, or when a is placed if it has none.
+``_PrefixState`` keeps, per depth, the mask of the values placed and the
+packed counts x; ``permissible_records`` carries it down one backtracking
+pass, and ``dimension_pairs`` walks it over one reading word.
+
+``omega(x)`` is the product of ``omega_word(x)``.  Its inverse, the rolldown
+of a point with top-part vector x, is multiplied out by ``_roll`` as n - 1
+slice rotations, with no word built.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .permutations import Perm, Word, from_word, inverse, validate
+from .permutations import Perm, Word, inverse, set_bits, validate
 
 __all__ = [
     "Diagram",
@@ -290,26 +299,91 @@ def _reading_layout(diagram: Diagram):
     return left, right, rows
 
 
-def _word_pairs(word: Perm, right: Sequence[int], h: Sequence[int]):
-    """Sorted dimension pairs and x of the filling read as ``word``.
+@functools.lru_cache(maxsize=None)
+def _packing(n: int):
+    """How x is packed for S_n: one field per top part, of the smallest
+    standard size that holds x_l <= n - 1.  Returns ``unit``, where adding
+    ``unit[b]`` counts one more pair with top part b, the packed byte length
+    and the unpacker giving (x_2, ..., x_n)."""
+    code = next(c for c in "BHIQ" if n <= 1 << 8 * struct.calcsize("<" + c))
+    size = struct.calcsize("<" + code)
+    unit = tuple(1 << 8 * size * b for b in range(n + 1))
+    return unit, (n + 1) * size, struct.Struct(f"<{2 * size}x{n - 1}{code}").unpack
 
-    (a, b) is a pair iff a < b <= cap(a) and b comes before a in the word,
-    where cap(a) is h of a's right neighbor, or n if a has none.
+
+class _PairSets(dict):
+    """Settled pair sets, keyed by ``mask | 1 << a``: a value a and the mask
+    of the values b that form a dimension pair (a, b), all above a.  Each
+    key maps to the pairs ((a, b) for b in the mask, ascending) and their
+    packed top-part counts, the sum of ``unit[b]``."""
+
+    def __init__(self, unit: tuple[int, ...]):
+        super().__init__()
+        self.unit = unit
+
+    def __missing__(self, key: int):
+        low = key & -key
+        tops = list(set_bits(key ^ low))
+        value = self[key] = (
+            tuple(zip(repeat(low.bit_length() - 1), tops)),
+            sum(map(self.unit.__getitem__, tops)),
+        )
+        return value
+
+
+class _PrefixState:
+    """The dimension pair rule for boxes placed in reading order.
+
+    ``place(k, val)`` puts ``val`` at reading position k, given the state
+    of positions 0..k-1: ``word[:k]``, ``seen[k]`` (the mask of values
+    placed, bit v for value v) and ``tops[k]`` (the packed top-part counts
+    of the pairs settled so far).  It writes ``word[k]``, ``seen[k + 1]``
+    and ``tops[k + 1]``, so a backtracking pass keeps one state per depth.
+
+    Placing a box settles the pairs of at most two values.  Its left
+    neighbor a now has cap h(val), and a's pairs are the values in
+    (a, h(val)] placed before a: ``seen[left] & (a, h(val)]``.  If the box
+    has no right neighbor, val's cap is n and its pairs are ``seen[k] &
+    (val, n]``.  ``pairs_of[a]`` holds a's pairs; once every box is placed,
+    ``pairs()`` and ``x()`` read the sorted pairs and x off the state.
     """
-    n = len(word)
-    pos = [0] * (n + 1)
-    for k, val in enumerate(word):
-        pos[val] = k
-    pairs = []
-    counts = [0] * (n + 1)
-    for a in range(1, n + 1):
-        k = pos[a]
-        r = right[k]
-        for b in range(a + 1, (h[word[r] - 1] if r >= 0 else n) + 1):
-            if pos[b] < k:
-                pairs.append((a, b))
-                counts[b] += 1
-    return tuple(pairs), tuple(counts[2:])
+
+    __slots__ = ("word", "seen", "tops", "pairs_of", "place", "_unpack", "_size")
+
+    def __init__(self, diagram: Diagram, h: Sequence[int]):
+        n = len(h)
+        left, right, _ = _reading_layout(diagram)
+        unit, self._size, self._unpack = _packing(n)
+        sets = _PairSets(unit)
+        capped = [0] + [(2 << c) - 1 for c in h]  # bits of the values <= h(v)
+        above = [~((2 << a) - 1) for a in range(n + 1)]  # bits of the values > a
+        word = self.word = [0] * n
+        seen = self.seen = [0] * (n + 1)
+        tops = self.tops = [0] * (n + 1)
+        pairs_of = self.pairs_of = [()] * (n + 1)
+
+        def place(k: int, val: int) -> None:
+            word[k] = val
+            s = seen[k]
+            t = tops[k]
+            lk = left[k]
+            if lk >= 0:
+                a = word[lk]
+                pairs_of[a], spread = sets[seen[lk] & capped[val] & above[a] | 1 << a]
+                t += spread
+            if right[k] < 0:
+                pairs_of[val], spread = sets[s & above[val] | 1 << val]
+                t += spread
+            seen[k + 1] = s | 1 << val
+            tops[k + 1] = t
+
+        self.place = place
+
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(chain.from_iterable(self.pairs_of))
+
+    def x(self) -> tuple[int, ...]:
+        return self._unpack(self.tops[-1].to_bytes(self._size, "little"))
 
 
 def permissible_records(
@@ -321,7 +395,12 @@ def permissible_records(
     The pass places boxes in reading order, so the reading word is the
     sequence of placed values, and a box's left neighbor (in the previous
     column) is already placed: each adjacency is checked once, as early as
-    possible.  The arguments are checked when this is called; the records
+    possible.  Each depth keeps the mask of the values still to try there
+    and its prefix state (``_PrefixState``): the mask of the values placed
+    before it and the packed x of the pairs settled so far.  Placing a box
+    settles the pairs of at most two values, each pair set looked up by
+    value and mask, so a record costs O(n) steps besides building its
+    output.  The arguments are checked when this is called; the records
     come lazily.
     """
     diagram = validate_diagram(diagram)
@@ -336,41 +415,40 @@ def _records(
     diagram: Diagram, h: tuple[int, ...]
 ) -> Iterator[PermissibleRecord]:
     n = len(h)
-    left, right, rows = _reading_layout(diagram)
-    # least[k] is the least v with h(v) >= k: v may sit right of k iff
-    # v >= least[k], since h is weakly increasing
-    least = [0] + [
-        next(v for v in range(1, n + 1) if h[v - 1] >= k) for k in range(1, n + 1)
+    left, _, rows = _reading_layout(diagram)
+    state = _PrefixState(diagram, h)
+    word, seen, place = state.word, state.seen, state.place
+    pairs, x = state.pairs, state.x
+    full = (2 << n) - 2  # bits of the values 1..n
+    # allowed[a]: the values v with a <= h(v), those that may sit right of a
+    allowed = [0] + [
+        sum(1 << v for v in range(1, n + 1) if h[v - 1] >= a) for a in range(1, n + 1)
     ]
-    # An explicit stack: start[k] is the next value to try at position k.
-    # Nested generators would pass every record up through n frames.
-    word = [0] * n
-    used = [False] * (n + 1)
-    start = [1] * n
+    # An explicit stack: free[k] holds the values still to try at position k,
+    # lowest first.  Nested generators would pass every record up through n
+    # frames.
+    free = [0] * n
+    free[0] = full
     last = n - 1
     k = 0
     while True:
-        val = start[k]
-        while val <= n and used[val]:
-            val += 1
-        if val > n:
+        c = free[k]
+        if not c:
             if k == 0:
                 return
             k -= 1
-            used[word[k]] = False
-            start[k] = word[k] + 1
             continue
-        word[k] = val
+        low = c & -c
+        free[k] = c ^ low
+        place(k, low.bit_length() - 1)
         if k == last:
-            start[k] = val + 1
             w = tuple(word)
-            pairs, x = _word_pairs(w, right, h)
-            filling = tuple(tuple(w[p] for p in row) for row in rows)
-            yield PermissibleRecord(filling, w, pairs, x)
+            filling = tuple([tuple([w[p] for p in row]) for row in rows])
+            yield PermissibleRecord(filling, w, pairs(), x())
             continue
-        used[val] = True
         k += 1
-        start[k] = least[word[left[k]]] if left[k] >= 0 else 1
+        lk = left[k]
+        free[k] = full ^ seen[k] if lk < 0 else (full ^ seen[k]) & allowed[word[lk]]
 
 
 def enumerate_permissible(diagram: Diagram, h: Sequence[int]) -> list[Filling]:
@@ -392,9 +470,10 @@ def dimension_pairs(filling: Filling, h: Sequence[int]) -> frozenset[tuple[int, 
     n = diagram_size(diagram)
     if len(h) != n:
         raise ValueError(f"h has length {len(h)}, filling has {n} boxes")
-    _, right, _ = _reading_layout(diagram)
-    pairs, _ = _word_pairs(validate(reading_word(filling)), right, h)
-    return frozenset(pairs)
+    state = _PrefixState(diagram, h)
+    for k, val in enumerate(validate(reading_word(filling))):
+        state.place(k, val)
+    return frozenset(state.pairs())
 
 
 def top_parts(pairs: frozenset[tuple[int, int]], n: int) -> tuple[int, ...]:
@@ -415,18 +494,44 @@ def top_parts(pairs: frozenset[tuple[int, int]], n: int) -> tuple[int, ...]:
     return x
 
 
+def _checked_x(x: Sequence[int]) -> tuple[int, ...]:
+    """``x`` as a tuple, raising ValueError unless 0 <= x_l <= l - 1."""
+    for l, xl in enumerate(x, start=2):
+        if not 0 <= xl <= l - 1:
+            raise ValueError(f"x_{l} = {xl} out of range 0..{l - 1}")
+    return tuple(x)
+
+
 def omega_word(x: Sequence[int]) -> Word:
     """The reduced word u_2 u_3 ... u_n with u_l = s_{l-1} s_{l-2} ... s_{l-x_l}.
 
     >>> omega_word((1, 2, 1, 0))
     (1, 2, 1, 3)
     """
-    word: list[int] = []
-    for l, xl in enumerate(x, start=2):
-        if not 0 <= xl <= l - 1:
-            raise ValueError(f"x_{l} = {xl} out of range 0..{l - 1}")
-        word.extend(range(l - 1, l - 1 - xl, -1))
-    return tuple(word)
+    return tuple(
+        letter
+        for l, xl in enumerate(_checked_x(x), start=2)
+        for letter in range(l - 1, l - 1 - xl, -1)
+    )
+
+
+def _roll(x: Sequence[int]) -> Perm:
+    """omega(x)^{-1}, multiplied out by slice rotations; x is not checked.
+
+    Reversed, the block u_l of ``omega_word(x)`` is s_{l-x_l} ... s_{l-1},
+    which moves the entry at position l - x_l to position l: it rotates
+    ``w[l - x_l - 1 : l]`` left by one.  The reversed word multiplies these
+    rotations out for l = n, ..., 2, so the result is
+    ``from_word(n, reversed(omega_word(x)))``, the rolldown of any fixed
+    point with top-part vector x.
+
+    >>> _roll((1, 2, 1, 0))
+    (4, 2, 1, 3, 5)
+    """
+    w = list(range(1, len(x) + 2))
+    for l in range(len(x) + 1, 1, -1):
+        w.insert(l - 1, w.pop(l - 1 - x[l - 2]))
+    return tuple(w)
 
 
 def omega(x: Sequence[int]) -> Perm:
@@ -435,8 +540,7 @@ def omega(x: Sequence[int]) -> Perm:
     >>> omega((1, 2, 1, 0))
     (3, 2, 4, 1, 5)
     """
-    n = len(x) + 1
-    return from_word(n, omega_word(x))
+    return inverse(_roll(_checked_x(x)))
 
 
 def omega_inverse(w: Perm) -> tuple[int, ...]:

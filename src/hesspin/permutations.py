@@ -157,11 +157,17 @@ def is_reduced_word(n: int, word: Sequence[int]) -> bool:
 def inversions(w: Perm) -> int:
     """The number of inversions of ``w``, which is its Coxeter length.
 
+    Each entry v adds the number of larger entries before it, one bit count
+    of the mask of the entries seen so far (bit u for entry u).
+
     >>> inversions((3, 2, 4, 1, 5))
     4
     """
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    seen = total = 0
+    for v in w:
+        total += (seen >> v).bit_count()
+        seen |= 1 << v
+    return total
 
 
 def descents(w: Perm) -> tuple[int, ...]:

@@ -4,7 +4,11 @@ The torus-fixed points carried by a (diagram, h) pair are the permutations
 ``w`` whose attached filling (reading word ``w^{-1}``) is permissible.  The
 rolldown of a fixed point collects the dimension pairs of its filling into
 the top-part vector x and returns ``omega(x)^{-1}``; its length equals the
-number of dimension pairs.
+number of dimension pairs.  ``fillings._roll`` is the one product of x
+vectors: it multiplies ``omega(x)^{-1}`` out as n - 1 slice rotations, with
+no word built, for ``rolldown``, ``rolldown_table`` and ``verify_pinball``
+(and, inverted, for ``omega``).  ``rolldown_word`` and ``rolldown_words``
+give the reversed omega word itself.
 
 ``verify_pinball`` checks the three success conditions of Betti poset
 pinball (Harada and Tymoczko, arXiv:1007.2750): rolldowns are pairwise
@@ -28,6 +32,7 @@ from typing import Sequence
 
 from .fillings import (
     Diagram,
+    _roll,
     dimension_pairs,
     diagram_size,
     filling_of_fixed_point,
@@ -43,7 +48,6 @@ from .permutations import (
     Perm,
     Word,
     bruhat_keys,
-    from_word,
     inverse,
     inversions,
     validate,
@@ -110,7 +114,8 @@ def rolldown(w: Perm, diagram: Diagram, h: Sequence[int]) -> Perm:
     >>> rolldown((4, 3, 2, 1, 5), (5,), (3, 3, 4, 5, 5))
     (4, 2, 1, 3, 5)
     """
-    return from_word(len(w), rolldown_word(w, diagram, h))
+    filling = _checked_filling(w, diagram, h)
+    return _roll(top_parts(dimension_pairs(filling, h), len(w)))
 
 
 def degree(w: Perm, diagram: Diagram, h: Sequence[int]) -> int:
@@ -135,10 +140,12 @@ def rolldown_words(diagram: Diagram, h: Sequence[int]) -> dict[Perm, Word]:
 
 def rolldown_table(diagram: Diagram, h: Sequence[int]) -> dict[Perm, Perm]:
     """Rolldowns of every fixed point, keyed in sorted fixed-point order."""
-    return {
-        w: from_word(len(w), word)
-        for w, word in rolldown_words(diagram, h).items()
-    }
+    return dict(
+        sorted(
+            (inverse(rec.word), _roll(rec.x))
+            for rec in permissible_records(diagram, h)
+        )
+    )
 
 
 def _betti(degrees) -> tuple[int, ...]:
@@ -209,7 +216,7 @@ def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
     found: list[tuple[Perm, Perm]] = []
     degrees: list[int] = []
     for rec in permissible_records(diagram, h):
-        found.append((inverse(rec.word), from_word(n, _word_of(rec.x))))
+        found.append((inverse(rec.word), _roll(rec.x)))
         degrees.append(len(rec.pairs))
     found.sort()
     rolls = tuple(found)

@@ -9,7 +9,14 @@ from itertools import combinations, permutations, product
 
 from hesspin.billey import Polynomial
 from hesspin.hess334 import FixedPointClass
-from hesspin.permutations import canonical_word, compose, identity, inversions, simple
+from hesspin.permutations import canonical_word, compose, identity, simple
+
+
+def brute_inversions(w):
+    """The number of pairs of positions i < j with w(i) > w(j), pair by pair."""
+    return sum(
+        1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
+    )
 
 
 def random_reduced_word(w, rng):
@@ -129,7 +136,7 @@ def bruhat_leq_oracle(v, w):
     a reduced word for w multiplies to v.  Practical only for small n."""
     b = canonical_word(w)
     n = len(w)
-    for pos in combinations(range(len(b)), inversions(v)):
+    for pos in combinations(range(len(b)), brute_inversions(v)):
         prod = identity(n)
         for j in pos:
             prod = compose(prod, simple(b[j], n))
@@ -250,7 +257,7 @@ def brute_subword_table(b, n):
             prod = identity(n)
             for j in pos:
                 prod = compose(prod, simple(b[j], n))
-            if inversions(prod) == k:
+            if brute_inversions(prod) == k:
                 table.setdefault(prod, []).append(pos)
     return table
 
@@ -266,7 +273,7 @@ def brute_root(b, j, n):
 def brute_sigma(v, w, b):
     """Billey's sum over plain position combinations, no pruning."""
     n = len(w)
-    target = inversions(v)
+    target = brute_inversions(v)
     total = Polynomial.zero(n)
     for pos in combinations(range(len(b)), target):
         prod = identity(n)

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from hesspin import cli
+from hesspin.billey import RestrictionMatrix
 from hesspin.cli import main
 
 PINNED = json.loads((Path(__file__).parent / "data" / "cli_sha256.json").read_text())
@@ -104,3 +105,21 @@ def test_full_torus_streams_rows(monkeypatch):
     assert len(produced) == 24
     # row k is written before row k + 1 is computed
     assert out.seen == list(range(1, 25))
+
+
+def test_matrix_streams_rows(monkeypatch):
+    produced = []
+    real = RestrictionMatrix.dense_rows
+
+    def watched(self):
+        for row in real(self):
+            produced.append(row)
+            yield row
+
+    monkeypatch.setattr(RestrictionMatrix, "dense_rows", watched)
+    out = _Watched(produced)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["matrix", "--n", "6", "--format", "json"]) == 0
+    assert len(produced) == 48
+    # row k is written before row k + 1 is built
+    assert out.seen == list(range(1, 49))

@@ -7,6 +7,7 @@ import pytest
 
 from hesspin import fillings
 from hesspin.fillings import (
+    _roll,
     column_lengths,
     diagram_size,
     dimension_pairs,
@@ -31,7 +32,7 @@ from hesspin.fillings import (
     validate_diagram,
     validate_hessenberg,
 )
-from hesspin.permutations import all_permutations, inversions
+from hesspin.permutations import all_permutations, from_word, inversions
 
 from oracles import (
     all_diagram_h,
@@ -202,8 +203,21 @@ class TestDimensionPairs:
 
 class TestPermissibleRecords:
     """Every record field against the definitions, on every (diagram, h)
-    with n <= 6 (1,836 pairs).  The oracles share no code with the
-    reading-word criterion of ``permissible_records``."""
+    with n <= 6 (1,836 pairs) and on a few with n = 7.  The oracles share no
+    code with the prefix state of ``permissible_records``."""
+
+    @staticmethod
+    def _assert_fields_match(diagram, h, brute, word_of, tops_of):
+        records = list(permissible_records(diagram, h))
+        words = [rec.word for rec in records]
+        assert words == sorted(set(words))
+        assert len(records) == len(brute)
+        assert {rec.filling for rec in records} == set(brute)
+        for rec in records:
+            assert rec.word == word_of(rec.filling)
+            pairs = brute[rec.filling]
+            assert rec.pairs == tuple(sorted(pairs)), (diagram, h, rec)
+            assert rec.x == tops_of(frozenset(pairs))
 
     @pytest.mark.parametrize(
         "n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
@@ -216,17 +230,15 @@ class TestPermissibleRecords:
         for diagram in all_diagrams(n):
             oracle = brute_records(diagram)
             for h in hs:
-                records = list(permissible_records(diagram, h))
-                words = [rec.word for rec in records]
-                assert words == sorted(set(words))
-                brute = oracle(h)
-                assert len(records) == len(brute)
-                assert {rec.filling for rec in records} == set(brute)
-                for rec in records:
-                    assert rec.word == word_of(rec.filling)
-                    pairs = brute[rec.filling]
-                    assert rec.pairs == tuple(sorted(pairs)), (diagram, h, rec)
-                    assert rec.x == tops_of(frozenset(pairs))
+                self._assert_fields_match(diagram, h, oracle(h), word_of, tops_of)
+
+    @pytest.mark.parametrize("diagram", [(7,), (4, 3), (3, 2, 2)])
+    def test_fields_match_oracles_at_7(self, diagram):
+        word_of = functools.cache(reading_word)
+        tops_of = functools.cache(lambda pairs: top_parts(pairs, 7))
+        oracle = brute_records(diagram)
+        for h in (hessenberg_full(7), hessenberg_334(7), hessenberg_peterson(7)):
+            self._assert_fields_match(diagram, h, oracle(h), word_of, tops_of)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_list_and_pair_functions_agree(self, n):
@@ -275,6 +287,11 @@ class TestOmega:
         for n in range(2, 6):
             for x in self._vectors(n):
                 assert inversions(omega(x)) == sum(x)
+
+    def test_roll_is_reversed_word_product(self):
+        for n in range(1, 8):
+            for x in self._vectors(n):
+                assert _roll(x) == from_word(n, tuple(reversed(omega_word(x))))
 
     def test_inversion_tops_characterize(self):
         for n in range(2, 6):

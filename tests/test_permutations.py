@@ -26,7 +26,12 @@ from hesspin.permutations import (
     validate,
 )
 
-from oracles import bruhat_leq_oracle, bruhat_leq_tableau, random_reduced_word
+from oracles import (
+    brute_inversions,
+    bruhat_leq_oracle,
+    bruhat_leq_tableau,
+    random_reduced_word,
+)
 
 
 @st.composite
@@ -117,6 +122,17 @@ class TestWords:
         word = random_reduced_word(w, random.Random(seed))
         assert len(word) == inversions(w)
         assert from_word(len(w), word) == w
+
+    def test_inversions_match_pairwise_count(self):
+        for n in range(1, 8):
+            for w in itertools.permutations(range(1, n + 1)):
+                assert inversions(w) == brute_inversions(w)
+        rng = random.Random(16)
+        for n in (16, 64):
+            for _ in range(50):
+                w = rng.sample(range(1, n + 1), n)
+                assert inversions(w) == brute_inversions(w)
+        assert inversions(tuple(range(64, 0, -1))) == 64 * 63 // 2
 
     def test_is_reduced_word(self):
         assert is_reduced_word(3, (1, 2, 1))

@@ -9,7 +9,7 @@ from hesspin.fillings import (
     hessenberg_full,
     hessenberg_identity,
     hessenberg_peterson,
-    omega_word,
+    omega,
 )
 from hesspin import hess334, pinball
 from hesspin.permutations import (
@@ -160,7 +160,7 @@ class TestVerifyPinball:
 
     def test_checks_catch_colliding_rolldowns(self, monkeypatch):
         # every rolldown the identity: all collide, lengths all 0
-        monkeypatch.setattr(pinball, "omega_word", lambda x: ())
+        monkeypatch.setattr(pinball, "_roll", lambda x: identity(len(x) + 1))
         report = verify_pinball((4,), hessenberg_334(4))
         assert not report.injective
         points = fixed_points((4,), hessenberg_334(4))
@@ -172,9 +172,9 @@ class TestVerifyPinball:
 
     def test_checks_catch_rolldowns_above(self, monkeypatch):
         # For the full flag the rolldown of w is w itself.  The unreversed
-        # omega word multiplies out to w^{-1} instead: still distinct and
-        # of the right lengths, but not below w unless w is an involution.
-        monkeypatch.setattr(pinball, "_word_of", omega_word)
+        # product omega(x) is w^{-1} instead: still distinct and of the
+        # right lengths, but not below w unless w is an involution.
+        monkeypatch.setattr(pinball, "_roll", omega)
         report = verify_pinball((4,), hessenberg_full(4))
         assert report.injective
         assert report.betti_matched
