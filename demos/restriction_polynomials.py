@@ -11,7 +11,7 @@ from hesspin import (
     check_upper_triangular,
     hessenberg_334,
     p_restriction,
-    p_summands,
+    p_summand_counts,
     project_s1,
     restriction_matrix,
     rolldown_table,
@@ -33,13 +33,14 @@ for v, w in [
 print(f"\nsigma_(2,1,3,4)((1, 3, 2, 4)) = {sigma_restriction((2, 1, 3, 4), (1, 3, 2, 4))}")
 
 # project_s1 sends t_i to (n+1-i)t; p_restriction composes the two
-# steps.  The summands partition the projected value by subword.
+# steps.  The summands partition the projected value by subword;
+# p_summand_counts maps each distinct summand to its number of subwords.
 v, w = (2, 1, 4, 3), (4, 3, 2, 1)
 full = sigma_restriction(v, w)
 print(f"\nsigma_{v}({w}) = {full}")
 print(f"projected: {project_s1(full)}")
 print(f"p_restriction agrees: {p_restriction(v, w)}")
-print(f"summands: {p_summands(v, w)}")
+print(f"summands: {p_summand_counts(v, w)}")
 
 # Stacking p_v(w) over every fixed point v, w of the 334 family gives a
 # matrix that is upper triangular against Bruhat order: nonzero on the

@@ -1,9 +1,10 @@
 """Exact combinatorics of regular nilpotent Hessenberg varieties.
 
 Permutations and reduced words, permissible fillings with their dimension
-pairs, poset pinball rolldowns, equivariant restrictions computed over
-reduced subwords, and an exhaustive verification that the rolldown classes
-of the 334 family form a module basis.  All arithmetic is exact.
+pairs, poset pinball rolldowns, equivariant restrictions by Billey's
+formula (one recurrence over a reduced word, no subword enumeration), and
+an exhaustive verification that the rolldown classes of the 334 family
+form a module basis.  All arithmetic is exact.
 """
 
 from .billey import (
@@ -13,7 +14,7 @@ from .billey import (
     S1Value,
     check_upper_triangular,
     p_restriction,
-    p_summands,
+    p_summand_counts,
     project_s1,
     restriction_matrix,
     sigma_restriction,

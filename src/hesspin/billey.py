@@ -18,25 +18,24 @@ S1Value(coeff=2, degree=1)
 The projection sends t_i to (n + 1 - i) t, the weight ladder of the circle
 inside the diagonal torus; a root t_l - t_k lands on (k - l) t.
 
-Neither restriction enumerates subwords.  ``sigma_restriction`` makes one
-backward pass over b from v down to the identity, carrying polynomials as
-maps from packed monomials to coefficients; ``sigma_rows`` runs that pass
-for a whole table, deriving and checking each column's word once.
-``restriction_matrix`` fills each column from one prefix recurrence over
-the column's word, keeping only partial products inside the Bruhat
-down-closure of the rows (``_down_closure``, built once from descending
-covers and numbered, so a step is a list lookup).  It stores each row
-sparsely, as a bitmask of its nonzero columns and their coefficients, and
+Nothing here enumerates subwords: each job has one recurrence over b.
+``sigma_restriction`` makes one backward pass over b from v down to the
+identity, carrying polynomials as maps from packed monomials to
+coefficients; ``sigma_rows`` runs that pass for a whole table, deriving
+and checking each column's word once.  ``restriction_matrix`` fills each
+column from one prefix recurrence over the column's word, keeping only
+partial products inside the Bruhat down-closure of the rows
+(``_down_closure``, built once from descending covers and numbered, so a
+step is a list lookup).  It stores each row sparsely, as a bitmask of
+its nonzero columns and their coefficients, and
 ``check_upper_triangular`` reads violations off those masks against the
-row masks of ``permutations.bruhat_table``.  Neither restriction consults
-Bruhat keys, so checking their vanishing against Bruhat order is not a
-tautology.
+row masks of ``permutations.bruhat_table``.  Neither restriction
+consults Bruhat keys, so checking their vanishing against Bruhat order
+is not a tautology.
 
-``p_summand_counts`` runs the same prefix recurrence over one column, for
-one row v, pruned by Bruhat keys and by the letters left, and counts how
-many subwords give each summand; ``p_restriction`` sums those summands.
-The subword walk ``reduced_subword_positions`` serves only ``p_summands``,
-which reports one summand per subword in subword order.
+``p_summand_counts`` runs the matrix's prefix recurrence over one column,
+for one row v, pruned by Bruhat keys and by the letters left, and counts
+how many subwords give each summand; ``p_restriction`` sums that multiset.
 """
 
 from __future__ import annotations
@@ -62,13 +61,11 @@ __all__ = [
     "S1Value",
     "S1_ZERO",
     "roots_along_word",
-    "reduced_subword_positions",
     "sigma_restriction",
     "sigma_rows",
     "project_s1",
     "p_restriction",
     "p_summand_counts",
-    "p_summands",
     "RestrictionMatrix",
     "restriction_matrix",
     "TriangularReport",
@@ -245,43 +242,6 @@ def roots_along_word(b: Word, n: int) -> tuple[Root, ...]:
     return tuple(roots)
 
 
-def reduced_subword_positions(b: Word, v: Perm) -> list[tuple[int, ...]]:
-    """0-indexed position tuples of subwords of b multiplying to v reducedly.
-
-    Since the subwords have exactly l(v) letters, every partial product must
-    gain length letter by letter and stay below v in Bruhat order; both facts
-    prune the search.  The partial product's Bruhat key is carried along, so
-    each step updates it and tests it against v's key in O(1).
-    """
-    n = len(v)
-    keys = bruhat_keys(n)
-    top = keys.key(v)
-    target = inversions(v)
-    m = len(b)
-    out: list[tuple[int, ...]] = []
-    taken: list[int] = []
-
-    def walk(j: int, u: tuple[int, ...], key: int) -> None:
-        if len(taken) == target:
-            if u == v:
-                out.append(tuple(taken))
-            return
-        if m - j < target - len(taken):
-            return
-        i = b[j]
-        if u[i - 1] < u[i]:
-            key2 = keys.lift(key, u, i)
-            if keys.leq(key2, top):
-                taken.append(j)
-                walk(j + 1, u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :], key2)
-                taken.pop()
-        walk(j + 1, u, key)
-
-    start = identity(n)
-    walk(0, start, keys.key(start))
-    return out
-
-
 def _checked_word(w: Perm, word: Optional[Sequence[int]]) -> Word:
     n = len(w)
     b = tuple(word) if word is not None else canonical_word(w)
@@ -405,10 +365,10 @@ def p_summand_counts(
 ) -> dict[S1Value, int]:
     """The projected summands of the restriction as a multiset.
 
-    Maps each summand to the number of reduced subwords giving it, in
-    ascending order of coefficient: the multiset of ``p_summands``,
-    counted by one prefix recurrence over the word instead of a walk over
-    the subwords.
+    Maps each summand, the projected root product of one reduced subword
+    of the word multiplying to v, to the number of subwords giving it, in
+    ascending order of coefficient.  The subwords are counted by one
+    prefix recurrence over the word, not enumerated.
 
     After letters b_1..b_j each state u, a partial product of a reduced
     subword, maps to the {weight: count} multiset of the subwords reaching
@@ -453,27 +413,6 @@ def p_summand_counts(
                         out[c * weight] = out.get(c * weight, 0) + count
     counts = levels[target].get(v, {})
     return {S1Value(c, target): counts[c] for c in sorted(counts)}
-
-
-def p_summands(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) -> tuple[S1Value, ...]:
-    """The projected summands of the restriction, one per reduced subword.
-
-    Order follows the lexicographic order of the subword position tuples,
-    which the subword walk ``reduced_subword_positions`` enumerates.
-    """
-    if len(v) != len(w):
-        raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
-    n = len(w)
-    b = _checked_word(w, word)
-    weights = [r.s1() for r in roots_along_word(b, n)]
-    target = inversions(v)
-    out = []
-    for positions in reduced_subword_positions(b, v):
-        prod = 1
-        for j in positions:
-            prod *= weights[j]
-        out.append(S1Value(prod, target))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

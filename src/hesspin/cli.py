@@ -102,8 +102,6 @@ def _poly_json(p) -> list[dict]:
 def _jsonable(obj):
     if isinstance(obj, S1Value):
         return _s1_json(obj)
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     if isinstance(obj, (tuple, list)):
         return [_jsonable(x) for x in obj]
     return obj

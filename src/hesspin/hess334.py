@@ -23,10 +23,11 @@ and the circle-projected restriction of the rolldown class at its own
 fixed point.  ``verify_334_theorem`` recomputes all of them from the
 dimension-pair definitions, builds the full restriction matrix, and checks
 the poset upper triangularity that makes the rolldown classes a module
-basis, together with the supporting Bruhat-order lemmas.  It classifies
-each point once and hands the class, subset, its runs, catalog word and
-closed-form rolldown to the checks through private helpers; the public
-per-point functions derive the same facts, validating their point first.
+basis, together with the supporting Bruhat-order lemmas.  One private
+record per point holds its class, subset, runs, catalog word and
+closed-form rolldown, built by one constructor that validates the point
+through ``classify``; the theorem builds it once per point, and the public
+per-point functions build it for their one point.
 The Bruhat-order lemmas read the relation as bitmasks over the points
 (``permutations.bruhat_table``) and compare it with masks built once per
 run: one per class, one per j of the points whose subset holds j, one per
@@ -45,7 +46,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .billey import (
     S1_ZERO,
@@ -123,25 +124,16 @@ def fixed_points_334(n: int) -> tuple[Perm, ...]:
 
 def is_334_fixed_point(w: Perm) -> bool:
     """Whether the filling of w (its inverse) is 334-permissible; n >= 4."""
-    w = validate(w)
-    if len(w) < 4:
-        raise ValueError(f"334-type fixed points need n >= 4, got n = {len(w)}")
-    return is_permissible((inverse(w),), hessenberg_334(len(w)))
+    return _fixed_point_error(validate(w)) is None
 
 
-def _require_fixed_point(w: Perm) -> Perm:
-    w = validate(w)
+def _fixed_point_error(w: Perm) -> Optional[str]:
+    # why the permutation w is not a 334-type fixed point, or None if it is
     n = len(w)
     if n < 4:
         raise ValueError(f"334-type fixed points need n >= 4, got n = {n}")
-    filling = (inverse(w),)
-    h = hessenberg_334(n)
-    if not is_permissible(filling, h):
-        raise ValueError(
-            f"{w} is not a 334-type fixed point: "
-            + permissibility_error(filling, h)
-        )
-    return w
+    filling, h = (inverse(w),), hessenberg_334(n)
+    return None if is_permissible(filling, h) else permissibility_error(filling, h)
 
 
 def has_321_string(w: Perm) -> bool:
@@ -175,10 +167,10 @@ def classify(w: Perm) -> FixedPointClass:
     Peterson type (split by the 321 string), otherwise the position of the
     adjacency separates 312-type from 231-type.
     """
-    return _classify(_require_fixed_point(w))
-
-
-def _classify(w: Perm) -> FixedPointClass:
+    w = validate(w)
+    error = _fixed_point_error(w)
+    if error is not None:
+        raise ValueError(f"{w} is not a 334-type fixed point: {error}")
     f = inverse(w)
     n = len(f)
     cut = next(
@@ -217,12 +209,6 @@ def _classify(w: Perm) -> FixedPointClass:
     return FixedPointClass.TYPE_312
 
 
-def _peterson_subset(w: Perm) -> frozenset[int]:
-    return frozenset(
-        i + 1 for i in range(len(w) - 1) if w[i] == w[i + 1] + 1
-    )
-
-
 def associated_subset(w: Perm) -> frozenset[int]:
     """The associated subset of {1, ..., n-1} attached to a fixed point.
 
@@ -230,25 +216,7 @@ def associated_subset(w: Perm) -> frozenset[int]:
     swap their leading pair (w s_1), and 231-type points shuffle the 1
     back with w s_2 s_3 ... s_{a_2}, landing on a Peterson point each time.
     """
-    return _facts(w)[2]
-
-
-def _facts(w: Perm) -> tuple[Perm, FixedPointClass, frozenset[int]]:
-    # a validated fixed point with its class and associated subset
-    w = _require_fixed_point(w)
-    cls = _classify(w)
-    return w, cls, _associated_subset(w, cls)
-
-
-def _associated_subset(w: Perm, cls: FixedPointClass) -> frozenset[int]:
-    cur = list(w)
-    if cls is FixedPointClass.TYPE_312:
-        cur[0], cur[1] = cur[1], cur[0]
-    elif cls is FixedPointClass.TYPE_231:
-        a2 = w[0] - 1
-        for i in range(2, a2 + 1):
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    return _peterson_subset(tuple(cur))
+    return _point(w).subset
 
 
 # maximal consecutive runs [a, b] of a subset, ascending; for every class
@@ -352,6 +320,34 @@ def type_231_fixed_point(subset, n: int) -> Perm:
 # Catalog words, rolldowns and restrictions in closed form
 
 
+class _Point(NamedTuple):
+    """A 334-type fixed point with every fact the checks read about it."""
+
+    w: Perm
+    cls: FixedPointClass
+    subset: frozenset[int]
+    runs: Runs
+    word: Word  # the catalog reduced word
+    roll: Perm  # the rolldown, from the class closed form
+
+
+def _point(w: Perm) -> _Point:
+    # the one place a point's facts are derived; classify validates w
+    cls = classify(w)
+    w = tuple(w)
+    # the associated subset: move to a Peterson point, read its descents by one
+    cur = list(w)
+    if cls is FixedPointClass.TYPE_312:
+        cur[0], cur[1] = cur[1], cur[0]
+    elif cls is FixedPointClass.TYPE_231:
+        for i in range(2, w[0]):
+            cur[i - 1], cur[i] = cur[i], cur[i - 1]
+    subset = frozenset(i for i in range(1, len(cur)) if cur[i - 1] == cur[i] + 1)
+    runs = consecutive_substrings(subset)
+    roll = from_word(len(w), _rolldown_word(cls, subset))
+    return _Point(w, cls, subset, runs, _catalog_word(w, cls, runs), roll)
+
+
 def _block_word(a: int, b: int) -> list[int]:
     # s_a (s_{a+1} s_a) ... (s_b ... s_a), the standard word for w_{[a, b]}
     word: list[int] = []
@@ -361,7 +357,7 @@ def _block_word(a: int, b: int) -> list[int]:
 
 
 def catalog_reduced_word(w: Perm) -> Word:
-    """The class-specific reduced word used for subword enumeration.
+    """The class-specific reduced word the restriction recurrences run over.
 
     Peterson points take the standard staircase word per run.  The 312
     (respectively 231) points replace the leading run's word by the same
@@ -375,8 +371,7 @@ def catalog_reduced_word(w: Perm) -> Word:
     >>> catalog_reduced_word((4, 1, 3, 2, 7, 6, 5))
     (2, 3, 2, 1, 5, 6, 5)
     """
-    w, cls, subset = _facts(w)
-    return _catalog_word(w, cls, consecutive_substrings(subset))
+    return _point(w).word
 
 
 def _catalog_word(w: Perm, cls: FixedPointClass, runs: Runs) -> Word:
@@ -405,7 +400,8 @@ def _catalog_word(w: Perm, cls: FixedPointClass, runs: Runs) -> Word:
 
 def rolldown_closed_form_word(w: Perm) -> Word:
     """The class closed form: descending s_j for j in A, class-specific tail."""
-    return _rolldown_word(*_facts(w)[1:])
+    p = _point(w)
+    return _rolldown_word(p.cls, p.subset)
 
 
 def _rolldown_word(cls: FixedPointClass, subset: frozenset[int]) -> Word:
@@ -426,7 +422,7 @@ def rolldown_closed_form(w: Perm) -> Perm:
     >>> rolldown_closed_form((5, 4, 3, 2, 1, 8, 7, 6))
     (5, 2, 1, 3, 4, 8, 6, 7)
     """
-    return from_word(len(w), rolldown_closed_form_word(w))
+    return _point(w).roll
 
 
 def closed_form_restriction(w: Perm) -> S1Value:
@@ -444,19 +440,18 @@ def closed_form_restriction(w: Perm) -> S1Value:
     >>> closed_form_restriction((5, 4, 3, 2, 1, 8, 7, 6))
     S1Value(coeff=144, degree=7)
     """
-    _, cls, subset = _facts(w)
-    return _closed_form(cls, consecutive_substrings(subset))
+    return _closed_form(_point(w))
 
 
-def _closed_form(cls: FixedPointClass, runs: Runs) -> S1Value:
+def _closed_form(p: _Point) -> S1Value:
     # prod (i - T(i) + 1) over a run [a, b] is (b - a + 1)!, and for TYPE_231
     # the leading run [1, H1] gives H1 * (H1 - 1)! = H1!
-    size = sum(b - a + 1 for a, b in runs)
-    coeff = math.prod(math.factorial(b - a + 1) for a, b in runs)
-    if cls in (FixedPointClass.PETERSON_NO_321, FixedPointClass.TYPE_231):
+    size = sum(b - a + 1 for a, b in p.runs)
+    coeff = math.prod(math.factorial(b - a + 1) for a, b in p.runs)
+    if p.cls in (FixedPointClass.PETERSON_NO_321, FixedPointClass.TYPE_231):
         return S1Value(coeff, size)
-    coeff *= runs[0][1] - 1
-    degree = size + 1 if cls is FixedPointClass.PETERSON_321 else size
+    coeff *= p.runs[0][1] - 1
+    degree = size + 1 if p.cls is FixedPointClass.PETERSON_321 else size
     return S1Value(coeff, degree)
 
 
@@ -508,26 +503,21 @@ def summand_census(w: Perm) -> SummandCensus:
     of the catalog word are counted by one prefix recurrence over it
     (``billey.p_summand_counts``), not enumerated subword by subword.
     """
-    w, cls, subset = _facts(w)
-    runs = consecutive_substrings(subset)
-    roll = from_word(len(w), _rolldown_word(cls, subset))
-    return _census(w, cls, runs, _catalog_word(w, cls, runs), roll)
+    return _census(_point(w))
 
 
-def _census(
-    w: Perm, cls: FixedPointClass, runs: Runs, word: Word, roll: Perm
-) -> SummandCensus:
-    counts = p_summand_counts(roll, w, word)
-    if cls in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_312):
-        expected = runs[0][1] - 1
+def _census(p: _Point) -> SummandCensus:
+    counts = p_summand_counts(p.roll, p.w, p.word)
+    if p.cls in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_312):
+        expected = p.runs[0][1] - 1
     else:
         expected = 1
     return SummandCensus(
-        point=w,
-        cls=cls,
+        point=p.w,
+        cls=p.cls,
         summands=tuple(s for s, count in counts.items() for _ in range(count)),
         expected_count=expected,
-        closed_form=_closed_form(cls, runs),
+        closed_form=_closed_form(p),
     )
 
 
@@ -556,22 +546,18 @@ def simple_summand_census(w: Perm) -> tuple[SimpleSummandRow, ...]:
     every summand equals (i - T(i) + 1) t, except on a 231-type leading
     run where i = 1 gives H1 t and 2 <= i <= H1 gives (i - 1) t.
     """
-    w, cls, subset = _facts(w)
-    runs = consecutive_substrings(subset)
-    return _simple_rows(w, cls, runs, _catalog_word(w, cls, runs))
+    return _simple_rows(_point(w))
 
 
-def _simple_rows(
-    w: Perm, cls: FixedPointClass, runs: Runs, word: Word
-) -> tuple[SimpleSummandRow, ...]:
-    weights = [r.s1() for r in roots_along_word(word, len(w))]
+def _simple_rows(p: _Point) -> tuple[SimpleSummandRow, ...]:
+    weights = [r.s1() for r in roots_along_word(p.word, len(p.w))]
     # T(i) for each i of the subset
-    tails = {i: a for a, b in runs for i in range(a, b + 1)}
-    h1 = runs[0][1] if cls is FixedPointClass.TYPE_231 else 0
+    tails = {i: a for a, b in p.runs for i in range(a, b + 1)}
+    h1 = p.runs[0][1] if p.cls is FixedPointClass.TYPE_231 else 0
     rows = []
-    for i in range(1, len(w)):
+    for i in range(1, len(p.w)):
         sums = tuple(
-            weight for letter, weight in zip(word, weights) if letter == i
+            weight for letter, weight in zip(p.word, weights) if letter == i
         )
         if i not in tails:
             expected = None
@@ -627,17 +613,10 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     h = hessenberg_334(n)
     diagram = single_row(n)
     pin = verify_pinball(diagram, h)
-    points = tuple(w for w, _ in pin.rolldowns)
+    # each point's facts, derived once; every check below reads them
+    facts = [_point(w) for w, _ in pin.rolldowns]
+    points = tuple(p.w for p in facts)
     rolls = tuple(r for _, r in pin.rolldowns)
-    # each point's facts, derived once: classify validates the point, and
-    # the checks below read these instead of re-deriving them
-    classes = tuple(classify(w) for w in points)
-    subsets = [_associated_subset(w, cls) for w, cls in zip(points, classes)]
-    runs = [consecutive_substrings(s) for s in subsets]
-    words = [_catalog_word(*facts) for facts in zip(points, classes, runs)]
-    closed_rolls = [
-        from_word(n, _rolldown_word(cls, s)) for cls, s in zip(classes, subsets)
-    ]
 
     structural: list[CheckResult] = []
 
@@ -648,25 +627,25 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     add(
         "rolldown-closed-form",
         (
-            (w, roll, closed)
-            for w, roll, closed in zip(points, rolls, closed_rolls)
-            if roll != closed
+            (p.w, roll, p.roll)
+            for p, roll in zip(facts, rolls)
+            if roll != p.roll
         ),
     )
 
     prefix_fails = []
-    for w, roll, cls, r in zip(points, rolls, classes, runs):
-        if cls is FixedPointClass.PETERSON_NO_321:
+    for p, roll in zip(facts, rolls):
+        if p.cls is FixedPointClass.PETERSON_NO_321:
             continue
-        a2 = r[0][1]
-        if cls is FixedPointClass.PETERSON_321:
+        a2 = p.runs[0][1]
+        if p.cls is FixedPointClass.PETERSON_321:
             expect = (a2 + 1, 2, 1) + tuple(range(3, a2 + 1))
-        elif cls is FixedPointClass.TYPE_312:
+        elif p.cls is FixedPointClass.TYPE_312:
             expect = (2, a2 + 1, 1) + tuple(range(3, a2 + 1))
         else:
             expect = (a2 + 1, 1, 2) + tuple(range(3, a2 + 1))
         if roll[: a2 + 1] != expect:
-            prefix_fails.append((w, roll, expect))
+            prefix_fails.append((p.w, roll, expect))
     add("rolldown-one-line-prefix", prefix_fails)
 
     # Every Bruhat relation the checks read, as bitmasks over the points
@@ -681,7 +660,7 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     )
 
     matrix = restriction_matrix(
-        points, dict(pin.rolldowns), words=dict(zip(points, words))
+        points, dict(pin.rolldowns), words={p.w: p.word for p in facts}
     )
     tri = check_upper_triangular(matrix, below)
     structural.append(
@@ -692,29 +671,24 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     )
 
     diagonal_fails = []
-    for w, cls, r in zip(points, classes, runs):
-        value, expect = matrix.entry(w, w), _closed_form(cls, r)
+    for p in facts:
+        value, expect = matrix.entry(p.w, p.w), _closed_form(p)
         if value != expect:
-            diagonal_fails.append((w, value, expect))
+            diagonal_fails.append((p.w, value, expect))
     add("closed-form-diagonal", diagonal_fails)
 
+    classes = tuple(p.cls for p in facts)
+    subsets = [p.subset for p in facts]
     for name, failures in _bruhat_sweeps(points, classes, subsets, *tables):
         add(name, failures)
 
-    add(
-        "summand-census",
-        (
-            w
-            for w, cls, r, word, roll in zip(points, classes, runs, words, closed_rolls)
-            if not _census(w, cls, r, word, roll).passed
-        ),
-    )
+    add("summand-census", (p.w for p in facts if not _census(p).passed))
     add(
         "simple-summand-values",
         (
-            (w, row.index)
-            for w, cls, r, word in zip(points, classes, runs, words)
-            for row in _simple_rows(w, cls, r, word)
+            (p.w, row.index)
+            for p in facts
+            for row in _simple_rows(p)
             if not row.passed
         ),
     )

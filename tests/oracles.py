@@ -5,6 +5,7 @@ enumeration, sharing as little code as possible with the library paths it
 checks.  Slow on purpose; tests pick sizes accordingly.
 """
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
 from hesspin.billey import Polynomial
@@ -247,12 +248,13 @@ def bruhat_sweeps(
     return tuple(out)
 
 
-def brute_subword_table(b, n):
+def brute_subword_table(b, n, sizes=None):
     """Map each v in S_n to the position tuples of the l(v)-letter subwords
     of b multiplying to v, in lexicographic order, by multiplying out every
-    combination of positions."""
+    combination of positions; only combinations of the given ``sizes``
+    when those are given."""
     table = {}
-    for k in range(len(b) + 1):
+    for k in range(len(b) + 1) if sizes is None else sizes:
         for pos in combinations(range(len(b)), k):
             prod = identity(n)
             for j in pos:
@@ -268,6 +270,26 @@ def brute_root(b, j, n):
     for letter in b[:j]:
         p = compose(p, simple(letter, n))
     return p[b[j] - 1], p[b[j]]
+
+
+def brute_summand_table(b, n, sizes=None):
+    """Map each v in S_n reached by ``brute_subword_table`` to the Counter
+    of (coeff, l(v)) over its subwords: each subword's roots from
+    ``brute_root``, substituted t_i -> (n + 1 - i) t and multiplied."""
+    weights = []
+    for j in range(len(b)):
+        lo, hi = brute_root(b, j, n)
+        weights.append((n + 1 - lo) - (n + 1 - hi))
+    table = {}
+    for v, subwords in brute_subword_table(b, n, sizes).items():
+        counts = Counter()
+        for pos in subwords:
+            coeff = 1
+            for j in pos:
+                coeff *= weights[j]
+            counts[coeff, len(pos)] += 1
+        table[v] = counts
+    return table
 
 
 def brute_sigma(v, w, b):

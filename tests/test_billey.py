@@ -1,8 +1,7 @@
-"""Restrictions over reduced subwords and the circle projection."""
+"""Restrictions by Billey's formula and the circle projection."""
 
 import functools
 import random
-from collections import Counter
 
 import pytest
 
@@ -16,9 +15,7 @@ from hesspin.billey import (
     check_upper_triangular,
     p_restriction,
     p_summand_counts,
-    p_summands,
     project_s1,
-    reduced_subword_positions,
     restriction_matrix,
     roots_along_word,
     sigma_restriction,
@@ -41,7 +38,7 @@ from oracles import (
     all_hessenberg,
     brute_project,
     brute_sigma,
-    brute_subword_table,
+    brute_summand_table,
     bruhat_leq_tableau,
     gkm_edges,
     gkm_violations,
@@ -93,32 +90,6 @@ class TestRoots:
 
     def test_s1_weights(self):
         assert Root(1, 4).s1() == 3
-
-
-class TestSubwords:
-    def test_identity_has_empty_subword(self):
-        assert reduced_subword_positions((1, 2, 1), (1, 2, 3)) == [()]
-
-    def test_full_word(self):
-        w0 = (3, 2, 1)
-        assert reduced_subword_positions((1, 2, 1), w0) == [(0, 1, 2)]
-
-    def test_repeated_letter_gives_two_subwords(self):
-        positions = reduced_subword_positions((1, 2, 1), (2, 1, 3))
-        assert positions == [(0,), (2,)]
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_matches_brute_force_on_random_words(self, n):
-        # the walk prunes on an incrementally updated Bruhat key; a wrong
-        # update would silently drop subwords
-        rng = random.Random(4000 + n)
-        perms = all_permutations(n)
-        targets = [tuple(range(n, 0, -1))] + rng.sample(perms, min(3, len(perms)))
-        for w in targets:
-            b = random_reduced_word(w, rng)
-            table = brute_subword_table(b, n)
-            for v in perms:
-                assert reduced_subword_positions(b, v) == table.get(v, []), (b, v)
 
 
 class TestSigma:
@@ -189,8 +160,8 @@ class TestSigma:
         assert sigma_restriction(w0, w0) == expected
         assert max(e for exps in expected.terms for e in exps) == n - 1
 
-    def test_makes_no_subword_walk(self, monkeypatch):
-        # no subword walk, Polynomial product, root tuple or Bruhat comparison
+    def test_takes_only_the_backward_pass(self, monkeypatch):
+        # no Polynomial product, root tuple or Bruhat comparison
         cases = [
             ((2, 1, 3, 4), (4, 3, 2, 1)),
             ((3, 1, 2, 4), (3, 4, 1, 2)),
@@ -201,7 +172,7 @@ class TestSigma:
         def refuse(*args, **kwargs):
             raise AssertionError("sigma_restriction took a refused path")
 
-        refused = ["reduced_subword_positions", "roots_along_word", "bruhat_keys", "bruhat_table"]
+        refused = ["roots_along_word", "bruhat_keys", "bruhat_table"]
         for name in refused:
             monkeypatch.setattr(billey, name, refuse)
         monkeypatch.setattr(Polynomial, "__mul__", refuse)
@@ -339,20 +310,25 @@ class TestSummands:
     def test_sum_matches_restriction(self):
         for v in all_permutations(4):
             for w in all_permutations(4):
-                parts = p_summands(v, w)
-                total = sum(s.coeff for s in parts)
+                counts = p_summand_counts(v, w)
+                total = sum(s.coeff * k for s, k in counts.items())
                 assert p_restriction(v, w).coeff == total
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_counts_are_the_walk_multiset(self, n):
+    def test_counts_match_brute_force(self, n):
+        # against multisets from plain position combinations, no Bruhat keys
         rng = random.Random(7100 + n)
         perms = all_permutations(n)
+        nonzero = 0
         for w in perms:
             for b in (canonical_word(w), random_reduced_word(w, rng)):
+                table = brute_summand_table(b, n)
                 for v in perms:
                     counts = p_summand_counts(v, w, b)
-                    assert counts == Counter(p_summands(v, w, b)), (v, w, b)
+                    assert counts == table.get(v, {}), (v, w, b)
                     assert list(counts) == sorted(counts), (v, w, b)
+                    nonzero += bool(counts)
+        assert nonzero == 2 * sum(bruhat_leq(v, w) for v in perms for w in perms)
 
     def test_restriction_matches_oracle_s4(self):
         perms = all_permutations(4)
