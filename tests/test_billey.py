@@ -92,6 +92,34 @@ class TestRoots:
         assert Root(1, 4).s1() == 3
 
 
+class TestSubwords:
+    # p_summand_counts counts the reduced subwords of b reaching v by their
+    # projected root products; on b = 121 the roots are t1 - t2, t1 - t3 and
+    # t2 - t3, of weights 1, 2 and 1
+    def test_identity_has_empty_subword(self):
+        assert p_summand_counts((1, 2, 3), (3, 2, 1), (1, 2, 1)) == {S1Value(1, 0): 1}
+
+    def test_full_word(self):
+        assert p_summand_counts((3, 2, 1), (3, 2, 1), (1, 2, 1)) == {S1Value(2, 3): 1}
+
+    def test_repeated_letter_gives_two_subwords(self):
+        # positions 0 and 2
+        assert p_summand_counts((2, 1, 3), (3, 2, 1), (1, 2, 1)) == {S1Value(1, 1): 2}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_brute_force_on_random_words(self, n):
+        # the recurrence prunes on an incrementally lifted Bruhat key; a wrong
+        # lift would silently drop subwords
+        rng = random.Random(4000 + n)
+        perms = all_permutations(n)
+        targets = [tuple(range(n, 0, -1))] + rng.sample(perms, min(3, len(perms)))
+        for w in targets:
+            b = random_reduced_word(w, rng)
+            table = brute_summand_table(b, n)
+            for v in perms:
+                assert p_summand_counts(v, w, b) == table.get(v, {}), (b, v)
+
+
 class TestSigma:
     def test_identity_class(self):
         for w in all_permutations(3):
