@@ -21,7 +21,8 @@ are made; table output is written once all rows are known.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on invalid input,
 3 on an internal error (a broken invariant of the library, reported in one
-line on stderr).
+line on stderr), 4 when the output cannot be written (a reader that closed
+the pipe early, or a full disk; also reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -136,8 +138,14 @@ def _emit_table(headers, rows, out) -> None:
         out.write(line(row) + "\n")
 
 
-def _emit(args, items, headers, record, row) -> None:
-    """Write one line per item: ``record(item)`` in json, ``row(item)``'s
+def _encoded(record):
+    """The json line of an item whose record is ``record(item)``."""
+    encode = _JSON.encode
+    return lambda item: encode(record(item)) + "\n"
+
+
+def _emit(args, items, headers, line, row) -> None:
+    """Write one line per item: ``line(item)`` in json, ``row(item)``'s
     cells in csv and table.
 
     json and csv write each line as its item arrives; table keeps its rows,
@@ -145,9 +153,8 @@ def _emit(args, items, headers, record, row) -> None:
     """
     out = sys.stdout
     if args.format == "json":
-        encode = _JSON.encode
         for item in items:
-            out.write(encode(record(item)) + "\n")
+            out.write(line(item))
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(headers)
@@ -186,6 +193,32 @@ def _require_single_row(shape, command: str) -> None:
 # Subcommands
 
 
+def _fillings_line(n: int):
+    """The json line of a ``PermissibleRecord`` of S_n, keys sorted, as
+    ``_JSON`` writes its ``_asdict()``, joined from string tables for the
+    values 0..n and the pairs (a, b)."""
+    num = [str(v) for v in range(n + 1)]
+    pair = {
+        (a, b): f"[{a},{b}]" for a in range(1, n + 1) for b in range(a + 1, n + 1)
+    }
+    nums, pairs, rows = num.__getitem__, pair.__getitem__, "],[".join
+
+    def line(rec) -> str:
+        return "".join((
+            '{"filling":[[',
+            rows([",".join(map(nums, r)) for r in rec.filling]),
+            ']],"pairs":[',
+            ",".join(map(pairs, rec.pairs)),
+            '],"word":[',
+            ",".join(map(nums, rec.word)),
+            '],"x":[',
+            ",".join(map(nums, rec.x)),
+            "]}\n",
+        ))
+
+    return line
+
+
 def cmd_fillings(args) -> int:
     n, h, shape = _resolve(args)
 
@@ -201,7 +234,7 @@ def cmd_fillings(args) -> int:
         args,
         permissible_records(shape, h),
         ("filling", "reading-word", "dimension-pairs", "x"),
-        lambda rec: rec._asdict(),
+        _fillings_line(n),
         row,
     )
     return 0
@@ -227,7 +260,7 @@ def cmd_rolldowns(args) -> int:
     items = (
         (w, from_word(n, word), word) for w, word in rolldown_words(shape, h).items()
     )
-    _emit(args, items, ("w", "rolldown", "word", "length"), record, row)
+    _emit(args, items, ("w", "rolldown", "word", "length"), _encoded(record), row)
     return 0
 
 
@@ -244,11 +277,13 @@ def cmd_verify(args) -> int:
         args,
         (*report.checks(), CheckResult("result", report.passed)),
         ("check", "status", "witnesses"),
-        lambda c: {
-            "check": c.name,
-            "passed": c.passed,
-            "witnesses": _jsonable(c.witnesses),
-        },
+        _encoded(
+            lambda c: {
+                "check": c.name,
+                "passed": c.passed,
+                "witnesses": _jsonable(c.witnesses),
+            }
+        ),
         lambda c: (c.name, "pass" if c.passed else "FAIL", str(len(c.witnesses))),
     )
     return 0 if report.passed else 1
@@ -274,7 +309,8 @@ def cmd_matrix(args) -> int:
         v, entries = item
         return (_fmt_entries(v, n), *map(as_cell, entries))
 
-    _emit(args, items, ("v", *(_fmt_entries(w, n) for w in points)), record, row)
+    headers = ("v", *(_fmt_entries(w, n) for w in points))
+    _emit(args, items, headers, _encoded(record), row)
     return 0
 
 
@@ -366,13 +402,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _drop_stdout()
+        return 4
+
+
+def _drop_stdout() -> None:
+    """Point the process's standard output at os.devnull once writing to it
+    failed, so that the interpreter's final flush does not fail again.  A
+    stream put in place of ``sys.stdout`` (by a caller or a test) is left
+    alone."""
+    if sys.stdout is sys.__stdout__:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

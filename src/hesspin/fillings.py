@@ -26,8 +26,10 @@ reading order, the pairs of a value a are settled as soon as its cap is
 known: a's pairs are the values in (a, cap(a)] placed before a.  That is
 when a's right neighbor is placed, or when a is placed if it has none.
 ``_PrefixState`` keeps, per depth, the mask of the values placed and the
-packed counts x; ``permissible_records`` carries it down one backtracking
-pass, and ``dimension_pairs`` walks it over one reading word.
+packed counts x.  ``_pass`` carries it down the one backtracking pass and
+yields it at each leaf: ``permissible_records`` builds its records from
+those states, and the table functions of ``pinball`` read only the word
+and x off them.  ``dimension_pairs`` walks the state over one reading word.
 
 ``omega(x)`` is the product of ``omega_word(x)``.  Its inverse, the rolldown
 of a point with top-part vector x, is multiplied out by ``_roll`` as n - 1
@@ -337,33 +339,48 @@ class _PrefixState:
     ``place(k, val)`` puts ``val`` at reading position k, given the state
     of positions 0..k-1: ``word[:k]``, ``seen[k]`` (the mask of values
     placed, bit v for value v) and ``tops[k]`` (the packed top-part counts
-    of the pairs settled so far).  It writes ``word[k]``, ``seen[k + 1]``
-    and ``tops[k + 1]``, so a backtracking pass keeps one state per depth.
+    of the pairs settled so far).  It writes ``word[k]``, ``where[val] =
+    k + 1``, ``seen[k + 1]`` and ``tops[k + 1]``, so a backtracking pass
+    keeps one state per depth.
 
     Placing a box settles the pairs of at most two values.  Its left
     neighbor a now has cap h(val), and a's pairs are the values in
     (a, h(val)] placed before a: ``seen[left] & (a, h(val)]``.  If the box
     has no right neighbor, val's cap is n and its pairs are ``seen[k] &
     (val, n]``.  ``pairs_of[a]`` holds a's pairs; once every box is placed,
-    ``pairs()`` and ``x()`` read the sorted pairs and x off the state.
+    ``pairs()`` and ``x()`` read the sorted pairs and x off the state,
+    ``point()`` the fixed point ``word^{-1}`` (value v sits at position
+    ``where[v]``), and ``filling(tuple(word))`` the filling.
     """
 
-    __slots__ = ("word", "seen", "tops", "pairs_of", "place", "_unpack", "_size")
+    __slots__ = (
+        "word",
+        "where",
+        "seen",
+        "tops",
+        "pairs_of",
+        "place",
+        "_rows",
+        "_unpack",
+        "_size",
+    )
 
     def __init__(self, diagram: Diagram, h: Sequence[int]):
         n = len(h)
-        left, right, _ = _reading_layout(diagram)
+        left, right, self._rows = _reading_layout(diagram)
         unit, self._size, self._unpack = _packing(n)
         sets = _PairSets(unit)
         capped = [0] + [(2 << c) - 1 for c in h]  # bits of the values <= h(v)
         above = [~((2 << a) - 1) for a in range(n + 1)]  # bits of the values > a
         word = self.word = [0] * n
+        where = self.where = [0] * (n + 1)
         seen = self.seen = [0] * (n + 1)
         tops = self.tops = [0] * (n + 1)
         pairs_of = self.pairs_of = [()] * (n + 1)
 
         def place(k: int, val: int) -> None:
             word[k] = val
+            where[val] = k + 1
             s = seen[k]
             t = tops[k]
             lk = left[k]
@@ -379,6 +396,13 @@ class _PrefixState:
 
         self.place = place
 
+    def point(self) -> Perm:
+        return tuple(self.where[1:])
+
+    def filling(self, w: Perm) -> Filling:
+        """The filling with reading word ``w``, the word placed so far."""
+        return tuple([tuple([w[p] for p in row]) for row in self._rows])
+
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(chain.from_iterable(self.pairs_of))
 
@@ -390,7 +414,32 @@ def permissible_records(
     diagram: Diagram, h: Sequence[int]
 ) -> Iterator[PermissibleRecord]:
     """Every permissible filling as a record, in lexicographic order of
-    reading word, from one backtracking pass.
+    reading word, built from the leaf states of the one backtracking pass
+    (``_pass``).  The arguments are checked when this is called; the
+    records come lazily.
+    """
+    return _records(_leaf_states(diagram, h))
+
+
+def _records(states: Iterator[_PrefixState]) -> Iterator[PermissibleRecord]:
+    for state in states:
+        w = tuple(state.word)
+        yield PermissibleRecord(state.filling(w), w, state.pairs(), state.x())
+
+
+def _leaf_states(diagram: Diagram, h: Sequence[int]) -> Iterator[_PrefixState]:
+    """``_pass(diagram, h)``, with the arguments checked when this is called."""
+    diagram = validate_diagram(diagram)
+    h = validate_hessenberg(h)
+    n = diagram_size(diagram)
+    if len(h) != n:
+        raise ValueError(f"h has length {len(h)}, diagram has {n} boxes")
+    return _pass(diagram, h)
+
+
+def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
+    """The prefix state of every permissible filling, in lexicographic order
+    of reading word, from one backtracking pass.
 
     The pass places boxes in reading order, so the reading word is the
     sequence of placed values, and a box's left neighbor (in the previous
@@ -399,33 +448,24 @@ def permissible_records(
     and its prefix state (``_PrefixState``): the mask of the values placed
     before it and the packed x of the pairs settled so far.  Placing a box
     settles the pairs of at most two values, each pair set looked up by
-    value and mask, so a record costs O(n) steps besides building its
-    output.  The arguments are checked when this is called; the records
-    come lazily.
+    value and mask, so a leaf costs O(n) steps.
+
+    One state is yielded at every leaf, with every box placed; it is the
+    same object each time, valid until the pass takes its next step.  Its
+    ``word``, ``point()``, ``x()``, ``pairs()`` and ``filling(tuple(word))``
+    read the filling off it, and a consumer builds only what it reads.
     """
-    diagram = validate_diagram(diagram)
-    h = validate_hessenberg(h)
-    n = diagram_size(diagram)
-    if len(h) != n:
-        raise ValueError(f"h has length {len(h)}, diagram has {n} boxes")
-    return _records(diagram, h)
-
-
-def _records(
-    diagram: Diagram, h: tuple[int, ...]
-) -> Iterator[PermissibleRecord]:
     n = len(h)
-    left, _, rows = _reading_layout(diagram)
+    left = _reading_layout(diagram)[0]
     state = _PrefixState(diagram, h)
     word, seen, place = state.word, state.seen, state.place
-    pairs, x = state.pairs, state.x
     full = (2 << n) - 2  # bits of the values 1..n
     # allowed[a]: the values v with a <= h(v), those that may sit right of a
     allowed = [0] + [
         sum(1 << v for v in range(1, n + 1) if h[v - 1] >= a) for a in range(1, n + 1)
     ]
     # An explicit stack: free[k] holds the values still to try at position k,
-    # lowest first.  Nested generators would pass every record up through n
+    # lowest first.  Nested generators would pass every state up through n
     # frames.
     free = [0] * n
     free[0] = full
@@ -442,9 +482,7 @@ def _records(
         free[k] = c ^ low
         place(k, low.bit_length() - 1)
         if k == last:
-            w = tuple(word)
-            filling = tuple([tuple([w[p] for p in row]) for row in rows])
-            yield PermissibleRecord(filling, w, pairs(), x())
+            yield state
             continue
         k += 1
         lk = left[k]

@@ -14,9 +14,14 @@ give the reversed omega word itself.
 pinball (Harada and Tymoczko, arXiv:1007.2750): rolldowns are pairwise
 distinct, each rolldown sits below its fixed point in Bruhat order, and the
 rolldown length distribution matches the Betti numbers.  It reads all
-three from one pass of ``permissible_records``.  No (diagram, h) is known
-to fail: an exhaustive sweep passes all 1,836 pairs with n <= 6 and all
-6,435 with n = 7.  The report still keeps a witness for every failure.
+three from one enumeration pass, taking only the fixed point (the inverse
+of the reading word, which the pass keeps) and x of each leaf state
+(``fillings._leaf_states``).  So do ``fixed_points``, ``rolldown_words``,
+``rolldown_table`` and ``betti_numbers``; none of them builds a filling, a
+pairs tuple or a ``PermissibleRecord``.  The degree of a point is
+``sum(x)``, since each dimension pair adds one to x.  No (diagram, h) is
+known to fail: an exhaustive sweep passes all 1,836 pairs with n <= 6 and
+all 6,435 with n = 7.  The report still keeps a witness for every failure.
 
 ``rolldown``, ``rolldown_word`` and ``degree`` take one point and check
 that it is a fixed point; the whole-table functions take their points
@@ -28,10 +33,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import itemgetter
 from typing import Sequence
 
 from .fillings import (
     Diagram,
+    _leaf_states,
     _roll,
     dimension_pairs,
     diagram_size,
@@ -39,7 +46,6 @@ from .fillings import (
     is_permissible,
     omega_word,
     permissibility_error,
-    permissible_records,
     top_parts,
     validate_diagram,
     validate_hessenberg,
@@ -48,7 +54,6 @@ from .permutations import (
     Perm,
     Word,
     bruhat_keys,
-    inverse,
     inversions,
     validate,
 )
@@ -70,9 +75,7 @@ __all__ = [
 
 def fixed_points(diagram: Diagram, h: Sequence[int]) -> tuple[Perm, ...]:
     """The fixed points for (diagram, h), sorted by one-line notation."""
-    return tuple(
-        sorted(inverse(rec.word) for rec in permissible_records(diagram, h))
-    )
+    return tuple(sorted(s.point() for s in _leaf_states(diagram, h)))
 
 
 def is_fixed_point(w: Perm, diagram: Diagram, h: Sequence[int]) -> bool:
@@ -132,8 +135,7 @@ def rolldown_words(diagram: Diagram, h: Sequence[int]) -> dict[Perm, Word]:
     """
     return dict(
         sorted(
-            (inverse(rec.word), _word_of(rec.x))
-            for rec in permissible_records(diagram, h)
+            (s.point(), _word_of(s.x())) for s in _leaf_states(diagram, h)
         )
     )
 
@@ -141,10 +143,7 @@ def rolldown_words(diagram: Diagram, h: Sequence[int]) -> dict[Perm, Word]:
 def rolldown_table(diagram: Diagram, h: Sequence[int]) -> dict[Perm, Perm]:
     """Rolldowns of every fixed point, keyed in sorted fixed-point order."""
     return dict(
-        sorted(
-            (inverse(rec.word), _roll(rec.x))
-            for rec in permissible_records(diagram, h)
-        )
+        sorted((s.point(), _roll(s.x())) for s in _leaf_states(diagram, h))
     )
 
 
@@ -159,7 +158,7 @@ def betti_numbers(diagram: Diagram, h: Sequence[int]) -> tuple[int, ...]:
     The trailing entry is the top nonzero Betti number, so the tuple has
     length 1 + max degree.
     """
-    return _betti(len(rec.pairs) for rec in permissible_records(diagram, h))
+    return _betti(sum(s.x()) for s in _leaf_states(diagram, h))
 
 
 @dataclass(frozen=True)
@@ -205,39 +204,50 @@ class PinballReport:
 def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
     """Check the pinball success conditions for (diagram, h) exhaustively.
 
-    One pass of ``permissible_records`` gives each fixed point, its
-    rolldown and its number of dimension pairs.  The Betti numbers count
-    dimension pairs; the rolldown lengths are counted as inversions of the
-    rolldown permutations, so the two sides are computed independently.
+    One loop over the leaf states of the enumeration pass gives each fixed
+    point, its rolldown, its degree, the rolldown's length and the Bruhat
+    comparison of the two.  The Betti side counts degrees, read off x as
+    ``sum(x)`` (the number of dimension pairs); the rolldown lengths are
+    counted as inversions of the rolldown permutations, so the two sides
+    of ``betti-match`` are computed independently.
     """
     diagram = validate_diagram(diagram)
     h = validate_hessenberg(h)
     n = diagram_size(diagram)
+    keys = bruhat_keys(n)
+    key, leq, roll = keys.key, keys.leq, _roll
     found: list[tuple[Perm, Perm]] = []
     degrees: list[int] = []
-    for rec in permissible_records(diagram, h):
-        found.append((inverse(rec.word), _roll(rec.x)))
-        degrees.append(len(rec.pairs))
-    found.sort()
+    lengths: list[int] = []
+    bruhat_failures: list[tuple[Perm, Perm]] = []
+    for state in _leaf_states(diagram, h):
+        x = state.x()
+        w = state.point()
+        r = roll(x)
+        found.append((w, r))
+        degrees.append(sum(x))
+        lengths.append(inversions(r))
+        if not leq(key(r), key(w)):
+            bruhat_failures.append((w, r))
+    by_point = itemgetter(0)
+    found.sort(key=by_point)
+    bruhat_failures.sort(key=by_point)
     rolls = tuple(found)
 
-    seen: dict[Perm, list[Perm]] = {}
+    # the first point of each rolldown; only a clash builds a list
+    owner: dict[Perm, Perm] = {}
+    clashes: dict[Perm, list[Perm]] = {}
     for w, r in rolls:
-        seen.setdefault(r, []).append(w)
-    collisions = tuple(
-        (r, tuple(ws)) for r, ws in sorted(seen.items()) if len(ws) > 1
-    )
-
-    keys = bruhat_keys(n)
-    bruhat_failures = tuple(
-        (w, r) for w, r in rolls if not keys.leq(keys.key(r), keys.key(w))
-    )
+        first = owner.setdefault(r, w)
+        if first is not w:
+            clashes.setdefault(r, [first]).append(w)
+    collisions = tuple((r, tuple(clashes[r])) for r in sorted(clashes))
 
     betti = _betti(degrees)
-    lengths = _betti(inversions(r) for _, r in rolls)
+    by_length = _betti(lengths)
     betti_mismatches = tuple(
         (k, b, count)
-        for k, (b, count) in enumerate(zip_longest(betti, lengths, fillvalue=0))
+        for k, (b, count) in enumerate(zip_longest(betti, by_length, fillvalue=0))
         if b != count
     )
 
@@ -249,7 +259,7 @@ def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
         injective=not collisions,
         collisions=collisions,
         below_fixed_point=not bruhat_failures,
-        bruhat_failures=bruhat_failures,
+        bruhat_failures=tuple(bruhat_failures),
         betti_matched=not betti_mismatches,
         betti_mismatches=betti_mismatches,
     )

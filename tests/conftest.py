@@ -3,7 +3,7 @@ filling enumerations."""
 
 import pytest
 
-from hesspin import pinball
+from hesspin import fillings
 
 VERDICTS: list[str] = []
 
@@ -21,13 +21,14 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Counts the enumeration passes started from ``pinball``."""
+    """Counts the runs of ``fillings._pass``, the one enumeration pass that
+    ``permissible_records`` and every pinball table function read."""
     calls = []
-    real = pinball.permissible_records
+    real = fillings._pass
 
     def counted(diagram, h):
         calls.append((diagram, h))
         return real(diagram, h)
 
-    monkeypatch.setattr(pinball, "permissible_records", counted)
+    monkeypatch.setattr(fillings, "_pass", counted)
     return calls

@@ -1,11 +1,30 @@
 """Command line behavior: records, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hesspin import hess334
 from hesspin.cli import default_hessenberg, main, parse_records
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+FULL_FLAG_7 = ["fillings", "--n", "7", "--h", "7,7,7,7,7,7,7", "--format", "json"]
+
+
+def spawn(argv, stdout):
+    """``python -m hesspin.cli argv`` on this checkout, writing to ``stdout``."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    return subprocess.Popen(
+        [sys.executable, "-m", "hesspin.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
 
 
 def run(capsys, *argv):
@@ -200,6 +219,50 @@ class TestErrors:
         assert out == ""
         assert err.startswith("internal error: unclassifiable filling")
         assert err.count("\n") == 1
+
+
+class TestOutputFailure:
+    """A stdout that cannot be written ends the run with status 4 and one
+    line on stderr, not a traceback."""
+
+    def test_pipe_closed_by_head(self):
+        # about 0.7 MB of output: the reader closes long before the end
+        cli = spawn(FULL_FLAG_7, subprocess.PIPE)
+        head = subprocess.Popen(
+            ["head", "-c", "100"], stdin=cli.stdout, stdout=subprocess.PIPE
+        )
+        cli.stdout.close()
+        out, _ = head.communicate(timeout=60)
+        err = cli.stderr.read().decode()
+        cli.stderr.close()
+        assert cli.wait(timeout=60) == 4
+        assert out.startswith(b'{"filling":[[1,2,3,4,5,6,7]]') and len(out) == 100
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("n", ["3", "7"])
+    def test_full_device(self, n):
+        # n = 3 fits in the stdout buffer: it fails at the final flush
+        with open("/dev/full", "w") as full:
+            cli = spawn(["fillings", "--n", n, "--format", "json"], full)
+            _, err = cli.communicate(timeout=60)
+        assert cli.returncode == 4
+        assert err.decode().splitlines() == [
+            "error: cannot write output: [Errno 28] No space left on device"
+        ]
+
+    def test_in_process_stdout_raises(self, capsys, monkeypatch):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(FULL_FLAG_7) == 4
+        err = capsys.readouterr().err
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 class TestDeterminismAndFormats:

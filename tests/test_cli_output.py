@@ -24,6 +24,13 @@ import pytest
 from hesspin import cli
 from hesspin.billey import RestrictionMatrix
 from hesspin.cli import main
+from hesspin.fillings import (
+    hessenberg_identity,
+    hessenberg_peterson,
+    permissible_records,
+)
+
+from oracles import all_diagram_h
 
 PINNED = json.loads((Path(__file__).parent / "data" / "cli_sha256.json").read_text())
 
@@ -81,6 +88,45 @@ def test_fillings_json_builds_no_table_cells(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_fmt_pairs", refuse)
     assert main(["fillings", "--n", "5", "--format", "json"]) == 0
     assert capsys.readouterr().out.count("\n") == 24
+
+
+def _assert_json_lines_generic(capsys, diagram, h) -> None:
+    """``fillings --format json`` writes what ``json.dumps`` makes of each
+    record; compared line by line, so that a failure shows one line."""
+    argv = ["fillings", "--n", str(len(h)), "--format", "json"]
+    argv += ["--h", ",".join(map(str, h)), "--lambda", ",".join(map(str, diagram))]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines.pop() == ""
+    records = list(permissible_records(diagram, h))
+    assert len(lines) == len(records) > 0
+    for line, rec in zip(lines, records):
+        assert line == json.dumps(rec._asdict(), sort_keys=True, separators=(",", ":"))
+
+
+# n = 1 (x empty), the identity h (no pairs), and two-digit values at
+# n = 10, 11 on one row and on several rows
+JSON_CASES = [
+    ((1,), (1,)),
+    ((4,), hessenberg_identity(4)),
+    ((3, 2), hessenberg_identity(5)),
+    ((10,), hessenberg_peterson(10)),
+    ((11,), hessenberg_peterson(11)),
+    ((4, 3, 2, 1), hessenberg_peterson(10)),
+    ((9, 2), hessenberg_peterson(11)),
+]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_fillings_json_matches_generic_encoder(capsys, n):
+    # the lines are joined from string tables; json.dumps is the reference
+    for diagram, h in all_diagram_h(n):
+        _assert_json_lines_generic(capsys, diagram, h)
+
+
+@pytest.mark.parametrize("diagram,h", JSON_CASES, ids=lambda case: str(case))
+def test_fillings_json_edge_cases(capsys, diagram, h):
+    _assert_json_lines_generic(capsys, diagram, h)
 
 
 def test_rolldowns_make_one_enumeration_pass(enumerations, capsys):

@@ -11,7 +11,7 @@ from hesspin.fillings import (
     hessenberg_peterson,
     omega,
 )
-from hesspin import hess334, pinball
+from hesspin import fillings, hess334, pinball
 from hesspin.permutations import (
     all_permutations,
     from_word,
@@ -77,6 +77,24 @@ class TestRolldown:
             assert word == rolldown_word(w, (n,), h)
             assert table[w] == rolldown(w, (n,), h) == from_word(n, word)
             assert len(word) == degree(w, (n,), h)
+
+    def test_tables_build_no_records(self, monkeypatch, enumerations):
+        # the table functions read only the word and x of each leaf state
+        def refuse(*args):
+            raise AssertionError("record, filling or pairs built")
+
+        monkeypatch.setattr(fillings, "PermissibleRecord", refuse)
+        monkeypatch.setattr(fillings._PrefixState, "filling", refuse)
+        monkeypatch.setattr(fillings._PrefixState, "pairs", refuse)
+        for diagram, h in (((5,), hessenberg_334(5)), ((3, 2), (2, 3, 4, 5, 5))):
+            assert fixed_points(diagram, h)
+            assert rolldown_words(diagram, h)
+            assert rolldown_table(diagram, h)
+            assert betti_numbers(diagram, h)
+            assert verify_pinball(diagram, h).passed
+        assert len(enumerations) == 10
+        with pytest.raises(AssertionError, match="record, filling or pairs"):
+            next(fillings.permissible_records((5,), hessenberg_334(5)))
 
     def test_table_sorted(self):
         h = hessenberg_334(4)
