@@ -29,13 +29,12 @@ partial products inside the Bruhat down-closure of the rows
 step is a list lookup).  It stores each row sparsely, as a bitmask of
 its nonzero columns and their coefficients, and
 ``check_upper_triangular`` reads violations off those masks against the
-row masks of ``permutations.bruhat_table``.  Neither restriction
-consults Bruhat keys, so checking their vanishing against Bruhat order
-is not a tautology.
-
-``p_summand_counts`` runs the matrix's prefix recurrence over one column,
-for one row v, pruned by Bruhat keys and by the letters left, and counts
-how many subwords give each summand; ``p_restriction`` sums that multiset.
+row masks of ``permutations.bruhat_table``.  ``p_summand_counts`` makes
+the backward pass of ``sigma_restriction`` for one entry, with projected
+weights in place of polynomials, and counts how many subwords give each
+summand; ``p_restriction`` sums that multiset.  No restriction consults
+Bruhat keys, so checking their vanishing against Bruhat order is not a
+tautology.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from .permutations import (
     Perm,
     Word,
-    bruhat_keys,
     bruhat_table,
     canonical_word,
     from_word,
@@ -368,14 +366,15 @@ def p_summand_counts(
     Maps each summand, the projected root product of one reduced subword
     of the word multiplying to v, to the number of subwords giving it, in
     ascending order of coefficient.  The subwords are counted by one
-    prefix recurrence over the word, not enumerated.
+    backward pass over the word, not enumerated.
 
-    After letters b_1..b_j each state u, a partial product of a reduced
-    subword, maps to the {weight: count} multiset of the subwords reaching
-    it.  Letter j adds u * s_{b_j} where the length rises, times the
-    weight of r(j, b).  Two prunes keep only states that can still reach
-    v: u * s_{b_j} must lie below v (its Bruhat key is lifted from u's in
-    O(1)), and a state of length k needs l(v) - k of the letters left.
+    The pass is that of ``sigma_restriction``: after letters b_m..b_j each
+    state x maps to the {weight: count} multiset of the reduced subwords
+    of b_j..b_m that multiply x up to v, starting from {v: {1: 1}}.
+    Letter j moves each x with a descent at b_j to x * s_{b_j}, multiplying
+    every weight by that of r(j, b), read off the same prefix.  Every
+    state lies below v by construction, so nothing is pruned but the
+    states longer than the letters left.
 
     >>> p_summand_counts((2, 1, 3), (3, 2, 1))
     {S1Value(coeff=1, degree=1): 2}
@@ -383,36 +382,30 @@ def p_summand_counts(
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
     b = _checked_word(w, word)
-    n = len(v)
-    keys = bruhat_keys(n)
-    top = keys.key(v)
-    target = inversions(v)
-    m = len(b)
-    start = identity(n)
-    key_of = {start: keys.key(start)}
+    length = inversions(v)
+    prefix = list(w)
     # levels[k] maps each state of length k to its {weight: count} multiset
-    levels: list[dict[Perm, dict[int, int]]] = [{start: {1: 1}}]
-    levels += [{} for _ in range(target)]
-    weights = [root.s1() for root in roots_along_word(b, n)]
-    for j, (i, weight) in enumerate(zip(b, weights)):
-        # with m - j letters left, only lengths >= target - (m - j) still extend;
-        # descending, so a state added on this letter is not visited again
-        for k in range(target - 1, max(target - (m - j), 0) - 1, -1):
-            above = levels[k + 1]
-            for u, value in levels[k].items():
-                if u[i - 1] < u[i]:
-                    key = keys.lift(key_of[u], u, i)
-                    if not keys.leq(key, top):
-                        continue
-                    u2 = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-                    key_of[u2] = key
-                    out = above.get(u2)
+    levels: list[dict[Perm, dict[int, int]]] = [{} for _ in range(length)]
+    levels.append({v: {1: 1}})
+    for j in range(len(b), 0, -1):
+        # a state longer than j cannot reach the identity in the j letters left
+        del levels[j + 1 :]
+        i = b[j - 1]
+        prefix[i - 1], prefix[i] = prefix[i], prefix[i - 1]
+        weight = prefix[i] - prefix[i - 1]
+        # x * s_i has an ascent at i, so no state moves twice on one letter
+        for k in range(len(levels) - 1, 0, -1):
+            below = levels[k - 1]
+            for x, value in levels[k].items():
+                if x[i - 1] > x[i]:
+                    y = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
+                    out = below.get(y)
                     if out is None:
-                        above[u2] = out = {}
+                        below[y] = out = {}
                     for c, count in value.items():
                         out[c * weight] = out.get(c * weight, 0) + count
-    counts = levels[target].get(v, {})
-    return {S1Value(c, target): counts[c] for c in sorted(counts)}
+    counts = levels[0].get(identity(len(w)), {})
+    return {S1Value(c, length): counts[c] for c in sorted(counts)}
 
 
 # ---------------------------------------------------------------------------

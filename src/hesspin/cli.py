@@ -406,15 +406,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()
         return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _report(f"internal error: {exc}")
         return 3
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _report(f"error: cannot write output: {exc}")
         _drop_stdout()
         return 4
+
+
+def _report(line: str) -> None:
+    """Print the one error line to stderr if it can be written.  The exit
+    status carries the outcome either way, so a failing stderr must not
+    turn it into a traceback and exit 1."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _drop_stdout() -> None:

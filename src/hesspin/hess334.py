@@ -36,9 +36,9 @@ over the 312-type points.  Each lemma thus takes a few big-int operations per
 point, and its witnesses are the set bits of the masks where it fails.
 
 The summand census counts the subword summands of a catalog word by one
-prefix recurrence (``billey.p_summand_counts``) rather than enumerating
-the subwords, so ``SummandCensus.summands`` lists them by ascending
-coefficient.
+backward pass over it from the rolldown (``billey.p_summand_counts``)
+rather than enumerating the subwords, so ``SummandCensus.summands`` lists
+them by ascending coefficient.
 """
 
 from __future__ import annotations
@@ -500,8 +500,9 @@ def summand_census(w: Perm) -> SummandCensus:
 
     The count must be H1 - 1 for PETERSON_321 and TYPE_312 points and 1
     for the other two classes, and all summands must agree.  The summands
-    of the catalog word are counted by one prefix recurrence over it
-    (``billey.p_summand_counts``), not enumerated subword by subword.
+    of the catalog word are counted by one backward pass over it from the
+    rolldown (``billey.p_summand_counts``), not enumerated subword by
+    subword.
     """
     return _census(_point(w))
 

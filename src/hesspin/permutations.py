@@ -220,8 +220,8 @@ class BruhatKeys:
     >>> keys = bruhat_keys(3)
     >>> keys.leq(keys.key((2, 1, 3)), keys.key((3, 2, 1)))
     True
-    >>> keys.lift(keys.key((1, 2, 3)), (1, 2, 3), 2) == keys.key((1, 3, 2))
-    True
+    >>> keys.leq(keys.key((2, 3, 1)), keys.key((3, 1, 2)))
+    False
     """
 
     __slots__ = ("n", "_row", "_guard", "_tails", "_shifts", "_field")
@@ -264,15 +264,6 @@ class BruhatKeys:
         """
         field = self._field
         return [key >> s & field for s in self._shifts]
-
-    def lift(self, key: int, u: Perm, i: int) -> int:
-        """The key of u * s_i from the key of u, when u(i) < u(i + 1).
-
-        Only row i changes: its fields u(i) .. u(i + 1) - 1 each lose 1.
-        """
-        tails = self._tails
-        drop = tails[u[i - 1]] - tails[u[i]]
-        return key - (drop << (self._row * (self.n - 1 - i)))
 
 
 @functools.lru_cache(maxsize=None)

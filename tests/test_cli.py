@@ -15,14 +15,15 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 FULL_FLAG_7 = ["fillings", "--n", "7", "--h", "7,7,7,7,7,7,7", "--format", "json"]
 
 
-def spawn(argv, stdout):
-    """``python -m hesspin.cli argv`` on this checkout, writing to ``stdout``."""
+def spawn(argv, stdout, stderr=subprocess.PIPE):
+    """``python -m hesspin.cli argv`` on this checkout, writing to ``stdout``
+    and ``stderr``."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
     return subprocess.Popen(
         [sys.executable, "-m", "hesspin.cli", *argv],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         env=env,
     )
 
@@ -223,7 +224,8 @@ class TestErrors:
 
 class TestOutputFailure:
     """A stdout that cannot be written ends the run with status 4 and one
-    line on stderr, not a traceback."""
+    line on stderr, not a traceback.  A stderr that cannot be written loses
+    that line, but not the status."""
 
     def test_pipe_closed_by_head(self):
         # about 0.7 MB of output: the reader closes long before the end
@@ -250,6 +252,20 @@ class TestOutputFailure:
         assert err.decode().splitlines() == [
             "error: cannot write output: [Errno 28] No space left on device"
         ]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["verify", "--n", "0"], 2),
+            (["verify", "--n", "4", "--mode", "basis334", "--format", "csv"], 4),
+        ],
+    )
+    def test_unwritable_stderr_keeps_status(self, argv, code):
+        # exit 1 would read as a failed verification
+        with open("/dev/full", "w") as full:
+            cli = spawn(argv, full, full)
+            assert cli.wait(timeout=60) == code
 
     def test_in_process_stdout_raises(self, capsys, monkeypatch):
         class Closed:

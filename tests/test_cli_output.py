@@ -11,6 +11,12 @@ It also pins ``matrix --n 4..7``, projected and ``--full-torus``, in the
 same three formats.  Those were recorded while ``sigma_restriction`` still
 summed Polynomial products over the reduced subwords it walked, before
 its backward pass over packed monomials.
+
+``verify --mode basis334`` is pinned for n = 4..8 in the same three
+formats.  Those were recorded while ``p_summand_counts`` still ran a
+forward prefix recurrence pruned by Bruhat keys, before the backward
+census.  The output lists each check with its status and witness count,
+so while every check passes it is the same for every n.
 """
 
 import hashlib

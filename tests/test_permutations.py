@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hesspin.permutations import (
     all_permutations,
     bruhat_key,
-    bruhat_keys,
     bruhat_leq,
     bruhat_table,
     canonical_word,
@@ -179,14 +178,6 @@ class TestBruhat:
         # the rank counts determine the permutation
         perms = all_permutations(5)
         assert len({bruhat_key(w) for w in perms}) == len(perms)
-
-    def test_lift_matches_key_of_product(self):
-        keys = bruhat_keys(5)
-        for u in all_permutations(5):
-            for i in range(1, 5):
-                if u[i - 1] < u[i]:
-                    lifted = keys.lift(keys.key(u), u, i)
-                    assert lifted == keys.key(compose(u, simple(i, 5))), (u, i)
 
     def test_tableau_criterion_large_example(self):
         v = (3, 6, 8, 4, 7, 5, 9, 1, 2)
