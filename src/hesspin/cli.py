@@ -32,9 +32,8 @@ import csv
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .billey import S1Value, restriction_matrix, sigma_rows
 from .fillings import (
     diagram_size,
     hessenberg_334,
@@ -43,9 +42,11 @@ from .fillings import (
     validate_diagram,
     validate_hessenberg,
 )
-from .hess334 import verify_334_theorem
 from .permutations import from_word
 from .pinball import CheckResult, rolldown_table, rolldown_words, verify_pinball
+
+if TYPE_CHECKING:
+    from .billey import S1Value
 
 __all__ = ["main", "build_parser", "parse_records", "default_hessenberg"]
 
@@ -102,9 +103,12 @@ def _poly_json(p) -> list[dict]:
 
 
 def _jsonable(obj):
-    if isinstance(obj, S1Value):
-        return _s1_json(obj)
+    """A witness as json: tuples as lists, each ``S1Value`` as its dict.
+    An ``S1Value`` is told by its fields, so pinball witnesses are encoded
+    without importing ``billey``."""
     if isinstance(obj, (tuple, list)):
+        if getattr(obj, "_fields", None) == ("coeff", "degree"):
+            return _s1_json(obj)
         return [_jsonable(x) for x in obj]
     return obj
 
@@ -270,6 +274,8 @@ def cmd_verify(args) -> int:
         _require_single_row(shape, "verify --mode basis334")
         if n >= 4 and h != hessenberg_334(n):
             raise ValueError(f"basis334 needs h = {hessenberg_334(n)}, got {h}")
+        from .hess334 import verify_334_theorem
+
         report = verify_334_theorem(n)
     else:
         report = verify_pinball(shape, h)
@@ -292,6 +298,8 @@ def cmd_verify(args) -> int:
 def cmd_matrix(args) -> int:
     n, h, shape = _resolve(args)
     _require_single_row(shape, "matrix")
+    from .billey import restriction_matrix, sigma_rows
+
     table = rolldown_table(shape, h)
     points = tuple(sorted(table))
     if args.full_torus:

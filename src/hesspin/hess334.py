@@ -77,8 +77,9 @@ from .permutations import (
 from .pinball import (
     CheckResult,
     PinballReport,
+    _leaves,
+    _report,
     fixed_points,
-    verify_pinball,
 )
 
 __all__ = [
@@ -613,11 +614,13 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         )
     h = hessenberg_334(n)
     diagram = single_row(n)
-    pin = verify_pinball(diagram, h)
+    # the N leaves of the one enumeration pass, sorted by point
+    leaves = sorted(_leaves(diagram, h))
+    pin = _report(diagram, h, leaves)
     # each point's facts, derived once; every check below reads them
-    facts = [_point(w) for w, _ in pin.rolldowns]
+    facts = [_point(w) for w, _, _ in leaves]
     points = tuple(p.w for p in facts)
-    rolls = tuple(r for _, r in pin.rolldowns)
+    rolls = tuple(r for _, r, _ in leaves)
 
     structural: list[CheckResult] = []
 
@@ -661,7 +664,7 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     )
 
     matrix = restriction_matrix(
-        points, dict(pin.rolldowns), words={p.w: p.word for p in facts}
+        points, dict(zip(points, rolls)), words={p.w: p.word for p in facts}
     )
     tri = check_upper_triangular(matrix, below)
     structural.append(

@@ -19,9 +19,16 @@ of the reading word, which the pass keeps) and x of each leaf state
 (``fillings._leaf_states``).  So do ``fixed_points``, ``rolldown_words``,
 ``rolldown_table`` and ``betti_numbers``; none of them builds a filling, a
 pairs tuple or a ``PermissibleRecord``.  The degree of a point is
-``sum(x)``, since each dimension pair adds one to x.  No (diagram, h) is
-known to fail: an exhaustive sweep passes all 1,836 pairs with n <= 6 and
-all 6,435 with n = 7.  The report still keeps a witness for every failure.
+``sum(x)``, since each dimension pair adds one to x.
+
+The checks stream: each leaf is checked as the pass yields it, and
+``verify_pinball`` keeps two count arrays (by degree and by rolldown
+length), one bytes key per rolldown for distinctness, and the witnesses
+of failed checks, never the (point, rolldown) table; its report counts
+the points it checked.  ``hess334.verify_334_theorem`` hands its sorted
+leaves to the same loop.  No (diagram, h) is known to fail: an exhaustive
+sweep passes all 1,836 pairs with n <= 6 and all 6,435 with n = 7.  The
+report still keeps a witness for every failure.
 
 ``rolldown``, ``rolldown_word`` and ``degree`` take one point and check
 that it is a fixed point; the whole-table functions take their points
@@ -32,9 +39,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .fillings import (
     Diagram,
@@ -147,18 +153,14 @@ def rolldown_table(diagram: Diagram, h: Sequence[int]) -> dict[Perm, Perm]:
     )
 
 
-def _betti(degrees) -> tuple[int, ...]:
-    counts = Counter(degrees)
-    return tuple(counts[k] for k in range(max(counts) + 1))
-
-
 def betti_numbers(diagram: Diagram, h: Sequence[int]) -> tuple[int, ...]:
     """b_k = number of permissible fillings with exactly k dimension pairs.
 
     The trailing entry is the top nonzero Betti number, so the tuple has
     length 1 + max degree.
     """
-    return _betti(sum(s.x()) for s in _leaf_states(diagram, h))
+    counts = Counter(sum(s.x()) for s in _leaf_states(diagram, h))
+    return tuple(counts[k] for k in range(max(counts) + 1))
 
 
 @dataclass(frozen=True)
@@ -172,12 +174,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class PinballReport:
-    """Results of the three pinball success conditions."""
+    """Results of the three pinball success conditions over ``points``
+    fixed points."""
 
     diagram: Diagram
     h: tuple[int, ...]
     betti: tuple[int, ...]
-    rolldowns: tuple[tuple[Perm, Perm], ...]
+    points: int
     injective: bool
     collisions: tuple[tuple[Perm, tuple[Perm, ...]], ...]
     below_fixed_point: bool
@@ -204,58 +207,73 @@ class PinballReport:
 def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
     """Check the pinball success conditions for (diagram, h) exhaustively.
 
-    One loop over the leaf states of the enumeration pass gives each fixed
-    point, its rolldown, its degree, the rolldown's length and the Bruhat
-    comparison of the two.  The Betti side counts degrees, read off x as
-    ``sum(x)`` (the number of dimension pairs); the rolldown lengths are
-    counted as inversions of the rolldown permutations, so the two sides
-    of ``betti-match`` are computed independently.
+    Each leaf of one enumeration pass is checked as it comes (``_report``):
+    only the counts by degree and by length, one encoding of each rolldown
+    and the witnesses of failed checks are kept, never the whole table.
     """
     diagram = validate_diagram(diagram)
     h = validate_hessenberg(h)
-    n = diagram_size(diagram)
-    keys = bruhat_keys(n)
-    key, leq, roll = keys.key, keys.leq, _roll
-    found: list[tuple[Perm, Perm]] = []
-    degrees: list[int] = []
-    lengths: list[int] = []
-    bruhat_failures: list[tuple[Perm, Perm]] = []
+    return _report(diagram, h, _leaves(diagram, h))
+
+
+def _leaves(diagram: Diagram, h: Sequence[int]) -> Iterator[tuple[Perm, Perm, int]]:
+    """(fixed point, rolldown, degree) of each leaf state of the one
+    enumeration pass, in the pass's order; the degree is ``sum(x)``."""
+    roll = _roll
     for state in _leaf_states(diagram, h):
         x = state.x()
-        w = state.point()
-        r = roll(x)
-        found.append((w, r))
-        degrees.append(sum(x))
-        lengths.append(inversions(r))
+        yield state.point(), roll(x), sum(x)
+
+
+def _report(
+    diagram: Diagram, h: tuple[int, ...], leaves: Iterable[tuple[Perm, Perm, int]]
+) -> PinballReport:
+    """The three pinball checks over ``leaves``, one leaf at a time.
+
+    The Betti side counts the degrees; the rolldown lengths are counted as
+    inversions of the rolldown permutations, so the two sides of
+    ``betti-match`` are computed independently.  A (point, rolldown) pair is
+    kept only when the rolldown is not below its point.  Distinctness reads
+    one dict from the bytes of each rolldown to the bytes of its first
+    point (tuples past n = 255); only a clash builds a list.
+    """
+    n = diagram_size(diagram)
+    keys = bruhat_keys(n)
+    key, leq = keys.key, keys.leq
+    encode = bytes if n < 256 else tuple
+    top = n * (n - 1) // 2  # the longest length in S_n
+    degrees = [0] * (top + 1)
+    lengths = [0] * (top + 1)
+    owner: dict = {}  # rolldown -> its first point, both encoded
+    clashes: dict = {}  # rolldown -> every point of a shared rolldown
+    bruhat_failures: list[tuple[Perm, Perm]] = []
+    points = 0
+    for w, r, d in leaves:
+        points += 1
+        degrees[d] += 1
+        lengths[inversions(r)] += 1
         if not leq(key(r), key(w)):
             bruhat_failures.append((w, r))
-    by_point = itemgetter(0)
-    found.sort(key=by_point)
-    bruhat_failures.sort(key=by_point)
-    rolls = tuple(found)
+        code, mine = encode(r), encode(w)
+        first = owner.setdefault(code, mine)
+        if first != mine:
+            clashes.setdefault(code, [first]).append(mine)
+    bruhat_failures.sort(key=itemgetter(0))
+    collisions = tuple(
+        sorted((tuple(r), tuple(sorted(map(tuple, ws)))) for r, ws in clashes.items())
+    )
 
-    # the first point of each rolldown; only a clash builds a list
-    owner: dict[Perm, Perm] = {}
-    clashes: dict[Perm, list[Perm]] = {}
-    for w, r in rolls:
-        first = owner.setdefault(r, w)
-        if first is not w:
-            clashes.setdefault(r, [first]).append(w)
-    collisions = tuple((r, tuple(clashes[r])) for r in sorted(clashes))
-
-    betti = _betti(degrees)
-    by_length = _betti(lengths)
     betti_mismatches = tuple(
         (k, b, count)
-        for k, (b, count) in enumerate(zip_longest(betti, by_length, fillvalue=0))
+        for k, (b, count) in enumerate(zip(degrees, lengths))
         if b != count
     )
 
     return PinballReport(
         diagram=diagram,
         h=h,
-        betti=betti,
-        rolldowns=rolls,
+        betti=_trimmed(degrees),
+        points=points,
         injective=not collisions,
         collisions=collisions,
         below_fixed_point=not bruhat_failures,
@@ -263,3 +281,11 @@ def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
         betti_matched=not betti_mismatches,
         betti_mismatches=betti_mismatches,
     )
+
+
+def _trimmed(counts: list[int]) -> tuple[int, ...]:
+    """``counts`` up to its last nonzero entry."""
+    top = len(counts)
+    while top and not counts[top - 1]:
+        top -= 1
+    return tuple(counts[:top])

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from hesspin import cli
+from hesspin import billey, cli
 from hesspin.billey import RestrictionMatrix
 from hesspin.cli import main
 from hesspin.fillings import (
@@ -143,14 +143,15 @@ def test_rolldowns_make_one_enumeration_pass(enumerations, capsys):
 
 def test_full_torus_streams_rows(monkeypatch):
     produced = []
-    real = cli.sigma_rows
+    real = billey.sigma_rows
 
     def watched(rows, points):
         for row in real(rows, points):
             produced.append(row)
             yield row
 
-    monkeypatch.setattr(cli, "sigma_rows", watched)
+    # cmd_matrix imports sigma_rows from billey when it runs
+    monkeypatch.setattr(billey, "sigma_rows", watched)
     out = _Watched(produced)
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["matrix", "--n", "5", "--full-torus", "--format", "json"]) == 0

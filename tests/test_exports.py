@@ -1,5 +1,6 @@
-"""Every name a module lists in ``__all__`` exists on it, and the package
-imports in a fresh interpreter."""
+"""Every name a module lists in ``__all__`` exists on it, the package
+imports in a fresh interpreter, and its re-exports load only the modules
+they need."""
 
 import importlib
 import os
@@ -20,18 +21,56 @@ def test_modules_found():
     assert len(MODULES) == 6
 
 
-def test_package_imports_fresh():
+def _fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this package; its stdout."""
     src = os.path.dirname(os.path.dirname(hesspin.__file__))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     result = subprocess.run(
-        [sys.executable, "-c", "import hesspin"],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_package_imports_fresh():
+    _fresh("import hesspin")
+
+
+LOADED = "print(sorted(m for m in sys.modules if m.startswith('hesspin.')))"
+
+
+def test_pinball_commands_load_no_restriction_layer():
+    loaded = _fresh(
+        "import contextlib, io, sys\n"
+        "from hesspin.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['fillings', '--n', '5']) == 0\n"
+        "    assert main(['verify', '--n', '5', '--mode', 'pinball']) == 0\n"
+        + LOADED
+    )
+    assert "'hesspin.pinball'" in loaded
+    assert "hesspin.billey" not in loaded
+    assert "hesspin.hess334" not in loaded
+
+
+def test_reexports_are_lazy():
+    assert _fresh("import sys, hesspin\n" + LOADED) == "[]\n"
+    loaded = _fresh("import sys\nfrom hesspin import verify_334_theorem\n" + LOADED)
+    assert "'hesspin.hess334'" in loaded and "'hesspin.billey'" in loaded
+
+
+def test_package_reexports_resolve():
+    for name in hesspin.__all__:
+        home = importlib.import_module(f"hesspin.{hesspin._HOME[name]}")
+        assert getattr(hesspin, name) is getattr(home, name)
+    assert "verify_pinball" in dir(hesspin)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        hesspin.nope
 
 
 @pytest.mark.parametrize("name", MODULES)

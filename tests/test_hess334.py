@@ -242,12 +242,20 @@ class TestSummandCensuses:
         assert census.total == S1Value(24, 6)
 
 
+def assert_checked_every_point(report, n):
+    # a theorem that checked no point would pass every other assertion
+    assert len(report.points) == report.pinball.points == 3 * 2 ** (n - 2)
+    assert report.points == fixed_points_334(n)
+    assert sum(report.pinball.betti) == report.pinball.points
+
+
 class TestTheorem:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_passes(self, n):
         report = verify_334_theorem(n)
         assert isinstance(report, Theorem334Report)
         assert report.passed
+        assert_checked_every_point(report, n)
         names = [c.name for c in report.checks()]
         for required in (
             "rolldowns-distinct",
@@ -266,11 +274,15 @@ class TestTheorem:
 
     @pytest.mark.slow
     def test_passes_n7(self):
-        assert verify_334_theorem(7).passed
+        report = verify_334_theorem(7)
+        assert report.passed
+        assert_checked_every_point(report, 7)
 
     @pytest.mark.slow
     def test_passes_n8(self):
-        assert verify_334_theorem(8).passed
+        report = verify_334_theorem(8)
+        assert report.passed
+        assert_checked_every_point(report, 8)
 
     @pytest.mark.slow
     def test_passes_n9(self):

@@ -1,6 +1,7 @@
 """Rolldowns and the pinball success conditions."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -147,10 +148,39 @@ class TestVerifyPinball:
     def test_springer_shapes_succeed(self, diagram, n):
         report = verify_pinball(diagram, hessenberg_identity(n))
         assert report.passed
-        assert sum(report.betti) == len(report.rolldowns)
+        points = fixed_points(diagram, hessenberg_identity(n))
+        assert sum(report.betti) == report.points == len(points)
 
     def test_full_flag_succeeds(self):
         assert verify_pinball((4,), hessenberg_full(4)).passed
+
+    # A run that checked no point would pass every check, so pin the count.
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_full_flag_checks_every_permutation(self, n):
+        report = verify_pinball((n,), hessenberg_full(n))
+        assert report.passed
+        assert report.points == sum(report.betti) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_334_checks_every_point(self, n):
+        report = verify_pinball((n,), hessenberg_334(n))
+        assert report.passed
+        assert report.points == sum(report.betti) == 3 * 2 ** (n - 2)
+
+    @pytest.mark.slow
+    def test_memory_per_point(self):
+        # Each fixed point leaves one entry of the distinctness dict, not a
+        # (w, rolldown) pair and its sort; the whole table took 347 B per
+        # point at n = 8, the streamed checks about 117 B.
+        n = 8
+        tracemalloc.start()
+        try:
+            report = verify_pinball((n,), hessenberg_full(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.points == 40320
+        assert peak < 150 * report.points, peak
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_small_pair_passes(self, n):
@@ -167,14 +197,16 @@ class TestVerifyPinball:
         report = hess334.verify_334_theorem(5)
         assert report.passed
         assert len(enumerations) == 1
-        assert report.points == tuple(w for w, _ in report.pinball.rolldowns)
+        assert report.pinball.points == len(report.points) == 24
+        assert report.points == fixed_points((5,), hessenberg_334(5))
 
     def test_rolldowns_match_per_point_functions(self):
         h = (2, 3, 3, 4)
-        report = verify_pinball((2, 2), h)
-        assert [w for w, _ in report.rolldowns] == list(fixed_points((2, 2), h))
-        for w, r in report.rolldowns:
+        table = rolldown_table((2, 2), h)
+        assert list(table) == list(fixed_points((2, 2), h))
+        for w, r in table.items():
             assert r == rolldown(w, (2, 2), h)
+        assert verify_pinball((2, 2), h).points == len(table)
 
     def test_checks_catch_colliding_rolldowns(self, monkeypatch):
         # every rolldown the identity: all collide, lengths all 0
@@ -202,10 +234,20 @@ class TestVerifyPinball:
         )
         assert len(report.bruhat_failures) == 24 - 10
 
+    def test_collisions_past_n_255(self):
+        # entries above 255 do not fit a byte: rolldowns are keyed by tuple
+        n = 256
+        e, w1, w2 = identity(n), from_word(n, (1,)), from_word(n, (255,))
+        leaves = [(w1, e, 1), (e, e, 0), (w2, e, 1)]
+        report = pinball._report((n,), hessenberg_full(n), leaves)
+        assert report.points == 3
+        assert report.collisions == ((e, tuple(sorted((e, w1, w2)))),)
+        assert report.below_fixed_point
+
     def test_report_is_exhaustive(self):
         report = verify_pinball((4,), hessenberg_334(4))
-        assert len(report.rolldowns) == 12
-        rolls = [r for _, r in report.rolldowns]
+        assert report.points == 12
+        rolls = list(rolldown_table((4,), hessenberg_334(4)).values())
         assert len(set(rolls)) == len(rolls)
         lengths = sorted(inversions(r) for r in rolls)
         expected = sorted(
