@@ -39,7 +39,7 @@ tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .permutations import (
@@ -51,6 +51,7 @@ from .permutations import (
     identity,
     inversions,
     set_bits,
+    validate,
 )
 
 __all__ = [
@@ -271,6 +272,7 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     """
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
+    v = validate(v)
     return _sigma_pass(v, inversions(v), w, _checked_word(w, word))
 
 
@@ -286,6 +288,7 @@ def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[P
     for v in rows:
         if sizes - {len(v)}:
             raise ValueError(f"size mismatch: {len(v)} vs {sorted(sizes)}")
+        v = validate(v)
         length = inversions(v)
         yield tuple(_sigma_pass(v, length, w, b) for w, b in columns)
 
@@ -381,6 +384,7 @@ def p_summand_counts(
     """
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
+    v = validate(v)
     b = _checked_word(w, word)
     length = inversions(v)
     prefix = list(w)
@@ -412,8 +416,7 @@ def p_summand_counts(
 # Restriction matrices
 
 
-@dataclass(frozen=True)
-class RestrictionMatrix:
+class RestrictionMatrix(NamedTuple):
     """Matrix of projected restrictions p_{rolldown(row)}(column), stored by row.
 
     Points label both axes, sorted lexicographically by one-line notation;
@@ -429,20 +432,13 @@ class RestrictionMatrix:
     rolldowns: tuple[Perm, ...]
     nonzero: tuple[int, ...]
     coeffs: tuple[tuple[int, ...], ...]
-    # derived from points and rolldowns, built once, so not compared
-    _position: dict[Perm, int] = field(init=False, repr=False, compare=False)
-    _degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        position = {w: k for k, w in enumerate(self.points)}
-        object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_degrees", tuple(map(inversions, self.rolldowns)))
 
     def index(self, w: Perm) -> int:
-        try:
-            return self._position[w]
-        except KeyError:
-            raise ValueError(f"{w} is not a point of the matrix") from None
+        # points are sorted, so w's place is found by bisection
+        k = bisect_left(self.points, w)
+        if k == len(self.points) or self.points[k] != w:
+            raise ValueError(f"{w} is not a point of the matrix")
+        return k
 
     def entry(self, v: Perm, w: Perm) -> S1Value:
         return self._at(self.index(v), self.index(w))
@@ -453,12 +449,13 @@ class RestrictionMatrix:
             return S1_ZERO
         # the entry's place in coeffs[a] is the number of nonzeros before it
         place = (mask & ((1 << b) - 1)).bit_count()
-        return S1Value(self.coeffs[a][place], self._degrees[a])
+        return S1Value(self.coeffs[a][place], inversions(self.rolldowns[a]))
 
     def dense_rows(self) -> Iterator[tuple[S1Value, ...]]:
         """The dense rows in order, each built when it is asked for."""
         size = len(self.points)
-        for mask, coeffs, degree in zip(self.nonzero, self.coeffs, self._degrees):
+        for v, mask, coeffs in zip(self.rolldowns, self.nonzero, self.coeffs):
+            degree = inversions(v)
             row = [S1_ZERO] * size
             for b, c in zip(set_bits(mask), coeffs):
                 row[b] = S1Value(c, degree)
@@ -522,7 +519,10 @@ def restriction_matrix(
     the state of its rolldown.
     """
     pts = tuple(sorted(points))
-    rolls = tuple(rolldowns[w] for w in pts)
+    missing = [w for w in pts if w not in rolldowns]
+    if missing:
+        raise ValueError(f"no rolldown for the points {missing}")
+    rolls = tuple(validate(rolldowns[w]) for w in pts)
     if len({len(p) for p in pts + rolls}) > 1:
         raise ValueError("size mismatch among points and rolldowns")
     ideal = tuple(_down_closure(rolls))
@@ -563,8 +563,7 @@ def restriction_matrix(
     )
 
 
-@dataclass(frozen=True)
-class TriangularReport:
+class TriangularReport(NamedTuple):
     """Poset upper triangularity of a restriction matrix."""
 
     diagonal_ok: bool

@@ -55,6 +55,8 @@ def default_hessenberg(n: int) -> tuple[int, ...]:
     """The 334 family for n >= 4; below that, its nearest valid relative."""
     if n >= 4:
         return hessenberg_334(n)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     return {1: (1,), 2: (2, 2), 3: (3, 3, 3)}[n]
 
 

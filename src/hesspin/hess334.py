@@ -45,12 +45,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .billey import (
     S1_ZERO,
-    RestrictionMatrix,
     S1Value,
     check_upper_triangular,
     p_summand_counts,
@@ -460,8 +458,7 @@ def _closed_form(p: _Point) -> S1Value:
 # Summand censuses over catalog words
 
 
-@dataclass(frozen=True)
-class SummandCensus:
+class SummandCensus(NamedTuple):
     """Summand structure of the rolldown class restricted to its own point.
 
     ``summands`` lists one projected summand per reduced subword of the
@@ -523,8 +520,7 @@ def _census(p: _Point) -> SummandCensus:
     )
 
 
-@dataclass(frozen=True)
-class SimpleSummandRow:
+class SimpleSummandRow(NamedTuple):
     """Summands of one simple-reflection class restriction p_{s_i}(w)."""
 
     index: int
@@ -581,15 +577,13 @@ def _simple_rows(p: _Point) -> tuple[SimpleSummandRow, ...]:
 # The module basis theorem
 
 
-@dataclass(frozen=True)
-class Theorem334Report:
+class Theorem334Report(NamedTuple):
     """Everything verify_334_theorem measured, with per-check witnesses."""
 
     n: int
     points: tuple[Perm, ...]
     classes: tuple[FixedPointClass, ...]
     pinball: PinballReport
-    matrix: RestrictionMatrix
     structural: tuple[CheckResult, ...]
 
     def checks(self) -> tuple[CheckResult, ...]:
@@ -702,7 +696,6 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         points=points,
         classes=classes,
         pinball=pin,
-        matrix=matrix,
         structural=tuple(structural),
     )
 

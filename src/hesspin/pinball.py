@@ -38,9 +38,8 @@ from the enumeration and check nothing twice.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fillings import (
     Diagram,
@@ -163,8 +162,7 @@ def betti_numbers(diagram: Diagram, h: Sequence[int]) -> tuple[int, ...]:
     return tuple(counts[k] for k in range(max(counts) + 1))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named check, with witnesses for any failure."""
 
     name: str
@@ -172,8 +170,7 @@ class CheckResult:
     witnesses: tuple = ()
 
 
-@dataclass(frozen=True)
-class PinballReport:
+class PinballReport(NamedTuple):
     """Results of the three pinball success conditions over ``points``
     fixed points."""
 

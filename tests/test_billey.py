@@ -429,6 +429,36 @@ class TestSummands:
         assert p_restriction(roll, w) == S1Value(144, 7)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sigma_restriction((1, 1, 3), (3, 2, 1)), "not a permutation"),
+        (lambda: next(sigma_rows([(1, 1, 3)], [(3, 2, 1)])), "not a permutation"),
+        (lambda: p_restriction((0, 5, 9), (3, 2, 1)), "not a permutation"),
+        (lambda: p_summand_counts((2, 2, 1), (3, 2, 1)), "not a permutation"),
+        (
+            lambda: restriction_matrix([(1, 2), (2, 1)], {(1, 2): (1, 2)}),
+            r"no rolldown for the points \[\(2, 1\)\]",
+        ),
+        (
+            lambda: restriction_matrix([(1, 2), (2, 1)], {(1, 2): (1, 2), (2, 1): (2, 2)}),
+            "not a permutation",
+        ),
+    ],
+    ids=[
+        "sigma-row",
+        "sigma-rows",
+        "p-restriction",
+        "p-summand-counts",
+        "matrix-missing-rolldown",
+        "matrix-bad-rolldown",
+    ],
+)
+def test_rows_must_be_permutations(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestMatrix:
     def test_full_flag_s3_triangular(self):
         points = all_permutations(3)
@@ -456,12 +486,17 @@ class TestMatrix:
 
     def test_index_is_a_lookup(self):
         points = all_permutations(4)
-        matrix = restriction_matrix(points, {w: w for w in points})
+        # index bisects the sorted points, so hand them over out of order
+        shuffled = list(points)
+        random.Random(4).shuffle(shuffled)
+        matrix = restriction_matrix(shuffled, {w: w for w in points})
+        assert matrix.points == points
         for k, w in enumerate(points):
             assert matrix.index(w) == k
             assert matrix.entry(w, w) == matrix.values[k][k]
-        with pytest.raises(ValueError, match="not a point"):
-            matrix.index((1, 2, 3))
+        for w in [(1, 2, 3), (0, 1, 2, 3), (4, 3, 2, 1, 5), (5, 1, 2, 3)]:
+            with pytest.raises(ValueError, match="not a point"):
+                matrix.index(w)
         # the lookup is derived from points: equality and hashing ignore it
         again = restriction_matrix(points, {w: w for w in points})
         assert again == matrix and hash(again) == hash(matrix)

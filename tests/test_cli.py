@@ -40,6 +40,9 @@ class TestDefaults:
         assert default_hessenberg(3) == (3, 3, 3)
         assert default_hessenberg(2) == (2, 2)
         assert default_hessenberg(1) == (1,)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be positive"):
+                default_hessenberg(n)
 
 
 class TestFillings:

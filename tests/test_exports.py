@@ -58,6 +58,17 @@ def test_pinball_commands_load_no_restriction_layer():
     assert "hesspin.hess334" not in loaded
 
 
+def test_library_loads_no_dataclasses():
+    # the records are NamedTuples, so no import pulls in dataclasses (and
+    # with it inspect, ast, dis and tokenize)
+    probe = "print('dataclasses' in sys.modules)"
+    bare = _fresh("import sys\n" + probe)
+    loaded = _fresh(
+        "import sys, hesspin.cli, hesspin.billey, hesspin.hess334\n" + probe
+    )
+    assert loaded == bare
+
+
 def test_reexports_are_lazy():
     assert _fresh("import sys, hesspin\n" + LOADED) == "[]\n"
     loaded = _fresh("import sys\nfrom hesspin import verify_334_theorem\n" + LOADED)
