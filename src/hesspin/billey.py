@@ -419,8 +419,8 @@ def p_summand_counts(
 class RestrictionMatrix(NamedTuple):
     """Matrix of projected restrictions p_{rolldown(row)}(column), stored by row.
 
-    Points label both axes, sorted lexicographically by one-line notation;
-    row a restricts the class of ``rolldowns[a]`` to every point.  Only
+    Points label both axes, distinct and sorted lexicographically by
+    one-line notation; row a restricts the class of ``rolldowns[a]`` to every point.  Only
     nonzero entries are kept: bit b of ``nonzero[a]`` is set when entry
     (a, b) is nonzero, and ``coeffs[a]`` lists those entries' coefficients
     in column order.  Every entry of row a has degree l(rolldowns[a]).
@@ -519,6 +519,9 @@ def restriction_matrix(
     the state of its rolldown.
     """
     pts = tuple(sorted(points))
+    repeated = sorted({u for u, v in zip(pts, pts[1:]) if u == v})
+    if repeated:
+        raise ValueError(f"repeated points {repeated}")
     missing = [w for w in pts if w not in rolldowns]
     if missing:
         raise ValueError(f"no rolldown for the points {missing}")

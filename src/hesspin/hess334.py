@@ -25,9 +25,13 @@ dimension-pair definitions, builds the full restriction matrix, and checks
 the poset upper triangularity that makes the rolldown classes a module
 basis, together with the supporting Bruhat-order lemmas.  One private
 record per point holds its class, subset, runs, catalog word and
-closed-form rolldown, built by one constructor that validates the point
-through ``classify``; the theorem builds it once per point, and the public
-per-point functions build it for their one point.
+closed-form rolldown, built by one constructor that checks the point's
+filling is permissible, reads its class and associated subset, and rebuilds
+the point from that subset with the class's named constructor (w_A, u_A or
+v_A); a point that does not come back as itself is an internal error.  So
+each class has one definition, its constructor, and ``classify`` is that
+record's class.  The theorem builds the record once per point, and the
+public per-point functions build it for their one point.
 The Bruhat-order lemmas read the relation as bitmasks over the points
 (``permutations.bruhat_table``) and compare it with masks built once per
 run: one per class, one per j of the points whose subset holds j, one per
@@ -140,72 +144,15 @@ def has_321_string(w: Perm) -> bool:
     return any(w[i : i + 3] == (3, 2, 1) for i in range(len(w) - 2))
 
 
-def _is_increasing_staircases(seq: Sequence[int]) -> bool:
-    """Whether seq arranges its values as staircases with increasing tops."""
-    if not seq:
-        return True
-    vals = sorted(seq)
-    if vals != list(range(vals[0], vals[0] + len(seq))):
-        return False
-    low = vals[0]
-    k = 0
-    while k < len(seq):
-        top = seq[k]
-        run = tuple(range(top, low - 1, -1))
-        if top < low or tuple(seq[k : k + len(run)]) != run:
-            return False
-        k += len(run)
-        low = top + 1
-    return True
-
-
 def classify(w: Perm) -> FixedPointClass:
     """The class of a 334-type fixed point, read off its filling.
 
-    The filling pattern decides everything: no "3 1" adjacency means
-    Peterson type (split by the 321 string), otherwise the position of the
-    adjacency separates 312-type from 231-type.
+    No "3 1" adjacency in the filling means Peterson type (split by the 321
+    string), otherwise the position of the adjacency separates 312-type
+    from 231-type.  The point is then rebuilt from its associated subset by
+    that class's constructor, and must come out as itself.
     """
-    w = validate(w)
-    error = _fixed_point_error(w)
-    if error is not None:
-        raise ValueError(f"{w} is not a 334-type fixed point: {error}")
-    f = inverse(w)
-    n = len(f)
-    cut = next(
-        (k for k in range(n - 1) if f[k] == 3 and f[k + 1] == 1), None
-    )
-    if cut is None:
-        if not _is_increasing_staircases(f):
-            raise RuntimeError(f"unclassifiable Peterson-like filling {f}")
-        return (
-            FixedPointClass.PETERSON_321
-            if has_321_string(w)
-            else FixedPointClass.PETERSON_NO_321
-        )
-    if f[0] == 2:
-        # 2 w' 3 1 w'' with w' = a2+1, a2, ..., 4
-        stair = f[1:cut]
-        a2 = len(stair) + 2
-        ok = (
-            stair == tuple(range(a2 + 1, 3, -1))
-            and _is_increasing_staircases(f[cut + 2 :])
-        )
-        if not ok:
-            raise RuntimeError(f"unclassifiable 231-like filling {f}")
-        return FixedPointClass.TYPE_231
-    # w' 3 1 2 w'' with w' = a2+1, a2, ..., 4
-    stair = f[:cut]
-    a2 = len(stair) + 2
-    ok = (
-        stair == tuple(range(a2 + 1, 3, -1))
-        and cut + 2 < n
-        and f[cut + 2] == 2
-        and _is_increasing_staircases(f[cut + 3 :])
-    )
-    if not ok:
-        raise RuntimeError(f"unclassifiable 312-like filling {f}")
-    return FixedPointClass.TYPE_312
+    return _point(w).cls
 
 
 def associated_subset(w: Perm) -> frozenset[int]:
@@ -260,10 +207,37 @@ def tail(subset: frozenset[int], j: int) -> int:
 
 
 def _check_subset(subset, n: int) -> frozenset[int]:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     s = frozenset(subset)
     if not all(isinstance(j, int) and 1 <= j <= n - 1 for j in s):
         raise ValueError(f"subset {sorted(s)} is not inside 1..{n - 1}")
     return s
+
+
+def _named(cls: FixedPointClass, runs: Runs, n: int) -> Optional[Perm]:
+    # w_A, one block per run; the 312 and 231 classes rewrite its leading
+    # block [1, H1], and without a leading run [1, H1], H1 >= 2, they give None
+    out = list(range(1, n + 1))
+    for a, b in runs:
+        out[a - 1 : b + 1] = range(b + 1, a - 1, -1)
+    if cls in _NON_PETERSON:
+        if not runs or runs[0][0] != 1 or runs[0][1] < 2:
+            return None
+        a2 = runs[0][1]
+        if cls is FixedPointClass.TYPE_312:
+            out[: a2 + 1] = [a2, a2 + 1, *range(a2 - 1, 0, -1)]
+        else:
+            out[: a2 + 1] = [a2 + 1, 1, *range(a2, 1, -1)]
+    return tuple(out)
+
+
+def _named_point(cls: FixedPointClass, subset, n: int) -> Perm:
+    s = _check_subset(subset, n)
+    w = _named(cls, consecutive_substrings(s), n)
+    if w is None:
+        raise ValueError(f"subset {sorted(s)} must contain {{1, 2}}")
+    return w
 
 
 def peterson_fixed_point(subset, n: int) -> Perm:
@@ -272,19 +246,7 @@ def peterson_fixed_point(subset, n: int) -> Perm:
     >>> peterson_fixed_point({1, 2, 3, 4, 6, 7}, 8)
     (5, 4, 3, 2, 1, 8, 7, 6)
     """
-    s = _check_subset(subset, n)
-    out = list(range(1, n + 1))
-    for a, b in consecutive_substrings(s):
-        out[a - 1 : b + 1] = range(b + 1, a - 1, -1)
-    return tuple(out)
-
-
-def _leading_run(subset, n: int) -> tuple[frozenset[int], int]:
-    s = _check_subset(subset, n)
-    runs = consecutive_substrings(s)
-    if not runs or runs[0] != (1, runs[0][1]) or runs[0][1] < 2:
-        raise ValueError(f"subset {sorted(s)} must contain {{1, 2}}")
-    return s, runs[0][1]
+    return _named_point(FixedPointClass.PETERSON_NO_321, subset, n)
 
 
 def type_312_fixed_point(subset, n: int) -> Perm:
@@ -293,12 +255,7 @@ def type_312_fixed_point(subset, n: int) -> Perm:
     >>> type_312_fixed_point({1, 2, 3, 5, 6}, 8)
     (3, 4, 2, 1, 7, 6, 5, 8)
     """
-    s, a2 = _leading_run(subset, n)
-    out = list(range(1, n + 1))
-    out[0 : a2 + 1] = [a2, a2 + 1] + list(range(a2 - 1, 0, -1))
-    for a, b in consecutive_substrings(s)[1:]:
-        out[a - 1 : b + 1] = range(b + 1, a - 1, -1)
-    return tuple(out)
+    return _named_point(FixedPointClass.TYPE_312, subset, n)
 
 
 def type_231_fixed_point(subset, n: int) -> Perm:
@@ -307,12 +264,7 @@ def type_231_fixed_point(subset, n: int) -> Perm:
     >>> type_231_fixed_point({1, 2, 3, 5, 6}, 8)
     (4, 1, 3, 2, 7, 6, 5, 8)
     """
-    s, a2 = _leading_run(subset, n)
-    out = list(range(1, n + 1))
-    out[0 : a2 + 1] = [a2 + 1, 1] + list(range(a2, 1, -1))
-    for a, b in consecutive_substrings(s)[1:]:
-        out[a - 1 : b + 1] = range(b + 1, a - 1, -1)
-    return tuple(out)
+    return _named_point(FixedPointClass.TYPE_231, subset, n)
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +283,33 @@ class _Point(NamedTuple):
 
 
 def _point(w: Perm) -> _Point:
-    # the one place a point's facts are derived; classify validates w
-    cls = classify(w)
-    w = tuple(w)
+    # the one place a point is classified and its facts derived
+    w = validate(w)
+    error = _fixed_point_error(w)
+    if error is not None:
+        raise ValueError(f"{w} is not a 334-type fixed point: {error}")
+    f = inverse(w)
+    n = len(w)
     # the associated subset: move to a Peterson point, read its descents by one
     cur = list(w)
-    if cls is FixedPointClass.TYPE_312:
-        cur[0], cur[1] = cur[1], cur[0]
-    elif cls is FixedPointClass.TYPE_231:
+    if not any(f[k] == 3 and f[k + 1] == 1 for k in range(n - 1)):
+        cls = (
+            FixedPointClass.PETERSON_321
+            if has_321_string(w)
+            else FixedPointClass.PETERSON_NO_321
+        )
+    elif f[0] == 2:
+        cls = FixedPointClass.TYPE_231
         for i in range(2, w[0]):
             cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    subset = frozenset(i for i in range(1, len(cur)) if cur[i - 1] == cur[i] + 1)
+    else:
+        cls = FixedPointClass.TYPE_312
+        cur[0], cur[1] = cur[1], cur[0]
+    subset = frozenset(i for i in range(1, n) if cur[i - 1] == cur[i] + 1)
     runs = consecutive_substrings(subset)
-    roll = from_word(len(w), _rolldown_word(cls, subset))
+    if _named(cls, runs, n) != w:
+        raise RuntimeError(f"unclassifiable {cls.value}-like filling {f}")
+    roll = from_word(n, _rolldown_word(cls, subset))
     return _Point(w, cls, subset, runs, _catalog_word(w, cls, runs), roll)
 
 
@@ -675,9 +641,7 @@ def verify_334_theorem(n: int) -> Theorem334Report:
             diagonal_fails.append((p.w, value, expect))
     add("closed-form-diagonal", diagonal_fails)
 
-    classes = tuple(p.cls for p in facts)
-    subsets = [p.subset for p in facts]
-    for name, failures in _bruhat_sweeps(points, classes, subsets, *tables):
+    for name, failures in _bruhat_sweeps(facts, *tables):
         add(name, failures)
 
     add("summand-census", (p.w for p in facts if not _census(p).passed))
@@ -694,16 +658,14 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     return Theorem334Report(
         n=n,
         points=points,
-        classes=classes,
+        classes=tuple(p.cls for p in facts),
         pinball=pin,
         structural=tuple(structural),
     )
 
 
 def _bruhat_sweeps(
-    points: Sequence[Perm],
-    classes: Sequence[FixedPointClass],
-    subsets: Sequence[frozenset[int]],
+    facts: Sequence[_Point],
     below: Sequence[int],
     roll_below: Sequence[int],
     simple_below: Sequence[int],
@@ -711,10 +673,11 @@ def _bruhat_sweeps(
 ) -> tuple[tuple[str, tuple], ...]:
     """The theorem's six Bruhat-order lemmas, as (name, witnesses) pairs.
 
-    Bit b of below[a] is set when points[a] <= points[b], and of
-    roll_below[a] when the rolldown of points[a] is below points[b]; bit a
-    of simple_below[i - 1] (simple_below_roll[i - 1]) is set when s_i <=
-    points[a] (its rolldown), as ``bruhat_table`` gives them.  Every check
+    Writing points[a] for facts[a].w, bit b of below[a] is set when
+    points[a] <= points[b], and of roll_below[a] when the rolldown of
+    points[a] is below points[b]; bit a of simple_below[i - 1]
+    (simple_below_roll[i - 1]) is set when s_i <= points[a] (its rolldown),
+    as ``bruhat_table`` gives them.  Every check
     takes a few big-int operations per point, on masks over the points: one
     per class, one per j of the points whose subset holds j, and one per
     point of the points whose subset contains that point's.  Witnesses are
@@ -724,25 +687,26 @@ def _bruhat_sweeps(
     no_321, with_321 = FixedPointClass.PETERSON_NO_321, FixedPointClass.PETERSON_321
     t312, t231 = FixedPointClass.TYPE_312, FixedPointClass.TYPE_231
     n = len(simple_below) + 1
+    points = [p.w for p in facts]
     full = (1 << len(points)) - 1
     of_class = dict.fromkeys(FixedPointClass, 0)
     # holding[j]: the points whose subset contains j
     holding = [0] * n
-    for a, (cls, subset) in enumerate(zip(classes, subsets)):
-        of_class[cls] |= 1 << a
-        for j in subset:
+    for a, p in enumerate(facts):
+        of_class[p.cls] |= 1 << a
+        for j in p.subset:
             holding[j] |= 1 << a
     # superset[a]: the points whose subset contains the subset of points[a]
     superset = []
-    for subset in subsets:
+    for p in facts:
         mask = full
-        for j in subset:
+        for j in p.subset:
             mask &= holding[j]
         superset.append(mask)
     # at_least[t]: the 312-type points with H1 >= t
     at_least = [0] * (n + 1)
     for b in set_bits(of_class[t312]):
-        at_least[head(subsets[b], 1)] |= 1 << b
+        at_least[facts[b].runs[0][1]] |= 1 << b
     for t in range(n - 1, -1, -1):
         at_least[t] |= at_least[t + 1]
     peterson = of_class[no_321] | of_class[with_321]
@@ -780,10 +744,10 @@ def _bruhat_sweeps(
                 member.append((points[a], i, "rolldown"))
 
     segment = [
-        of_class[t312] & (x ^ (sup & at_least[head(subset, 1) + 1]))
-        if cls is with_321 or cls is t231
+        of_class[t312] & (x ^ (sup & at_least[p.runs[0][1] + 1]))
+        if p.cls is with_321 or p.cls is t231
         else 0
-        for cls, subset, x, sup in zip(classes, subsets, below, superset)
+        for p, x, sup in zip(facts, below, superset)
     ]
     return (
         (
@@ -795,13 +759,13 @@ def _bruhat_sweeps(
         (
             "containment-criterion",
             pairs(
-                qualifying[cls] & (x ^ sup)
-                for cls, x, sup in zip(classes, below, superset)
+                qualifying[p.cls] & (x ^ sup)
+                for p, x, sup in zip(facts, below, superset)
             ),
         ),
         (
             "forbidden-relations",
-            pairs(forbidden[cls] & r for cls, r in zip(classes, related)),
+            pairs(forbidden[p.cls] & r for p, r in zip(facts, related)),
         ),
         ("initial-segment-criterion", pairs(segment)),
     )

@@ -444,6 +444,12 @@ class TestSummands:
             lambda: restriction_matrix([(1, 2), (2, 1)], {(1, 2): (1, 2), (2, 1): (2, 2)}),
             "not a permutation",
         ),
+        (
+            lambda: restriction_matrix(
+                [(1, 2), (1, 2), (2, 1)], {(1, 2): (1, 2), (2, 1): (2, 1)}
+            ),
+            r"repeated points \[\(1, 2\)\]",
+        ),
     ],
     ids=[
         "sigma-row",
@@ -452,6 +458,7 @@ class TestSummands:
         "p-summand-counts",
         "matrix-missing-rolldown",
         "matrix-bad-rolldown",
+        "matrix-repeated-point",
     ],
 )
 def test_rows_must_be_permutations(call, message):

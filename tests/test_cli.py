@@ -217,11 +217,24 @@ class TestErrors:
         def broken(w):
             raise RuntimeError(f"unclassifiable filling {w}")
 
-        monkeypatch.setattr(hess334, "classify", broken)
+        monkeypatch.setattr(hess334, "_point", broken)
         code, out, err = run(capsys, "verify", "--n", "4", "--mode", "basis334")
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: unclassifiable filling")
+        assert err.count("\n") == 1
+
+    def test_point_that_does_not_rebuild_is_internal(self, capsys, monkeypatch):
+        # classification rebuilds each point from its subset; a constructor
+        # that builds the wrong permutation must be caught, not trusted
+        real = hess334._named
+        monkeypatch.setattr(hess334, "_named", lambda *args: real(*args)[::-1])
+        with pytest.raises(RuntimeError, match="unclassifiable"):
+            hess334.classify((4, 3, 2, 1))
+        code, out, err = run(capsys, "verify", "--n", "4", "--mode", "basis334")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: unclassifiable")
         assert err.count("\n") == 1
 
 

@@ -101,10 +101,18 @@ class TestConstructorsPartition:
             peterson_fixed_point({0}, 4)
         with pytest.raises(ValueError):
             peterson_fixed_point({4}, 4)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            peterson_fixed_point(set(), 0)
         with pytest.raises(ValueError, match="must contain"):
             type_312_fixed_point({1, 3}, 5)
         with pytest.raises(ValueError, match="must contain"):
             type_231_fixed_point({2, 3}, 5)
+
+    def test_named_gives_none_without_leading_run(self):
+        # classification feeds _named any subset; it must not raise
+        for cls in (T312, T231):
+            for runs in [(), ((2, 3),), ((1, 1), (3, 3))]:
+                assert hess334._named(cls, runs, 5) is None
 
     def test_321_string_matches_subset(self):
         for n in (4, 5, 6):
@@ -292,13 +300,13 @@ class TestTheorem:
 
     def test_classifies_each_point_once(self, monkeypatch):
         calls = []
-        real = hess334.classify
+        real = hess334._point
 
         def counted(w):
             calls.append(w)
             return real(w)
 
-        monkeypatch.setattr(hess334, "classify", counted)
+        monkeypatch.setattr(hess334, "_point", counted)
         report = verify_334_theorem(6)
         assert report.passed
         assert sorted(calls) == list(report.points)
@@ -333,9 +341,12 @@ class TestBruhatSweeps:
     @staticmethod
     def assert_agree(points, classes, subsets, dense):
         expected = bruhat_sweeps(points, classes, subsets, *dense)
-        got = hess334._bruhat_sweeps(
-            points, classes, subsets, *(_masks(t) for t in dense)
-        )
+        # the sweeps read only each record's point, class, subset and runs
+        facts = [
+            hess334._Point(w, cls, s, consecutive_substrings(s), (), ())
+            for w, cls, s in zip(points, classes, subsets)
+        ]
+        got = hess334._bruhat_sweeps(facts, *(_masks(t) for t in dense))
         assert got == expected
         return sum(len(witnesses) for _, witnesses in expected)
 
