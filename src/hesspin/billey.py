@@ -420,10 +420,11 @@ class RestrictionMatrix(NamedTuple):
     """Matrix of projected restrictions p_{rolldown(row)}(column), stored by row.
 
     Points label both axes, distinct and sorted lexicographically by
-    one-line notation; row a restricts the class of ``rolldowns[a]`` to every point.  Only
-    nonzero entries are kept: bit b of ``nonzero[a]`` is set when entry
-    (a, b) is nonzero, and ``coeffs[a]`` lists those entries' coefficients
-    in column order.  Every entry of row a has degree l(rolldowns[a]).
+    one-line notation; row a restricts the class of ``rolldowns[a]`` to
+    every point.  Only nonzero entries are kept: bit b of ``nonzero[a]`` is
+    set when entry (a, b) is nonzero, and ``coeffs[a]`` lists those entries'
+    coefficients in column order.  Every entry of row a has degree
+    l(rolldowns[a]).
     ``dense_rows()`` yields the dense rows one at a time, and ``values`` is
     the whole dense view, ``values[a][b]`` as an ``S1Value``.
     """
