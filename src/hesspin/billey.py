@@ -19,22 +19,24 @@ The projection sends t_i to (n + 1 - i) t, the weight ladder of the circle
 inside the diagonal torus; a root t_l - t_k lands on (k - l) t.
 
 Nothing here enumerates subwords: each job has one recurrence over b.
-``sigma_restriction`` makes one backward pass over b from v down to the
-identity, carrying polynomials as maps from packed monomials to
-coefficients; ``sigma_rows`` runs that pass for a whole table, deriving
-and checking each column's word once.  ``restriction_matrix`` fills each
-column from one prefix recurrence over the column's word, keeping only
-partial products inside the Bruhat down-closure of the rows
-(``_down_closure``, built once from descending covers and numbered, so a
-step is a list lookup).  It stores each row sparsely, as a bitmask of
+Both matrix jobs work inside the lower ideal of their rows in the right
+weak order (``_weak_ideal``), numbered once per call by descent steps, so
+a step is a list lookup.  ``sigma_restriction`` makes one backward pass
+over b from v down to the identity, carrying polynomials as maps from
+packed monomials to coefficients; ``sigma_rows`` runs that same pass for
+a whole table, numbering the rows' ideal and deriving and checking each
+column's word once.  ``restriction_matrix`` fills each column from one
+prefix recurrence over the column's word, keeping only partial products
+inside the rows' ideal.  It stores each row sparsely, as a bitmask of
 its nonzero columns and their coefficients, and
 ``check_upper_triangular`` reads violations off those masks against the
 row masks of ``permutations.bruhat_table``.  ``p_summand_counts`` makes
 the backward pass of ``sigma_restriction`` for one entry, with projected
-weights in place of polynomials, and counts how many subwords give each
-summand; ``p_restriction`` sums that multiset.  No restriction consults
-Bruhat keys, so checking their vanishing against Bruhat order is not a
-tautology.
+weights in place of polynomials and states kept by length, and counts
+how many subwords give each summand; ``p_restriction`` sums that
+multiset.  No restriction consults Bruhat keys, and the ideal depends
+only on the rows, so checking their vanishing against Bruhat order is
+not a tautology.
 """
 
 from __future__ import annotations
@@ -260,8 +262,11 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     the summed root products of the reduced subwords of b_j..b_m that
     multiply x up to v; it starts as {v: 1}.  Letter j adds x * s_{b_j}
     for every x with a descent at b_j, times r(j, b), and the answer is
-    the identity's value.  States are kept by length, and those longer
-    than the letters left are dropped.  Roots come from the prefix
+    the identity's value.  A step goes down in the right weak order, so
+    every state lies in the weak-order ideal of v, numbered once
+    (``_weak_ideal``); a step is a lookup in its descent table.  States
+    longer than the letters left are dropped, and zero coefficients are
+    not carried.  Roots come from the prefix
     w s_{b_m} ... s_{b_j} = s_{b_1} ... s_{b_{j-1}}, one swap per letter.
 
     Values map packed monomials to coefficients: t_a's exponent sits in
@@ -273,58 +278,114 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
     v = validate(v)
-    return _sigma_pass(v, inversions(v), w, _checked_word(w, word))
+    b = _checked_word(w, word)
+    if inversions(v) > len(b):
+        # vanishes by length: no ideal to number
+        return Polynomial.zero(len(w))
+    return _sigma_pass(_weak_ideal([v]), v, w, b)
 
 
 def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[Polynomial, ...]]:
     """``sigma_restriction(v, w)`` for every w in ``points``, one row v at a time.
 
-    Rows are computed as they are asked for, so a caller can stream them.
-    Each point's canonical word is derived and checked once, and each
-    row's length once, instead of once per entry.
+    The rows are read and checked up front, and their weak-order ideal is
+    numbered once for the whole table; each row's values are computed when
+    it is asked for, so a caller can stream them.  Each point's canonical
+    word is derived and checked once, instead of once per entry.
     """
+    rows = [validate(v) for v in rows]
+    sizes = sorted({len(p) for p in [*rows, *points]})
+    if len(sizes) > 1:
+        raise ValueError(f"size mismatch among rows and points: {sizes}")
     columns = [(w, _checked_word(w, None)) for w in points]
-    sizes = {len(w) for w in points}
+    ideal = _weak_ideal(rows)
     for v in rows:
-        if sizes - {len(v)}:
-            raise ValueError(f"size mismatch: {len(v)} vs {sorted(sizes)}")
-        v = validate(v)
-        length = inversions(v)
-        yield tuple(_sigma_pass(v, length, w, b) for w, b in columns)
+        yield tuple(_sigma_pass(ideal, v, w, b) for w, b in columns)
 
 
-def _sigma_pass(v: Perm, length: int, w: Perm, b: Word) -> Polynomial:
-    # the backward pass of sigma_restriction; length is l(v), b a reduced word for w
+class _Ideal(NamedTuple):
+    """A numbered lower ideal of the right weak order.
+
+    ``number`` numbers its permutations in the order found; ``length[k]``
+    is the length of permutation k and ``down[i][k]`` the number of its
+    product with s_i when that is shorter, -1 otherwise.
+    """
+
+    number: dict[Perm, int]
+    length: list[int]
+    down: list[list[int]]
+
+
+def _weak_ideal(tops: Sequence[Perm]) -> _Ideal:
+    """Every permutation at or below one of ``tops`` in the right weak order.
+
+    x * s_i is below x exactly when x has a descent at i, so the ideal is
+    what descent steps reach from the tops.  Each permutation is expanded
+    once, in the order it was numbered; its length and descent steps are
+    derived from its parent's, and no Bruhat keys are compared.
+
+    >>> sorted(_weak_ideal([(2, 3, 1)]).number)
+    [(1, 2, 3), (2, 1, 3), (2, 3, 1)]
+    """
+    number = {v: k for k, v in enumerate(dict.fromkeys(tops))}
+    elements = list(number)
+    length = [inversions(v) for v in elements]
+    n = len(elements[0]) if elements else 1
+    down: list[list[int]] = [[] for _ in range(n)]
+    # elements grows as the loop finds new permutations
+    for k, x in enumerate(elements):
+        for i in range(1, n):
+            if x[i - 1] > x[i]:
+                y = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
+                child = number.get(y)
+                if child is None:
+                    child = number[y] = len(elements)
+                    elements.append(y)
+                    length.append(length[k] - 1)
+                down[i].append(child)
+            else:
+                down[i].append(-1)
+    return _Ideal(number, length, down)
+
+
+def _sigma_pass(ideal: _Ideal, v: Perm, w: Perm, b: Word) -> Polynomial:
+    # the backward pass of sigma_restriction; v lies in the ideal and b is
+    # a reduced word for w
     n = len(w)
+    length = ideal.length
+    start = ideal.number[v]
+    if length[start] > len(b):
+        return Polynomial.zero(n)
     width = max(1, (n - 1).bit_length())
     shifts = [(n - a) * width for a in range(1, n + 1)]
     unit = [0] + [1 << s for s in shifts]
     prefix = list(w)
-    # levels[k] maps each state of length k to its packed value
-    levels: list[dict[Perm, dict[int, int]]] = [{} for _ in range(length)]
-    levels.append({v: {0: 1}})
+    values: dict[int, dict[int, int]] = {start: {0: 1}}
     for j in range(len(b), 0, -1):
-        # a state longer than j cannot reach the identity in the j letters left
-        del levels[j + 1 :]
         i = b[j - 1]
         prefix[i - 1], prefix[i] = prefix[i], prefix[i - 1]
         lower, upper = unit[prefix[i - 1]], unit[prefix[i]]
+        step = ideal.down[i]
         # x * s_i has an ascent at i, so no state moves twice on one letter
-        for k in range(len(levels) - 1, 0, -1):
-            below = levels[k - 1]
-            for x, value in levels[k].items():
-                if x[i - 1] > x[i]:
-                    y = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
-                    out = below.get(y)
-                    if out is None:
-                        below[y] = out = {}
-                    for mono, c in value.items():
+        for x, value in list(values.items()):
+            if length[x] > j:
+                # too long to reach the identity in the j letters left
+                del values[x]
+                continue
+            y = step[x]
+            if y >= 0:
+                out = values.get(y)
+                if out is None:
+                    values[y] = out = {}
+                for mono, c in value.items():
+                    if c:
                         out[mono + lower] = out.get(mono + lower, 0) + c
                         out[mono + upper] = out.get(mono + upper, 0) - c
     mask = (1 << width) - 1
-    value = levels[0].get(identity(n), {})
+    value = values.get(ideal.number[identity(n)], {})
     return Polynomial(
-        n, {tuple(mono >> s & mask for s in shifts): c for mono, c in value.items()}
+        n,
+        {tuple(mono >> s & mask for s in shifts): c for mono, c in value.items() if c},
     )
 
 
@@ -468,35 +529,6 @@ class RestrictionMatrix(NamedTuple):
         return tuple(self.dense_rows())
 
 
-def _down_closure(tops: Iterable[Perm]) -> frozenset[Perm]:
-    """Every permutation at or below one of ``tops`` in Bruhat order.
-
-    Descends by covers, comparing no Bruhat keys: u covers u * (a b)
-    exactly when a < b, u(a) > u(b), and no position between a and b holds
-    a value between u(b) and u(a) (Bjorner and Brenti, *Combinatorics of
-    Coxeter Groups*, Sec. 2.1).
-
-    >>> sorted(_down_closure([(2, 3, 1)]))
-    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)]
-    """
-    seen = set(tops)
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        for a, high in enumerate(u):
-            # floor: the largest value below u(a) between position a and b
-            floor = 0
-            for b in range(a + 1, len(u)):
-                low = u[b]
-                if floor < low < high:
-                    floor = low
-                    x = u[:a] + (low,) + u[a + 1 : b] + (high,) + u[b + 1 :]
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-    return frozenset(seen)
-
-
 def restriction_matrix(
     points: Iterable[Perm],
     rolldowns: Mapping[Perm, Perm],
@@ -510,14 +542,15 @@ def restriction_matrix(
     Each column is one pass over its word b, mapping every partial product
     u of a reduced subword of b_1..b_j to its summed projected weight;
     letter j adds u * s_{b_j} with weight times r(j, b) where the length
-    rises.  Every partial product of a subword reaching v lies below v, so
-    only products in the down-closure I of the rows are kept.  I is built
-    once, from covers (``_down_closure``), and numbered; ``up[i][k]`` is
-    the number of ``ideal[k] * s_i`` when that is longer and in I, so a
-    pass steps states by list lookups.  I is the same for every column and
-    compares no keys, so checking the matrix's vanishing against Bruhat
-    order still tests something.  Each row takes its column's value from
-    the state of its rolldown.
+    rises.  A partial product of a reduced subword reaching v is a reduced
+    prefix of v, so it lies below v in the right weak order, and only
+    products in the weak-order ideal I of the rows are kept.  I is numbered
+    once (``_weak_ideal``, the ideal of ``sigma_rows``); ``up[i][k]`` is the
+    number of permutation k times s_i when that is longer and in I, read
+    off I's descent steps, so a pass steps states by list lookups.  I is
+    the same for every column and compares no keys, so checking the
+    matrix's vanishing against Bruhat order still tests something.  Each
+    row takes its column's value from the state of its rolldown.
     """
     pts = tuple(sorted(points))
     repeated = sorted({u for u, v in zip(pts, pts[1:]) if u == v})
@@ -529,16 +562,17 @@ def restriction_matrix(
     rolls = tuple(validate(rolldowns[w]) for w in pts)
     if len({len(p) for p in pts + rolls}) > 1:
         raise ValueError("size mismatch among points and rolldowns")
-    ideal = tuple(_down_closure(rolls))
-    number = {u: k for k, u in enumerate(ideal)}
+    ideal = _weak_ideal(rolls)
+    number = ideal.number
     n = len(pts[0]) if pts else 1
-    up = [[-1] * len(ideal) for _ in range(n)]
-    for k, u in enumerate(ideal):
-        for i in range(1, n):
-            if u[i - 1] < u[i]:
-                up[i][k] = number.get(u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :], -1)
+    # the ascent steps are the descent steps read backwards
+    up = [[-1] * len(number) for _ in range(n)]
+    for i, step in enumerate(ideal.down):
+        for k, child in enumerate(step):
+            if child >= 0:
+                up[i][child] = k
     # the rows of each state; the same rolldown may serve several rows
-    rows_of: list[list[int]] = [[] for _ in ideal]
+    rows_of: list[list[int]] = [[] for _ in number]
     for a, v in enumerate(rolls):
         rows_of[number[v]].append(a)
     columns: list[list[int]] = [[] for _ in rolls]

@@ -157,6 +157,26 @@ def bruhat_leq_tableau(v, w):
     return True
 
 
+def weak_leq_oracle(x, v):
+    """Whether x <= v in the right weak order: v = x u with lengths adding,
+    that is l(x) + l(x^-1 v) = l(v), with x^-1 v read off position by
+    position."""
+    assert len(x) == len(v), "size mismatch"
+    place = {value: pos + 1 for pos, value in enumerate(x)}
+    rest = tuple(place[value] for value in v)
+    return brute_inversions(x) + brute_inversions(rest) == brute_inversions(v)
+
+
+def weak_down_set(rows, n):
+    """Every permutation of 1..n at or below one of ``rows`` in the right
+    weak order, over all of S_n."""
+    return {
+        x
+        for x in permutations(range(1, n + 1))
+        if any(weak_leq_oracle(x, v) for v in rows)
+    }
+
+
 def relation_tables(points, rolls):
     """The four Bruhat tables the 334 theorem reads, dense, by the tableau
     criterion: below[a][b] is points[a] <= points[b], roll_below[a][b] is

@@ -12,7 +12,7 @@ from hesspin.billey import (
     Polynomial,
     Root,
     S1Value,
-    _down_closure,
+    _weak_ideal,
     check_upper_triangular,
     p_restriction,
     p_summand_counts,
@@ -37,6 +37,7 @@ from hesspin.pinball import rolldown_table
 
 from oracles import (
     all_hessenberg,
+    brute_inversions,
     brute_project,
     brute_sigma,
     brute_summand_table,
@@ -45,6 +46,7 @@ from oracles import (
     gkm_violations,
     random_reduced_word,
     vandermonde,
+    weak_down_set,
 )
 
 
@@ -230,9 +232,46 @@ class TestSigma:
         assert sorted(calls) == list(perms)
 
     def test_rows_reject_size_mismatch(self):
-        rows = sigma_rows([(2, 1, 3, 4)], all_permutations(3))
-        with pytest.raises(ValueError, match="size mismatch"):
-            next(rows)
+        for rows in [
+            sigma_rows([(2, 1, 3, 4)], all_permutations(3)),
+            # rows of two sizes, even with no points to restrict to
+            sigma_rows([(1, 2), (1, 2, 3)], []),
+        ]:
+            with pytest.raises(ValueError, match="size mismatch"):
+                next(rows)
+
+    def test_rows_number_one_ideal(self, monkeypatch):
+        # the rows' weak-order ideal is numbered once for the whole table
+        calls = []
+        real = billey._weak_ideal
+
+        def counted(tops):
+            calls.append(list(tops))
+            return real(tops)
+
+        monkeypatch.setattr(billey, "_weak_ideal", counted)
+        perms = all_permutations(4)
+        rows = [perms[k] for k in range(0, 24, 5)]
+        assert len(list(sigma_rows(iter(rows), perms))) == len(rows)
+        assert calls == [rows]
+
+    def test_rows_below_a_smaller_weak_ideal_match_brute_force(self):
+        # the pass keeps only states in the rows' weak-order ideal; here it
+        # is strictly smaller than their Bruhat down-closure, so a state
+        # wrongly dropped for lying outside it would show
+        rng = random.Random(7500)
+        perms = all_permutations(5)
+        rows = rng.sample(perms, 4)
+        weak = set(_weak_ideal(rows).number)
+        assert weak == weak_down_set(rows, 5)
+        assert weak < _down_set_oracle(rows, 5)
+        words = {w: canonical_word(w) for w in perms}
+        nonzero = 0
+        for v, row in zip(rows, sigma_rows(rows, perms)):
+            for w, value in zip(perms, row):
+                assert value == brute_sigma(v, w, words[w]), (v, w)
+                nonzero += bool(value)
+        assert nonzero == sum(bruhat_leq(v, w) for v in rows for w in perms)
 
     def test_word_independence_random_s5(self):
         rng = random.Random(20260817)
@@ -611,30 +650,49 @@ def _down_set_oracle(rows, n):
 
 
 class TestDownClosure:
-    """The Bruhat down-closure from covers against the tableau criterion."""
+    """The numbered right weak-order ideal against the length-additivity
+    oracle, and the Bruhat down-closure of rolldown sets."""
+
+    @staticmethod
+    def assert_matches_oracle(rows, n):
+        ideal = _weak_ideal(rows)
+        assert set(ideal.number) == weak_down_set(rows, n), rows
+        elements = list(ideal.number)
+        assert list(ideal.number.values()) == list(range(len(elements)))
+        assert ideal.length == [brute_inversions(x) for x in elements]
+        for i in range(1, n):
+            expected = []
+            for x in elements:
+                y = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
+                shorter = brute_inversions(y) < brute_inversions(x)
+                expected.append(ideal.number[y] if shorter else -1)
+            assert ideal.down[i] == expected, (rows, i)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_334_rolldowns(self, n):
         rows = set(rolldown_table(single_row(n), hessenberg_334(n)).values())
-        assert _down_closure(rows) == _down_set_oracle(rows, n)
+        self.assert_matches_oracle(rows, n)
+        # the rolldowns are closed downwards in both orders
+        assert set(_weak_ideal(rows).number) == rows == _down_set_oracle(rows, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_random_row_sets(self, n):
         rng = random.Random(7300 + n)
         perms = all_permutations(n)
         for size in (1, 1, 2, 3, 5):
-            rows = rng.sample(perms, min(size, len(perms)))
-            assert _down_closure(rows) == _down_set_oracle(rows, n), rows
+            self.assert_matches_oracle(rng.sample(perms, min(size, len(perms))), n)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_single_row_rolldowns_are_lower_ideals(self, n):
         # for every h, the rolldown set is already closed downwards
         for h in all_hessenberg(n):
             rows = set(rolldown_table(single_row(n), h).values())
-            assert _down_closure(rows) == rows == _down_set_oracle(rows, n), h
+            assert rows == _down_set_oracle(rows, n), h
 
     def test_empty(self):
-        assert _down_closure([]) == frozenset()
+        ideal = _weak_ideal([])
+        assert set(ideal.number) == weak_down_set([], 3) == set()
+        assert ideal.length == []
 
 
 class TestMatrixOracle:
@@ -680,11 +738,11 @@ class TestMatrixOracle:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_random_rows_below_a_larger_ideal(self, n):
-        # rows whose down-closure holds far more than the rows themselves
+        # rows whose weak-order ideal holds far more than the rows themselves
         rng = random.Random(7400 + n)
         perms = all_permutations(n)
         rows = rng.sample(perms, 6)
-        assert len(_down_closure(rows)) > 2 * len(rows)
+        assert len(_weak_ideal(rows).number) > 2 * len(rows)
         self.assert_matches_oracle(n, {w: rows[k % len(rows)] for k, w in enumerate(perms)})
 
     @pytest.mark.parametrize("n", [4, 5])
