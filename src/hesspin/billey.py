@@ -23,12 +23,16 @@ Both matrix jobs work inside the lower ideal of their rows in the right
 weak order (``_weak_ideal``), numbered once per call by descent steps, so
 a step is a list lookup.  ``sigma_restriction`` makes one backward pass
 over b from v down to the identity, carrying polynomials as maps from
-packed monomials to coefficients; ``sigma_rows`` runs that same pass for
-a whole table, numbering the rows' ideal and deriving and checking each
-column's word once.  ``restriction_matrix`` fills each column from one
-prefix recurrence over the column's word, keeping only partial products
-inside the rows' ideal.  It stores each row sparsely, as a bitmask of
-its nonzero columns and their coefficients, and
+packed monomials to coefficients; the pass reads its letters from the
+column's root table (``_root_table``: each letter's descent steps and the
+packed units of its root).  ``sigma_rows`` runs that same pass for a
+whole table, numbering the rows' ideal once and deriving, checking and
+tabulating each column's word once; one decoder (``_decoder``), shared
+by the table, unpacks each distinct monomial once and builds each
+``Polynomial`` without re-checking it.  ``restriction_matrix`` fills each
+column from one prefix recurrence over the column's word, keeping only
+partial products inside the rows' ideal.  It stores each row sparsely,
+as a bitmask of its nonzero columns and their coefficients, and
 ``check_upper_triangular`` reads violations off those masks against the
 row masks of ``permutations.bruhat_table``.  ``p_summand_counts`` makes
 the backward pass of ``sigma_restriction`` for one entry, with projected
@@ -42,7 +46,7 @@ not a tautology.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .permutations import (
     Perm,
@@ -98,6 +102,15 @@ class Polynomial:
                 if coeff:
                     clean[exps] = clean.get(exps, 0) + coeff
         self.terms = {e: c for e, c in clean.items() if c}
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
+        # terms already map exponent tuples of length nvars to nonzero
+        # coefficients, so __init__'s checks are skipped
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -263,10 +276,11 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     multiply x up to v; it starts as {v: 1}.  Letter j adds x * s_{b_j}
     for every x with a descent at b_j, times r(j, b), and the answer is
     the identity's value.  A step goes down in the right weak order, so
-    every state lies in the weak-order ideal of v, numbered once
-    (``_weak_ideal``); a step is a lookup in its descent table.  States
-    longer than the letters left are dropped, and zero coefficients are
-    not carried.  Roots come from the prefix
+    every state lies in the weak-order ideal of v (``_weak_ideal``); a step
+    is a lookup in its descent table.  States longer than the letters left
+    are dropped, and zero coefficients are not carried.  The pass reads
+    each letter's descent table and root from the column's root table
+    (``_root_table``), whose roots come from the prefix
     w s_{b_m} ... s_{b_j} = s_{b_1} ... s_{b_{j-1}}, one swap per letter.
 
     Values map packed monomials to coefficients: t_a's exponent sits in
@@ -274,6 +288,9 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     order and t_lower - t_upper multiplies a term by two additions.  A
     summand multiplies distinct roots, at most n - 1 of which involve t_a,
     so a field of (n - 1).bit_length() bits never carries.
+
+    Each call numbers the ideal of v anew, so callers wanting many entries
+    should use ``sigma_rows``, which numbers one ideal for a whole table.
     """
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
@@ -282,25 +299,34 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     if inversions(v) > len(b):
         # vanishes by length: no ideal to number
         return Polynomial.zero(len(w))
-    return _sigma_pass(_weak_ideal([v]), v, w, b)
+    ideal = _weak_ideal([v])
+    return _decoder(len(w))(_sigma_pass(ideal, v, _root_table(ideal, w, b)))
 
 
 def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[Polynomial, ...]]:
     """``sigma_restriction(v, w)`` for every w in ``points``, one row v at a time.
 
     The rows are read and checked up front, and their weak-order ideal is
-    numbered once for the whole table; each row's values are computed when
-    it is asked for, so a caller can stream them.  Each point's canonical
-    word is derived and checked once, instead of once per entry.
+    numbered once for the whole table.  Each point's canonical word is
+    derived and checked once, and its root table (``_root_table``) built
+    once beside it, instead of once per entry.  Each row's values are
+    computed when it is asked for, so a caller can stream them; one
+    decoder (``_decoder``) turns every packed value of the table into a
+    ``Polynomial``, unpacking each distinct monomial once.
     """
     rows = [validate(v) for v in rows]
     sizes = sorted({len(p) for p in [*rows, *points]})
     if len(sizes) > 1:
         raise ValueError(f"size mismatch among rows and points: {sizes}")
-    columns = [(w, _checked_word(w, None)) for w in points]
+    words = [_checked_word(w, None) for w in points]
+    if not rows:
+        # nothing to restrict; the points' words are checked all the same
+        return
     ideal = _weak_ideal(rows)
+    tables = [_root_table(ideal, w, b) for w, b in zip(points, words)]
+    decode = _decoder(sizes[0])
     for v in rows:
-        yield tuple(_sigma_pass(ideal, v, w, b) for w, b in columns)
+        yield tuple(decode(_sigma_pass(ideal, v, roots)) for roots in tables)
 
 
 class _Ideal(NamedTuple):
@@ -348,24 +374,46 @@ def _weak_ideal(tops: Sequence[Perm]) -> _Ideal:
     return _Ideal(number, length, down)
 
 
-def _sigma_pass(ideal: _Ideal, v: Perm, w: Perm, b: Word) -> Polynomial:
-    # the backward pass of sigma_restriction; v lies in the ideal and b is
-    # a reduced word for w
-    n = len(w)
-    length = ideal.length
-    start = ideal.number[v]
-    if length[start] > len(b):
-        return Polynomial.zero(n)
+def _fields(n: int) -> tuple[list[int], int]:
+    # the shift of t_a's exponent field in a packed monomial, for
+    # a = 1..n from the top, and the mask of one field
     width = max(1, (n - 1).bit_length())
-    shifts = [(n - a) * width for a in range(1, n + 1)]
+    return [(n - a) * width for a in range(1, n + 1)], (1 << width) - 1
+
+
+# one letter of a column's pass: (j, descent steps of s_{b_j}, packed
+# t_lower, packed t_upper) for the root r(j, b) = t_lower - t_upper
+_Letter = tuple[int, list[int], int, int]
+
+
+def _root_table(ideal: _Ideal, w: Perm, b: Word) -> list[_Letter]:
+    """The letters of w's column in the order the backward pass reads them.
+
+    For j = m..1, the descent table of b_j in ``ideal`` and the packed
+    units of r(j, b), read off the prefix s_{b_1} ... s_{b_{j-1}}, which
+    one swap per letter takes down from w.
+    """
+    shifts, _ = _fields(len(w))
     unit = [0] + [1 << s for s in shifts]
     prefix = list(w)
-    values: dict[int, dict[int, int]] = {start: {0: 1}}
+    table = []
     for j in range(len(b), 0, -1):
         i = b[j - 1]
         prefix[i - 1], prefix[i] = prefix[i], prefix[i - 1]
-        lower, upper = unit[prefix[i - 1]], unit[prefix[i]]
-        step = ideal.down[i]
+        table.append((j, ideal.down[i], unit[prefix[i - 1]], unit[prefix[i]]))
+    return table
+
+
+def _sigma_pass(ideal: _Ideal, v: Perm, roots: Sequence[_Letter]) -> dict[int, int]:
+    # the backward pass of sigma_restriction over a column's root table;
+    # v lies in the ideal, and the value is a map from packed monomials
+    # to coefficients, cancelled ones included
+    length = ideal.length
+    start = ideal.number[v]
+    if length[start] > len(roots):
+        return {}
+    values: dict[int, dict[int, int]] = {start: {0: 1}}
+    for j, step, lower, upper in roots:
         # x * s_i has an ascent at i, so no state moves twice on one letter
         for x, value in list(values.items()):
             if length[x] > j:
@@ -381,12 +429,31 @@ def _sigma_pass(ideal: _Ideal, v: Perm, w: Perm, b: Word) -> Polynomial:
                     if c:
                         out[mono + lower] = out.get(mono + lower, 0) + c
                         out[mono + upper] = out.get(mono + upper, 0) - c
-    mask = (1 << width) - 1
-    value = values.get(ideal.number[identity(n)], {})
-    return Polynomial(
-        n,
-        {tuple(mono >> s & mask for s in shifts): c for mono, c in value.items() if c},
-    )
+    return values.get(ideal.number[identity(len(v))], {})
+
+
+def _decoder(n: int) -> Callable[[Mapping[int, int]], Polynomial]:
+    """Turns the packed values of ``_sigma_pass`` into ``Polynomial``s.
+
+    Each distinct packed monomial is unpacked into its exponent tuple once,
+    for every value the decoder is given; cancelled coefficients are
+    dropped.  The tuples have length n by construction, so the polynomial
+    is built without ``Polynomial.__init__``'s checks.
+    """
+    shifts, mask = _fields(n)
+    exponents: dict[int, tuple[int, ...]] = {}
+
+    def decode(packed: Mapping[int, int]) -> Polynomial:
+        terms = {}
+        for mono, c in packed.items():
+            if c:
+                exps = exponents.get(mono)
+                if exps is None:
+                    exps = exponents[mono] = tuple(mono >> s & mask for s in shifts)
+                terms[exps] = c
+        return Polynomial._trusted(n, terms)
+
+    return decode
 
 
 def project_s1(p: Polynomial) -> S1Value:

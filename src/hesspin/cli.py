@@ -100,10 +100,6 @@ def _s1_json(value: S1Value) -> dict:
     return {"coeff": str(value.coeff), "deg": value.degree}
 
 
-def _poly_json(p) -> list[dict]:
-    return [{"exps": list(e), "coeff": str(c)} for e, c in p.sorted_terms()]
-
-
 def _jsonable(obj):
     """A witness as json: tuples as lists, each ``S1Value`` as its dict.
     An ``S1Value`` is told by its fields, so pinball witnesses are encoded
@@ -297,6 +293,35 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _torus_line():
+    """The json line of a ``matrix --full-torus`` row (v, polynomials), as
+    ``_JSON`` writes {"entries": [[{"coeff", "exps"}, ...], ...], "v": v}:
+    terms in ``sorted_terms()`` order, joined from a table of the text after
+    each exponent tuple's coefficient, built as the tuples first appear."""
+    after: dict[tuple[int, ...], str] = {}
+
+    def entry(p) -> str:
+        terms = []
+        for exps, coeff in p.sorted_terms():
+            text = after.get(exps)
+            if text is None:
+                text = after[exps] = '","exps":[' + ",".join(map(str, exps)) + "]}"
+            terms.append('{"coeff":"' + str(coeff) + text)
+        return "[" + ",".join(terms) + "]"
+
+    def line(item) -> str:
+        v, entries = item
+        return "".join((
+            '{"entries":[',
+            ",".join(map(entry, entries)),
+            '],"v":[',
+            ",".join(map(str, v)),
+            "]}\n",
+        ))
+
+    return line
+
+
 def cmd_matrix(args) -> int:
     n, h, shape = _resolve(args)
     _require_single_row(shape, "matrix")
@@ -306,21 +331,20 @@ def cmd_matrix(args) -> int:
     points = tuple(sorted(table))
     if args.full_torus:
         items = zip(points, sigma_rows((table[v] for v in points), points))
-        as_json, as_cell = _poly_json, repr
+        line, as_cell = _torus_line(), repr
     else:
         items = zip(points, restriction_matrix(points, table).dense_rows())
-        as_json, as_cell = _s1_json, _fmt_s1
-
-    def record(item) -> dict:
-        v, entries = item
-        return {"v": v, "entries": [as_json(e) for e in entries]}
+        line = _encoded(
+            lambda item: {"v": item[0], "entries": [_s1_json(e) for e in item[1]]}
+        )
+        as_cell = _fmt_s1
 
     def row(item) -> tuple[str, ...]:
         v, entries = item
         return (_fmt_entries(v, n), *map(as_cell, entries))
 
     headers = ("v", *(_fmt_entries(w, n) for w in points))
-    _emit(args, items, headers, _encoded(record), row)
+    _emit(args, items, headers, line, row)
     return 0
 
 

@@ -92,8 +92,6 @@ __all__ = [
     "classify",
     "associated_subset",
     "consecutive_substrings",
-    "head",
-    "tail",
     "peterson_fixed_point",
     "type_312_fixed_point",
     "type_231_fixed_point",
@@ -183,23 +181,6 @@ def consecutive_substrings(subset: frozenset[int]) -> Runs:
         else:
             runs.append([j, j])
     return tuple((a, b) for a, b in runs)
-
-
-def _run_of(subset: frozenset[int], j: int) -> tuple[int, int]:
-    for a, b in consecutive_substrings(subset):
-        if a <= j <= b:
-            return a, b
-    raise ValueError(f"{j} is not in the subset")
-
-
-def head(subset: frozenset[int], j: int) -> int:
-    """Largest element of the maximal consecutive run containing j."""
-    return _run_of(subset, j)[1]
-
-
-def tail(subset: frozenset[int], j: int) -> int:
-    """Smallest element of the maximal consecutive run containing j."""
-    return _run_of(subset, j)[0]
 
 
 # ---------------------------------------------------------------------------

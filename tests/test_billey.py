@@ -231,6 +231,43 @@ class TestSigma:
         assert len(list(sigma_rows(perms, perms))) == len(perms)
         assert sorted(calls) == list(perms)
 
+    def test_rows_tabulate_each_column_once(self, monkeypatch):
+        # one root table per column, however many rows
+        calls = []
+        real = billey._root_table
+
+        def counted(ideal, w, b):
+            calls.append(w)
+            return real(ideal, w, b)
+
+        monkeypatch.setattr(billey, "_root_table", counted)
+        perms = all_permutations(4)
+        for rows in [perms[:1], perms[::5], perms]:
+            calls.clear()
+            assert len(list(sigma_rows(rows, perms))) == len(rows)
+            assert calls == list(perms)
+
+    def test_values_keep_the_constructor_invariants(self):
+        # values are built without Polynomial.__init__'s checks, so they
+        # must keep its invariants themselves
+        perms = all_permutations(4)
+        values = [p for row in sigma_rows(perms, perms) for p in row]
+        values += [sigma_restriction(v, w) for v in perms for w in perms]
+        assert len(values) == 2 * 24 * 24
+        for p in values:
+            assert p.nvars == 4
+            assert all(len(exps) == 4 and c != 0 for exps, c in p.terms.items())
+            assert p == Polynomial(4, p.terms)
+        # the public constructor keeps its checks
+        with pytest.raises(ValueError, match="not length 3"):
+            Polynomial(3, {(1, 0): 1})
+
+    def test_rows_without_rows_yield_nothing(self):
+        # no ideal or root table is built, but the points are still checked
+        assert list(sigma_rows([], all_permutations(4))) == []
+        with pytest.raises(ValueError, match="not a reduced word"):
+            next(sigma_rows([], [(1, 1, 3)]))
+
     def test_rows_reject_size_mismatch(self):
         for rows in [
             sigma_rows([(2, 1, 3, 4)], all_permutations(3)),

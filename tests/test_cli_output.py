@@ -29,12 +29,15 @@ import pytest
 
 from hesspin import billey, cli
 from hesspin.billey import RestrictionMatrix
-from hesspin.cli import main
+from hesspin.cli import default_hessenberg, main
 from hesspin.fillings import (
+    hessenberg_full,
     hessenberg_identity,
     hessenberg_peterson,
     permissible_records,
+    single_row,
 )
+from hesspin.pinball import rolldown_table
 
 from oracles import all_diagram_h
 
@@ -133,6 +136,52 @@ def test_fillings_json_matches_generic_encoder(capsys, n):
 @pytest.mark.parametrize("diagram,h", JSON_CASES, ids=lambda case: str(case))
 def test_fillings_json_edge_cases(capsys, diagram, h):
     _assert_json_lines_generic(capsys, diagram, h)
+
+
+def _full_torus_lines_generic(capsys, h) -> list[str]:
+    """``matrix --full-torus --format json`` writes what ``json.dumps``
+    makes of each row of ``sigma_rows``; compared line by line, so that a
+    failure shows one line.  The lines, for the caller to inspect."""
+    n = len(h)
+    argv = ["matrix", "--n", str(n), "--h", ",".join(map(str, h))]
+    assert main(argv + ["--full-torus", "--format", "json"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines.pop() == ""
+    table = rolldown_table(single_row(n), h)
+    points = sorted(table)
+    rows = list(billey.sigma_rows([table[v] for v in points], points))
+    assert len(lines) == len(rows) == len(points) > 0
+    for line, v, row in zip(lines, points, rows):
+        entries = [
+            [{"exps": list(e), "coeff": str(c)} for e, c in p.sorted_terms()]
+            for p in row
+        ]
+        record = {"v": v, "entries": entries}
+        assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return lines
+
+
+# the full flag at n = 6 has 720 x 720 entries, about 215 MB of json
+FULL_TORUS_H = sorted(
+    {
+        h
+        for n in range(1, 7)
+        for h in (default_hessenberg(n), hessenberg_peterson(n), hessenberg_full(n))
+        if n < 6 or h != hessenberg_full(n)
+    },
+    key=lambda h: (len(h), h),
+)
+
+
+def test_full_torus_json_matches_generic_encoder(capsys):
+    # the lines are joined from string tables; json.dumps is the reference
+    negative = empty = False
+    for h in FULL_TORUS_H:
+        for line in _full_torus_lines_generic(capsys, h):
+            negative = negative or '"coeff":"-' in line
+            empty = empty or "[]" in line
+    # a minus sign and a zero entry are both written somewhere
+    assert negative and empty
 
 
 def test_rolldowns_make_one_enumeration_pass(enumerations, capsys):

@@ -18,14 +18,12 @@ from hesspin.hess334 import (
     consecutive_substrings,
     fixed_points_334,
     has_321_string,
-    head,
     is_334_fixed_point,
     peterson_fixed_point,
     rolldown_closed_form,
     rolldown_closed_form_word,
     simple_summand_census,
     summand_census,
-    tail,
     type_231_fixed_point,
     type_312_fixed_point,
     verify_334_theorem,
@@ -130,12 +128,13 @@ class TestAssociatedSubsets:
 
     def test_substring_decomposition(self):
         subset = frozenset({1, 2, 3, 4, 6, 7})
-        assert consecutive_substrings(subset) == ((1, 4), (6, 7))
-        assert head(subset, 1) == 4
-        assert tail(subset, 4) == 1
-        assert head(subset, 6) == 7
-        with pytest.raises(ValueError):
-            head(subset, 5)
+        runs = consecutive_substrings(subset)
+        assert runs == ((1, 4), (6, 7))
+        # each element's run as (smallest, largest); 5 is in none
+        run_of = {j: (a, b) for a, b in runs for j in range(a, b + 1)}
+        assert run_of[1] == run_of[4] == (1, 4)
+        assert run_of[6] == (6, 7)
+        assert sorted(run_of) == sorted(subset)
 
 
 class TestCatalogWords:
@@ -215,11 +214,13 @@ class TestSummandCensuses:
         for w in fixed_points_334(n):
             census = summand_census(w)
             assert census.passed, (w, census)
-            expected = (
-                head(associated_subset(w), 1) - 1
-                if classify(w) in (PET_321, T312)
-                else 1
-            )
+            if classify(w) in (PET_321, T312):
+                # the subset holds 1, so its first run is [1, H1]
+                first = consecutive_substrings(associated_subset(w))[0]
+                assert first[0] == 1, w
+                expected = first[1] - 1
+            else:
+                expected = 1
             assert census.count == expected
 
     @pytest.mark.parametrize("n", [4, 5, 6])
