@@ -18,29 +18,29 @@ S1Value(coeff=2, degree=1)
 The projection sends t_i to (n + 1 - i) t, the weight ladder of the circle
 inside the diagonal torus; a root t_l - t_k lands on (k - l) t.
 
-Nothing here enumerates subwords: each job has one recurrence over b.
-Both matrix jobs work inside the lower ideal of their rows in the right
-weak order (``_weak_ideal``), numbered once per call by descent steps, so
-a step is a list lookup.  ``sigma_restriction`` makes one backward pass
-over b from v down to the identity, carrying polynomials as maps from
-packed monomials to coefficients; the pass reads its letters from the
-column's root table (``_root_table``: each letter's descent steps and the
-packed units of its root).  ``sigma_rows`` runs that same pass for a
-whole table, numbering the rows' ideal once and deriving, checking and
-tabulating each column's word once; one decoder (``_decoder``), shared
-by the table, unpacks each distinct monomial once and builds each
-``Polynomial`` without re-checking it.  ``restriction_matrix`` fills each
+Nothing here enumerates subwords.  Single restriction values come from
+one backward pass over b from v down to the identity (``_backward``),
+stepping numbered states of the right weak-order ideal below v
+(``_Ideal``), so a step is a list lookup; its callers differ only in the
+value a state carries and how a move updates it.  ``sigma_restriction``
+and ``sigma_rows`` carry polynomials as maps from packed monomials to
+coefficients.  ``p_summand_counts`` carries {weight: count} multisets of
+projected root products, counting how many subwords give each summand,
+and ``p_restriction`` sums that multiset.  The pass reads its letters from
+the column's root table (``_root_table``: each letter's descent steps and
+the units of its root).  A table numbers the whole ideal of its rows once
+(``_weak_ideal``): ``sigma_rows`` also derives, checks and tabulates each
+column's word once, and one decoder per table (``_decoder``) unpacks each
+distinct monomial once and builds each ``Polynomial`` without re-checking
+it.  A single entry numbers only the states its pass reaches, looking up
+each step when the pass first takes it.  ``restriction_matrix`` fills each
 column from one prefix recurrence over the column's word, keeping only
 partial products inside the rows' ideal.  It stores each row sparsely,
 as a bitmask of its nonzero columns and their coefficients, and
 ``check_upper_triangular`` reads violations off those masks against the
-row masks of ``permutations.bruhat_table``.  ``p_summand_counts`` makes
-the backward pass of ``sigma_restriction`` for one entry, with projected
-weights in place of polynomials and states kept by length, and counts
-how many subwords give each summand; ``p_restriction`` sums that
-multiset.  No restriction consults Bruhat keys, and the ideal depends
-only on the rows, so checking their vanishing against Bruhat order is
-not a tautology.
+row masks of ``permutations.bruhat_table``.  No restriction consults
+Bruhat keys, and the ideal depends only on the rows, so checking their
+vanishing against Bruhat order is not a tautology.
 """
 
 from __future__ import annotations
@@ -82,10 +82,11 @@ class Polynomial:
     """Sparse integer polynomial in t_1..t_nvars.
 
     Terms map exponent tuples to nonzero coefficients; the zero polynomial
-    has no terms.
+    has no terms.  A polynomial here is a value to read, not to compute
+    with: the restriction passes multiply packed monomials, and nothing in
+    the package does arithmetic on a ``Polynomial``.
 
-    >>> t1, t2 = Polynomial.variable(1, 3), Polynomial.variable(2, 3)
-    >>> (t1 - t2) * (t1 + 2 * t2)
+    >>> Polynomial(3, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): -2, (0, 0, 1): 0})
     t1^2 + t1*t2 - 2*t2^2
     """
 
@@ -116,84 +117,18 @@ class Polynomial:
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars)
 
-    @classmethod
-    def one(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def constant(cls, c: int, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, i: int, nvars: int) -> "Polynomial":
-        if not 1 <= i <= nvars:
-            raise ValueError(f"t_{i} out of range for {nvars} variables")
-        exps = tuple(1 if k == i - 1 else 0 for k in range(nvars))
-        return cls(nvars, {exps: 1})
-
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return other
-        if isinstance(other, int):
-            return Polynomial.constant(other, self.nvars)
-        return NotImplemented
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = Polynomial.constant(other, self.nvars)
+            other = Polynomial(self.nvars, {(0,) * self.nvars: other})
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, 0) + coeff
-        return Polynomial(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return -(self - other)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return Polynomial(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def degree(self) -> Optional[int]:
-        """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self) -> bool:
         return len({sum(e) for e in self.terms}) <= 1
@@ -271,16 +206,16 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     reduced word b chosen for w, which may be supplied; the canonical word
     is used otherwise.
 
-    One backward pass over b.  After letters b_m..b_j, each state x maps to
-    the summed root products of the reduced subwords of b_j..b_m that
-    multiply x up to v; it starts as {v: 1}.  Letter j adds x * s_{b_j}
-    for every x with a descent at b_j, times r(j, b), and the answer is
-    the identity's value.  A step goes down in the right weak order, so
-    every state lies in the weak-order ideal of v (``_weak_ideal``); a step
-    is a lookup in its descent table.  States longer than the letters left
-    are dropped, and zero coefficients are not carried.  The pass reads
-    each letter's descent table and root from the column's root table
-    (``_root_table``), whose roots come from the prefix
+    One backward pass over b (``_backward``).  After letters b_m..b_j, each
+    state x maps to the summed root products of the reduced subwords of
+    b_j..b_m that multiply x up to v; it starts as {v: 1}.  Letter j adds
+    x * s_{b_j} for every x with a descent at b_j, times r(j, b), and the
+    answer is the identity's value.  A step goes down in the right weak
+    order, so every state lies in the weak-order ideal of v (``_Ideal``);
+    a step is a lookup in its descent table.  States longer than the
+    letters left are dropped, and zero coefficients are not carried.  The
+    pass reads each letter's descent table and root from the column's root
+    table (``_root_table``), whose roots come from the prefix
     w s_{b_m} ... s_{b_j} = s_{b_1} ... s_{b_{j-1}}, one swap per letter.
 
     Values map packed monomials to coefficients: t_a's exponent sits in
@@ -289,18 +224,19 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     summand multiplies distinct roots, at most n - 1 of which involve t_a,
     so a field of (n - 1).bit_length() bits never carries.
 
-    Each call numbers the ideal of v anew, so callers wanting many entries
-    should use ``sigma_rows``, which numbers one ideal for a whole table.
+    The ideal of v is numbered only as far as the pass reaches: a step is
+    looked up when the pass first takes it.  Callers wanting many entries
+    should still use ``sigma_rows``, which numbers one ideal and tabulates
+    each column once for a whole table.
     """
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
     v = validate(v)
     b = _checked_word(w, word)
-    if inversions(v) > len(b):
-        # vanishes by length: no ideal to number
-        return Polynomial.zero(len(w))
-    ideal = _weak_ideal([v])
-    return _decoder(len(w))(_sigma_pass(ideal, v, _root_table(ideal, w, b)))
+    n = len(w)
+    ideal = _Ideal([v])
+    roots = _root_table(ideal, w, b, _packed_units(n))
+    return _decoder(n)(_backward(ideal, v, roots, {0: 1}, _times_root))
 
 
 def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[Polynomial, ...]]:
@@ -323,55 +259,79 @@ def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[P
         # nothing to restrict; the points' words are checked all the same
         return
     ideal = _weak_ideal(rows)
-    tables = [_root_table(ideal, w, b) for w, b in zip(points, words)]
+    unit = _packed_units(sizes[0])
+    tables = [_root_table(ideal, w, b, unit) for w, b in zip(points, words)]
     decode = _decoder(sizes[0])
     for v in rows:
-        yield tuple(decode(_sigma_pass(ideal, v, roots)) for roots in tables)
+        yield tuple(decode(_backward(ideal, v, roots, {0: 1}, _times_root)) for roots in tables)
 
 
-class _Ideal(NamedTuple):
-    """A numbered lower ideal of the right weak order.
-
-    ``number`` numbers its permutations in the order found; ``length[k]``
-    is the length of permutation k and ``down[i][k]`` the number of its
-    product with s_i when that is shorter, -1 otherwise.
-    """
-
-    number: dict[Perm, int]
-    length: list[int]
-    down: list[list[int]]
-
-
-def _weak_ideal(tops: Sequence[Perm]) -> _Ideal:
-    """Every permutation at or below one of ``tops`` in the right weak order.
+class _Ideal:
+    """A lower ideal of the right weak order, numbered as it is stepped.
 
     x * s_i is below x exactly when x has a descent at i, so the ideal is
-    what descent steps reach from the tops.  Each permutation is expanded
-    once, in the order it was numbered; its length and descent steps are
-    derived from its parent's, and no Bruhat keys are compared.
+    what descent steps reach from its tops.  ``number`` numbers its
+    permutations in the order found and ``elements`` lists them;
+    ``length[k]`` is the length of permutation k.  ``down[i][k]`` is the
+    number of permutation k times s_i when that is shorter, -1 when it is
+    longer, and -2 until ``step`` first looks it up.  ``bottom`` is the
+    identity's number, -1 while the identity is not numbered.
+    """
+
+    __slots__ = ("number", "elements", "length", "down", "bottom")
+
+    def __init__(self, tops: Iterable[Perm]):
+        tops = list(dict.fromkeys(tops))
+        self.number: dict[Perm, int] = {}
+        self.elements: list[Perm] = []
+        self.length: list[int] = []
+        # down[0] is never stepped and stays empty
+        self.down: list[list[int]] = [[] for _ in range(len(tops[0]) if tops else 1)]
+        self.bottom = -1
+        for v in tops:
+            self._add(v, inversions(v))
+
+    def _add(self, x: Perm, length: int) -> int:
+        k = self.number[x] = len(self.elements)
+        self.elements.append(x)
+        self.length.append(length)
+        down = self.down
+        for i in range(1, len(down)):
+            down[i].append(-2)
+        if not length:
+            self.bottom = k
+        return k
+
+    def step(self, k: int, i: int) -> int:
+        """``down[i][k]``, numbering the product when it is new."""
+        x = self.elements[k]
+        child = -1
+        if x[i - 1] > x[i]:
+            y = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
+            child = self.number.get(y)
+            if child is None:
+                child = self._add(y, self.length[k] - 1)
+        self.down[i][k] = child
+        return child
+
+
+def _weak_ideal(tops: Iterable[Perm]) -> _Ideal:
+    """Every permutation at or below one of ``tops`` in the right weak order.
+
+    Every step of every permutation is looked up, in the order the
+    permutations were numbered; a permutation's length is its parent's
+    less one, and no Bruhat keys are compared.
 
     >>> sorted(_weak_ideal([(2, 3, 1)]).number)
     [(1, 2, 3), (2, 1, 3), (2, 3, 1)]
     """
-    number = {v: k for k, v in enumerate(dict.fromkeys(tops))}
-    elements = list(number)
-    length = [inversions(v) for v in elements]
-    n = len(elements[0]) if elements else 1
-    down: list[list[int]] = [[] for _ in range(n)]
-    # elements grows as the loop finds new permutations
-    for k, x in enumerate(elements):
-        for i in range(1, n):
-            if x[i - 1] > x[i]:
-                y = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
-                child = number.get(y)
-                if child is None:
-                    child = number[y] = len(elements)
-                    elements.append(y)
-                    length.append(length[k] - 1)
-                down[i].append(child)
-            else:
-                down[i].append(-1)
-    return _Ideal(number, length, down)
+    ideal = _Ideal(tops)
+    letters = range(1, len(ideal.down))
+    # elements grows as the loop numbers new permutations
+    for k, _ in enumerate(ideal.elements):
+        for i in letters:
+            ideal.step(k, i)
+    return ideal
 
 
 def _fields(n: int) -> tuple[list[int], int]:
@@ -381,39 +341,58 @@ def _fields(n: int) -> tuple[list[int], int]:
     return [(n - a) * width for a in range(1, n + 1)], (1 << width) - 1
 
 
-# one letter of a column's pass: (j, descent steps of s_{b_j}, packed
-# t_lower, packed t_upper) for the root r(j, b) = t_lower - t_upper
-_Letter = tuple[int, list[int], int, int]
+def _packed_units(n: int) -> list[int]:
+    # unit[a] is t_a as a packed monomial, for a = 1..n
+    return [0] + [1 << s for s in _fields(n)[0]]
 
 
-def _root_table(ideal: _Ideal, w: Perm, b: Word) -> list[_Letter]:
+# one letter of a column's pass: (j, b_j, descent steps of s_{b_j},
+# unit[lower], unit[upper]) for the root r(j, b) = t_lower - t_upper
+_Letter = tuple[int, int, list[int], int, int]
+
+
+def _root_table(ideal: _Ideal, w: Perm, b: Word, unit: Sequence[int]) -> list[_Letter]:
     """The letters of w's column in the order the backward pass reads them.
 
-    For j = m..1, the descent table of b_j in ``ideal`` and the packed
-    units of r(j, b), read off the prefix s_{b_1} ... s_{b_{j-1}}, which
-    one swap per letter takes down from w.
+    For j = m..1, b_j, its descent table in ``ideal`` and the units of
+    the two ends of r(j, b) = t_lower - t_upper, read off the prefix
+    s_{b_1} ... s_{b_{j-1}}, which one swap per letter takes down from w.
+    ``unit`` maps a = 1..n to its value's form in the pass: the packed t_a
+    for polynomials, a itself for projected weights.
     """
-    shifts, _ = _fields(len(w))
-    unit = [0] + [1 << s for s in shifts]
     prefix = list(w)
     table = []
     for j in range(len(b), 0, -1):
         i = b[j - 1]
         prefix[i - 1], prefix[i] = prefix[i], prefix[i - 1]
-        table.append((j, ideal.down[i], unit[prefix[i - 1]], unit[prefix[i]]))
+        table.append((j, i, ideal.down[i], unit[prefix[i - 1]], unit[prefix[i]]))
     return table
 
 
-def _sigma_pass(ideal: _Ideal, v: Perm, roots: Sequence[_Letter]) -> dict[int, int]:
-    # the backward pass of sigma_restriction over a column's root table;
-    # v lies in the ideal, and the value is a map from packed monomials
-    # to coefficients, cancelled ones included
+def _backward(
+    ideal: _Ideal,
+    v: Perm,
+    letters: Sequence[_Letter],
+    seed: dict[int, int],
+    move: Callable[[dict[int, int], dict[int, int], int, int], None],
+) -> dict[int, int]:
+    """The one backward pass of the restrictions, from v down to the identity.
+
+    ``letters`` is a column's root table, and v lies in ``ideal``.  The
+    state of v starts at ``seed``; letter j sends every state x with a
+    descent at b_j to x * s_{b_j}, and ``move(value, out, lower, upper)``
+    adds x's value times the letter's root into that state's.  States
+    longer than the letters left are dropped.  A step not yet looked up is
+    looked up, so on an ideal holding only v the pass numbers just the
+    states it reaches.  The identity's value is returned, empty when the
+    pass never reaches it.
+    """
     length = ideal.length
     start = ideal.number[v]
-    if length[start] > len(roots):
+    if length[start] > len(letters):
         return {}
-    values: dict[int, dict[int, int]] = {start: {0: 1}}
-    for j, step, lower, upper in roots:
+    values = {start: seed}
+    for j, i, step, lower, upper in letters:
         # x * s_i has an ascent at i, so no state moves twice on one letter
         for x, value in list(values.items()):
             if length[x] > j:
@@ -421,19 +400,36 @@ def _sigma_pass(ideal: _Ideal, v: Perm, roots: Sequence[_Letter]) -> dict[int, i
                 del values[x]
                 continue
             y = step[x]
+            if y < -1:
+                # not looked up yet: the ideal is numbered as the pass goes
+                y = ideal.step(x, i)
             if y >= 0:
                 out = values.get(y)
                 if out is None:
                     values[y] = out = {}
-                for mono, c in value.items():
-                    if c:
-                        out[mono + lower] = out.get(mono + lower, 0) + c
-                        out[mono + upper] = out.get(mono + upper, 0) - c
-    return values.get(ideal.number[identity(len(v))], {})
+                move(value, out, lower, upper)
+    return values.get(ideal.bottom, {})
+
+
+def _times_root(value: dict[int, int], out: dict[int, int], lower: int, upper: int) -> None:
+    # out += value * (t_lower - t_upper) on packed monomials, skipping
+    # cancelled coefficients
+    for mono, c in value.items():
+        if c:
+            out[mono + lower] = out.get(mono + lower, 0) + c
+            out[mono + upper] = out.get(mono + upper, 0) - c
+
+
+def _times_weight(value: dict[int, int], out: dict[int, int], lower: int, upper: int) -> None:
+    # out += value with every weight times the projected root upper - lower,
+    # on {weight: count} multisets
+    weight = upper - lower
+    for c, count in value.items():
+        out[c * weight] = out.get(c * weight, 0) + count
 
 
 def _decoder(n: int) -> Callable[[Mapping[int, int]], Polynomial]:
-    """Turns the packed values of ``_sigma_pass`` into ``Polynomial``s.
+    """Turns the packed values of the full-torus pass into ``Polynomial``s.
 
     Each distinct packed monomial is unpacked into its exponent tuple once,
     for every value the decoder is given; cancelled coefficients are
@@ -499,13 +495,13 @@ def p_summand_counts(
     ascending order of coefficient.  The subwords are counted by one
     backward pass over the word, not enumerated.
 
-    The pass is that of ``sigma_restriction``: after letters b_m..b_j each
-    state x maps to the {weight: count} multiset of the reduced subwords
-    of b_j..b_m that multiply x up to v, starting from {v: {1: 1}}.
-    Letter j moves each x with a descent at b_j to x * s_{b_j}, multiplying
-    every weight by that of r(j, b), read off the same prefix.  Every
-    state lies below v by construction, so nothing is pruned but the
-    states longer than the letters left.
+    The pass is that of ``sigma_restriction`` (``_backward``), with
+    {weight: count} multisets in place of polynomials: it starts from
+    {v: {1: 1}}, and letter j multiplies every weight of a moving state by
+    the projected root r(j, b), upper - lower.  Every state lies below v
+    by construction, so nothing is pruned but the states longer than the
+    letters left, and v's ideal is numbered only as far as the pass
+    reaches.
 
     >>> p_summand_counts((2, 1, 3), (3, 2, 1))
     {S1Value(coeff=1, degree=1): 2}
@@ -513,31 +509,16 @@ def p_summand_counts(
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
     v = validate(v)
-    b = _checked_word(w, word)
-    length = inversions(v)
-    prefix = list(w)
-    # levels[k] maps each state of length k to its {weight: count} multiset
-    levels: list[dict[Perm, dict[int, int]]] = [{} for _ in range(length)]
-    levels.append({v: {1: 1}})
-    for j in range(len(b), 0, -1):
-        # a state longer than j cannot reach the identity in the j letters left
-        del levels[j + 1 :]
-        i = b[j - 1]
-        prefix[i - 1], prefix[i] = prefix[i], prefix[i - 1]
-        weight = prefix[i] - prefix[i - 1]
-        # x * s_i has an ascent at i, so no state moves twice on one letter
-        for k in range(len(levels) - 1, 0, -1):
-            below = levels[k - 1]
-            for x, value in levels[k].items():
-                if x[i - 1] > x[i]:
-                    y = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
-                    out = below.get(y)
-                    if out is None:
-                        below[y] = out = {}
-                    for c, count in value.items():
-                        out[c * weight] = out.get(c * weight, 0) + count
-    counts = levels[0].get(identity(len(w)), {})
-    return {S1Value(c, length): counts[c] for c in sorted(counts)}
+    return _summand_counts(_Ideal([v]), v, w, _checked_word(w, word))
+
+
+def _summand_counts(ideal: _Ideal, v: Perm, w: Perm, b: Word) -> dict[S1Value, int]:
+    # p_summand_counts for a reduced word b of w that is already checked,
+    # on an ideal holding v
+    letters = _root_table(ideal, w, b, range(len(w) + 1))
+    counts = _backward(ideal, v, letters, {1: 1}, _times_weight)
+    degree = ideal.length[ideal.number[v]]
+    return {S1Value(c, degree): counts[c] for c in sorted(counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +610,19 @@ def restriction_matrix(
     rolls = tuple(validate(rolldowns[w]) for w in pts)
     if len({len(p) for p in pts + rolls}) > 1:
         raise ValueError("size mismatch among points and rolldowns")
-    ideal = _weak_ideal(rolls)
+    words = words or {}
+    return _restriction_matrix(pts, rolls, _weak_ideal(rolls), [words.get(w) for w in pts])
+
+
+def _restriction_matrix(
+    pts: tuple[Perm, ...],
+    rolls: tuple[Perm, ...],
+    ideal: _Ideal,
+    words: Sequence[Optional[Word]],
+) -> RestrictionMatrix:
+    # restriction_matrix for checked inputs: sorted distinct points, their
+    # rolldowns, the weak-order ideal of the rolldowns from _weak_ideal,
+    # and a word per point, None for its canonical word
     number = ideal.number
     n = len(pts[0]) if pts else 1
     # the ascent steps are the descent steps read backwards
@@ -644,9 +637,9 @@ def restriction_matrix(
         rows_of[number[v]].append(a)
     columns: list[list[int]] = [[] for _ in rolls]
     coeffs: list[list[int]] = [[] for _ in rolls]
-    for col, w in enumerate(pts):
-        b = _checked_word(w, (words or {}).get(w))
-        weights = {number[identity(n)]: 1}
+    for col, (w, word) in enumerate(zip(pts, words)):
+        b = _checked_word(w, word)
+        weights = {ideal.bottom: 1}
         for i, root in zip(b, roots_along_word(b, n)):
             weight, step = root.s1(), up[i]
             # u * s_i has a descent at i, so a state added here is not

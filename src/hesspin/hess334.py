@@ -39,10 +39,15 @@ point of the points whose subset contains that point's, and H1 thresholds
 over the 312-type points.  Each lemma thus takes a few big-int operations per
 point, and its witnesses are the set bits of the masks where it fails.
 
-The summand census counts the subword summands of a catalog word by one
-backward pass over it from the rolldown (``billey.p_summand_counts``)
-rather than enumerating the subwords, so ``SummandCensus.summands`` lists
-them by ascending coefficient.
+The summand census counts the subword summands of a catalog word by
+``billey``'s backward pass over it from the rolldown rather than
+enumerating the subwords, so ``SummandCensus.summands`` lists them by
+ascending coefficient.  ``verify_334_theorem`` numbers the rolldowns'
+right weak-order ideal once and runs both the census and the restriction
+matrix on it; the census takes each catalog word as ``_point`` checked
+it, and only the matrix checks it again.  ``summand_census`` for one point
+goes through ``billey.p_summand_counts``, which checks the word itself and
+numbers only the part of the ideal its pass reaches.
 """
 
 from __future__ import annotations
@@ -54,9 +59,11 @@ from typing import NamedTuple, Optional, Sequence
 from .billey import (
     S1_ZERO,
     S1Value,
+    _restriction_matrix,
+    _summand_counts,
+    _weak_ideal,
     check_upper_triangular,
     p_summand_counts,
-    restriction_matrix,
     roots_along_word,
 )
 from .fillings import (
@@ -449,11 +456,12 @@ def summand_census(w: Perm) -> SummandCensus:
     rolldown (``billey.p_summand_counts``), not enumerated subword by
     subword.
     """
-    return _census(_point(w))
+    p = _point(w)
+    return _census(p, p_summand_counts(p.roll, p.w, p.word))
 
 
-def _census(p: _Point) -> SummandCensus:
-    counts = p_summand_counts(p.roll, p.w, p.word)
+def _census(p: _Point, counts: dict[S1Value, int]) -> SummandCensus:
+    # the census of p from the summand multiset of its catalog word
     if p.cls in (FixedPointClass.PETERSON_321, FixedPointClass.TYPE_312):
         expected = p.runs[0][1] - 1
     else:
@@ -604,9 +612,10 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         bruhat_table(simples, rolls),
     )
 
-    matrix = restriction_matrix(
-        points, dict(zip(points, rolls)), words={p.w: p.word for p in facts}
-    )
+    # the weak-order ideal of the rolldowns, numbered once for the matrix
+    # and the census
+    ideal = _weak_ideal(rolls)
+    matrix = _restriction_matrix(points, rolls, ideal, [p.word for p in facts])
     tri = check_upper_triangular(matrix, below)
     structural.append(
         CheckResult("diagonal-nonzero", tri.diagonal_ok, tri.diagonal_zeros)
@@ -625,7 +634,16 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     for name, failures in _bruhat_sweeps(facts, *tables):
         add(name, failures)
 
-    add("summand-census", (p.w for p in facts if not _census(p).passed))
+    # the census restricts each row's rolldown, which the ideal holds; it
+    # equals the closed form p.roll wherever rolldown-closed-form passes
+    add(
+        "summand-census",
+        (
+            p.w
+            for p, roll in zip(facts, rolls)
+            if not _census(p, _summand_counts(ideal, roll, p.w, p.word)).passed
+        ),
+    )
     add(
         "simple-summand-values",
         (

@@ -13,6 +13,80 @@ from hesspin.hess334 import FixedPointClass
 from hesspin.permutations import canonical_word, compose, identity, simple
 
 
+class Poly(Polynomial):
+    """A ``Polynomial`` with ring arithmetic, which the package never does:
+    sums, negation, differences and products with polynomials and
+    integers, and the total degree."""
+
+    __slots__ = ()
+
+    @classmethod
+    def one(cls, nvars):
+        return cls(nvars, {(0,) * nvars: 1})
+
+    @classmethod
+    def constant(cls, c, nvars):
+        return cls(nvars, {(0,) * nvars: c})
+
+    @classmethod
+    def variable(cls, i, nvars):
+        if not 1 <= i <= nvars:
+            raise ValueError(f"t_{i} out of range for {nvars} variables")
+        exps = tuple(1 if k == i - 1 else 0 for k in range(nvars))
+        return cls(nvars, {exps: 1})
+
+    def _coerce(self, other):
+        if isinstance(other, Polynomial):
+            if other.nvars != self.nvars:
+                raise ValueError("variable count mismatch")
+            return other
+        if isinstance(other, int):
+            return Poly.constant(other, self.nvars)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            out[exps] = out.get(exps, 0) + coeff
+        return Poly(self.nvars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return Poly(self.nvars, out)
+
+    __rmul__ = __mul__
+
+    def degree(self):
+        """Total degree, or None for the zero polynomial."""
+        if not self.terms:
+            return None
+        return max(sum(e) for e in self.terms)
+
+
 def brute_inversions(w):
     """The number of pairs of positions i < j with w(i) > w(j), pair by pair."""
     return sum(
@@ -316,19 +390,17 @@ def brute_sigma(v, w, b):
     """Billey's sum over plain position combinations, no pruning."""
     n = len(w)
     target = brute_inversions(v)
-    total = Polynomial.zero(n)
+    total = Poly.zero(n)
     for pos in combinations(range(len(b)), target):
         prod = identity(n)
         for j in pos:
             prod = compose(prod, simple(b[j], n))
         if prod != v:
             continue
-        term = Polynomial.one(n)
+        term = Poly.one(n)
         for j in pos:
             lo, hi = brute_root(b, j, n)
-            term = term * (
-                Polynomial.variable(lo, n) - Polynomial.variable(hi, n)
-            )
+            term = term * (Poly.variable(lo, n) - Poly.variable(hi, n))
         total = total + term
     return total
 

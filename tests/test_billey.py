@@ -36,6 +36,7 @@ from hesspin.permutations import (
 from hesspin.pinball import rolldown_table
 
 from oracles import (
+    Poly,
     all_hessenberg,
     brute_inversions,
     brute_project,
@@ -52,8 +53,9 @@ from oracles import (
 
 class TestPolynomial:
     def test_arithmetic(self):
-        t1 = Polynomial.variable(1, 3)
-        t2 = Polynomial.variable(2, 3)
+        # the oracles' arithmetic, which the package itself never does
+        t1 = Poly.variable(1, 3)
+        t2 = Poly.variable(2, 3)
         p = (t1 - t2) * (t1 + t2)
         assert p == t1 * t1 - t2 * t2
         assert p.degree() == 2
@@ -62,15 +64,27 @@ class TestPolynomial:
         assert (p - p).degree() is None
 
     def test_repr(self):
-        t1, t2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+        t1, t2 = Poly.variable(1, 2), Poly.variable(2, 2)
         assert repr(t1 - t2) == "t1 - t2"
         assert repr(2 * t2 * t2 - t1) == "-t1 + 2*t2^2"
         assert repr(Polynomial.zero(2)) == "0"
 
     def test_constants(self):
-        one = Polynomial.one(2)
-        assert one + one == Polynomial.constant(2, 2)
+        one = Poly.one(2)
+        assert one + one == Poly.constant(2, 2)
         assert one * 0 == Polynomial.zero(2)
+
+    def test_package_class_does_no_arithmetic(self):
+        # the ring operations live in the oracles' subclass only
+        names = ["one", "constant", "variable", "_coerce", "__add__", "__radd__"]
+        names += ["__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__", "degree"]
+        for name in names:
+            assert not hasattr(Polynomial, name), name
+            assert hasattr(Poly, name), name
+        # a Poly equals, and hashes like, the package value of its terms
+        t1 = Poly.variable(1, 2)
+        assert t1 == Polynomial(2, {(1, 0): 1})
+        assert hash(t1) == hash(Polynomial(2, {(1, 0): 1}))
 
 
 class TestRoots:
@@ -126,7 +140,7 @@ class TestSubwords:
 class TestSigma:
     def test_identity_class(self):
         for w in all_permutations(3):
-            assert sigma_restriction((1, 2, 3), w) == Polynomial.one(3)
+            assert sigma_restriction((1, 2, 3), w) == Poly.one(3)
 
     def test_vanishing_iff_not_below(self):
         for v in all_permutations(4):
@@ -147,12 +161,12 @@ class TestSigma:
         assert nonzero == sum(bruhat_leq(v, w) for v in perms for w in perms)
 
     def test_small_values(self):
-        one = Polynomial.one(1)
+        one = Poly.one(1)
         assert sigma_restriction((1,), (1,)) == one
         assert sigma_restriction((1,), (1,), ()) == one
         e, s = (1, 2), (2, 1)
-        t1, t2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
-        assert sigma_restriction(e, e) == sigma_restriction(e, s) == Polynomial.one(2)
+        t1, t2 = Poly.variable(1, 2), Poly.variable(2, 2)
+        assert sigma_restriction(e, e) == sigma_restriction(e, s) == Poly.one(2)
         assert sigma_restriction(s, e) == Polynomial.zero(2)
         assert sigma_restriction(s, s) == t1 - t2
 
@@ -181,11 +195,11 @@ class TestSigma:
         w0 = tuple(range(n, 0, -1))
         expected = vandermonde(n)
         if n == 7:
-            product = Polynomial.one(n)
+            product = Poly.one(n)
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     product = product * (
-                        Polynomial.variable(i, n) - Polynomial.variable(j, n)
+                        Poly.variable(i, n) - Poly.variable(j, n)
                     )
             assert product == expected
         assert sigma_restriction(w0, w0) == expected
@@ -207,7 +221,7 @@ class TestSigma:
             monkeypatch.setattr(billey, name, refuse)
         for name in ["key", "leq"]:
             monkeypatch.setattr(BruhatKeys, name, refuse)
-        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        # Polynomial has no product to take (TestPolynomial)
         assert [sigma_restriction(v, w) for v, w in cases] == expected
         assert all(expected)
 
@@ -236,9 +250,9 @@ class TestSigma:
         calls = []
         real = billey._root_table
 
-        def counted(ideal, w, b):
+        def counted(ideal, w, b, unit):
             calls.append(w)
-            return real(ideal, w, b)
+            return real(ideal, w, b, unit)
 
         monkeypatch.setattr(billey, "_root_table", counted)
         perms = all_permutations(4)
@@ -321,13 +335,13 @@ class TestSigma:
     def test_diagonal_is_root_product(self):
         for w in all_permutations(4):
             value = sigma_restriction(w, w)
-            expected = Polynomial.one(4)
+            expected = Poly.one(4)
             for root in roots_along_word(canonical_word(w), 4):
                 expected = expected * (
-                    Polynomial.variable(root.lower, 4) - Polynomial.variable(root.upper, 4)
+                    Poly.variable(root.lower, 4) - Poly.variable(root.upper, 4)
                 )
             assert value == expected
-            assert value.degree() == inversions(w)
+            assert expected.degree() == inversions(w)
 
     def test_rejects_non_reduced_word(self):
         with pytest.raises(ValueError, match="not a reduced word"):
@@ -368,7 +382,7 @@ class TestGKM:
         perms = all_permutations(4)
         sigma = self.table(perms)
         v, w = (2, 1, 3, 4), (3, 4, 1, 2)
-        sigma[v, w] = sigma[v, w] + 1
+        sigma[v, w] = Poly(4, sigma[v, w].terms) + 1
         expected = {
             (w1, w2) for w1, w2, _, _ in gkm_edges(perms) if w in (w1, w2)
         }
@@ -381,14 +395,14 @@ class TestGKM:
 
 class TestProjection:
     def test_example(self):
-        p = Polynomial.variable(1, 3) - Polynomial.variable(3, 3)
+        p = Poly.variable(1, 3) - Poly.variable(3, 3)
         assert project_s1(p) == S1Value(2, 1)
 
     def test_zero(self):
         assert project_s1(Polynomial.zero(4)) == S1_ZERO
 
     def test_rejects_inhomogeneous(self):
-        p = Polynomial.one(3) + Polynomial.variable(1, 3)
+        p = Poly.one(3) + Poly.variable(1, 3)
         with pytest.raises(ValueError):
             project_s1(p)
 
@@ -468,6 +482,34 @@ class TestSummands:
             tracemalloc.stop()
         assert counts == {project_s1(vandermonde(n)): 1}
         assert peak < 64 * 1024, peak
+
+    def test_single_entry_numbers_only_what_its_pass_reaches(self):
+        # w0 s_2 has 20,160 permutations below it in the weak order at
+        # n = 8; numbering all of them per call would take megabytes, while
+        # the pass holds a few states of lengths 26 to 28 at a time
+        n = 8
+        w0 = tuple(range(n, 0, -1))
+        v = compose(w0, simple(2, n))
+        b = canonical_word(w0)
+        expected = brute_summand_table(b, n, [len(b) - 1])[v]
+        tracemalloc.start()
+        try:
+            counts = p_summand_counts(v, w0, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == expected
+        assert peak < 64 * 1024, peak
+
+    def test_unreached_identity_is_zero(self):
+        # a single entry's pass may never number the identity
+        v, w = (3, 2, 1, 4), (1, 4, 3, 2)
+        ideal = billey._Ideal([v])
+        assert billey._summand_counts(ideal, v, w, canonical_word(w)) == {}
+        assert ideal.bottom == -1 and len(ideal.elements) > 1
+        assert p_summand_counts(v, w) == {}
+        assert p_restriction(v, w) == S1_ZERO
+        assert sigma_restriction(v, w) == Polynomial.zero(4)
 
     def test_takes_only_the_backward_pass(self, monkeypatch):
         # no root tuple or Bruhat comparison: the census's vanishing is
@@ -725,6 +767,32 @@ class TestDownClosure:
         for h in all_hessenberg(n):
             rows = set(rolldown_table(single_row(n), h).values())
             assert rows == _down_set_oracle(rows, n), h
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_single_entry_steps_agree(self, n):
+        # a single entry's pass looks up only the steps it takes; each one
+        # must be the eager ideal's, and some are never looked up
+        rng = random.Random(7400 + n)
+        perms = all_permutations(n)
+        looked = unseen = 0
+        for _ in range(40):
+            v, w = rng.choice(perms), rng.choice(perms)
+            ideal = billey._Ideal([v])
+            billey._summand_counts(ideal, v, w, canonical_word(w))
+            full = _weak_ideal([v])
+            for k, x in enumerate(ideal.elements):
+                assert ideal.length[k] == full.length[full.number[x]]
+                for i in range(1, n):
+                    step, expected = ideal.down[i][k], full.down[i][full.number[x]]
+                    if step == -2:
+                        unseen += 1
+                    elif step == -1:
+                        looked += 1
+                        assert expected == -1, (v, x, i)
+                    else:
+                        looked += 1
+                        assert ideal.elements[step] == full.elements[expected], (v, x, i)
+        assert looked and unseen
 
     def test_empty(self):
         ideal = _weak_ideal([])

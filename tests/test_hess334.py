@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from hesspin import hess334
+from hesspin import billey, hess334
 from hesspin.billey import S1Value, p_restriction
 from hesspin.hess334 import (
     FixedPointClass,
@@ -311,6 +311,50 @@ class TestTheorem:
         report = verify_334_theorem(6)
         assert report.passed
         assert sorted(calls) == list(report.points)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_shares_one_ideal(self, monkeypatch, n):
+        # the rolldowns' weak-order ideal is numbered once, for the matrix
+        # and the census, and the census it feeds matches plain position
+        # combinations of each catalog word at every point
+        tops, census = [], {}
+        real_init, real_counts = billey._Ideal.__init__, hess334._summand_counts
+
+        def numbered(ideal, rows):
+            rows = list(rows)
+            tops.append(rows)
+            real_init(ideal, rows)
+
+        def recorded(ideal, v, w, b):
+            census[w] = (v, b, real_counts(ideal, v, w, b))
+            return census[w][2]
+
+        monkeypatch.setattr(billey._Ideal, "__init__", numbered)
+        monkeypatch.setattr(hess334, "_summand_counts", recorded)
+        report = verify_334_theorem(n)
+        assert report.passed
+        table = rolldown_table(single_row(n), hessenberg_334(n))
+        assert tops == [[table[w] for w in report.points]]
+        assert list(census) == list(report.points)
+        for w, (roll, word, counts) in census.items():
+            assert roll == table[w] and word == catalog_reduced_word(w), w
+            assert counts == brute_summand_table(word, n, [brute_inversions(roll)])[roll], w
+
+    def test_checks_each_catalog_word_once(self, monkeypatch):
+        # the matrix checks each column's catalog word; the census takes
+        # the words _point already checked
+        calls = []
+        real = billey._checked_word
+
+        def counted(w, word):
+            calls.append(w)
+            return real(w, word)
+
+        monkeypatch.setattr(billey, "_checked_word", counted)
+        report = verify_334_theorem(6)
+        assert report.passed
+        assert len(report.points) == 48
+        assert calls == list(report.points)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 4"):
