@@ -113,10 +113,6 @@ class Polynomial:
         p.terms = terms
         return p
 
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -138,23 +134,29 @@ class Polynomial:
         return sorted(self.terms.items(), reverse=True)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            names = [
-                f"t{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e
-            ]
-            mag = abs(coeff)
-            body = "*".join(([str(mag)] if mag != 1 or not names else []) + names)
-            parts.append(("-" if coeff < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _polynomial_text(self.sorted_terms())
+
+
+def _monomial(exps: tuple[int, ...]) -> str:
+    """The variable names of a monomial, ``t3^2*t5``; empty for 1."""
+    return "*".join(
+        f"t{i}^{e}" if e > 1 else f"t{i}" for i, e in enumerate(exps, 1) if e
+    )
+
+
+def _polynomial_text(terms, monomial=_monomial) -> str:
+    """The ``repr`` of a polynomial from its ``sorted_terms()``, each term's
+    variable names written by ``monomial(exps)``, which the CLI looks up in
+    a table of the texts it has made."""
+    parts = []
+    for exps, coeff in terms:
+        names, mag = monomial(exps), abs(coeff)
+        body = f"{mag}*{names}" if mag != 1 and names else names or str(mag)
+        parts.append((" - " if coeff < 0 else " + ") + body)
+    if not parts:
+        return "0"
+    text = "".join(parts)
+    return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
 class Root(NamedTuple):

@@ -35,9 +35,10 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .fillings import (
+    _leaf_states,
+    _reading_layout,
     diagram_size,
     hessenberg_334,
-    permissible_records,
     single_row,
     validate_diagram,
     validate_hessenberg,
@@ -195,49 +196,75 @@ def _require_single_row(shape, command: str) -> None:
 # Subcommands
 
 
-def _fillings_line(n: int):
-    """The json line of a ``PermissibleRecord`` of S_n, keys sorted, as
-    ``_JSON`` writes its ``_asdict()``, joined from string tables for the
-    values 0..n and the pairs (a, b)."""
-    num = [str(v) for v in range(n + 1)]
-    pair = {
-        (a, b): f"[{a},{b}]" for a in range(1, n + 1) for b in range(a + 1, n + 1)
-    }
-    nums, pairs, rows = num.__getitem__, pair.__getitem__, "],[".join
+class _Texts(dict):
+    """The text of each key, made by ``make(key)`` when the key is first
+    looked up and kept for every later lookup."""
 
-    def line(rec) -> str:
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
+def _fillings_texts(n: int, shape):
+    """The json line and the csv/table cells of a leaf state of the pass
+    (``fillings._leaf_states``): what ``_JSON`` writes of its
+    ``PermissibleRecord``'s ``_asdict()``, keys sorted, and the table row.
+
+    Both are joined from the texts of the values 0..n and of each settled
+    pair set, keyed by the pass's cached ``pairs_of`` tuples.  The reading
+    word's texts are made once per leaf; on the single row they are the
+    filling's one row, on several rows each row is joined from them."""
+    nums = [str(v) for v in range(n + 1)].__getitem__
+    rows = None if len(shape) == 1 else _reading_layout(shape)[2]
+    sep = "" if n <= 9 else ","
+    pair_json = _Texts(lambda ps: ",".join(f"[{a},{b}]" for a, b in ps))
+    pair_cell = _Texts(_fmt_pairs)
+
+    def line(state) -> str:
+        texts = list(map(nums, state.word))
+        word = ",".join(texts)
         return "".join((
             '{"filling":[[',
-            rows([",".join(map(nums, r)) for r in rec.filling]),
+            word if rows is None else "],[".join(
+                [",".join([texts[p] for p in row]) for row in rows]
+            ),
             ']],"pairs":[',
-            ",".join(map(pairs, rec.pairs)),
+            ",".join(map(pair_json.__getitem__, filter(None, state.pairs_of))),
             '],"word":[',
-            ",".join(map(nums, rec.word)),
+            word,
             '],"x":[',
-            ",".join(map(nums, rec.x)),
+            ",".join(map(nums, state.x())),
             "]}\n",
         ))
 
-    return line
+    def cells(state) -> tuple[str, ...]:
+        texts = list(map(nums, state.word))
+        word = sep.join(texts)
+        return (
+            word if rows is None else " | ".join(
+                [sep.join([texts[p] for p in row]) for row in rows]
+            ),
+            word,
+            " ".join(map(pair_cell.__getitem__, filter(None, state.pairs_of))) or "-",
+            ",".join(map(nums, state.x())) or "-",
+        )
+
+    return line, cells
 
 
 def cmd_fillings(args) -> int:
     n, h, shape = _resolve(args)
-
-    def row(rec) -> tuple[str, ...]:
-        return (
-            " | ".join(_fmt_entries(r, n) for r in rec.filling),
-            _fmt_entries(rec.word, n),
-            _fmt_pairs(rec.pairs),
-            ",".join(map(str, rec.x)) or "-",
-        )
-
     _emit(
         args,
-        permissible_records(shape, h),
+        _leaf_states(shape, h),
         ("filling", "reading-word", "dimension-pairs", "x"),
-        _fillings_line(n),
-        row,
+        *_fillings_texts(n, shape),
     )
     return 0
 
@@ -298,15 +325,12 @@ def _torus_line():
     ``_JSON`` writes {"entries": [[{"coeff", "exps"}, ...], ...], "v": v}:
     terms in ``sorted_terms()`` order, joined from a table of the text after
     each exponent tuple's coefficient, built as the tuples first appear."""
-    after: dict[tuple[int, ...], str] = {}
+    after = _Texts(lambda exps: '","exps":[' + ",".join(map(str, exps)) + "]}")
 
     def entry(p) -> str:
-        terms = []
-        for exps, coeff in p.sorted_terms():
-            text = after.get(exps)
-            if text is None:
-                text = after[exps] = '","exps":[' + ",".join(map(str, exps)) + "]}"
-            terms.append('{"coeff":"' + str(coeff) + text)
+        terms = [
+            '{"coeff":"' + str(coeff) + after[exps] for exps, coeff in p.sorted_terms()
+        ]
         return "[" + ",".join(terms) + "]"
 
     def line(item) -> str:
@@ -322,6 +346,16 @@ def _torus_line():
     return line
 
 
+def _torus_cell():
+    """The csv/table cell of a full-torus polynomial, its ``repr``, with
+    each exponent tuple's variable names (``t3^2*t5``) made once, as the
+    tuples first appear."""
+    from .billey import _monomial, _polynomial_text
+
+    names = _Texts(_monomial).__getitem__
+    return lambda p: _polynomial_text(p.sorted_terms(), names)
+
+
 def cmd_matrix(args) -> int:
     n, h, shape = _resolve(args)
     _require_single_row(shape, "matrix")
@@ -331,7 +365,7 @@ def cmd_matrix(args) -> int:
     points = tuple(sorted(table))
     if args.full_torus:
         items = zip(points, sigma_rows((table[v] for v in points), points))
-        line, as_cell = _torus_line(), repr
+        line, as_cell = _torus_line(), _torus_cell()
     else:
         items = zip(points, restriction_matrix(points, table).dense_rows())
         line = _encoded(

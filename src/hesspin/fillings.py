@@ -28,12 +28,14 @@ when a's right neighbor is placed, or when a is placed if it has none.
 ``_PrefixState`` keeps, per depth, the mask of the values placed and the
 packed counts x.  ``_pass`` carries it down the one backtracking pass and
 yields it at each leaf: ``permissible_records`` builds its records from
-those states, and the table functions of ``pinball`` read only the word
-and x off them.  ``dimension_pairs`` walks the state over one reading word.
+those states, while ``hesspin fillings`` and the table functions of
+``pinball`` read the word, the pair sets and x off them in place.
+``dimension_pairs`` walks the state over one reading word.
 
-``omega(x)`` is the product of ``omega_word(x)``.  Its inverse, the rolldown
-of a point with top-part vector x, is multiplied out by ``_roll`` as n - 1
-slice rotations, with no word built.
+``omega(x)`` is the product of ``omega_word(x)``.  ``_omega`` is the one
+product of x vectors: it builds omega(x) by n - 1 list inserts, with no
+word built.  ``omega`` checks x first, and ``_roll`` inverts it into the
+rolldown of a point with top-part vector x.
 """
 
 from __future__ import annotations
@@ -448,7 +450,10 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     and its prefix state (``_PrefixState``): the mask of the values placed
     before it and the packed x of the pairs settled so far.  Placing a box
     settles the pairs of at most two values, each pair set looked up by
-    value and mask, so a leaf costs O(n) steps.
+    value and mask, so a leaf costs O(n) steps.  A prefix that no filling
+    extends is cut as soon as the smallest value still to place has no
+    left neighbor it fits (see the loop), so h = identity on the single
+    row, with its one filling, takes O(n^2) steps rather than 2^n.
 
     One state is yielded at every leaf, with every box placed; it is the
     same object each time, valid until the pass takes its next step.  Its
@@ -463,6 +468,20 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     # allowed[a]: the values v with a <= h(v), those that may sit right of a
     allowed = [0] + [
         sum(1 << v for v in range(1, n + 1) if h[v - 1] >= a) for a in range(1, n + 1)
+    ]
+    # Dead prefixes.  Once the first column is placed, every unplaced
+    # position has a left neighbor, so the smallest unplaced value m needs
+    # some a <= h(m) left of it: a placed value at the left neighbor of an
+    # unplaced position (at the positions near[k]) or another unplaced
+    # value.  One always exists when h(m) = n, so only the values with
+    # h(m) < n are tested, and only from depth len(diagram) on (tight[k]).
+    # fits[1 << m] holds the bits of the values a <= h(m).
+    fits = {1 << v: (2 << h[v - 1]) - 1 for v in range(1, n + 1)}
+    narrow = sum(1 << v for v in range(1, n + 1) if h[v - 1] < n)
+    tight = [narrow if k >= len(diagram) else 0 for k in range(n)]
+    near = [
+        tuple(sorted({left[p] for p in range(k, n) if 0 <= left[p] < k}))
+        for k in range(n)
     ]
     # An explicit stack: free[k] holds the values still to try at position k,
     # lowest first.  Nested generators would pass every state up through n
@@ -485,8 +504,17 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
             yield state
             continue
         k += 1
+        rest = full ^ seen[k]
+        m = rest & -rest
+        if m & tight[k]:
+            others = rest ^ m
+            for q in near[k]:
+                others |= 1 << word[q]
+            if not others & fits[m]:
+                k -= 1
+                continue
         lk = left[k]
-        free[k] = full ^ seen[k] if lk < 0 else (full ^ seen[k]) & allowed[word[lk]]
+        free[k] = rest if lk < 0 else rest & allowed[word[lk]]
 
 
 def enumerate_permissible(diagram: Diagram, h: Sequence[int]) -> list[Filling]:
@@ -553,23 +581,31 @@ def omega_word(x: Sequence[int]) -> Word:
     )
 
 
-def _roll(x: Sequence[int]) -> Perm:
-    """omega(x)^{-1}, multiplied out by slice rotations; x is not checked.
+def _omega(x: Sequence[int]) -> Perm:
+    """omega(x), built by n - 1 list inserts; x is not checked.  This is the
+    one product of x vectors: ``omega`` checks x first, ``_roll`` inverts.
 
-    Reversed, the block u_l of ``omega_word(x)`` is s_{l-x_l} ... s_{l-1},
-    which moves the entry at position l - x_l to position l: it rotates
-    ``w[l - x_l - 1 : l]`` left by one.  The reversed word multiplies these
-    rotations out for l = n, ..., 2, so the result is
-    ``from_word(n, reversed(omega_word(x)))``, the rolldown of any fixed
-    point with top-part vector x.
+    The block u_l of ``omega_word(x)`` moves l left past x_l smaller values,
+    so in omega(x) the value l sits after exactly x_l of 1..l-1 less than
+    l: l goes in at index l - 1 - x_l of the values 1..l-1 placed so far.
+
+    >>> _omega((1, 2, 1, 0))
+    (3, 2, 4, 1, 5)
+    """
+    w = [1]
+    for l, xl in enumerate(x, 2):
+        w.insert(l - 1 - xl, l)
+    return tuple(w)
+
+
+def _roll(x: Sequence[int]) -> Perm:
+    """omega(x)^{-1}, the rolldown of any fixed point with top-part vector
+    x, which is ``from_word(n, reversed(omega_word(x)))``; x is not checked.
 
     >>> _roll((1, 2, 1, 0))
     (4, 2, 1, 3, 5)
     """
-    w = list(range(1, len(x) + 2))
-    for l in range(len(x) + 1, 1, -1):
-        w.insert(l - 1, w.pop(l - 1 - x[l - 2]))
-    return tuple(w)
+    return inverse(_omega(x))
 
 
 def omega(x: Sequence[int]) -> Perm:
@@ -578,7 +614,7 @@ def omega(x: Sequence[int]) -> Perm:
     >>> omega((1, 2, 1, 0))
     (3, 2, 4, 1, 5)
     """
-    return inverse(_roll(_checked_x(x)))
+    return _omega(_checked_x(x))
 
 
 def omega_inverse(w: Perm) -> tuple[int, ...]:

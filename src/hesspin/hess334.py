@@ -563,13 +563,15 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         )
     h = hessenberg_334(n)
     diagram = single_row(n)
-    # the N leaves of the one enumeration pass, sorted by point
+    # the N leaves of the one enumeration pass, in the reading-word frame
     leaves = sorted(_leaves(diagram, h))
     pin = _report(diagram, h, leaves)
+    # (point, rolldown) of each leaf, sorted by point
+    table = sorted((inverse(u), inverse(o)) for u, o, _ in leaves)
     # each point's facts, derived once; every check below reads them
-    facts = [_point(w) for w, _, _ in leaves]
+    facts = [_point(w) for w, _ in table]
     points = tuple(p.w for p in facts)
-    rolls = tuple(r for _, r, _ in leaves)
+    rolls = tuple(r for _, r in table)
 
     structural: list[CheckResult] = []
 

@@ -251,6 +251,28 @@ class BruhatKeys:
             key = (key << shift) | row
         return key
 
+    def key_and_length(self, w: Perm) -> tuple[int, int]:
+        """``key(w)`` and ``inversions(w)``, in one loop over w.
+
+        The row packed before each entry is the one before it, so the
+        first packed row is empty (adding nothing) and the full last row
+        is left out, as in ``key``.
+
+        >>> keys = bruhat_keys(3)
+        >>> keys.key_and_length((2, 3, 1)) == (keys.key((2, 3, 1)), 2)
+        True
+        """
+        if len(w) != self.n:
+            raise ValueError(f"size mismatch: {len(w)} vs {self.n}")
+        tails, shift = self._tails, self._row
+        key = row = seen = length = 0
+        for value in w:
+            length += (seen >> value).bit_count()
+            seen |= 1 << value
+            key = (key << shift) | row
+            row += tails[value]
+        return key, length
+
     def leq(self, kv: int, kw: int) -> bool:
         """Whether v <= w, given their keys."""
         guard = self._guard

@@ -4,22 +4,27 @@ The torus-fixed points carried by a (diagram, h) pair are the permutations
 ``w`` whose attached filling (reading word ``w^{-1}``) is permissible.  The
 rolldown of a fixed point collects the dimension pairs of its filling into
 the top-part vector x and returns ``omega(x)^{-1}``; its length equals the
-number of dimension pairs.  ``fillings._roll`` is the one product of x
-vectors: it multiplies ``omega(x)^{-1}`` out as n - 1 slice rotations, with
-no word built, for ``rolldown``, ``rolldown_table`` and ``verify_pinball``
-(and, inverted, for ``omega``).  ``rolldown_word`` and ``rolldown_words``
-give the reversed omega word itself.
+number of dimension pairs.  ``fillings._omega`` is the one product of x
+vectors: it builds ``omega(x)`` by n - 1 list inserts, with no word built.
+``verify_pinball`` reads it as it is, ``fillings._roll`` inverts it for
+``rolldown`` and ``rolldown_table``, and the 334 theorem inverts the
+omega(x) of its leaves.  ``rolldown_word`` and ``rolldown_words`` give the
+reversed omega word itself.
 
 ``verify_pinball`` checks the three success conditions of Betti poset
 pinball (Harada and Tymoczko, arXiv:1007.2750): rolldowns are pairwise
 distinct, each rolldown sits below its fixed point in Bruhat order, and the
 rolldown length distribution matches the Betti numbers.  It reads all
-three from one enumeration pass, taking only the fixed point (the inverse
-of the reading word, which the pass keeps) and x of each leaf state
-(``fillings._leaf_states``).  So do ``fixed_points``, ``rolldown_words``,
-``rolldown_table`` and ``betti_numbers``; none of them builds a filling, a
-pairs tuple or a ``PermissibleRecord``.  The degree of a point is
-``sum(x)``, since each dimension pair adds one to x.
+three from one enumeration pass, taking only the reading word and x of
+each leaf state (``fillings._leaf_states``).  Bruhat order, length and
+distinctness are all unchanged by w -> w^{-1}, so it checks them on the
+inverses: the reading word w^{-1}, which the pass keeps, and omega(x),
+the inverse of the rolldown.  Only the witnesses of failed checks are
+inverted back.  ``fixed_points``, ``rolldown_words``, ``rolldown_table``
+and ``betti_numbers`` also read only the fixed point (``point()``) or x;
+none of them builds a filling, a pairs tuple or a ``PermissibleRecord``.
+The degree of a point is ``sum(x)``, since each dimension pair adds one to
+x.
 
 The checks stream: each leaf is checked as the pass yields it, and
 ``verify_pinball`` keeps two count arrays (by degree and by rolldown
@@ -38,12 +43,12 @@ from the enumeration and check nothing twice.
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fillings import (
     Diagram,
     _leaf_states,
+    _omega,
     _roll,
     dimension_pairs,
     diagram_size,
@@ -59,7 +64,7 @@ from .permutations import (
     Perm,
     Word,
     bruhat_keys,
-    inversions,
+    inverse,
     validate,
 )
 
@@ -214,12 +219,13 @@ def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
 
 
 def _leaves(diagram: Diagram, h: Sequence[int]) -> Iterator[tuple[Perm, Perm, int]]:
-    """(fixed point, rolldown, degree) of each leaf state of the one
-    enumeration pass, in the pass's order; the degree is ``sum(x)``."""
-    roll = _roll
+    """(reading word, omega(x), degree) of each leaf state of the one
+    enumeration pass, in the pass's order: the inverses of the fixed point
+    and of its rolldown, and ``sum(x)``."""
+    omega = _omega
     for state in _leaf_states(diagram, h):
         x = state.x()
-        yield state.point(), roll(x), sum(x)
+        yield tuple(state.word), omega(x), sum(x)
 
 
 def _report(
@@ -227,37 +233,47 @@ def _report(
 ) -> PinballReport:
     """The three pinball checks over ``leaves``, one leaf at a time.
 
+    Each leaf (u, o, d) holds the inverses u = w^{-1} of a fixed point and
+    o = r^{-1} of its rolldown, and the point's degree.  Bruhat order,
+    length and distinctness are unchanged by inversion, so r <= w is
+    checked as o <= u, r's length is o's inversion count, and the r are
+    distinct exactly when the o are; only the witnesses are inverted back.
+
     The Betti side counts the degrees; the rolldown lengths are counted as
-    inversions of the rolldown permutations, so the two sides of
-    ``betti-match`` are computed independently.  A (point, rolldown) pair is
-    kept only when the rolldown is not below its point.  Distinctness reads
-    one dict from the bytes of each rolldown to the bytes of its first
-    point (tuples past n = 255); only a clash builds a list.
+    inversions of the permutations o, in the one loop over o that packs
+    its Bruhat key (``BruhatKeys.key_and_length``), so the two sides of
+    ``betti-match`` are computed independently.  A leaf is kept only when its rolldown is not below its
+    point.  Distinctness reads one dict from the bytes of each o to the
+    bytes of its first u (tuples past n = 255); only a clash builds a list.
     """
     n = diagram_size(diagram)
     keys = bruhat_keys(n)
-    key, leq = keys.key, keys.leq
+    key, key_and_length, leq = keys.key, keys.key_and_length, keys.leq
     encode = bytes if n < 256 else tuple
     top = n * (n - 1) // 2  # the longest length in S_n
     degrees = [0] * (top + 1)
     lengths = [0] * (top + 1)
-    owner: dict = {}  # rolldown -> its first point, both encoded
-    clashes: dict = {}  # rolldown -> every point of a shared rolldown
-    bruhat_failures: list[tuple[Perm, Perm]] = []
+    owner: dict = {}  # o -> the u of its first point, both encoded
+    clashes: dict = {}  # o -> the u of every point of a shared rolldown
+    above: list[tuple[Perm, Perm]] = []
     points = 0
-    for w, r, d in leaves:
+    for u, o, d in leaves:
         points += 1
         degrees[d] += 1
-        lengths[inversions(r)] += 1
-        if not leq(key(r), key(w)):
-            bruhat_failures.append((w, r))
-        code, mine = encode(r), encode(w)
+        ko, length = key_and_length(o)
+        lengths[length] += 1
+        if not leq(ko, key(u)):
+            above.append((u, o))
+        code, mine = encode(o), encode(u)
         first = owner.setdefault(code, mine)
         if first != mine:
             clashes.setdefault(code, [first]).append(mine)
-    bruhat_failures.sort(key=itemgetter(0))
+    bruhat_failures = sorted((inverse(u), inverse(o)) for u, o in above)
     collisions = tuple(
-        sorted((tuple(r), tuple(sorted(map(tuple, ws)))) for r, ws in clashes.items())
+        sorted(
+            (inverse(tuple(o)), tuple(sorted(inverse(tuple(u)) for u in us)))
+            for o, us in clashes.items()
+        )
     )
 
     betti_mismatches = tuple(

@@ -21,6 +21,10 @@ class Poly(Polynomial):
     __slots__ = ()
 
     @classmethod
+    def zero(cls, nvars):
+        return cls(nvars)
+
+    @classmethod
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1})
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from hesspin import billey, cli
+from hesspin import billey, cli, fillings
 from hesspin.billey import RestrictionMatrix
 from hesspin.cli import default_hessenberg, main
 from hesspin.fillings import (
@@ -37,7 +37,7 @@ from hesspin.fillings import (
     permissible_records,
     single_row,
 )
-from hesspin.pinball import rolldown_table
+from hesspin.pinball import fixed_points, rolldown_table
 
 from oracles import all_diagram_h
 
@@ -70,14 +70,14 @@ class _Watched(io.StringIO):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_fillings_streams(monkeypatch, fmt):
     produced = []
-    real = cli.permissible_records
+    real = cli._leaf_states
 
     def watched(shape, h):
-        for rec in real(shape, h):
-            produced.append(rec)
-            yield rec
+        for state in real(shape, h):
+            produced.append(state)
+            yield state
 
-    monkeypatch.setattr(cli, "permissible_records", watched)
+    monkeypatch.setattr(cli, "_leaf_states", watched)
     # the table emitter is the one that keeps every row
     monkeypatch.setattr(cli, "_emit_table", None)
     out = _Watched(produced)
@@ -87,6 +87,22 @@ def test_fillings_streams(monkeypatch, fmt):
     # record k is written before record k + 1 is enumerated
     assert out.seen[-720:] == list(range(1, 721))
     assert out.getvalue().count("\n") == 720 + (fmt == "csv")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fillings_build_no_records(monkeypatch, capsys, fmt):
+    # the lines are read off the leaf states of the pass
+    def refuse(*args):
+        raise AssertionError("record, filling or pairs built")
+
+    monkeypatch.setattr(fillings, "PermissibleRecord", refuse)
+    monkeypatch.setattr(fillings._PrefixState, "filling", refuse)
+    monkeypatch.setattr(fillings._PrefixState, "pairs", refuse)
+    for argv in (["--n", "6", "--h", "6,6,6,6,6,6"], ["--n", "5", "--lambda", "3,2"]):
+        assert main(["fillings", *argv, "--format", fmt]) == 0
+    # the default h at n = 5 is the 334 family
+    count = 720 + len(fixed_points((3, 2), default_hessenberg(5)))
+    assert capsys.readouterr().out.count("\n") == count + 2 * (fmt == "csv")
 
 
 def test_fillings_json_builds_no_table_cells(monkeypatch, capsys):
@@ -182,6 +198,20 @@ def test_full_torus_json_matches_generic_encoder(capsys):
             empty = empty or "[]" in line
     # a minus sign and a zero entry are both written somewhere
     assert negative and empty
+
+
+def test_full_torus_cells_match_repr():
+    # the table and csv cells are joined from per-exponent name texts
+    cell = cli._torus_cell()
+    h = hessenberg_full(4)
+    table = rolldown_table(single_row(4), h)
+    points = sorted(table)
+    for row in billey.sigma_rows([table[v] for v in points], points):
+        for p in row:
+            assert cell(p) == repr(p)
+    for terms in ({(0, 0): -3}, {(0, 1): -1, (2, 0): 1}, {(1, 1): 2, (0, 0): 1}):
+        p = billey.Polynomial(2, terms)
+        assert cell(p) == repr(p)
 
 
 def test_rolldowns_make_one_enumeration_pass(enumerations, capsys):

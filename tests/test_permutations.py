@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hesspin.permutations import (
     all_permutations,
     bruhat_key,
+    bruhat_keys,
     bruhat_leq,
     bruhat_table,
     canonical_word,
@@ -178,6 +179,14 @@ class TestBruhat:
         # the rank counts determine the permutation
         perms = all_permutations(5)
         assert len({bruhat_key(w) for w in perms}) == len(perms)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_key_and_length_in_one_loop(self, n):
+        keys = bruhat_keys(n)
+        for w in all_permutations(n):
+            assert keys.key_and_length(w) == (keys.key(w), brute_inversions(w))
+        with pytest.raises(ValueError, match="size mismatch"):
+            keys.key_and_length(identity(n + 1))
 
     def test_tableau_criterion_large_example(self):
         v = (3, 6, 8, 4, 7, 5, 9, 1, 2)

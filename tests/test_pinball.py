@@ -1,6 +1,7 @@
 """Rolldowns and the pinball success conditions."""
 
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -10,7 +11,6 @@ from hesspin.fillings import (
     hessenberg_full,
     hessenberg_identity,
     hessenberg_peterson,
-    omega,
 )
 from hesspin import fillings, hess334, pinball
 from hesspin.permutations import (
@@ -32,8 +32,62 @@ from hesspin.pinball import (
     verify_pinball,
 )
 
-from oracles import all_diagram_h
+from oracles import (
+    all_diagram_h,
+    bruhat_leq_oracle,
+    brute_dimension_pairs,
+    brute_fillings,
+    brute_inversions,
+)
 
+
+def _oracle_report(diagram, h):
+    """The fields of ``verify_pinball(diagram, h)`` from the oracles alone,
+    with the rolldowns from ``rolldown_word``."""
+    n = sum(diagram)
+    degree, rolls = {}, {}
+    for filling in brute_fillings(diagram, h):
+        # the reading word reads each column bottom to top; w is its inverse
+        word = [
+            row[c]
+            for c in range(diagram[0])
+            for row in reversed(filling)
+            if c < len(row)
+        ]
+        w = tuple(word.index(v) + 1 for v in range(1, n + 1))
+        degree[w] = len(brute_dimension_pairs(filling, h))
+        rolls[w] = from_word(n, rolldown_word(w, diagram, h))
+    owners = {}
+    for w in sorted(rolls):
+        owners.setdefault(rolls[w], []).append(w)
+    collisions = tuple(
+        sorted((r, tuple(ws)) for r, ws in owners.items() if len(ws) > 1)
+    )
+    failures = tuple(
+        (w, r) for w, r in sorted(rolls.items()) if not bruhat_leq_oracle(r, w)
+    )
+    degrees = list(degree.values())
+    lengths = [brute_inversions(r) for r in rolls.values()]
+    by_degree = [degrees.count(k) for k in range(n * (n - 1) // 2 + 1)]
+    mismatches = tuple(
+        (k, b, lengths.count(k))
+        for k, b in enumerate(by_degree)
+        if b != lengths.count(k)
+    )
+    while by_degree and not by_degree[-1]:
+        by_degree.pop()
+    return {
+        "diagram": diagram,
+        "h": h,
+        "betti": tuple(by_degree),
+        "points": len(rolls),
+        "injective": not collisions,
+        "collisions": collisions,
+        "below_fixed_point": not failures,
+        "bruhat_failures": failures,
+        "betti_matched": not mismatches,
+        "betti_mismatches": mismatches,
+    }
 
 
 class TestRolldown:
@@ -189,6 +243,13 @@ class TestVerifyPinball:
             report = verify_pinball(diagram, h)
             assert report.passed, (diagram, h, report.checks())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+    def test_report_matches_oracles(self, n):
+        # every field rebuilt from brute-force fillings, pairs, Bruhat order
+        # and lengths, with each rolldown multiplied out from its word
+        for diagram, h in all_diagram_h(n):
+            assert verify_pinball(diagram, h)._asdict() == _oracle_report(diagram, h)
+
     def test_one_enumeration_pass(self, enumerations):
         verify_pinball((2, 2), hessenberg_identity(4))
         assert enumerations == [((2, 2), (1, 2, 3, 4))]
@@ -209,8 +270,9 @@ class TestVerifyPinball:
         assert verify_pinball((2, 2), h).points == len(table)
 
     def test_checks_catch_colliding_rolldowns(self, monkeypatch):
-        # every rolldown the identity: all collide, lengths all 0
-        monkeypatch.setattr(pinball, "_roll", lambda x: identity(len(x) + 1))
+        # every omega(x), so every rolldown, the identity: all collide,
+        # lengths all 0
+        monkeypatch.setattr(pinball, "_omega", lambda x: identity(len(x) + 1))
         report = verify_pinball((4,), hessenberg_334(4))
         assert not report.injective
         points = fixed_points((4,), hessenberg_334(4))
@@ -221,10 +283,11 @@ class TestVerifyPinball:
         assert not report.passed
 
     def test_checks_catch_rolldowns_above(self, monkeypatch):
-        # For the full flag the rolldown of w is w itself.  The unreversed
-        # product omega(x) is w^{-1} instead: still distinct and of the
-        # right lengths, but not below w unless w is an involution.
-        monkeypatch.setattr(pinball, "_roll", omega)
+        # For the full flag the rolldown of w is w itself, so omega(x) is
+        # w^{-1}.  Its inverse w in place of omega(x) makes the rolldown
+        # w^{-1}: still distinct and of the right lengths, but not below w
+        # unless w is an involution.
+        monkeypatch.setattr(pinball, "_omega", fillings._roll)
         report = verify_pinball((4,), hessenberg_full(4))
         assert report.injective
         assert report.betti_matched
@@ -238,7 +301,9 @@ class TestVerifyPinball:
         # entries above 255 do not fit a byte: rolldowns are keyed by tuple
         n = 256
         e, w1, w2 = identity(n), from_word(n, (1,)), from_word(n, (255,))
+        # (point, rolldown, degree), taken to the reading-word frame
         leaves = [(w1, e, 1), (e, e, 0), (w2, e, 1)]
+        leaves = [(inverse(w), inverse(r), d) for w, r, d in leaves]
         report = pinball._report((n,), hessenberg_full(n), leaves)
         assert report.points == 3
         assert report.collisions == ((e, tuple(sorted((e, w1, w2)))),)
@@ -257,6 +322,14 @@ class TestVerifyPinball:
 
 
 class TestFixedPoints:
+    def test_identity_prunes_dead_prefixes(self):
+        # h = identity on the single row has one fixed point; a pass that
+        # cut dead prefixes only at their first bad adjacency took 2^n
+        # steps, 11 s at n = 24
+        start = time.perf_counter()
+        assert fixed_points((24,), hessenberg_identity(24)) == (identity(24),)
+        assert time.perf_counter() - start < 0.5
+
     def test_peterson_points_are_staircase_concatenations(self):
         from hesspin.hess334 import peterson_fixed_point
 
