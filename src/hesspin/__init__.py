@@ -19,7 +19,6 @@ _EXPORTS = {
     "billey": (
         "Polynomial",
         "RestrictionMatrix",
-        "Root",
         "S1Value",
         "check_upper_triangular",
         "p_restriction",

@@ -26,17 +26,17 @@ value a state carries and how a move updates it.  ``sigma_restriction``
 and ``sigma_rows`` carry polynomials as maps from packed monomials to
 coefficients.  ``p_summand_counts`` carries {weight: count} multisets of
 projected root products, counting how many subwords give each summand,
-and ``p_restriction`` sums that multiset.  The pass reads its letters from
-the column's root table (``_root_table``: each letter's descent steps and
-the units of its root).  A table numbers the whole ideal of its rows once
-(``_weak_ideal``): ``sigma_rows`` also derives, checks and tabulates each
-column's word once, and one decoder per table (``_decoder``) unpacks each
-distinct monomial once and builds each ``Polynomial`` without re-checking
-it.  A single entry numbers only the states its pass reaches, looking up
-each step when the pass first takes it.  ``restriction_matrix`` fills each
-column from one prefix recurrence over the column's word, keeping only
-partial products inside the rows' ideal.  It stores each row sparsely,
-as a bitmask of its nonzero columns and their coefficients, and
+and ``p_restriction`` sums that multiset.  Every pass reads its letters
+from w's column (``_column``), the one place the roots r(j, b) are derived
+and b is checked against w.  A table numbers the whole ideal of its rows
+once (``_weak_ideal``) and builds each column once, and one decoder per
+table (``_decoder``) unpacks each distinct monomial once and builds each
+``Polynomial`` without re-checking it.  A single entry numbers only the
+states its pass reaches, looking up each step when the pass first takes
+it.  ``restriction_matrix`` fills each
+column from one prefix recurrence over the column read in letter order,
+keeping only partial products inside the rows' ideal.  It stores each row
+sparsely, as a bitmask of its nonzero columns and their coefficients, and
 ``check_upper_triangular`` reads violations off those masks against the
 row masks of ``permutations.bruhat_table``.  No restriction consults
 Bruhat keys, and the ideal depends only on the rows, so checking their
@@ -53,19 +53,16 @@ from .permutations import (
     Word,
     bruhat_table,
     canonical_word,
-    from_word,
-    identity,
     inversions,
+    is_permutation,
     set_bits,
     validate,
 )
 
 __all__ = [
     "Polynomial",
-    "Root",
     "S1Value",
     "S1_ZERO",
-    "roots_along_word",
     "sigma_restriction",
     "sigma_rows",
     "project_s1",
@@ -159,17 +156,6 @@ def _polynomial_text(terms, monomial=_monomial) -> str:
     return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
-class Root(NamedTuple):
-    """The linear form t_lower - t_upper."""
-
-    lower: int
-    upper: int
-
-    def s1(self) -> int:
-        """Coefficient of t after the projection t_i -> (n + 1 - i) t."""
-        return self.upper - self.lower
-
-
 class S1Value(NamedTuple):
     """An exact multiple of a power of t: coeff * t^degree."""
 
@@ -178,27 +164,6 @@ class S1Value(NamedTuple):
 
 
 S1_ZERO = S1Value(0, 0)
-
-
-def roots_along_word(b: Word, n: int) -> tuple[Root, ...]:
-    """All roots r(j, b) for j = 1..len(b), via running prefix products."""
-    prefix = list(identity(n))
-    roots = []
-    for i in b:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"letter {i} out of range for S_{n}")
-        roots.append(Root(prefix[i - 1], prefix[i]))
-        # extend the prefix: right multiplication swaps entries i, i+1
-        prefix[i - 1], prefix[i] = prefix[i], prefix[i - 1]
-    return tuple(roots)
-
-
-def _checked_word(w: Perm, word: Optional[Sequence[int]]) -> Word:
-    n = len(w)
-    b = tuple(word) if word is not None else canonical_word(w)
-    if len(b) != inversions(w) or from_word(n, b) != w:
-        raise ValueError(f"{b} is not a reduced word for {w}")
-    return b
 
 
 def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) -> Polynomial:
@@ -216,9 +181,9 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     order, so every state lies in the weak-order ideal of v (``_Ideal``);
     a step is a lookup in its descent table.  States longer than the
     letters left are dropped, and zero coefficients are not carried.  The
-    pass reads each letter's descent table and root from the column's root
-    table (``_root_table``), whose roots come from the prefix
-    w s_{b_m} ... s_{b_j} = s_{b_1} ... s_{b_{j-1}}, one swap per letter.
+    pass reads each letter's root from w's column (``_column``), whose
+    roots come from the prefix w s_{b_m} ... s_{b_j} = s_{b_1} ... s_{b_{j-1}},
+    one swap per letter.
 
     Values map packed monomials to coefficients: t_a's exponent sits in
     the a-th field from the top, so integer order is exponent-tuple lex
@@ -234,21 +199,19 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
     v = validate(v)
-    b = _checked_word(w, word)
     n = len(w)
-    ideal = _Ideal([v])
-    roots = _root_table(ideal, w, b, _packed_units(n))
-    return _decoder(n)(_backward(ideal, v, roots, {0: 1}, _times_root))
+    column = _column(w, word, _packed_units(n))
+    return _decoder(n)(_backward(_Ideal([v]), v, column, {0: 1}, _times_root))
 
 
 def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[Polynomial, ...]]:
     """``sigma_restriction(v, w)`` for every w in ``points``, one row v at a time.
 
     The rows are read and checked up front, and their weak-order ideal is
-    numbered once for the whole table.  Each point's canonical word is
-    derived and checked once, and its root table (``_root_table``) built
-    once beside it, instead of once per entry.  Each row's values are
-    computed when it is asked for, so a caller can stream them; one
+    numbered once for the whole table.  Each point's column (``_column``)
+    is built and its canonical word checked once, up front, instead of
+    once per entry.  Each row's values are computed when it is asked for,
+    so a caller can stream them; one
     decoder (``_decoder``) turns every packed value of the table into a
     ``Polynomial``, unpacking each distinct monomial once.
     """
@@ -256,16 +219,15 @@ def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[P
     sizes = sorted({len(p) for p in [*rows, *points]})
     if len(sizes) > 1:
         raise ValueError(f"size mismatch among rows and points: {sizes}")
-    words = [_checked_word(w, None) for w in points]
+    unit = _packed_units(sizes[0]) if sizes else ()
+    columns = [_column(w, None, unit) for w in points]
     if not rows:
-        # nothing to restrict; the points' words are checked all the same
+        # nothing to restrict; the points are checked all the same
         return
     ideal = _weak_ideal(rows)
-    unit = _packed_units(sizes[0])
-    tables = [_root_table(ideal, w, b, unit) for w, b in zip(points, words)]
     decode = _decoder(sizes[0])
     for v in rows:
-        yield tuple(decode(_backward(ideal, v, roots, {0: 1}, _times_root)) for roots in tables)
+        yield tuple(decode(_backward(ideal, v, col, {0: 1}, _times_root)) for col in columns)
 
 
 class _Ideal:
@@ -348,39 +310,53 @@ def _packed_units(n: int) -> list[int]:
     return [0] + [1 << s for s in _fields(n)[0]]
 
 
-# one letter of a column's pass: (j, b_j, descent steps of s_{b_j},
-# unit[lower], unit[upper]) for the root r(j, b) = t_lower - t_upper
-_Letter = tuple[int, int, list[int], int, int]
+# one letter of a column: (j, b_j, unit[lower], unit[upper]) for the root
+# r(j, b) = t_lower - t_upper
+_Letter = tuple[int, int, int, int]
 
 
-def _root_table(ideal: _Ideal, w: Perm, b: Word, unit: Sequence[int]) -> list[_Letter]:
-    """The letters of w's column in the order the backward pass reads them.
+def _column(w: Perm, word: Optional[Sequence[int]], unit: Sequence[int]) -> list[_Letter]:
+    """The letters of w's column, last letter first: the one place the
+    roots along a word are derived and the word is checked.
 
-    For j = m..1, b_j, its descent table in ``ideal`` and the units of
-    the two ends of r(j, b) = t_lower - t_upper, read off the prefix
-    s_{b_1} ... s_{b_{j-1}}, which one swap per letter takes down from w.
-    ``unit`` maps a = 1..n to its value's form in the pass: the packed t_a
-    for polynomials, a itself for projected weights.
+    For j = m..1 the column holds j, b_j and the units of the two ends of
+    r(j, b) = t_lower - t_upper, read off the prefix s_{b_1} ... s_{b_{j-1}},
+    which one swap per letter takes down from w.  b is ``word``, or w's
+    canonical word when that is None; it is reduced for w exactly when it
+    has l(w) letters in 1..n-1 and the prefix ends at the identity, and
+    ``ValueError`` is raised otherwise.  ``unit`` maps a = 1..n to its
+    value's form in a pass: the packed t_a for polynomials, a itself for
+    projected weights.
+
+    >>> _column((3, 1, 2), None, range(4))
+    [(2, 1, 1, 3), (1, 2, 2, 3)]
     """
-    prefix = list(w)
-    table = []
-    for j in range(len(b), 0, -1):
-        i = b[j - 1]
-        prefix[i - 1], prefix[i] = prefix[i], prefix[i - 1]
-        table.append((j, i, ideal.down[i], unit[prefix[i - 1]], unit[prefix[i]]))
-    return table
+    n = len(w)
+    b = canonical_word(w) if word is None else tuple(word)
+    # the letters index the prefix and w's entries index unit, so both are
+    # checked before the swaps
+    if len(b) == inversions(w) and is_permutation(w) and all(0 < i < n for i in b):
+        prefix = list(w)
+        column = []
+        for j, i in zip(range(len(b), 0, -1), reversed(b)):
+            lower, upper = prefix[i], prefix[i - 1]
+            prefix[i - 1], prefix[i] = lower, upper
+            column.append((j, i, unit[lower], unit[upper]))
+        if prefix == list(range(1, n + 1)):
+            return column
+    raise ValueError(f"{b} is not a reduced word for {w}")
 
 
 def _backward(
     ideal: _Ideal,
     v: Perm,
-    letters: Sequence[_Letter],
+    column: Sequence[_Letter],
     seed: dict[int, int],
     move: Callable[[dict[int, int], dict[int, int], int, int], None],
 ) -> dict[int, int]:
     """The one backward pass of the restrictions, from v down to the identity.
 
-    ``letters`` is a column's root table, and v lies in ``ideal``.  The
+    ``column`` is a column from ``_column``, and v lies in ``ideal``.  The
     state of v starts at ``seed``; letter j sends every state x with a
     descent at b_j to x * s_{b_j}, and ``move(value, out, lower, upper)``
     adds x's value times the letter's root into that state's.  States
@@ -389,12 +365,13 @@ def _backward(
     states it reaches.  The identity's value is returned, empty when the
     pass never reaches it.
     """
-    length = ideal.length
+    length, down = ideal.length, ideal.down
     start = ideal.number[v]
-    if length[start] > len(letters):
+    if length[start] > len(column):
         return {}
     values = {start: seed}
-    for j, i, step, lower, upper in letters:
+    for j, i, lower, upper in column:
+        step = down[i]
         # x * s_i has an ascent at i, so no state moves twice on one letter
         for x, value in list(values.items()):
             if length[x] > j:
@@ -511,14 +488,13 @@ def p_summand_counts(
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
     v = validate(v)
-    return _summand_counts(_Ideal([v]), v, w, _checked_word(w, word))
+    return _summand_counts(_Ideal([v]), v, _column(w, word, range(len(w) + 1)))
 
 
-def _summand_counts(ideal: _Ideal, v: Perm, w: Perm, b: Word) -> dict[S1Value, int]:
-    # p_summand_counts for a reduced word b of w that is already checked,
-    # on an ideal holding v
-    letters = _root_table(ideal, w, b, range(len(w) + 1))
-    counts = _backward(ideal, v, letters, {1: 1}, _times_weight)
+def _summand_counts(ideal: _Ideal, v: Perm, column: Sequence[_Letter]) -> dict[S1Value, int]:
+    # p_summand_counts for a column of projected weights (_column with
+    # unit a -> a), on an ideal holding v
+    counts = _backward(ideal, v, column, {1: 1}, _times_weight)
     degree = ideal.length[ideal.number[v]]
     return {S1Value(c, degree): counts[c] for c in sorted(counts)}
 
@@ -589,12 +565,13 @@ def restriction_matrix(
     ``words`` optionally supplies a reduced word per column point (for
     instance a catalog word); columns without one use the canonical word.
 
-    Each column is one pass over its word b, mapping every partial product
-    u of a reduced subword of b_1..b_j to its summed projected weight;
-    letter j adds u * s_{b_j} with weight times r(j, b) where the length
-    rises.  A partial product of a reduced subword reaching v is a reduced
-    prefix of v, so it lies below v in the right weak order, and only
-    products in the weak-order ideal I of the rows are kept.  I is numbered
+    Each column is one pass over its word b, read from w's column
+    (``_column``) in letter order, mapping every partial product u of a
+    reduced subword of b_1..b_j to its summed projected weight; letter j
+    adds u * s_{b_j} with weight times r(j, b), upper - lower, where the
+    length rises.  A partial product of a reduced subword reaching v is a
+    reduced prefix of v, so it lies below v in the right weak order, and
+    only products in the weak-order ideal I of the rows are kept.  I is numbered
     once (``_weak_ideal``, the ideal of ``sigma_rows``); ``up[i][k]`` is the
     number of permutation k times s_i when that is longer and in I, read
     off I's descent steps, so a pass steps states by list lookups.  I is
@@ -613,22 +590,22 @@ def restriction_matrix(
     if len({len(p) for p in pts + rolls}) > 1:
         raise ValueError("size mismatch among points and rolldowns")
     words = words or {}
-    return _restriction_matrix(pts, rolls, _weak_ideal(rolls), [words.get(w) for w in pts])
+    columns = (_column(w, words.get(w), range(len(w) + 1)) for w in pts)
+    return _restriction_matrix(pts, rolls, _weak_ideal(rolls), columns)
 
 
 def _restriction_matrix(
     pts: tuple[Perm, ...],
     rolls: tuple[Perm, ...],
     ideal: _Ideal,
-    words: Sequence[Optional[Word]],
+    columns: Iterable[Sequence[_Letter]],
 ) -> RestrictionMatrix:
     # restriction_matrix for checked inputs: sorted distinct points, their
-    # rolldowns, the weak-order ideal of the rolldowns from _weak_ideal,
-    # and a word per point, None for its canonical word
+    # rolldowns, the weak-order ideal of the rolldowns from _weak_ideal, and
+    # each point's column of projected weights, built as the loop reaches it
     number = ideal.number
-    n = len(pts[0]) if pts else 1
     # the ascent steps are the descent steps read backwards
-    up = [[-1] * len(number) for _ in range(n)]
+    up = [[-1] * len(number) for _ in ideal.down]
     for i, step in enumerate(ideal.down):
         for k, child in enumerate(step):
             if child >= 0:
@@ -637,13 +614,12 @@ def _restriction_matrix(
     rows_of: list[list[int]] = [[] for _ in number]
     for a, v in enumerate(rolls):
         rows_of[number[v]].append(a)
-    columns: list[list[int]] = [[] for _ in rolls]
+    nonzero: list[list[int]] = [[] for _ in rolls]
     coeffs: list[list[int]] = [[] for _ in rolls]
-    for col, (w, word) in enumerate(zip(pts, words)):
-        b = _checked_word(w, word)
+    for col, column in enumerate(columns):
         weights = {ideal.bottom: 1}
-        for i, root in zip(b, roots_along_word(b, n)):
-            weight, step = root.s1(), up[i]
+        for _, i, lower, upper in reversed(column):
+            weight, step = upper - lower, up[i]
             # u * s_i has a descent at i, so a state added here is not
             # extended again by the same letter
             for u, c in list(weights.items()):
@@ -653,12 +629,12 @@ def _restriction_matrix(
         for u, c in weights.items():
             if c:
                 for a in rows_of[u]:
-                    columns[a].append(col)
+                    nonzero[a].append(col)
                     coeffs[a].append(c)
     return RestrictionMatrix(
         points=pts,
         rolldowns=rolls,
-        nonzero=tuple(sum(1 << col for col in cols) for cols in columns),
+        nonzero=tuple(sum(1 << col for col in cols) for cols in nonzero),
         coeffs=tuple(map(tuple, coeffs)),
     )
 

@@ -44,10 +44,11 @@ The summand census counts the subword summands of a catalog word by
 enumerating the subwords, so ``SummandCensus.summands`` lists them by
 ascending coefficient.  ``verify_334_theorem`` numbers the rolldowns'
 right weak-order ideal once and runs both the census and the restriction
-matrix on it; the census takes each catalog word as ``_point`` checked
-it, and only the matrix checks it again.  ``summand_census`` for one point
-goes through ``billey.p_summand_counts``, which checks the word itself and
-numbers only the part of the ideal its pass reaches.
+matrix on it.  Their passes read each catalog word's roots from its
+column (``billey._column``), built as a pass reaches the point and not
+kept: one for the matrix, and one the two censuses share.
+``summand_census`` for one point goes through ``billey.p_summand_counts``,
+which numbers only the part of the ideal its pass reaches.
 """
 
 from __future__ import annotations
@@ -59,12 +60,12 @@ from typing import NamedTuple, Optional, Sequence
 from .billey import (
     S1_ZERO,
     S1Value,
+    _column,
     _restriction_matrix,
     _summand_counts,
     _weak_ideal,
     check_upper_triangular,
     p_summand_counts,
-    roots_along_word,
 )
 from .fillings import (
     hessenberg_334,
@@ -329,20 +330,15 @@ def catalog_reduced_word(w: Perm) -> Word:
 
 def _catalog_word(w: Perm, cls: FixedPointClass, runs: Runs) -> Word:
     n = len(w)
-    word: list[int] = []
     if cls in _NON_PETERSON:
         a2 = runs[0][1]
         if cls is FixedPointClass.TYPE_312:
-            for k in range(1, a2):
-                word.extend(range(k, 0, -1))
-            word.extend(range(a2, 1, -1))
+            word = _block_word(1, a2 - 1) + list(range(a2, 1, -1))
         else:
-            for k in range(2, a2):
-                word.extend(range(k, 1, -1))
-            word.extend(range(a2, 0, -1))
+            word = _block_word(2, a2 - 1) + list(range(a2, 0, -1))
         rest = runs[1:]
     else:
-        rest = runs
+        word, rest = [], runs
     for a, b in rest:
         word.extend(_block_word(a, b))
     out = tuple(word)
@@ -499,19 +495,24 @@ def simple_summand_census(w: Perm) -> tuple[SimpleSummandRow, ...]:
     every summand equals (i - T(i) + 1) t, except on a 231-type leading
     run where i = 1 gives H1 t and 2 <= i <= H1 gives (i - 1) t.
     """
-    return _simple_rows(_point(w))
+    p = _point(w)
+    return _simple_rows(p, _column(p.w, p.word, range(len(p.w) + 1)))
 
 
-def _simple_rows(p: _Point) -> tuple[SimpleSummandRow, ...]:
-    weights = [r.s1() for r in roots_along_word(p.word, len(p.w))]
+def _simple_rows(
+    p: _Point, column: Sequence[tuple[int, int, int, int]]
+) -> tuple[SimpleSummandRow, ...]:
+    # the summands of p_{s_i}(p.w) are the weights upper - lower of the
+    # letters i in p's column of projected weights, in word order
+    n = len(p.w)
+    weights: list[list[int]] = [[] for _ in range(n)]
+    for _, i, lower, upper in reversed(column):
+        weights[i].append(upper - lower)
     # T(i) for each i of the subset
     tails = {i: a for a, b in p.runs for i in range(a, b + 1)}
     h1 = p.runs[0][1] if p.cls is FixedPointClass.TYPE_231 else 0
     rows = []
-    for i in range(1, len(p.w)):
-        sums = tuple(
-            weight for letter, weight in zip(p.word, weights) if letter == i
-        )
+    for i in range(1, n):
         if i not in tails:
             expected = None
         elif i == 1 and h1:
@@ -522,7 +523,7 @@ def _simple_rows(p: _Point) -> tuple[SimpleSummandRow, ...]:
             expected = i - tails[i] + 1
         rows.append(
             SimpleSummandRow(
-                index=i, in_subset=i in tails, summands=sums, expected=expected
+                index=i, in_subset=i in tails, summands=tuple(weights[i]), expected=expected
             )
         )
     return tuple(rows)
@@ -564,7 +565,7 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     h = hessenberg_334(n)
     diagram = single_row(n)
     # the N leaves of the one enumeration pass, in the reading-word frame
-    leaves = sorted(_leaves(diagram, h))
+    leaves = list(_leaves(diagram, h))
     pin = _report(diagram, h, leaves)
     # (point, rolldown) of each leaf, sorted by point
     table = sorted((inverse(u), inverse(o)) for u, o, _ in leaves)
@@ -604,20 +605,20 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     add("rolldown-one-line-prefix", prefix_fails)
 
     # Every Bruhat relation the checks read, as bitmasks over the points
-    # (see _bruhat_sweeps), from keys computed once per table
-    below = bruhat_table(points, points)
-    simples = [simple(i, n) for i in range(1, n)]
-    tables = (
-        below,
-        bruhat_table(rolls, points),
-        bruhat_table(simples, points),
-        bruhat_table(simples, rolls),
-    )
+    # (see _bruhat_sweeps): the points, rolldowns and simple reflections
+    # below each point in one table, so the masks over the points are built
+    # once
+    simples = tuple(simple(i, n) for i in range(1, n))
+    relation, size = bruhat_table(points + rolls + simples, points), len(points)
+    below, roll_below = relation[:size], relation[size : 2 * size]
+    tables = (below, roll_below, relation[2 * size :], bruhat_table(simples, rolls))
 
     # the weak-order ideal of the rolldowns, numbered once for the matrix
-    # and the census
+    # and the census; each pass builds a point's column when it reaches it
     ideal = _weak_ideal(rolls)
-    matrix = _restriction_matrix(points, rolls, ideal, [p.word for p in facts])
+    unit = range(n + 1)
+    columns = (_column(p.w, p.word, unit) for p in facts)
+    matrix = _restriction_matrix(points, rolls, ideal, columns)
     tri = check_upper_triangular(matrix, below)
     structural.append(
         CheckResult("diagonal-nonzero", tri.diagonal_ok, tri.diagonal_zeros)
@@ -637,24 +638,16 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         add(name, failures)
 
     # the census restricts each row's rolldown, which the ideal holds; it
-    # equals the closed form p.roll wherever rolldown-closed-form passes
-    add(
-        "summand-census",
-        (
-            p.w
-            for p, roll in zip(facts, rolls)
-            if not _census(p, _summand_counts(ideal, roll, p.w, p.word)).passed
-        ),
-    )
-    add(
-        "simple-summand-values",
-        (
-            (p.w, row.index)
-            for p in facts
-            for row in _simple_rows(p)
-            if not row.passed
-        ),
-    )
+    # equals the closed form p.roll wherever rolldown-closed-form passes.
+    # Both censuses read one column per point
+    census_fails, wrong_rows = [], []
+    for p, roll in zip(facts, rolls):
+        column = _column(p.w, p.word, unit)
+        if not _census(p, _summand_counts(ideal, roll, column)).passed:
+            census_fails.append(p.w)
+        wrong_rows += [(p.w, r.index) for r in _simple_rows(p, column) if not r.passed]
+    add("summand-census", census_fails)
+    add("simple-summand-values", wrong_rows)
 
     return Theorem334Report(
         n=n,

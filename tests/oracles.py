@@ -7,6 +7,7 @@ checks.  Slow on purpose; tests pick sizes accordingly.
 
 from collections import Counter
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from hesspin.billey import Polynomial
 from hesspin.hess334 import FixedPointClass
@@ -360,6 +361,32 @@ def brute_subword_table(b, n, sizes=None):
             if brute_inversions(prod) == k:
                 table.setdefault(prod, []).append(pos)
     return table
+
+
+class Root(NamedTuple):
+    """The linear form t_lower - t_upper."""
+
+    lower: int
+    upper: int
+
+    def s1(self) -> int:
+        """Coefficient of t after the projection t_i -> (n + 1 - i) t."""
+        return self.upper - self.lower
+
+
+def roots_along_word(b, n):
+    """All roots r(j, b) for j = 1..len(b), via running prefix products,
+    forward from the identity: the derivation ``billey._column`` is
+    checked against, which works backward from the word's product."""
+    prefix = list(identity(n))
+    roots = []
+    for i in b:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"letter {i} out of range for S_{n}")
+        roots.append(Root(prefix[i - 1], prefix[i]))
+        # extend the prefix: right multiplication swaps entries i, i+1
+        prefix[i - 1], prefix[i] = prefix[i], prefix[i - 1]
+    return tuple(roots)
 
 
 def brute_root(b, j, n):

@@ -10,7 +10,6 @@ from hesspin import billey
 from hesspin.billey import (
     S1_ZERO,
     Polynomial,
-    Root,
     S1Value,
     _weak_ideal,
     check_upper_triangular,
@@ -18,11 +17,11 @@ from hesspin.billey import (
     p_summand_counts,
     project_s1,
     restriction_matrix,
-    roots_along_word,
     sigma_restriction,
     sigma_rows,
 )
 from hesspin.fillings import hessenberg_334, single_row
+from hesspin.hess334 import catalog_reduced_word, fixed_points_334
 from hesspin.permutations import (
     BruhatKeys,
     all_permutations,
@@ -37,6 +36,7 @@ from hesspin.pinball import rolldown_table
 
 from oracles import (
     Poly,
+    Root,
     all_hessenberg,
     brute_inversions,
     brute_project,
@@ -46,6 +46,7 @@ from oracles import (
     gkm_edges,
     gkm_violations,
     random_reduced_word,
+    roots_along_word,
     vandermonde,
     weak_down_set,
 )
@@ -89,6 +90,8 @@ class TestPolynomial:
 
 
 class TestRoots:
+    """The oracle's forward roots, and ``billey._column`` against them."""
+
     def test_first_letters(self):
         assert roots_along_word((2, 1), 3)[0] == Root(2, 3)
         assert roots_along_word((1, 2), 3)[1] == Root(1, 3)
@@ -108,6 +111,62 @@ class TestRoots:
 
     def test_s1_weights(self):
         assert Root(1, 4).s1() == 3
+
+    @staticmethod
+    def assert_column_matches(w, b):
+        # the column lists letters last first; the oracle derives the same
+        # roots forward from the identity
+        n = len(w)
+        column = billey._column(w, b, range(n + 1))
+        roots = roots_along_word(b, n)
+        assert [(j, i) for j, i, _, _ in column] == [
+            (j, b[j - 1]) for j in range(len(b), 0, -1)
+        ]
+        assert [Root(lower, upper) for _, _, lower, upper in reversed(column)] == list(roots)
+        # the packed units name the same two ends of each root
+        packed = billey._packed_units(n)
+        assert billey._column(w, b, packed) == [
+            (j, i, packed[lower], packed[upper]) for j, i, lower, upper in column
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_column_matches_oracle_on_random_words(self, n):
+        rng = random.Random(7600 + n)
+        perms = all_permutations(n)
+        for w in [perms[-1]] + rng.sample(perms, min(40, len(perms))):
+            self.assert_column_matches(w, random_reduced_word(w, rng))
+            self.assert_column_matches(w, canonical_word(w))
+        # None stands for the canonical word
+        w = perms[-1]
+        assert billey._column(w, None, range(n + 1)) == billey._column(
+            w, canonical_word(w), range(n + 1)
+        )
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_column_matches_oracle_on_catalog_words(self, n):
+        points = fixed_points_334(n)
+        assert len(points) == 3 * 2 ** (n - 2)
+        for w in points:
+            self.assert_column_matches(w, catalog_reduced_word(w))
+
+    @pytest.mark.parametrize(
+        "w, word",
+        [
+            ((3, 1, 2), (1, 2)),  # right length, wrong product
+            ((2, 1, 3), (1, 1, 1)),  # not reduced
+            ((2, 1), (0,)),  # the letter 0 would swap the ends, here 1 and 2
+            ((2, 1, 3), (3,)),  # the letter n
+            ((3, 2, 1), (1, 2)),  # too short
+            ((2, 1, 3), (1, 2, 2)),  # too long
+            ((1, 1, 3), None),  # not a permutation
+            ((2, 1, 1), (1,)),  # not a permutation, with l(w) letters
+            ((4, 1, 2), (1, 2)),  # the entry 4 would index past the units
+        ],
+    )
+    def test_column_rejects_bad_input(self, w, word):
+        for unit in (range(len(w) + 1), billey._packed_units(len(w))):
+            with pytest.raises(ValueError, match="not a reduced word"):
+                billey._column(w, word, unit)
 
 
 class TestSubwords:
@@ -207,7 +266,7 @@ class TestSigma:
         assert max(e for exps in expected.terms for e in exps) == n - 1
 
     def test_takes_only_the_backward_pass(self, monkeypatch):
-        # no Polynomial product, root tuple or Bruhat comparison
+        # no Polynomial product or Bruhat comparison
         cases = [
             ((2, 1, 3, 4), (4, 3, 2, 1)),
             ((3, 1, 2, 4), (3, 4, 1, 2)),
@@ -218,8 +277,7 @@ class TestSigma:
         def refuse(*args, **kwargs):
             raise AssertionError("sigma_restriction took a refused path")
 
-        for name in ["roots_along_word", "bruhat_table"]:
-            monkeypatch.setattr(billey, name, refuse)
+        monkeypatch.setattr(billey, "bruhat_table", refuse)
         for name in ["key", "leq"]:
             monkeypatch.setattr(BruhatKeys, name, refuse)
         # Polynomial has no product to take (TestPolynomial)
@@ -247,15 +305,15 @@ class TestSigma:
         assert sorted(calls) == list(perms)
 
     def test_rows_tabulate_each_column_once(self, monkeypatch):
-        # one root table per column, however many rows
+        # one column per point, however many rows
         calls = []
-        real = billey._root_table
+        real = billey._column
 
-        def counted(ideal, w, b, unit):
+        def counted(w, word, unit):
             calls.append(w)
-            return real(ideal, w, b, unit)
+            return real(w, word, unit)
 
-        monkeypatch.setattr(billey, "_root_table", counted)
+        monkeypatch.setattr(billey, "_column", counted)
         perms = all_permutations(4)
         for rows in [perms[:1], perms[::5], perms]:
             calls.clear()
@@ -278,7 +336,8 @@ class TestSigma:
             Polynomial(3, {(1, 0): 1})
 
     def test_rows_without_rows_yield_nothing(self):
-        # no ideal or root table is built, but the points are still checked
+        # no ideal is built, but the points' columns are, so the points
+        # are still checked
         assert list(sigma_rows([], all_permutations(4))) == []
         with pytest.raises(ValueError, match="not a reduced word"):
             next(sigma_rows([], [(1, 1, 3)]))
@@ -506,14 +565,14 @@ class TestSummands:
         # a single entry's pass may never number the identity
         v, w = (3, 2, 1, 4), (1, 4, 3, 2)
         ideal = billey._Ideal([v])
-        assert billey._summand_counts(ideal, v, w, canonical_word(w)) == {}
+        assert billey._summand_counts(ideal, v, billey._column(w, None, range(5))) == {}
         assert ideal.bottom == -1 and len(ideal.elements) > 1
         assert p_summand_counts(v, w) == {}
         assert p_restriction(v, w) == S1_ZERO
         assert sigma_restriction(v, w) == Poly.zero(4)
 
     def test_takes_only_the_backward_pass(self, monkeypatch):
-        # no root tuple or Bruhat comparison: the census's vanishing is
+        # no Bruhat comparison: the census's vanishing is
         # checked against Bruhat order, so it must not consult it
         cases = [
             ((2, 1, 3, 4), (4, 3, 2, 1)),
@@ -528,8 +587,7 @@ class TestSummands:
         def refuse(*args, **kwargs):
             raise AssertionError("the census took a refused path")
 
-        for name in ["roots_along_word", "bruhat_table"]:
-            monkeypatch.setattr(billey, name, refuse)
+        monkeypatch.setattr(billey, "bruhat_table", refuse)
         for name in ["key", "leq"]:
             monkeypatch.setattr(BruhatKeys, name, refuse)
         assert [p_restriction(v, w) for v, w in cases] == expected
@@ -779,7 +837,7 @@ class TestDownClosure:
         for _ in range(40):
             v, w = rng.choice(perms), rng.choice(perms)
             ideal = billey._Ideal([v])
-            billey._summand_counts(ideal, v, w, canonical_word(w))
+            billey._summand_counts(ideal, v, billey._column(w, None, range(n + 1)))
             full = _weak_ideal([v])
             for k, x in enumerate(ideal.elements):
                 assert ideal.length[k] == full.length[full.number[x]]

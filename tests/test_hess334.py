@@ -317,7 +317,7 @@ class TestTheorem:
         # the rolldowns' weak-order ideal is numbered once, for the matrix
         # and the census, and the census it feeds matches plain position
         # combinations of each catalog word at every point
-        tops, census = [], {}
+        tops, census = [], []
         real_init, real_counts = billey._Ideal.__init__, hess334._summand_counts
 
         def numbered(ideal, rows):
@@ -325,9 +325,10 @@ class TestTheorem:
             tops.append(rows)
             real_init(ideal, rows)
 
-        def recorded(ideal, v, w, b):
-            census[w] = (v, b, real_counts(ideal, v, w, b))
-            return census[w][2]
+        def recorded(ideal, v, column):
+            counts = real_counts(ideal, v, column)
+            census.append((v, tuple(i for _, i, _, _ in reversed(column)), counts))
+            return counts
 
         monkeypatch.setattr(billey._Ideal, "__init__", numbered)
         monkeypatch.setattr(hess334, "_summand_counts", recorded)
@@ -335,26 +336,29 @@ class TestTheorem:
         assert report.passed
         table = rolldown_table(single_row(n), hessenberg_334(n))
         assert tops == [[table[w] for w in report.points]]
-        assert list(census) == list(report.points)
-        for w, (roll, word, counts) in census.items():
+        assert len(census) == len(report.points)
+        for w, (roll, word, counts) in zip(report.points, census):
             assert roll == table[w] and word == catalog_reduced_word(w), w
             assert counts == brute_summand_table(word, n, [brute_inversions(roll)])[roll], w
 
     def test_checks_each_catalog_word_once(self, monkeypatch):
-        # the matrix checks each column's catalog word; the census takes
-        # the words _point already checked
+        # _point checks each catalog word; the matrix builds each point's
+        # column as its pass reaches it, and the two censuses share one
+        # more, so a run builds two columns per point and holds neither
         calls = []
-        real = billey._checked_word
+        real = hess334._column
 
-        def counted(w, word):
+        def counted(w, word, unit):
             calls.append(w)
-            return real(w, word)
+            assert word == catalog_reduced_word(w)
+            return real(w, word, unit)
 
-        monkeypatch.setattr(billey, "_checked_word", counted)
+        monkeypatch.setattr(hess334, "_column", counted)
         report = verify_334_theorem(6)
         assert report.passed
         assert len(report.points) == 48
-        assert calls == list(report.points)
+        assert len(calls) == 96
+        assert calls == list(report.points) * 2
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 4"):
