@@ -33,14 +33,15 @@ once (``_weak_ideal``) and builds each column once, and one decoder per
 table (``_decoder``) unpacks each distinct monomial once and builds each
 ``Polynomial`` without re-checking it.  A single entry numbers only the
 states its pass reaches, looking up each step when the pass first takes
-it.  ``restriction_matrix`` fills each
-column from one prefix recurrence over the column read in letter order,
-keeping only partial products inside the rows' ideal.  It stores each row
-sparsely, as a bitmask of its nonzero columns and their coefficients, and
-``check_upper_triangular`` reads violations off those masks against the
-row masks of ``permutations.bruhat_table``.  No restriction consults
-Bruhat keys, and the ideal depends only on the rows, so checking their
-vanishing against Bruhat order is not a tautology.
+it.  The matrix has one prefix recurrence, which returns a column's
+nonzero entries (``_column_entries``), reading the column in letter order
+and keeping only partial products inside the rows' ideal.
+``restriction_matrix`` collects it, storing each row as a bitmask of its
+nonzero columns and their coefficients, which ``check_upper_triangular``
+reads against ``permutations.bruhat_table``;
+``hess334.verify_334_theorem`` reads each column as it comes.  No
+restriction consults Bruhat keys, and the ideal depends only on the rows,
+so checking their vanishing against Bruhat order is not a tautology.
 """
 
 from __future__ import annotations
@@ -564,20 +565,9 @@ def restriction_matrix(
 
     ``words`` optionally supplies a reduced word per column point (for
     instance a catalog word); columns without one use the canonical word.
-
-    Each column is one pass over its word b, read from w's column
-    (``_column``) in letter order, mapping every partial product u of a
-    reduced subword of b_1..b_j to its summed projected weight; letter j
-    adds u * s_{b_j} with weight times r(j, b), upper - lower, where the
-    length rises.  A partial product of a reduced subword reaching v is a
-    reduced prefix of v, so it lies below v in the right weak order, and
-    only products in the weak-order ideal I of the rows are kept.  I is numbered
-    once (``_weak_ideal``, the ideal of ``sigma_rows``); ``up[i][k]`` is the
-    number of permutation k times s_i when that is longer and in I, read
-    off I's descent steps, so a pass steps states by list lookups.  I is
-    the same for every column and compares no keys, so checking the
-    matrix's vanishing against Bruhat order still tests something.  Each
-    row takes its column's value from the state of its rolldown.
+    Each column comes from the matrix's one recurrence (``_column_entries``)
+    on the weak-order ideal of the rows, numbered once (``_weak_ideal``, the
+    ideal of ``sigma_rows``).
     """
     pts = tuple(sorted(points))
     repeated = sorted({u for u, v in zip(pts, pts[1:]) if u == v})
@@ -590,19 +580,42 @@ def restriction_matrix(
     if len({len(p) for p in pts + rolls}) > 1:
         raise ValueError("size mismatch among points and rolldowns")
     words = words or {}
-    columns = (_column(w, words.get(w), range(len(w) + 1)) for w in pts)
-    return _restriction_matrix(pts, rolls, _weak_ideal(rolls), columns)
+    entries = _column_entries(_weak_ideal(rolls), rolls)
+    nonzero: list[list[int]] = [[] for _ in rolls]
+    coeffs: list[list[int]] = [[] for _ in rolls]
+    for col, w in enumerate(pts):
+        for a, c in entries(_column(w, words.get(w), range(len(w) + 1))):
+            nonzero[a].append(col)
+            coeffs[a].append(c)
+    return RestrictionMatrix(
+        points=pts,
+        rolldowns=rolls,
+        nonzero=tuple(sum(1 << col for col in cols) for cols in nonzero),
+        coeffs=tuple(map(tuple, coeffs)),
+    )
 
 
-def _restriction_matrix(
-    pts: tuple[Perm, ...],
-    rolls: tuple[Perm, ...],
-    ideal: _Ideal,
-    columns: Iterable[Sequence[_Letter]],
-) -> RestrictionMatrix:
-    # restriction_matrix for checked inputs: sorted distinct points, their
-    # rolldowns, the weak-order ideal of the rolldowns from _weak_ideal, and
-    # each point's column of projected weights, built as the loop reaches it
+def _column_entries(
+    ideal: _Ideal, rolls: Sequence[Perm]
+) -> Callable[[Sequence[_Letter]], list[tuple[int, int]]]:
+    """The matrix's one recurrence, a column at a time.
+
+    ``ideal`` is the weak-order ideal I of ``rolls`` (``_weak_ideal``).  The
+    function returned takes w's column of projected weights (``_column``
+    with unit a -> a) for a word b and returns the column's nonzero entries
+    as (row, coefficient) pairs, row a restricting the class of ``rolls[a]``.
+    It is one pass over b in letter order, mapping every partial product u
+    of a reduced subword of b_1..b_j to its summed projected weight; letter
+    j adds u * s_{b_j} with weight times r(j, b), upper - lower, where the
+    length rises.  A partial product of a reduced subword reaching v is a
+    reduced prefix of v, so it lies below v in the right weak order, and
+    only products in I are kept.  ``up[i][k]`` is the number of permutation
+    k times s_i when that is longer and in I, read off I's descent steps,
+    so a pass steps states by list lookups.  I is the same for every column
+    and compares no keys, so checking the matrix's vanishing against Bruhat
+    order still tests something.  Each row takes its column's value from
+    the state of its rolldown, and nothing is held between columns.
+    """
     number = ideal.number
     # the ascent steps are the descent steps read backwards
     up = [[-1] * len(number) for _ in ideal.down]
@@ -614,10 +627,10 @@ def _restriction_matrix(
     rows_of: list[list[int]] = [[] for _ in number]
     for a, v in enumerate(rolls):
         rows_of[number[v]].append(a)
-    nonzero: list[list[int]] = [[] for _ in rolls]
-    coeffs: list[list[int]] = [[] for _ in rolls]
-    for col, column in enumerate(columns):
-        weights = {ideal.bottom: 1}
+    bottom = ideal.bottom
+
+    def entries(column: Sequence[_Letter]) -> list[tuple[int, int]]:
+        weights = {bottom: 1}
         for _, i, lower, upper in reversed(column):
             weight, step = upper - lower, up[i]
             # u * s_i has a descent at i, so a state added here is not
@@ -626,17 +639,9 @@ def _restriction_matrix(
                 u2 = step[u]
                 if u2 >= 0:
                     weights[u2] = weights.get(u2, 0) + c * weight
-        for u, c in weights.items():
-            if c:
-                for a in rows_of[u]:
-                    nonzero[a].append(col)
-                    coeffs[a].append(c)
-    return RestrictionMatrix(
-        points=pts,
-        rolldowns=rolls,
-        nonzero=tuple(sum(1 << col for col in cols) for cols in nonzero),
-        coeffs=tuple(map(tuple, coeffs)),
-    )
+        return [(a, c) for u, c in weights.items() if c for a in rows_of[u]]
+
+    return entries
 
 
 class TriangularReport(NamedTuple):
@@ -652,24 +657,16 @@ class TriangularReport(NamedTuple):
         return self.diagonal_ok and self.vanishing_ok
 
 
-def check_upper_triangular(
-    matrix: RestrictionMatrix,
-    below: Optional[Sequence[int]] = None,
-) -> TriangularReport:
+def check_upper_triangular(matrix: RestrictionMatrix) -> TriangularReport:
     """Diagonal entries must be nonzero; entry (v, w) must vanish unless v <= w.
 
-    ``below[a]`` is a bitmask over the points: bit b is set exactly when
-    ``matrix.points[a] <= matrix.points[b]``, as ``bruhat_table`` gives it,
-    which computes it here when ``below`` is omitted.  Violations are the
-    set bits of ``nonzero[a] & ~below[a]``, listed row by row in column
-    order.
+    Bruhat order over the points comes from ``bruhat_table``: bit b of
+    ``below[a]`` is set exactly when ``matrix.points[a] <= matrix.points[b]``.
+    Violations are the set bits of ``nonzero[a] & ~below[a]``, listed row
+    by row in column order.
     """
-    size = len(matrix.points)
-    if below is None:
-        below = bruhat_table(matrix.points, matrix.points)
-    elif len(below) != size or any(not 0 <= mask < 1 << size for mask in below):
-        raise ValueError(f"below must hold {size} masks of {size} bits")
     points = matrix.points
+    below = bruhat_table(points, points)
     diagonal_zeros = tuple(
         w
         for a, (w, mask) in enumerate(zip(points, matrix.nonzero))

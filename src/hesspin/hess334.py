@@ -21,7 +21,7 @@ Every class carries closed forms: a catalog reduced word built from
 staircase factors, a rolldown word, the one-line prefix of the rolldown,
 and the circle-projected restriction of the rolldown class at its own
 fixed point.  ``verify_334_theorem`` recomputes all of them from the
-dimension-pair definitions, builds the full restriction matrix, and checks
+dimension-pair definitions, computes the restriction matrix, and checks
 the poset upper triangularity that makes the rolldown classes a module
 basis, together with the supporting Bruhat-order lemmas.  One private
 record per point holds its class, subset, runs, catalog word and
@@ -42,11 +42,10 @@ point, and its witnesses are the set bits of the masks where it fails.
 The summand census counts the subword summands of a catalog word by
 ``billey``'s backward pass over it from the rolldown rather than
 enumerating the subwords, so ``SummandCensus.summands`` lists them by
-ascending coefficient.  ``verify_334_theorem`` numbers the rolldowns'
-right weak-order ideal once and runs both the census and the restriction
-matrix on it.  Their passes read each catalog word's roots from its
-column (``billey._column``), built as a pass reaches the point and not
-kept: one for the matrix, and one the two censuses share.
+ascending coefficient.  ``verify_334_theorem`` makes one pass over the
+points on the rolldowns' numbered weak-order ideal.  It builds each catalog
+word's column (``billey._column``) once, for the census and the point's
+column of the matrix (``billey._column_entries``), and holds no matrix.
 ``summand_census`` for one point goes through ``billey.p_summand_counts``,
 which numbers only the part of the ideal its pass reaches.
 """
@@ -61,10 +60,9 @@ from .billey import (
     S1_ZERO,
     S1Value,
     _column,
-    _restriction_matrix,
+    _column_entries,
     _summand_counts,
     _weak_ideal,
-    check_upper_triangular,
     p_summand_counts,
 )
 from .fillings import (
@@ -554,8 +552,9 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     """Recheck the 334 module-basis theorem exhaustively for one n.
 
     Builds every fixed point, compares pinball rolldowns against the class
-    closed forms, assembles the full projected restriction matrix over
-    catalog words, and tests poset upper triangularity plus the supporting
+    closed forms, computes the projected restriction matrix over catalog
+    words one column at a time, and tests poset upper triangularity (an
+    entry (v, w) with v not below w must vanish) plus the supporting
     Bruhat-order lemmas and summand censuses.
     """
     if n < 4:
@@ -574,36 +573,6 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     points = tuple(p.w for p in facts)
     rolls = tuple(r for _, r in table)
 
-    structural: list[CheckResult] = []
-
-    def add(name: str, failures) -> None:
-        failures = tuple(failures)
-        structural.append(CheckResult(name, not failures, failures))
-
-    add(
-        "rolldown-closed-form",
-        (
-            (p.w, roll, p.roll)
-            for p, roll in zip(facts, rolls)
-            if roll != p.roll
-        ),
-    )
-
-    prefix_fails = []
-    for p, roll in zip(facts, rolls):
-        if p.cls is FixedPointClass.PETERSON_NO_321:
-            continue
-        a2 = p.runs[0][1]
-        if p.cls is FixedPointClass.PETERSON_321:
-            expect = (a2 + 1, 2, 1) + tuple(range(3, a2 + 1))
-        elif p.cls is FixedPointClass.TYPE_312:
-            expect = (2, a2 + 1, 1) + tuple(range(3, a2 + 1))
-        else:
-            expect = (a2 + 1, 1, 2) + tuple(range(3, a2 + 1))
-        if roll[: a2 + 1] != expect:
-            prefix_fails.append((p.w, roll, expect))
-    add("rolldown-one-line-prefix", prefix_fails)
-
     # Every Bruhat relation the checks read, as bitmasks over the points
     # (see _bruhat_sweeps): the points, rolldowns and simple reflections
     # below each point in one table, so the masks over the points are built
@@ -613,48 +582,62 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     below, roll_below = relation[:size], relation[size : 2 * size]
     tables = (below, roll_below, relation[2 * size :], bruhat_table(simples, rolls))
 
-    # the weak-order ideal of the rolldowns, numbered once for the matrix
-    # and the census; each pass builds a point's column when it reaches it
+    # One pass over the points, on the rolldowns' weak-order ideal: each
+    # point's column is built once, for its column of the matrix (every
+    # entry computed, none skipped by Bruhat order) and both censuses
     ideal = _weak_ideal(rolls)
-    unit = range(n + 1)
-    columns = (_column(p.w, p.word, unit) for p in facts)
-    matrix = _restriction_matrix(points, rolls, ideal, columns)
-    tri = check_upper_triangular(matrix, below)
-    structural.append(
-        CheckResult("diagonal-nonzero", tri.diagonal_ok, tri.diagonal_zeros)
-    )
-    structural.append(
-        CheckResult("bruhat-vanishing", tri.vanishing_ok, tri.vanishing_violations)
-    )
-
-    diagonal_fails = []
-    for p in facts:
-        value, expect = matrix.entry(p.w, p.w), _closed_form(p)
-        if value != expect:
+    entries = _column_entries(ideal, rolls)
+    closed_fails, prefix_fails, zero_diagonal, violations = [], [], [], []
+    diagonal_fails, census_fails, wrong_rows = [], [], []
+    for b, (p, roll) in enumerate(zip(facts, rolls)):
+        if roll != p.roll:
+            closed_fails.append((p.w, roll, p.roll))
+        if p.cls is not FixedPointClass.PETERSON_NO_321:
+            a2 = p.runs[0][1]
+            if p.cls is FixedPointClass.PETERSON_321:
+                head = (a2 + 1, 2, 1)
+            elif p.cls is FixedPointClass.TYPE_312:
+                head = (2, a2 + 1, 1)
+            else:
+                head = (a2 + 1, 1, 2)
+            head += tuple(range(3, a2 + 1))
+            if roll[: a2 + 1] != head:
+                prefix_fails.append((p.w, roll, head))
+        column = _column(p.w, p.word, range(n + 1))
+        value = S1_ZERO
+        for a, c in entries(column):
+            if a == b:
+                value = S1Value(c, inversions(roll))
+            if not below[a] >> b & 1:
+                witness = (points[a], p.w, S1Value(c, inversions(rolls[a])))
+                violations.append((a, b, witness))
+        if value == S1_ZERO:
+            zero_diagonal.append(p.w)
+        if value != (expect := _closed_form(p)):
             diagonal_fails.append((p.w, value, expect))
-    add("closed-form-diagonal", diagonal_fails)
-
-    for name, failures in _bruhat_sweeps(facts, *tables):
-        add(name, failures)
-
-    # the census restricts each row's rolldown, which the ideal holds; it
-    # equals the closed form p.roll wherever rolldown-closed-form passes.
-    # Both censuses read one column per point
-    census_fails, wrong_rows = [], []
-    for p, roll in zip(facts, rolls):
-        column = _column(p.w, p.word, unit)
+        # the census restricts the row's rolldown, which the ideal holds; it
+        # equals the closed form p.roll wherever rolldown-closed-form passes
         if not _census(p, _summand_counts(ideal, roll, column)).passed:
             census_fails.append(p.w)
         wrong_rows += [(p.w, r.index) for r in _simple_rows(p, column) if not r.passed]
-    add("summand-census", census_fails)
-    add("simple-summand-values", wrong_rows)
 
+    checks = [
+        ("rolldown-closed-form", closed_fails),
+        ("rolldown-one-line-prefix", prefix_fails),
+        ("diagonal-nonzero", zero_diagonal),
+        # witnesses by row, then column
+        ("bruhat-vanishing", [witness for _, _, witness in sorted(violations)]),
+        ("closed-form-diagonal", diagonal_fails),
+        *_bruhat_sweeps(facts, *tables),
+        ("summand-census", census_fails),
+        ("simple-summand-values", wrong_rows),
+    ]
     return Theorem334Report(
         n=n,
         points=points,
         classes=tuple(p.cls for p in facts),
         pinball=pin,
-        structural=tuple(structural),
+        structural=tuple(CheckResult(name, not f, tuple(f)) for name, f in checks),
     )
 
 
@@ -717,7 +700,11 @@ def _bruhat_sweeps(
         t312: of_class[no_321] | of_class[t231],
         t231: of_class[no_321],
     }
-    related = [x | y for x, y in zip(below, roll_below)]
+
+    def related():
+        # each point's row of the two relations, built as a sweep reads it
+        # rather than held: N rows of N bits
+        return map(int.__or__, below, roll_below)
 
     def pairs(rows) -> tuple[tuple[Perm, Perm], ...]:
         return tuple(
@@ -749,7 +736,7 @@ def _bruhat_sweeps(
             pairs(x ^ y for x, y in zip(roll_below, below)),
         ),
         ("simple-reflection-membership", tuple(member)),
-        ("subset-monotonicity", pairs(r & ~sup for r, sup in zip(related, superset))),
+        ("subset-monotonicity", pairs(r & ~sup for r, sup in zip(related(), superset))),
         (
             "containment-criterion",
             pairs(
@@ -759,7 +746,7 @@ def _bruhat_sweeps(
         ),
         (
             "forbidden-relations",
-            pairs(forbidden[p.cls] & r for p, r in zip(facts, related)),
+            pairs(forbidden[p.cls] & r for p, r in zip(facts, related())),
         ),
         ("initial-segment-criterion", pairs(segment)),
     )

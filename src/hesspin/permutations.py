@@ -326,7 +326,8 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...
     field, picked by v's own count.  Each permutation's counts are read
     from its key once; the masks come from one byte string per field, so
     the Python work is one count list per permutation and (n - 1)^2 ANDs
-    per row.
+    per row.  A count takes one byte, so n must be at most 256;
+    ``ValueError`` is raised otherwise, before any work.
 
     >>> bruhat_table([(1, 2), (2, 1)], [(2, 1), (1, 2)])
     (3, 1)
@@ -337,6 +338,8 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...
     if not sizes:
         return tuple(0 for _ in lower)
     n = sizes.pop()
+    if n > 256:
+        raise ValueError(f"bruhat_table needs n <= 256, got n = {n}")
     keys = bruhat_keys(n)
     full = (1 << len(upper)) - 1
     # at_most[t] translates a count c to the digit "1" if c <= t, else "0"

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from hesspin import billey, hess334
-from hesspin.billey import S1Value, p_restriction
+from hesspin.billey import S1_ZERO, S1Value, p_restriction, restriction_matrix
 from hesspin.hess334 import (
     FixedPointClass,
     Theorem334Report,
@@ -342,9 +343,9 @@ class TestTheorem:
             assert counts == brute_summand_table(word, n, [brute_inversions(roll)])[roll], w
 
     def test_checks_each_catalog_word_once(self, monkeypatch):
-        # _point checks each catalog word; the matrix builds each point's
-        # column as its pass reaches it, and the two censuses share one
-        # more, so a run builds two columns per point and holds neither
+        # _point checks each catalog word; the one pass over the points
+        # builds each point's column when it reaches it, for the matrix and
+        # both censuses, and keeps none
         calls = []
         real = hess334._column
 
@@ -357,8 +358,102 @@ class TestTheorem:
         report = verify_334_theorem(6)
         assert report.passed
         assert len(report.points) == 48
-        assert len(calls) == 96
-        assert calls == list(report.points) * 2
+        assert len(calls) == 48
+        assert calls == list(report.points)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_vanishing_witnesses_follow_the_relation(self, monkeypatch, n):
+        # the theorem passes, so bruhat-vanishing's witness path is reached
+        # only by clearing bits of the points' rows of the Bruhat relation:
+        # its witnesses must be the nonzero entries of the matrix outside
+        # the corrupted relation, diagonal ones included, in row-major order
+        rng = random.Random(8200 + n)
+        real = hess334.bruhat_table
+        corrupted = []
+
+        def clearing(lower, upper):
+            table = list(real(lower, upper))
+            size = len(upper)
+            if tuple(lower[:size]) == tuple(upper):
+                for a in range(size):
+                    cleared = sum(1 << b for b in range(size) if rng.random() < 0.3)
+                    if a % 3 == 0:
+                        cleared |= 1 << a
+                    table[a] &= ~cleared
+                corrupted.append(table[:size])
+            return tuple(table)
+
+        monkeypatch.setattr(hess334, "bruhat_table", clearing)
+        report = verify_334_theorem(n)
+        [below] = corrupted
+        points = report.points
+        table = rolldown_table(single_row(n), hessenberg_334(n))
+        words = {w: catalog_reduced_word(w) for w in points}
+        matrix = restriction_matrix(points, table, words=words)
+        expected = [
+            (points[a], points[b], value)
+            for a, row in enumerate(matrix.values)
+            for b, value in enumerate(row)
+            if value != S1_ZERO and not below[a] >> b & 1
+        ]
+        assert any(v == w for v, w, _ in expected)
+        assert any(v != w for v, w, _ in expected)
+        checks = {c.name: c for c in report.checks()}
+        assert checks["bruhat-vanishing"].witnesses == tuple(expected)
+        assert checks["diagonal-nonzero"].passed
+        assert checks["closed-form-diagonal"].passed
+
+    def test_dropped_diagonal_entry_is_witnessed(self, monkeypatch):
+        # the matrix recurrence loses the diagonal entry of one column
+        n, k = 5, 7
+        real = hess334._column_entries
+
+        def dropping(ideal, rolls):
+            entries, seen = real(ideal, rolls), []
+
+            def dropped(column):
+                b = len(seen)
+                seen.append(b)
+                return [(a, c) for a, c in entries(column) if not a == b == k]
+
+            return dropped
+
+        monkeypatch.setattr(hess334, "_column_entries", dropping)
+        report = verify_334_theorem(n)
+        w = report.points[k]
+        failed = {c.name: c.witnesses for c in report.checks() if not c.passed}
+        assert failed == {
+            "diagonal-nonzero": (w,),
+            "closed-form-diagonal": ((w, S1_ZERO, closed_form_restriction(w)),),
+        }
+
+    def test_builds_no_matrix(self, monkeypatch):
+        # the theorem reads each column's entries as they are computed and
+        # holds no RestrictionMatrix, nor checks one
+        def refuse(*args, **kwargs):
+            raise AssertionError("the theorem built or checked a matrix")
+
+        monkeypatch.setattr(billey.RestrictionMatrix, "__new__", refuse)
+        monkeypatch.setattr(billey, "check_upper_triangular", refuse)
+        monkeypatch.setattr(hess334, "check_upper_triangular", refuse, raising=False)
+        points = fixed_points_334(4)
+        with pytest.raises(AssertionError, match="built or checked"):
+            restriction_matrix(points, {w: w for w in points})
+        assert verify_334_theorem(6).passed
+
+    @pytest.mark.slow
+    def test_holds_no_matrix_in_memory(self):
+        # at n = 10 the matrix has 43,739 nonzero entries; holding them in
+        # a RestrictionMatrix took the traced peak to 3.4 MB, and the one
+        # pass stays near 2.1 MB
+        tracemalloc.start()
+        try:
+            report = verify_334_theorem(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 3.0 * 2**20, peak
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 4"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hesspin import permutations
 from hesspin.permutations import (
     all_permutations,
     bruhat_key,
@@ -259,6 +260,25 @@ class TestBruhatTable:
         assert bruhat_table([], []) == ()
         assert bruhat_table([], perms) == ()
         assert bruhat_table(perms[:2], []) == (0, 0)
+
+    def test_refuses_more_than_256_entries(self, monkeypatch):
+        # a rank count takes one byte; the limit is named before any key
+        # is built
+        def refuse(n):
+            raise AssertionError("bruhat_table started work")
+
+        monkeypatch.setattr(permutations, "bruhat_keys", refuse)
+        e = identity(257)
+        with pytest.raises(ValueError, match="n <= 256, got n = 257"):
+            bruhat_table([e], [e[::-1]])
+        with pytest.raises(ValueError, match="n <= 256"):
+            bruhat_table([], [e])
+
+    def test_takes_256_entries(self):
+        # the identity's counts reach 255, the largest a count can be at
+        # this n; a key is big, so the table is kept to one entry
+        e = identity(256)
+        assert bruhat_table([e], [e[::-1]]) == (1,)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError, match="size mismatch"):
