@@ -224,7 +224,7 @@ class BruhatKeys:
     False
     """
 
-    __slots__ = ("n", "_row", "_guard", "_tails", "_shifts", "_field")
+    __slots__ = ("n", "_row", "_guard", "_tails")
 
     def __init__(self, n: int):
         width = n.bit_length() + 1
@@ -237,8 +237,6 @@ class BruhatKeys:
         self._tails = tuple(tails)
         guards = tails[1] << (width - 1)
         self._guard = sum(guards << (self._row * k) for k in range(n - 1))
-        self._shifts = range(0, self._row * (n - 1), width)
-        self._field = (1 << width) - 1
 
     def key(self, w: Perm) -> int:
         """The packed rank counts of w, row 1 in the top bits."""
@@ -278,15 +276,6 @@ class BruhatKeys:
         guard = self._guard
         return ((kv | guard) - kw) & guard == guard
 
-    def counts(self, key: int) -> list[int]:
-        """The (n - 1)^2 rank counts packed in ``key``, bottom field first.
-
-        >>> bruhat_keys(3).counts(bruhat_key((2, 3, 1)))
-        [0, 1, 0, 1]
-        """
-        field = self._field
-        return [key >> s & field for s in self._shifts]
-
 
 @functools.lru_cache(maxsize=None)
 def bruhat_keys(n: int) -> BruhatKeys:
@@ -323,11 +312,12 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...
     v <= w exactly when no rank count of v is below w's (``BruhatKeys``).
     So for each count field f and each t, take the mask of the upper points
     whose count in f is at most t; v's row is the AND of one such mask per
-    field, picked by v's own count.  Each permutation's counts are read
-    from its key once; the masks come from one byte string per field, so
-    the Python work is one count list per permutation and (n - 1)^2 ANDs
-    per row.  A count takes one byte, so n must be at most 256;
-    ``ValueError`` is raised otherwise, before any work.
+    field, picked by v's own count.  Each permutation's counts are
+    computed once, straight from its entries (``_rank_counts``); the masks
+    come from one byte string per field, so the Python work is one count
+    list per permutation and (n - 1)^2 ANDs per row.  A count takes one
+    byte, so n must be at most 256; ``ValueError`` is raised otherwise,
+    before any work.
 
     >>> bruhat_table([(1, 2), (2, 1)], [(2, 1), (1, 2)])
     (3, 1)
@@ -340,7 +330,7 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...
     n = sizes.pop()
     if n > 256:
         raise ValueError(f"bruhat_table needs n <= 256, got n = {n}")
-    keys = bruhat_keys(n)
+    counts = _rank_counts(n)
     full = (1 << len(upper)) - 1
     # at_most[t] translates a count c to the digit "1" if c <= t, else "0"
     at_most = [b"1" * (t + 1) + b"0" * (255 - t) for t in range(n)]
@@ -348,7 +338,7 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...
     # t; a column's bytes run from the last upper point to the first, so
     # int(..., 2) puts upper[b] at bit b
     masks = []
-    for column in zip(*(keys.counts(keys.key(w)) for w in reversed(upper))):
+    for column in zip(*map(counts, reversed(upper))):
         text, top = bytes(column), max(column)
         masks.append(
             [int(text.translate(at_most[t]), 2) for t in range(top)]
@@ -356,9 +346,35 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...
         )
     pick = list.__getitem__
     return tuple(
-        functools.reduce(int.__and__, map(pick, masks, keys.counts(keys.key(v))), full)
+        functools.reduce(int.__and__, map(pick, masks, counts(v)), full)
         for v in lower
     )
+
+
+def _rank_counts(n: int):
+    """The function giving the (n - 1)^2 rank counts c_w(k, j) of a w in
+    S_n, n <= 256, field j's counts for k = 1..n-1 in turn, j = 1..n-1.
+
+    Field j is the running sum of the indicators [w(a) <= j], so each field
+    takes one ``bytes.translate`` of w's first n - 1 entries, shifted down
+    by one to fit a byte, and one ``itertools.accumulate``.
+
+    >>> _rank_counts(3)((2, 3, 1))
+    [0, 0, 1, 1]
+    """
+    # marks[j - 1] translates the shifted entry v - 1 to 1 if v <= j, else 0
+    marks = [b"\1" * j + b"\0" * (256 - j) for j in range(1, n)]
+    down = (-1).__add__
+
+    def counts(w: Perm) -> list[int]:
+        shifted = bytes(map(down, w[:-1]))
+        return list(
+            itertools.chain.from_iterable(
+                itertools.accumulate(shifted.translate(t)) for t in marks
+            )
+        )
+
+    return counts
 
 
 def set_bits(mask: int) -> Iterator[int]:

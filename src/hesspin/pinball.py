@@ -28,12 +28,14 @@ x.
 
 The checks stream: each leaf is checked as the pass yields it, and
 ``verify_pinball`` keeps two count arrays (by degree and by rolldown
-length), one bytes key per rolldown for distinctness, and the witnesses
-of failed checks, never the (point, rolldown) table; its report counts
-the points it checked.  ``hess334.verify_334_theorem`` hands its sorted
-leaves to the same loop.  No (diagram, h) is known to fail: an exhaustive
-sweep passes all 1,836 pairs with n <= 6 and all 6,435 with n = 7.  The
-report still keeps a witness for every failure.
+length), one fixed-width (omega(x), reading word) record of 2n small
+integers per point for distinctness, checked one bucket at a time once
+the pass ends, and the witnesses of failed checks, never the (point,
+rolldown) table or an object per point; its report counts the points it
+checked.  ``hess334.verify_334_theorem`` hands its leaves to the same
+loop.  No (diagram, h) is known to fail: an exhaustive sweep passes all
+1,836 pairs with n <= 6 and all 6,435 with n = 7.  The report still keeps
+a witness for every failure.
 
 ``rolldown``, ``rolldown_word`` and ``degree`` take one point and check
 that it is a fixed point; the whole-table functions take their points
@@ -42,6 +44,8 @@ from the enumeration and check nothing twice.
 
 from __future__ import annotations
 
+import struct
+from array import array
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -210,26 +214,31 @@ def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
     """Check the pinball success conditions for (diagram, h) exhaustively.
 
     Each leaf of one enumeration pass is checked as it comes (``_report``):
-    only the counts by degree and by length, one encoding of each rolldown
-    and the witnesses of failed checks are kept, never the whole table.
+    only the counts by degree and by length, one fixed-width record of each
+    (rolldown, point) pair and the witnesses of failed checks are kept,
+    never the whole table.
     """
     diagram = validate_diagram(diagram)
     h = validate_hessenberg(h)
     return _report(diagram, h, _leaves(diagram, h))
 
 
-def _leaves(diagram: Diagram, h: Sequence[int]) -> Iterator[tuple[Perm, Perm, int]]:
+def _leaves(diagram: Diagram, h: Sequence[int]) -> Iterator[tuple[list, Perm, int]]:
     """(reading word, omega(x), degree) of each leaf state of the one
     enumeration pass, in the pass's order: the inverses of the fixed point
-    and of its rolldown, and ``sum(x)``."""
+    and of its rolldown, and ``sum(x)``.  The reading word is the pass's own
+    ``state.word`` list, not a copy: it is valid until the next leaf, so a
+    consumer that keeps it copies it."""
     omega = _omega
     for state in _leaf_states(diagram, h):
         x = state.x()
-        yield tuple(state.word), omega(x), sum(x)
+        yield state.word, omega(x), sum(x)
 
 
 def _report(
-    diagram: Diagram, h: tuple[int, ...], leaves: Iterable[tuple[Perm, Perm, int]]
+    diagram: Diagram,
+    h: tuple[int, ...],
+    leaves: Iterable[tuple[Sequence[int], Perm, int]],
 ) -> PinballReport:
     """The three pinball checks over ``leaves``, one leaf at a time.
 
@@ -242,20 +251,26 @@ def _report(
     The Betti side counts the degrees; the rolldown lengths are counted as
     inversions of the permutations o, in the one loop over o that packs
     its Bruhat key (``BruhatKeys.key_and_length``), so the two sides of
-    ``betti-match`` are computed independently.  A leaf is kept only when its rolldown is not below its
-    point.  Distinctness reads one dict from the bytes of each o to the
-    bytes of its first u (tuples past n = 255); only a clash builds a list.
+    ``betti-match`` are computed independently.  A leaf is kept (inverted
+    back, so copied) only when its rolldown is not below its point.
+
+    Distinctness keeps one fixed-width record (o, u) per leaf, 2n entries
+    of the smallest array type that holds n, in one array per first entry
+    of o.  Once every leaf is in, each bucket is checked on its own: a
+    dict from the bytes of each o to those of a u, built at C level, is
+    shorter than the bucket exactly when two records share an o, and only
+    then is the bucket walked in Python to collect the owners of each
+    shared o.  So u and o are never held as objects per point.
     """
     n = diagram_size(diagram)
     keys = bruhat_keys(n)
     key, key_and_length, leq = keys.key, keys.key_and_length, keys.leq
-    encode = bytes if n < 256 else tuple
+    code = next(c for c in "BHI" if n < 1 << 8 * array(c).itemsize)
     top = n * (n - 1) // 2  # the longest length in S_n
     degrees = [0] * (top + 1)
     lengths = [0] * (top + 1)
-    owner: dict = {}  # o -> the u of its first point, both encoded
-    clashes: dict = {}  # o -> the u of every point of a shared rolldown
-    above: list[tuple[Perm, Perm]] = []
+    buckets = [array(code) for _ in range(n + 1)]  # records (o, u) by o[0]
+    bruhat_failures: list[tuple[Perm, Perm]] = []  # (w, r), inverted back
     points = 0
     for u, o, d in leaves:
         points += 1
@@ -263,18 +278,26 @@ def _report(
         ko, length = key_and_length(o)
         lengths[length] += 1
         if not leq(ko, key(u)):
-            above.append((u, o))
-        code, mine = encode(o), encode(u)
-        first = owner.setdefault(code, mine)
-        if first != mine:
-            clashes.setdefault(code, [first]).append(mine)
-    bruhat_failures = sorted((inverse(u), inverse(o)) for u, o in above)
-    collisions = tuple(
-        sorted(
-            (inverse(tuple(o)), tuple(sorted(inverse(tuple(u)) for u in us)))
-            for o, us in clashes.items()
+            bruhat_failures.append((inverse(u), inverse(o)))
+        buckets[o[0]].fromlist([*o, *u])
+    bruhat_failures.sort()
+
+    width = n * array(code).itemsize  # the bytes of one o or one u
+    pairs = struct.Struct(f"{width}s{width}s")  # (o, u) as two bytes objects
+    entries = struct.Struct(f"{2 * n}{code}")  # o + u as 2n ints
+    collisions = []
+    for records in buckets:
+        if len(dict(pairs.iter_unpack(records))) == len(records) // (2 * n):
+            continue
+        owners: dict = {}  # o -> the u of every record with that o
+        for entry in entries.iter_unpack(records):
+            owners.setdefault(entry[:n], []).append(entry[n:])
+        collisions += (
+            (inverse(o), tuple(sorted(map(inverse, us))))
+            for o, us in owners.items()
+            if len(us) > 1
         )
-    )
+    collisions.sort()
 
     betti_mismatches = tuple(
         (k, b, count)
@@ -288,7 +311,7 @@ def _report(
         betti=_trimmed(degrees),
         points=points,
         injective=not collisions,
-        collisions=collisions,
+        collisions=tuple(collisions),
         below_fixed_point=not bruhat_failures,
         bruhat_failures=tuple(bruhat_failures),
         betti_matched=not betti_mismatches,

@@ -255,6 +255,45 @@ class TestBruhatTable:
         for rows, cols in ((40, 90), (90, 40), (1, 200), (200, 1)):
             self.assert_matches_tableau(rng.sample(perms, rows), rng.sample(perms, cols))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_packed_keys_on_random_pairs(self, n):
+        # rows built from rank counts taken straight from the entries are
+        # the relation of the packed keys, compared one pair at a time
+        rng = random.Random(9100 + n)
+        keys = bruhat_keys(n)
+        lower, upper = (
+            [tuple(rng.sample(range(1, n + 1), n)) for _ in range(size)]
+            for size in (30, 25)
+        )
+        for v, mask in zip(lower, bruhat_table(lower, upper)):
+            kv = keys.key(v)
+            assert mask == sum(
+                1 << b for b, w in enumerate(upper) if keys.leq(kv, keys.key(w))
+            ), v
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_rank_counts_follow_the_definition(self, n):
+        # c_w(k, j) = #{a <= k : w(a) <= j}, field j's counts for
+        # k = 1..n-1 in turn
+        rng = random.Random(9200 + n)
+        counts = permutations._rank_counts(n)
+        for _ in range(20):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            assert counts(w) == [
+                sum(1 for a in range(k) if w[a] <= j)
+                for j in range(1, n)
+                for k in range(1, n)
+            ], w
+
+    def test_rank_counts_at_256_entries(self):
+        # the entry 256 is shifted down to the byte 255; the counts of w0
+        # are max(0, k + j - n) and those of the identity min(k, j)
+        n = 256
+        counts = permutations._rank_counts(n)
+        pairs = [(j, k) for j in range(1, n) for k in range(1, n)]
+        assert counts(identity(n)[::-1]) == [max(0, k + j - n) for j, k in pairs]
+        assert counts(identity(n)) == [min(k, j) for j, k in pairs]
+
     def test_empty_inputs(self):
         perms = all_permutations(3)
         assert bruhat_table([], []) == ()
@@ -263,11 +302,12 @@ class TestBruhatTable:
 
     def test_refuses_more_than_256_entries(self, monkeypatch):
         # a rank count takes one byte; the limit is named before any key
-        # is built
+        # or rank count is built
         def refuse(n):
             raise AssertionError("bruhat_table started work")
 
         monkeypatch.setattr(permutations, "bruhat_keys", refuse)
+        monkeypatch.setattr(permutations, "_rank_counts", refuse)
         e = identity(257)
         with pytest.raises(ValueError, match="n <= 256, got n = 257"):
             bruhat_table([e], [e[::-1]])

@@ -11,6 +11,7 @@ from hesspin.fillings import (
     hessenberg_full,
     hessenberg_identity,
     hessenberg_peterson,
+    omega,
 )
 from hesspin import fillings, hess334, pinball
 from hesspin.permutations import (
@@ -41,11 +42,9 @@ from oracles import (
 )
 
 
-def _oracle_report(diagram, h):
-    """The fields of ``verify_pinball(diagram, h)`` from the oracles alone,
-    with the rolldowns from ``rolldown_word``."""
+def _brute_points(diagram, h):
+    """(fixed point, dimension pairs) of every brute-force filling."""
     n = sum(diagram)
-    degree, rolls = {}, {}
     for filling in brute_fillings(diagram, h):
         # the reading word reads each column bottom to top; w is its inverse
         word = [
@@ -55,7 +54,16 @@ def _oracle_report(diagram, h):
             if c < len(row)
         ]
         w = tuple(word.index(v) + 1 for v in range(1, n + 1))
-        degree[w] = len(brute_dimension_pairs(filling, h))
+        yield w, brute_dimension_pairs(filling, h)
+
+
+def _oracle_report(diagram, h):
+    """The fields of ``verify_pinball(diagram, h)`` from the oracles alone,
+    with the rolldowns from ``rolldown_word``."""
+    n = sum(diagram)
+    degree, rolls = {}, {}
+    for w, pairs in _brute_points(diagram, h):
+        degree[w] = len(pairs)
         rolls[w] = from_word(n, rolldown_word(w, diagram, h))
     owners = {}
     for w in sorted(rolls):
@@ -223,9 +231,9 @@ class TestVerifyPinball:
 
     @pytest.mark.slow
     def test_memory_per_point(self):
-        # Each fixed point leaves one entry of the distinctness dict, not a
-        # (w, rolldown) pair and its sort; the whole table took 347 B per
-        # point at n = 8, the streamed checks about 117 B.
+        # Each fixed point leaves one fixed-width (rolldown, point) record
+        # of 2n bytes, not a pair of objects; the traced peak is about 32 B
+        # per point.
         n = 8
         tracemalloc.start()
         try:
@@ -234,7 +242,7 @@ class TestVerifyPinball:
         finally:
             tracemalloc.stop()
         assert report.passed and report.points == 40320
-        assert peak < 150 * report.points, peak
+        assert peak < 48 * report.points, peak
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_small_pair_passes(self, n):
@@ -282,6 +290,36 @@ class TestVerifyPinball:
         assert report.betti_mismatches[0] == (0, 1, 12)
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "diagram, h",
+        [
+            ((5,), hessenberg_full(5)),
+            ((6,), hessenberg_334(6)),
+            ((3, 2), hessenberg_full(5)),
+        ],
+    )
+    def test_collisions_in_many_buckets(self, monkeypatch, diagram, h):
+        # omega(x) with x_n dropped to 0: points whose x differ only in x_n
+        # share a rolldown, and the shared omega(x) begin with different
+        # entries, so the clashes fall in several of the report's buckets
+        n = sum(diagram)
+
+        def faulty(x):
+            return omega(tuple(x[:-1]) + (0,))
+
+        monkeypatch.setattr(pinball, "_omega", faulty)
+        report = verify_pinball(diagram, h)
+        owners = {}
+        for w, pairs in sorted(_brute_points(diagram, h)):
+            x = [sum(1 for _, b in pairs if b == l) for l in range(2, n + 1)]
+            owners.setdefault(inverse(faulty(x)), []).append(w)
+        expected = tuple(
+            sorted((r, tuple(ws)) for r, ws in owners.items() if len(ws) > 1)
+        )
+        assert report.collisions == expected
+        assert len({inverse(r)[0] for r, _ in expected}) >= 2
+        assert not report.injective and not report.passed
+
     def test_checks_catch_rolldowns_above(self, monkeypatch):
         # For the full flag the rolldown of w is w itself, so omega(x) is
         # w^{-1}.  Its inverse w in place of omega(x) makes the rolldown
@@ -298,7 +336,7 @@ class TestVerifyPinball:
         assert len(report.bruhat_failures) == 24 - 10
 
     def test_collisions_past_n_255(self):
-        # entries above 255 do not fit a byte: rolldowns are keyed by tuple
+        # entries above 255 do not fit a byte: the records take a wider type
         n = 256
         e, w1, w2 = identity(n), from_word(n, (1,)), from_word(n, (255,))
         # (point, rolldown, degree), taken to the reading-word frame
