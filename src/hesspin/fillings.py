@@ -485,18 +485,10 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     ]
     # An explicit stack: free[k] holds the values still to try at position k,
     # lowest first.  Nested generators would pass every state up through n
-    # frames.  The last position takes no stack step: the one value m left
-    # is placed if it may sit right of the last box's left neighbor (if
-    # any), which is all the dead-prefix test asks at that position.
-    last = n - 1
-    lead = left[last]
-    if not last:
-        place(0, 1)
-        yield state
-        return
-    penult = last - 1
+    # frames.
     free = [0] * n
     free[0] = full
+    last = n - 1
     k = 0
     while True:
         c = free[k]
@@ -508,11 +500,8 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
         low = c & -c
         free[k] = c ^ low
         place(k, low.bit_length() - 1)
-        if k == penult:
-            m = full ^ seen[last]
-            if lead < 0 or m & allowed[word[lead]]:
-                place(last, m.bit_length() - 1)
-                yield state
+        if k == last:
+            yield state
             continue
         k += 1
         rest = full ^ seen[k]

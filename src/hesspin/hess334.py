@@ -563,9 +563,8 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         )
     h = hessenberg_334(n)
     diagram = single_row(n)
-    # the N leaves of the one enumeration pass, in the reading-word frame,
-    # each reading word copied out of the pass's state
-    leaves = [(tuple(u), o, d) for u, o, d in _leaves(diagram, h)]
+    # the N leaves of the one enumeration pass, in the reading-word frame
+    leaves = list(_leaves(diagram, h))
     pin = _report(diagram, h, leaves)
     # (point, rolldown) of each leaf, sorted by point
     table = sorted((inverse(u), inverse(o)) for u, o, _ in leaves)

@@ -29,13 +29,13 @@ x.
 The checks stream: each leaf is checked as the pass yields it, and
 ``verify_pinball`` keeps two count arrays (by degree and by rolldown
 length), one fixed-width (omega(x), reading word) record of 2n small
-integers per point for distinctness, checked one bucket at a time once
-the pass ends, and the witnesses of failed checks, never the (point,
-rolldown) table or an object per point; its report counts the points it
-checked.  ``hess334.verify_334_theorem`` hands its leaves to the same
-loop.  No (diagram, h) is known to fail: an exhaustive sweep passes all
-1,836 pairs with n <= 6 and all 6,435 with n = 7.  The report still keeps
-a witness for every failure.
+integers per point for distinctness, bucketed by rolldown length and
+checked one bucket at a time once the pass ends, and the witnesses of
+failed checks, never the (point, rolldown) table or an object per point;
+its report counts the points it checked.  ``hess334.verify_334_theorem``
+hands its leaves to the same loop.  No (diagram, h) is known to fail: an
+exhaustive sweep passes all 1,836 pairs with n <= 6 and all 6,435 with
+n = 7.  The report still keeps a witness for every failure.
 
 ``rolldown``, ``rolldown_word`` and ``degree`` take one point and check
 that it is a fixed point; the whole-table functions take their points
@@ -47,6 +47,7 @@ from __future__ import annotations
 import struct
 from array import array
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fillings import (
@@ -223,22 +224,18 @@ def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
     return _report(diagram, h, _leaves(diagram, h))
 
 
-def _leaves(diagram: Diagram, h: Sequence[int]) -> Iterator[tuple[list, Perm, int]]:
+def _leaves(diagram: Diagram, h: Sequence[int]) -> Iterator[tuple[Perm, Perm, int]]:
     """(reading word, omega(x), degree) of each leaf state of the one
     enumeration pass, in the pass's order: the inverses of the fixed point
-    and of its rolldown, and ``sum(x)``.  The reading word is the pass's own
-    ``state.word`` list, not a copy: it is valid until the next leaf, so a
-    consumer that keeps it copies it."""
+    and of its rolldown, and ``sum(x)``."""
     omega = _omega
     for state in _leaf_states(diagram, h):
         x = state.x()
-        yield state.word, omega(x), sum(x)
+        yield tuple(state.word), omega(x), sum(x)
 
 
 def _report(
-    diagram: Diagram,
-    h: tuple[int, ...],
-    leaves: Iterable[tuple[Sequence[int], Perm, int]],
+    diagram: Diagram, h: tuple[int, ...], leaves: Iterable[tuple[Perm, Perm, int]]
 ) -> PinballReport:
     """The three pinball checks over ``leaves``, one leaf at a time.
 
@@ -251,16 +248,19 @@ def _report(
     The Betti side counts the degrees; the rolldown lengths are counted as
     inversions of the permutations o, in the one loop over o that packs
     its Bruhat key (``BruhatKeys.key_and_length``), so the two sides of
-    ``betti-match`` are computed independently.  A leaf is kept (inverted
-    back, so copied) only when its rolldown is not below its point.
+    ``betti-match`` are computed independently.  A leaf is kept only when
+    its rolldown is not below its point.
 
     Distinctness keeps one fixed-width record (o, u) per leaf, 2n entries
-    of the smallest array type that holds n, in one array per first entry
-    of o.  Once every leaf is in, each bucket is checked on its own: a
-    dict from the bytes of each o to those of a u, built at C level, is
-    shorter than the bucket exactly when two records share an o, and only
-    then is the bucket walked in Python to collect the owners of each
-    shared o.  So u and o are never held as objects per point.
+    of the smallest array type that holds n, in one array per length of o.
+    Equal o have equal lengths, and the bucket sizes are the length counts,
+    which for a passing (diagram, h) are its Betti numbers.  Once every
+    leaf is in, each bucket is checked on its own: the set of the bytes of
+    its o, built at C level, is smaller than the bucket exactly when two
+    records share an o, and only then is the bucket walked in Python to
+    collect the owners of each shared o.  So u and o are never held as
+    objects per point, and the largest bucket bounds the objects held at
+    once.
     """
     n = diagram_size(diagram)
     keys = bruhat_keys(n)
@@ -269,7 +269,7 @@ def _report(
     top = n * (n - 1) // 2  # the longest length in S_n
     degrees = [0] * (top + 1)
     lengths = [0] * (top + 1)
-    buckets = [array(code) for _ in range(n + 1)]  # records (o, u) by o[0]
+    buckets = [array(code) for _ in range(top + 1)]  # records (o, u) by length
     bruhat_failures: list[tuple[Perm, Perm]] = []  # (w, r), inverted back
     points = 0
     for u, o, d in leaves:
@@ -279,15 +279,16 @@ def _report(
         lengths[length] += 1
         if not leq(ko, key(u)):
             bruhat_failures.append((inverse(u), inverse(o)))
-        buckets[o[0]].fromlist([*o, *u])
+        buckets[length].fromlist([*o, *u])
     bruhat_failures.sort()
 
     width = n * array(code).itemsize  # the bytes of one o or one u
-    pairs = struct.Struct(f"{width}s{width}s")  # (o, u) as two bytes objects
+    first = struct.Struct(f"{width}s{width}x")  # (o,) as bytes, u skipped
+    head = itemgetter(0)
     entries = struct.Struct(f"{2 * n}{code}")  # o + u as 2n ints
     collisions = []
-    for records in buckets:
-        if len(dict(pairs.iter_unpack(records))) == len(records) // (2 * n):
+    for records, size in zip(buckets, lengths):
+        if size < 2 or len(set(map(head, first.iter_unpack(records)))) == size:
             continue
         owners: dict = {}  # o -> the u of every record with that o
         for entry in entries.iter_unpack(records):

@@ -229,18 +229,33 @@ class TestVerifyPinball:
         assert report.passed
         assert report.points == sum(report.betti) == 3 * 2 ** (n - 2)
 
-    @pytest.mark.slow
-    def test_memory_per_point(self):
-        # Each fixed point leaves one fixed-width (rolldown, point) record
-        # of 2n bytes, not a pair of objects; the traced peak is about 32 B
-        # per point.
-        n = 8
+    @staticmethod
+    def _traced(n, h):
+        """``verify_pinball((n,), h)`` and its traced peak in bytes."""
         tracemalloc.start()
         try:
-            report = verify_pinball((n,), hessenberg_full(n))
+            report = verify_pinball((n,), h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return report, peak
+
+    @pytest.mark.slow
+    def test_memory_per_point(self):
+        # Each fixed point leaves one fixed-width (rolldown, point) record
+        # of 2n bytes, not a pair of objects; the traced peak is about 25 B
+        # per point.
+        report, peak = self._traced(8, hessenberg_full(8))
+        assert report.passed and report.points == 40320
+        assert peak < 48 * report.points, peak
+
+    @pytest.mark.slow
+    def test_memory_per_point_when_h1_is_1(self):
+        # With h(1) = 1 every omega(x) begins with 1, so one record bucket
+        # per first entry of omega(x) would hold every point (135 B per
+        # point traced); the buckets by rolldown length spread as the Betti
+        # numbers, and the traced peak is about 26 B per point.
+        report, peak = self._traced(9, (1,) + hessenberg_full(9)[1:])
         assert report.passed and report.points == 40320
         assert peak < 48 * report.points, peak
 
@@ -300,8 +315,8 @@ class TestVerifyPinball:
     )
     def test_collisions_in_many_buckets(self, monkeypatch, diagram, h):
         # omega(x) with x_n dropped to 0: points whose x differ only in x_n
-        # share a rolldown, and the shared omega(x) begin with different
-        # entries, so the clashes fall in several of the report's buckets
+        # share a rolldown, and the shared rolldowns have different lengths,
+        # so the clashes fall in several of the report's buckets
         n = sum(diagram)
 
         def faulty(x):
@@ -317,7 +332,7 @@ class TestVerifyPinball:
             sorted((r, tuple(ws)) for r, ws in owners.items() if len(ws) > 1)
         )
         assert report.collisions == expected
-        assert len({inverse(r)[0] for r, _ in expected}) >= 2
+        assert len({inversions(r) for r, _ in expected}) >= 2
         assert not report.injective and not report.passed
 
     def test_checks_catch_rolldowns_above(self, monkeypatch):
