@@ -18,13 +18,12 @@ from importlib import import_module
 _EXPORTS = {
     "billey": (
         "Polynomial",
-        "RestrictionMatrix",
         "S1Value",
         "check_upper_triangular",
         "p_restriction",
+        "p_rows",
         "p_summand_counts",
         "project_s1",
-        "restriction_matrix",
         "sigma_restriction",
     ),
     "fillings": (

@@ -35,18 +35,21 @@ table (``_decoder``) unpacks each distinct monomial once and builds each
 states its pass reaches, looking up each step when the pass first takes
 it.  The matrix has one prefix recurrence, which returns a column's
 nonzero entries (``_column_entries``), reading the column in letter order
-and keeping only partial products inside the rows' ideal.
-``restriction_matrix`` collects it, storing each row as a bitmask of its
-nonzero columns and their coefficients, which ``check_upper_triangular``
-reads against ``permutations.bruhat_table``;
-``hess334.verify_334_theorem`` reads each column as it comes.  No
+and keeping only partial products inside the rows' ideal.  One column
+stream (``_column_stream``) numbers the rows' ideal once and builds each
+point's column once.  ``p_rows`` collects it, keeping each row as a
+bitmask of its nonzero columns and their coefficients, and yields the
+dense rows one at a time.  Poset upper triangularity is one pass over the
+stream (``_Triangularity``), reading each column's diagonal and its
+entries against a caller's Bruhat relation: ``check_upper_triangular``
+gives it ``permutations.bruhat_table`` and canonical words, and
+``hess334.verify_334_theorem`` its own relation and catalog words.  No
 restriction consults Bruhat keys, and the ideal depends only on the rows,
 so checking their vanishing against Bruhat order is not a tautology.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .permutations import (
@@ -69,8 +72,7 @@ __all__ = [
     "project_s1",
     "p_restriction",
     "p_summand_counts",
-    "RestrictionMatrix",
-    "restriction_matrix",
+    "p_rows",
     "TriangularReport",
     "check_upper_triangular",
 ]
@@ -504,95 +506,57 @@ def _summand_counts(ideal: _Ideal, v: Perm, column: Sequence[_Letter]) -> dict[S
 # Restriction matrices
 
 
-class RestrictionMatrix(NamedTuple):
-    """Matrix of projected restrictions p_{rolldown(row)}(column), stored by row.
+def p_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[S1Value, ...]]:
+    """``p_restriction(v, w)`` for every w in ``points``, one row v at a time.
 
-    Points label both axes, distinct and sorted lexicographically by
-    one-line notation; row a restricts the class of ``rolldowns[a]`` to
-    every point.  Only nonzero entries are kept: bit b of ``nonzero[a]`` is
-    set when entry (a, b) is nonzero, and ``coeffs[a]`` lists those entries'
-    coefficients in column order.  Every entry of row a has degree
-    l(rolldowns[a]).
-    ``dense_rows()`` yields the dense rows one at a time, and ``values`` is
-    the whole dense view, ``values[a][b]`` as an ``S1Value``.
+    The projected analogue of ``sigma_rows``, with the same arguments and
+    checks: rows and points may differ in number, repeat and come in any
+    order, and the rows are checked when the first row is asked for.  Every
+    column comes from the matrix's one recurrence over the rows' ideal
+    (``_column_stream``), on the points' canonical words, before the first
+    row is yielded.  Each row is kept as a bitmask of its nonzero columns
+    and their coefficients, and its dense row is built when it is asked
+    for, so no dense table is held.
     """
-
-    points: tuple[Perm, ...]
-    rolldowns: tuple[Perm, ...]
-    nonzero: tuple[int, ...]
-    coeffs: tuple[tuple[int, ...], ...]
-
-    def index(self, w: Perm) -> int:
-        # points are sorted, so w's place is found by bisection
-        k = bisect_left(self.points, w)
-        if k == len(self.points) or self.points[k] != w:
-            raise ValueError(f"{w} is not a point of the matrix")
-        return k
-
-    def entry(self, v: Perm, w: Perm) -> S1Value:
-        return self._at(self.index(v), self.index(w))
-
-    def _at(self, a: int, b: int) -> S1Value:
-        mask = self.nonzero[a]
-        if not mask >> b & 1:
-            return S1_ZERO
-        # the entry's place in coeffs[a] is the number of nonzeros before it
-        place = (mask & ((1 << b) - 1)).bit_count()
-        return S1Value(self.coeffs[a][place], inversions(self.rolldowns[a]))
-
-    def dense_rows(self) -> Iterator[tuple[S1Value, ...]]:
-        """The dense rows in order, each built when it is asked for."""
-        size = len(self.points)
-        for v, mask, coeffs in zip(self.rolldowns, self.nonzero, self.coeffs):
-            degree = inversions(v)
-            row = [S1_ZERO] * size
-            for b, c in zip(set_bits(mask), coeffs):
-                row[b] = S1Value(c, degree)
-            yield tuple(row)
-
-    @property
-    def values(self) -> tuple[tuple[S1Value, ...], ...]:
-        """The dense matrix, built anew on each access."""
-        return tuple(self.dense_rows())
-
-
-def restriction_matrix(
-    points: Iterable[Perm],
-    rolldowns: Mapping[Perm, Perm],
-    words: Optional[Mapping[Perm, Word]] = None,
-) -> RestrictionMatrix:
-    """Projected restrictions of all rolldown classes at all fixed points.
-
-    ``words`` optionally supplies a reduced word per column point (for
-    instance a catalog word); columns without one use the canonical word.
-    Each column comes from the matrix's one recurrence (``_column_entries``)
-    on the weak-order ideal of the rows, numbered once (``_weak_ideal``, the
-    ideal of ``sigma_rows``).
-    """
-    pts = tuple(sorted(points))
-    repeated = sorted({u for u, v in zip(pts, pts[1:]) if u == v})
-    if repeated:
-        raise ValueError(f"repeated points {repeated}")
-    missing = [w for w in pts if w not in rolldowns]
-    if missing:
-        raise ValueError(f"no rolldown for the points {missing}")
-    rolls = tuple(validate(rolldowns[w]) for w in pts)
-    if len({len(p) for p in pts + rolls}) > 1:
-        raise ValueError("size mismatch among points and rolldowns")
-    words = words or {}
-    entries = _column_entries(_weak_ideal(rolls), rolls)
-    nonzero: list[list[int]] = [[] for _ in rolls]
-    coeffs: list[list[int]] = [[] for _ in rolls]
-    for col, w in enumerate(pts):
-        for a, c in entries(_column(w, words.get(w), range(len(w) + 1))):
-            nonzero[a].append(col)
+    rows = [validate(v) for v in rows]
+    sizes = sorted({len(p) for p in [*rows, *points]})
+    if len(sizes) > 1:
+        raise ValueError(f"size mismatch among rows and points: {sizes}")
+    nonzero = [0] * len(rows)
+    coeffs: list[list[int]] = [[] for _ in rows]
+    for b, (_, entries) in enumerate(_column_stream(points, rows)[1]):
+        for a, c in entries:
+            nonzero[a] |= 1 << b
             coeffs[a].append(c)
-    return RestrictionMatrix(
-        points=pts,
-        rolldowns=rolls,
-        nonzero=tuple(sum(1 << col for col in cols) for cols in nonzero),
-        coeffs=tuple(map(tuple, coeffs)),
-    )
+    for v, mask, cs in zip(rows, nonzero, coeffs):
+        degree = inversions(v)
+        row = [S1_ZERO] * len(points)
+        for b, c in zip(set_bits(mask), cs):
+            row[b] = S1Value(c, degree)
+        yield tuple(row)
+
+
+def _column_stream(
+    points: Sequence[Perm], rolls: Sequence[Perm], words: Optional[Sequence[Word]] = None
+) -> tuple[_Ideal, Iterator[tuple[list[_Letter], list[tuple[int, int]]]]]:
+    """The weak-order ideal of ``rolls``, numbered once, and the columns.
+
+    The stream yields, for each point w in order, w's column of projected
+    weights (``_column``) on its word in ``words``, or its canonical word
+    when ``words`` is None, and that column's nonzero (row, coefficient)
+    entries (``_column_entries``), row a restricting the class of
+    ``rolls[a]``.  Each column is built once, when the stream reaches it.
+    """
+    ideal = _weak_ideal(rolls)
+    # without rows the ideal is empty and every column has no entries
+    entries = _column_entries(ideal, rolls) if rolls else lambda column: []
+
+    def stream():
+        for w, word in zip(points, words or [None] * len(points)):
+            column = _column(w, word, range(len(w) + 1))
+            yield column, entries(column)
+
+    return ideal, stream()
 
 
 def _column_entries(
@@ -657,29 +621,65 @@ class TriangularReport(NamedTuple):
         return self.diagonal_ok and self.vanishing_ok
 
 
-def check_upper_triangular(matrix: RestrictionMatrix) -> TriangularReport:
+class _Triangularity:
+    """The one poset-upper-triangularity pass over a column stream.
+
+    Row a and column b are labelled by ``points``, row a restricting the
+    class of ``rolls[a]``, and bit b of ``below[a]`` is set exactly when
+    points[a] <= points[b].  ``diagonals`` reads each column's entries as
+    they come and records the diagonal zeros and every nonzero entry
+    (v, w) with v not below w; ``report`` lists the vanishing witnesses
+    row by row in column order, however far the columns were read.
+    """
+
+    __slots__ = ("points", "rolls", "below", "zeros", "found")
+
+    def __init__(self, points: Sequence[Perm], rolls: Sequence[Perm], below: Sequence[int]):
+        self.points, self.rolls, self.below = points, rolls, below
+        self.zeros: list[Perm] = []
+        # (row, column, coefficient) of each vanishing witness
+        self.found: list[tuple[int, int, int]] = []
+
+    def diagonals(
+        self, columns: Iterable[tuple[list[_Letter], list[tuple[int, int]]]]
+    ) -> Iterator[tuple[list[_Letter], S1Value]]:
+        """Each column of the stream with its diagonal value."""
+        below, found = self.below, self.found
+        for b, (column, entries) in enumerate(columns):
+            value = S1_ZERO
+            for a, c in entries:
+                if a == b:
+                    value = S1Value(c, inversions(self.rolls[b]))
+                if not below[a] >> b & 1:
+                    found.append((a, b, c))
+            if value == S1_ZERO:
+                self.zeros.append(self.points[b])
+            yield column, value
+
+    def report(self) -> TriangularReport:
+        points, rolls = self.points, self.rolls
+        zeros = tuple(self.zeros)
+        violations = tuple(
+            (points[a], points[b], S1Value(c, inversions(rolls[a])))
+            for a, b, c in sorted(self.found)
+        )
+        return TriangularReport(not zeros, zeros, not violations, violations)
+
+
+def check_upper_triangular(rolldowns: Mapping[Perm, Perm]) -> TriangularReport:
     """Diagonal entries must be nonzero; entry (v, w) must vanish unless v <= w.
 
-    Bruhat order over the points comes from ``bruhat_table``: bit b of
-    ``below[a]`` is set exactly when ``matrix.points[a] <= matrix.points[b]``.
-    Violations are the set bits of ``nonzero[a] & ~below[a]``, listed row
-    by row in column order.
+    The points are the sorted keys of ``rolldowns``, and row v restricts
+    the class of ``rolldowns[v]``.  Every entry comes from the matrix's
+    recurrence on canonical words (``_column_stream``), and Bruhat order
+    over the points from ``bruhat_table``.  Violations are listed row by
+    row in column order.
     """
-    points = matrix.points
-    below = bruhat_table(points, points)
-    diagonal_zeros = tuple(
-        w
-        for a, (w, mask) in enumerate(zip(points, matrix.nonzero))
-        if not mask >> a & 1
-    )
-    violations = [
-        (points[a], points[b], matrix._at(a, b))
-        for a, (mask, leq) in enumerate(zip(matrix.nonzero, below))
-        for b in set_bits(mask & ~leq)
-    ]
-    return TriangularReport(
-        diagonal_ok=not diagonal_zeros,
-        diagonal_zeros=diagonal_zeros,
-        vanishing_ok=not violations,
-        vanishing_violations=tuple(violations),
-    )
+    points = tuple(sorted(map(validate, rolldowns)))
+    rolls = tuple(validate(rolldowns[w]) for w in points)
+    if len({len(p) for p in points + rolls}) > 1:
+        raise ValueError("size mismatch among points and rolldowns")
+    triangle = _Triangularity(points, rolls, bruhat_table(points, points))
+    for _ in triangle.diagonals(_column_stream(points, rolls)[1]):
+        pass
+    return triangle.report()

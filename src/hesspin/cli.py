@@ -359,7 +359,7 @@ def _torus_cell():
 def cmd_matrix(args) -> int:
     n, h, shape = _resolve(args)
     _require_single_row(shape, "matrix")
-    from .billey import restriction_matrix, sigma_rows
+    from .billey import p_rows, sigma_rows
 
     table = rolldown_table(shape, h)
     points = tuple(sorted(table))
@@ -367,7 +367,7 @@ def cmd_matrix(args) -> int:
         items = zip(points, sigma_rows((table[v] for v in points), points))
         line, as_cell = _torus_line(), _torus_cell()
     else:
-        items = zip(points, restriction_matrix(points, table).dense_rows())
+        items = zip(points, p_rows((table[v] for v in points), points))
         line = _encoded(
             lambda item: {"v": item[0], "entries": [_s1_json(e) for e in item[1]]}
         )

@@ -43,9 +43,10 @@ The summand census counts the subword summands of a catalog word by
 ``billey``'s backward pass over it from the rolldown rather than
 enumerating the subwords, so ``SummandCensus.summands`` lists them by
 ascending coefficient.  ``verify_334_theorem`` makes one pass over the
-points on the rolldowns' numbered weak-order ideal.  It builds each catalog
-word's column (``billey._column``) once, for the census and the point's
-column of the matrix (``billey._column_entries``), and holds no matrix.
+points on ``billey``'s column stream, which numbers the rolldowns'
+weak-order ideal once and builds each catalog word's column once.  Each
+column serves both censuses and, through ``billey``'s one triangularity
+pass, the diagonal and vanishing checks, so the theorem holds no matrix.
 ``summand_census`` for one point goes through ``billey.p_summand_counts``,
 which numbers only the part of the ideal its pass reaches.
 """
@@ -60,9 +61,9 @@ from .billey import (
     S1_ZERO,
     S1Value,
     _column,
-    _column_entries,
+    _column_stream,
     _summand_counts,
-    _weak_ideal,
+    _Triangularity,
     p_summand_counts,
 )
 from .fillings import (
@@ -584,12 +585,12 @@ def verify_334_theorem(n: int) -> Theorem334Report:
 
     # One pass over the points, on the rolldowns' weak-order ideal: each
     # point's column is built once, for its column of the matrix (every
-    # entry computed, none skipped by Bruhat order) and both censuses
-    ideal = _weak_ideal(rolls)
-    entries = _column_entries(ideal, rolls)
-    closed_fails, prefix_fails, zero_diagonal, violations = [], [], [], []
-    diagonal_fails, census_fails, wrong_rows = [], [], []
-    for b, (p, roll) in enumerate(zip(facts, rolls)):
+    # entry computed, none skipped by Bruhat order), which the triangularity
+    # pass reads against the points' relation, and for both censuses
+    ideal, columns = _column_stream(points, rolls, [p.word for p in facts])
+    triangle = _Triangularity(points, rolls, below)
+    closed_fails, prefix_fails, diagonal_fails, census_fails, wrong_rows = [], [], [], [], []
+    for p, roll, (column, value) in zip(facts, rolls, triangle.diagonals(columns)):
         if roll != p.roll:
             closed_fails.append((p.w, roll, p.roll))
         if p.cls is not FixedPointClass.PETERSON_NO_321:
@@ -603,16 +604,6 @@ def verify_334_theorem(n: int) -> Theorem334Report:
             head += tuple(range(3, a2 + 1))
             if roll[: a2 + 1] != head:
                 prefix_fails.append((p.w, roll, head))
-        column = _column(p.w, p.word, range(n + 1))
-        value = S1_ZERO
-        for a, c in entries(column):
-            if a == b:
-                value = S1Value(c, inversions(roll))
-            if not below[a] >> b & 1:
-                witness = (points[a], p.w, S1Value(c, inversions(rolls[a])))
-                violations.append((a, b, witness))
-        if value == S1_ZERO:
-            zero_diagonal.append(p.w)
         if value != (expect := _closed_form(p)):
             diagonal_fails.append((p.w, value, expect))
         # the census restricts the row's rolldown, which the ideal holds; it
@@ -621,12 +612,12 @@ def verify_334_theorem(n: int) -> Theorem334Report:
             census_fails.append(p.w)
         wrong_rows += [(p.w, r.index) for r in _simple_rows(p, column) if not r.passed]
 
+    triangular = triangle.report()
     checks = [
         ("rolldown-closed-form", closed_fails),
         ("rolldown-one-line-prefix", prefix_fails),
-        ("diagonal-nonzero", zero_diagonal),
-        # witnesses by row, then column
-        ("bruhat-vanishing", [witness for _, _, witness in sorted(violations)]),
+        ("diagonal-nonzero", triangular.diagonal_zeros),
+        ("bruhat-vanishing", triangular.vanishing_violations),
         ("closed-form-diagonal", diagonal_fails),
         *_bruhat_sweeps(facts, *tables),
         ("summand-census", census_fails),

@@ -14,13 +14,13 @@ from hesspin.billey import (
     _weak_ideal,
     check_upper_triangular,
     p_restriction,
+    p_rows,
     p_summand_counts,
     project_s1,
-    restriction_matrix,
     sigma_restriction,
     sigma_rows,
 )
-from hesspin.fillings import hessenberg_334, single_row
+from hesspin.fillings import hessenberg_334, hessenberg_identity, single_row
 from hesspin.hess334 import catalog_reduced_word, fixed_points_334
 from hesspin.permutations import (
     BruhatKeys,
@@ -37,6 +37,8 @@ from hesspin.pinball import rolldown_table
 from oracles import (
     Poly,
     Root,
+    all_diagram_h,
+    all_diagrams,
     all_hessenberg,
     brute_inversions,
     brute_project,
@@ -613,19 +615,10 @@ class TestSummands:
         (lambda: next(sigma_rows([(1, 1, 3)], [(3, 2, 1)])), "not a permutation"),
         (lambda: p_restriction((0, 5, 9), (3, 2, 1)), "not a permutation"),
         (lambda: p_summand_counts((2, 2, 1), (3, 2, 1)), "not a permutation"),
+        (lambda: next(p_rows([(1, 2), (2, 2)], [(1, 2), (2, 1)])), "not a permutation"),
         (
-            lambda: restriction_matrix([(1, 2), (2, 1)], {(1, 2): (1, 2)}),
-            r"no rolldown for the points \[\(2, 1\)\]",
-        ),
-        (
-            lambda: restriction_matrix([(1, 2), (2, 1)], {(1, 2): (1, 2), (2, 1): (2, 2)}),
+            lambda: check_upper_triangular({(1, 2): (1, 2), (2, 1): (2, 2)}),
             "not a permutation",
-        ),
-        (
-            lambda: restriction_matrix(
-                [(1, 2), (1, 2), (2, 1)], {(1, 2): (1, 2), (2, 1): (2, 1)}
-            ),
-            r"repeated points \[\(1, 2\)\]",
         ),
     ],
     ids=[
@@ -633,9 +626,8 @@ class TestSummands:
         "sigma-rows",
         "p-restriction",
         "p-summand-counts",
-        "matrix-missing-rolldown",
+        "p-rows",
         "matrix-bad-rolldown",
-        "matrix-repeated-point",
     ],
 )
 def test_rows_must_be_permutations(call, message):
@@ -646,18 +638,16 @@ def test_rows_must_be_permutations(call, message):
 class TestMatrix:
     def test_full_flag_s3_triangular(self):
         points = all_permutations(3)
-        rolls = {w: w for w in points}
-        matrix = restriction_matrix(points, rolls)
-        report = check_upper_triangular(matrix)
+        report = check_upper_triangular({w: w for w in points})
         assert report.passed
-        assert matrix.entry((1, 2, 3), (3, 2, 1)) == S1Value(1, 0)
+        # the row of the identity at the longest element
+        assert next(p_rows(points, points))[-1] == S1Value(1, 0)
 
     def test_negative_control(self):
         # rolling everything down to the longest element breaks the diagonal
         points = all_permutations(3)
         w0 = (3, 2, 1)
-        rolls = {w: w0 for w in points}
-        report = check_upper_triangular(restriction_matrix(points, rolls))
+        report = check_upper_triangular({w: w0 for w in points})
         assert not report.passed
         assert not report.diagonal_ok
         assert (1, 2, 3) in report.diagonal_zeros
@@ -666,31 +656,15 @@ class TestMatrix:
         points = all_permutations(3)
         rolls = {w: w + (4,) for w in points}
         with pytest.raises(ValueError, match="size mismatch"):
-            restriction_matrix(points, rolls)
-
-    def test_index_is_a_lookup(self):
-        points = all_permutations(4)
-        # index bisects the sorted points, so hand them over out of order
-        shuffled = list(points)
-        random.Random(4).shuffle(shuffled)
-        matrix = restriction_matrix(shuffled, {w: w for w in points})
-        assert matrix.points == points
-        for k, w in enumerate(points):
-            assert matrix.index(w) == k
-            assert matrix.entry(w, w) == matrix.values[k][k]
-        for w in [(1, 2, 3), (0, 1, 2, 3), (4, 3, 2, 1, 5), (5, 1, 2, 3)]:
-            with pytest.raises(ValueError, match="not a point"):
-                matrix.index(w)
-        # the lookup is derived from points: equality and hashing ignore it
-        again = restriction_matrix(points, {w: w for w in points})
-        assert again == matrix and hash(again) == hash(matrix)
-        assert "_position" not in repr(matrix)
+            check_upper_triangular(rolls)
+        with pytest.raises(ValueError, match="size mismatch"):
+            next(p_rows(rolls.values(), points))
 
     def test_makes_no_bruhat_comparison(self, monkeypatch):
         # bruhat-vanishing checks the matrix against Bruhat order, so the
         # matrix itself must not consult any Bruhat entry point billey has
         def refuse(*args, **kwargs):
-            raise AssertionError("restriction_matrix consulted Bruhat order")
+            raise AssertionError("p_rows consulted Bruhat order")
 
         names = [name for name in vars(billey) if "bruhat" in name.lower()]
         assert "bruhat_table" in names
@@ -699,8 +673,7 @@ class TestMatrix:
         for name in ["key", "leq"]:
             monkeypatch.setattr(BruhatKeys, name, refuse)
         points = all_permutations(4)
-        matrix = restriction_matrix(points, {w: w for w in points})
-        assert matrix.entry((1, 2, 3, 4), (4, 3, 2, 1)) == S1Value(1, 0)
+        assert next(p_rows(points, points))[-1] == S1Value(1, 0)
 
 
 class TestUpperTriangularTable:
@@ -708,23 +681,21 @@ class TestUpperTriangularTable:
     mask by row mask; the dense tableau criterion is the oracle."""
 
     @staticmethod
-    def dense_violations(matrix):
+    def assert_matches_oracle(rolls):
+        report = check_upper_triangular(rolls)
+        points = sorted(rolls)
+        values = list(p_rows([rolls[v] for v in points], points))
         # every nonzero (v, w) with v not below w, in row-major order
-        return [
+        expected = [
             (v, w, value)
-            for v, row in zip(matrix.points, matrix.values)
-            for w, value in zip(matrix.points, row)
+            for v, row in zip(points, values)
+            for w, value in zip(points, row)
             if value != S1_ZERO and not bruhat_leq_tableau(v, w)
         ]
-
-    def assert_matches_oracle(self, matrix):
-        report = check_upper_triangular(matrix)
-        expected = self.dense_violations(matrix)
         assert list(report.vanishing_violations) == expected
         assert report.vanishing_ok == (not expected)
-        values = matrix.values
         assert list(report.diagonal_zeros) == [
-            w for k, w in enumerate(matrix.points) if values[k][k] == S1_ZERO
+            w for k, w in enumerate(points) if values[k][k] == S1_ZERO
         ]
         return report
 
@@ -733,19 +704,19 @@ class TestUpperTriangularTable:
         rng = random.Random(7903)
         points = all_permutations(3)
         rolls = {w: rng.choice(points) for w in points}
-        report = self.assert_matches_oracle(restriction_matrix(points, rolls))
+        report = self.assert_matches_oracle(rolls)
         assert report.vanishing_violations and report.diagonal_zeros
-        full_flag = restriction_matrix(points, {w: w for w in points})
-        assert self.assert_matches_oracle(full_flag).passed
+        assert self.assert_matches_oracle({w: w for w in points}).passed
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_random_tables_flag_in_row_major_order(self, n):
         rng = random.Random(7900 + n)
-        perms = all_permutations(n)
+        perms = list(all_permutations(n))
         short = [v for v in perms if inversions(v) <= 3]
         for _ in range(3):
-            matrix = restriction_matrix(perms, {w: rng.choice(short) for w in perms})
-            report = self.assert_matches_oracle(matrix)
+            # the points are the sorted keys, in whatever order they come
+            rng.shuffle(perms)
+            report = self.assert_matches_oracle({w: rng.choice(short) for w in perms})
             assert report.vanishing_violations and report.diagonal_zeros
 
 
@@ -833,22 +804,25 @@ class TestMatrixOracle:
         oracle = functools.cache(
             lambda v, w, b: brute_project(brute_sigma(v, w, b), n)
         )
-        matrix = restriction_matrix(all_permutations(n), rolls, words=words)
-        values = matrix.values
-        assert len(values) == len(matrix.points)
-        for a, (u, v) in enumerate(zip(matrix.points, matrix.rolldowns)):
-            assert len(values[a]) == len(matrix.points)
-            cells = []
-            for b, w in enumerate(matrix.points):
+        points = all_permutations(n)
+        rows = [rolls[w] for w in points]
+        if words is None:
+            values = list(p_rows(rows, points))
+        else:
+            # the theorem's route: the column stream over the given words
+            values = [[S1_ZERO] * len(points) for _ in rows]
+            _, columns = billey._column_stream(points, rows, [words[w] for w in points])
+            for b, (_, entries) in enumerate(columns):
+                for a, c in entries:
+                    # each row appears once per column, and only when nonzero
+                    assert c and values[a][b] == S1_ZERO, (a, b)
+                    values[a][b] = S1Value(c, brute_inversions(rows[a]))
+        assert len(values) == len(points)
+        for v, row in zip(rows, values):
+            assert len(row) == len(points)
+            for w, value in zip(points, row):
                 word = (words or {}).get(w, canonical_word(w))
-                expected = oracle(v, w, word)
-                assert tuple(values[a][b]) == expected, (v, w, word)
-                assert tuple(matrix.entry(u, w)) == expected, (v, w, word)
-                if expected[0]:
-                    cells.append((b, expected[0]))
-            # the stored row: a mask of its nonzero columns, coefficients in column order
-            assert matrix.nonzero[a] == sum(1 << b for b, _ in cells)
-            assert matrix.coeffs[a] == tuple(c for _, c in cells)
+                assert tuple(value) == oracle(v, w, word), (v, w, word)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_identity_rolls(self, n):
@@ -881,3 +855,114 @@ class TestMatrixOracle:
         perms = all_permutations(n)
         words = {w: random_reduced_word(w, rng) for w in perms}
         self.assert_matches_oracle(n, {w: w for w in perms}, words)
+
+
+class TestPRows:
+    """``p_rows`` takes any rows and points, as ``sigma_rows`` does: counts
+    that differ, points out of order and repeated rows."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_any_rows_and_points(self, n):
+        rng = random.Random(7600 + n)
+        perms = all_permutations(n)
+        points = rng.sample(perms, len(perms) // 2)
+        assert points != sorted(points)
+        rows = rng.sample(perms, n + 1)
+        rows += rows[:2]
+        assert len(rows) != len(points)
+        values = list(p_rows(iter(rows), points))
+        assert len(values) == len(rows)
+        nonzero = 0
+        for v, row, sigma in zip(rows, values, sigma_rows(rows, points)):
+            assert len(row) == len(points)
+            for w, value, full in zip(points, row, sigma):
+                assert value == p_restriction(v, w) == project_s1(full), (v, w)
+                nonzero += value != S1_ZERO
+        assert nonzero
+        # a repeated row repeats its values
+        assert values[-2:] == values[:2]
+
+    def test_empty_sides(self):
+        perms = all_permutations(3)
+        assert list(p_rows([], perms)) == list(sigma_rows([], perms)) == []
+        assert list(p_rows(perms, [])) == list(sigma_rows(perms, [])) == [()] * 6
+
+    @pytest.mark.parametrize(
+        "rows, points",
+        [
+            ([(1, 2, 3)], [(1, 2)]),
+            ([(1, 2), (1, 2, 3)], [(1, 2, 3)]),
+            ([], [(1, 2), (1, 2, 3)]),
+            ([(1, 1, 3)], [(1, 2, 3)]),
+            ([(1, 2, 3)], [(1, 3, 3)]),
+            ([], [(2, 2, 1)]),
+        ],
+        ids=["row-size", "rows-sizes", "points-sizes", "bad-row", "bad-point", "bad-point-no-rows"],
+    )
+    def test_rejects_what_sigma_rows_rejects(self, rows, points):
+        with pytest.raises(ValueError) as sigma:
+            list(sigma_rows(rows, points))
+        with pytest.raises(ValueError) as projected:
+            list(p_rows(rows, points))
+        assert str(projected.value) == str(sigma.value)
+
+
+class TestFamilies:
+    """Poset upper triangularity of the pinball outcome on the paper's two
+    families, through ``check_upper_triangular(rolldown_table(...))``.  The
+    dimension pair algorithm succeeds on both; triangularity, which makes the
+    rolldown classes a module basis, holds only for some of them."""
+
+    @pytest.mark.parametrize("n, passing, total", [(4, 12, 14), (5, 27, 42), (6, 61, 132)])
+    def test_single_row(self, n, passing, total):
+        hs = all_hessenberg(n)
+        assert len(hs) == total
+        passed = [h for h in hs if check_upper_triangular(rolldown_table(single_row(n), h)).passed]
+        assert len(passed) == passing
+        assert hessenberg_334(n) in passed
+
+    @pytest.mark.parametrize(
+        "n, shapes",
+        [
+            (4, [(4,), (3, 1), (2, 2), (1, 1, 1, 1)]),
+            (5, [(5,), (4, 1), (3, 2), (1,) * 5]),
+            (6, [(6,), (5, 1), (3, 3), (1,) * 6]),
+        ],
+    )
+    def test_springer(self, n, shapes):
+        h = hessenberg_identity(n)
+        passed = [
+            d for d in all_diagrams(n) if check_upper_triangular(rolldown_table(d, h)).passed
+        ]
+        assert passed == shapes
+
+
+def _rolldowns_form_an_ideal(diagram, h):
+    rolls = rolldown_table(diagram, h)
+    return len(_weak_ideal(rolls.values()).number) == len(rolls)
+
+
+class TestRolldownIdeal:
+    """Conjecture: on the paper's two families, the single row with any h and
+    every shape with h the identity, the rolldowns form a lower ideal of the
+    right weak order, so numbering their ideal adds nothing."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_holds_on_both_families(self, n):
+        cases = [(single_row(n), h) for h in all_hessenberg(n)]
+        cases += [(d, hessenberg_identity(n)) for d in all_diagrams(n)]
+        for diagram, h in cases:
+            assert _rolldowns_form_an_ideal(diagram, h), (diagram, h)
+
+    @pytest.mark.parametrize(
+        "n, failing, total",
+        [(4, 0, 70), (5, 6, 294), pytest.param(6, 150, 1452, marks=pytest.mark.slow)],
+    )
+    def test_fails_outside_them(self, n, failing, total):
+        pairs = all_diagram_h(n)
+        assert len(pairs) == total
+        failed = [(d, h) for d, h in pairs if not _rolldowns_form_an_ideal(d, h)]
+        assert len(failed) == failing
+        assert not [(d, h) for d, h in failed if d == (n,) or h == hessenberg_identity(n)]
+        if n == 5:
+            assert failed[0] == ((3, 1, 1), (1, 2, 4, 5, 5))

@@ -28,7 +28,6 @@ from pathlib import Path
 import pytest
 
 from hesspin import billey, cli, fillings
-from hesspin.billey import RestrictionMatrix
 from hesspin.cli import default_hessenberg, main
 from hesspin.fillings import (
     hessenberg_full,
@@ -241,14 +240,15 @@ def test_full_torus_streams_rows(monkeypatch):
 
 def test_matrix_streams_rows(monkeypatch):
     produced = []
-    real = RestrictionMatrix.dense_rows
+    real = billey.p_rows
 
-    def watched(self):
-        for row in real(self):
+    def watched(rows, points):
+        for row in real(rows, points):
             produced.append(row)
             yield row
 
-    monkeypatch.setattr(RestrictionMatrix, "dense_rows", watched)
+    # cmd_matrix imports p_rows from billey when it runs
+    monkeypatch.setattr(billey, "p_rows", watched)
     out = _Watched(produced)
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["matrix", "--n", "6", "--format", "json"]) == 0

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from hesspin import billey, hess334
-from hesspin.billey import S1_ZERO, S1Value, p_restriction, restriction_matrix
+from hesspin.billey import S1_ZERO, S1Value, p_restriction, p_rows
 from hesspin.hess334 import (
     FixedPointClass,
     Theorem334Report,
@@ -347,14 +347,14 @@ class TestTheorem:
         # builds each point's column when it reaches it, for the matrix and
         # both censuses, and keeps none
         calls = []
-        real = hess334._column
+        real = billey._column
 
         def counted(w, word, unit):
             calls.append(w)
             assert word == catalog_reduced_word(w)
             return real(w, word, unit)
 
-        monkeypatch.setattr(hess334, "_column", counted)
+        monkeypatch.setattr(billey, "_column", counted)
         report = verify_334_theorem(6)
         assert report.passed
         assert len(report.points) == 48
@@ -388,11 +388,10 @@ class TestTheorem:
         [below] = corrupted
         points = report.points
         table = rolldown_table(single_row(n), hessenberg_334(n))
-        words = {w: catalog_reduced_word(w) for w in points}
-        matrix = restriction_matrix(points, table, words=words)
+        # restriction values do not depend on the reduced word
         expected = [
             (points[a], points[b], value)
-            for a, row in enumerate(matrix.values)
+            for a, row in enumerate(p_rows([table[w] for w in points], points))
             for b, value in enumerate(row)
             if value != S1_ZERO and not below[a] >> b & 1
         ]
@@ -406,7 +405,7 @@ class TestTheorem:
     def test_dropped_diagonal_entry_is_witnessed(self, monkeypatch):
         # the matrix recurrence loses the diagonal entry of one column
         n, k = 5, 7
-        real = hess334._column_entries
+        real = billey._column_entries
 
         def dropping(ideal, rolls):
             entries, seen = real(ideal, rolls), []
@@ -418,7 +417,7 @@ class TestTheorem:
 
             return dropped
 
-        monkeypatch.setattr(hess334, "_column_entries", dropping)
+        monkeypatch.setattr(billey, "_column_entries", dropping)
         report = verify_334_theorem(n)
         w = report.points[k]
         failed = {c.name: c.witnesses for c in report.checks() if not c.passed}
@@ -429,23 +428,20 @@ class TestTheorem:
 
     def test_builds_no_matrix(self, monkeypatch):
         # the theorem reads each column's entries as they are computed and
-        # holds no RestrictionMatrix, nor checks one
+        # neither collects the matrix's rows nor checks a table
         def refuse(*args, **kwargs):
             raise AssertionError("the theorem built or checked a matrix")
 
-        monkeypatch.setattr(billey.RestrictionMatrix, "__new__", refuse)
-        monkeypatch.setattr(billey, "check_upper_triangular", refuse)
-        monkeypatch.setattr(hess334, "check_upper_triangular", refuse, raising=False)
-        points = fixed_points_334(4)
-        with pytest.raises(AssertionError, match="built or checked"):
-            restriction_matrix(points, {w: w for w in points})
+        for name in ["p_rows", "check_upper_triangular"]:
+            monkeypatch.setattr(billey, name, refuse)
+            monkeypatch.setattr(hess334, name, refuse, raising=False)
         assert verify_334_theorem(6).passed
 
     @pytest.mark.slow
     def test_holds_no_matrix_in_memory(self):
-        # at n = 10 the matrix has 43,739 nonzero entries; holding them in
-        # a RestrictionMatrix took the traced peak to 3.4 MB, and the one
-        # pass stays near 2.1 MB
+        # at n = 10 the matrix has 43,739 nonzero entries; holding them as
+        # row masks and coefficients took the traced peak to 3.4 MB, and the
+        # one pass stays near 2.1 MB
         tracemalloc.start()
         try:
             report = verify_334_theorem(10)
