@@ -679,7 +679,7 @@ def check_upper_triangular(rolldowns: Mapping[Perm, Perm]) -> TriangularReport:
     rolls = tuple(validate(rolldowns[w]) for w in points)
     if len({len(p) for p in points + rolls}) > 1:
         raise ValueError("size mismatch among points and rolldowns")
-    triangle = _Triangularity(points, rolls, bruhat_table(points, points))
+    triangle = _Triangularity(points, rolls, tuple(bruhat_table(points, points)))
     for _ in triangle.diagonals(_column_stream(points, rolls)[1]):
         pass
     return triangle.report()

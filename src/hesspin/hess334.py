@@ -33,11 +33,11 @@ each class has one definition, its constructor, and ``classify`` is that
 record's class.  The theorem builds the record once per point, and the
 public per-point functions build it for their one point.
 The Bruhat-order lemmas read the relation as bitmasks over the points
-(``permutations.bruhat_table``) and compare it with masks built once per
-run: one per class, one per j of the points whose subset holds j, one per
-point of the points whose subset contains that point's, and H1 thresholds
-over the 312-type points.  Each lemma thus takes a few big-int operations per
-point, and its witnesses are the set bits of the masks where it fails.
+(``permutations.bruhat_table``), each row once, with masks built once per
+run: one per class, one per j of the points whose subset holds j, and H1
+thresholds over the 312-type points.  The five lemmas on pairs are one
+loop over the points, a few big-int operations per point, and a lemma's
+witnesses are the set bits of the masks where it fails.
 
 The summand census counts the subword summands of a catalog word by
 ``billey``'s backward pass over it from the rolldown rather than
@@ -54,8 +54,9 @@ which numbers only the part of the ideal its pass reaches.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .billey import (
     S1_ZERO,
@@ -574,14 +575,13 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     points = tuple(p.w for p in facts)
     rolls = tuple(r for _, r in table)
 
-    # Every Bruhat relation the checks read, as bitmasks over the points
-    # (see _bruhat_sweeps): the points, rolldowns and simple reflections
-    # below each point in one table, so the masks over the points are built
-    # once
+    # The relations the checks read, rows of one table over the points (see
+    # _bruhat_sweeps): the points' rows are held for the triangularity pass,
+    # the simple reflections' follow, and the sweeps read the rolldowns' once
     simples = tuple(simple(i, n) for i in range(1, n))
-    relation, size = bruhat_table(points + rolls + simples, points), len(points)
-    below, roll_below = relation[:size], relation[size : 2 * size]
-    tables = (below, roll_below, relation[2 * size :], bruhat_table(simples, rolls))
+    rows = iter(bruhat_table(points + simples + rolls, points))
+    below = tuple(itertools.islice(rows, len(points)))
+    simple_below = tuple(itertools.islice(rows, n - 1))
 
     # One pass over the points, on the rolldowns' weak-order ideal: each
     # point's column is built once, for its column of the matrix (every
@@ -619,7 +619,7 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         ("diagonal-nonzero", triangular.diagonal_zeros),
         ("bruhat-vanishing", triangular.vanishing_violations),
         ("closed-form-diagonal", diagonal_fails),
-        *_bruhat_sweeps(facts, *tables),
+        *_bruhat_sweeps(facts, below, rows, simple_below, bruhat_table(simples, rolls)),
         ("summand-census", census_fails),
         ("simple-summand-values", wrong_rows),
     ]
@@ -634,10 +634,10 @@ def verify_334_theorem(n: int) -> Theorem334Report:
 
 def _bruhat_sweeps(
     facts: Sequence[_Point],
-    below: Sequence[int],
-    roll_below: Sequence[int],
+    below: Iterable[int],
+    roll_below: Iterable[int],
     simple_below: Sequence[int],
-    simple_below_roll: Sequence[int],
+    simple_below_roll: Iterable[int],
 ) -> tuple[tuple[str, tuple], ...]:
     """The theorem's six Bruhat-order lemmas, as (name, witnesses) pairs.
 
@@ -645,12 +645,13 @@ def _bruhat_sweeps(
     points[a] <= points[b], and of roll_below[a] when the rolldown of
     points[a] is below points[b]; bit a of simple_below[i - 1]
     (simple_below_roll[i - 1]) is set when s_i <= points[a] (its rolldown),
-    as ``bruhat_table`` gives them.  Every check
-    takes a few big-int operations per point, on masks over the points: one
-    per class, one per j of the points whose subset holds j, and one per
-    point of the points whose subset contains that point's.  Witnesses are
-    read off nonzero difference masks, lowest bit first, so they come out
-    in the order of a loop over all pairs (a, b).
+    as ``bruhat_table`` gives them.  Every row is read once, in order.  The
+    five pair lemmas are one loop over the points, each taking a few big-int
+    operations per point on masks over the points: one per class, one per j
+    of the points whose subset holds j, and the points whose subset contains
+    points[a]'s, built as the loop reaches a.  Witnesses are read off
+    nonzero difference masks, lowest bit first, so each lemma's come out in
+    the order of a loop over all pairs (a, b).
     """
     no_321, with_321 = FixedPointClass.PETERSON_NO_321, FixedPointClass.PETERSON_321
     t312, t231 = FixedPointClass.TYPE_312, FixedPointClass.TYPE_231
@@ -664,13 +665,6 @@ def _bruhat_sweeps(
         of_class[p.cls] |= 1 << a
         for j in p.subset:
             holding[j] |= 1 << a
-    # superset[a]: the points whose subset contains the subset of points[a]
-    superset = []
-    for p in facts:
-        mask = full
-        for j in p.subset:
-            mask &= holding[j]
-        superset.append(mask)
     # at_least[t]: the 312-type points with H1 >= t
     at_least = [0] * (n + 1)
     for b in set_bits(of_class[t312]):
@@ -692,16 +686,6 @@ def _bruhat_sweeps(
         t231: of_class[no_321],
     }
 
-    def related():
-        # each point's row of the two relations, built as a sweep reads it
-        # rather than held: N rows of N bits
-        return map(int.__or__, below, roll_below)
-
-    def pairs(rows) -> tuple[tuple[Perm, Perm], ...]:
-        return tuple(
-            (points[a], points[b]) for a, row in enumerate(rows) for b in set_bits(row)
-        )
-
     fixed = [m ^ holding[i] for i, m in enumerate(simple_below, 1)]
     rolled = [m ^ holding[i] for i, m in enumerate(simple_below_roll, 1)]
     missed = 0
@@ -715,31 +699,32 @@ def _bruhat_sweeps(
             if r >> a & 1:
                 member.append((points[a], i, "rolldown"))
 
-    segment = [
-        of_class[t312] & (x ^ (sup & at_least[p.runs[0][1] + 1]))
-        if p.cls is with_321 or p.cls is t231
-        else 0
-        for p, x, sup in zip(facts, below, superset)
-    ]
+    equivalence, monotonicity, containment, relations, segment = found = ([], [], [], [], [])
+    for p, x, y in zip(facts, below, roll_below):
+        # sup: the points whose subset contains p's
+        sup = full
+        for j in p.subset:
+            sup &= holding[j]
+        r = x | y
+        failed = (
+            x ^ y,
+            r & ~sup,
+            qualifying[p.cls] & (x ^ sup),
+            forbidden[p.cls] & r,
+            of_class[t312] & (x ^ (sup & at_least[p.runs[0][1] + 1]))
+            if p.cls is with_321 or p.cls is t231
+            else 0,
+        )
+        for pairs, mask in zip(found, failed):
+            if mask:
+                pairs += ((p.w, points[b]) for b in set_bits(mask))
     return (
-        (
-            "rolldown-bruhat-equivalence",
-            pairs(x ^ y for x, y in zip(roll_below, below)),
-        ),
+        ("rolldown-bruhat-equivalence", tuple(equivalence)),
         ("simple-reflection-membership", tuple(member)),
-        ("subset-monotonicity", pairs(r & ~sup for r, sup in zip(related(), superset))),
-        (
-            "containment-criterion",
-            pairs(
-                qualifying[p.cls] & (x ^ sup)
-                for p, x, sup in zip(facts, below, superset)
-            ),
-        ),
-        (
-            "forbidden-relations",
-            pairs(forbidden[p.cls] & r for p, r in zip(facts, related())),
-        ),
-        ("initial-segment-criterion", pairs(segment)),
+        ("subset-monotonicity", tuple(monotonicity)),
+        ("containment-criterion", tuple(containment)),
+        ("forbidden-relations", tuple(relations)),
+        ("initial-segment-criterion", tuple(segment)),
     )
 
 

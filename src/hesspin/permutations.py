@@ -2,8 +2,8 @@
 
 Bruhat order is decided by packed rank keys (``BruhatKeys``): each
 permutation's rank counts fit in one integer, and one comparison is one
-subtraction.  Bulk consumers take a whole relation at once from
-``bruhat_table``, one bitmask per row, built from rank-count thresholds;
+subtraction.  Bulk consumers read a whole relation from ``bruhat_table``,
+one bitmask per row as it is read, built from rank-count thresholds;
 ``set_bits`` reads a mask's set bits in ascending order.
 
 A permutation ``w`` in S_n is stored as the tuple ``(w(1), ..., w(n))`` of
@@ -306,27 +306,28 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
     return keys.leq(keys.key(v), keys.key(w))
 
 
-def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...]:
-    """One bitmask per v in ``lower``: bit b is set exactly when v <= upper[b].
+def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> Iterator[int]:
+    """One bitmask per v in ``lower``, yielded in order as it is read: bit b
+    is set exactly when v <= upper[b].
 
     v <= w exactly when no rank count of v is below w's (``BruhatKeys``).
     So for each count field f and each t, take the mask of the upper points
     whose count in f is at most t; v's row is the AND of one such mask per
-    field, picked by v's own count.  Each permutation's counts are
-    computed once, straight from its entries (``_rank_counts``); the masks
-    come from one byte string per field, so the Python work is one count
-    list per permutation and (n - 1)^2 ANDs per row.  A count takes one
-    byte, so n must be at most 256; ``ValueError`` is raised otherwise,
-    before any work.
+    field, picked by v's own count.  Each permutation's counts are one byte
+    string taken straight from its entries (``_rank_counts``); the upper
+    points' strings are joined into one, whose extended slices are the
+    fields' columns.  A count takes one byte, so n must be at most 256; the
+    arguments are checked and the masks built at the call, so ``ValueError``
+    comes before any work.
 
-    >>> bruhat_table([(1, 2), (2, 1)], [(2, 1), (1, 2)])
+    >>> tuple(bruhat_table([(1, 2), (2, 1)], [(2, 1), (1, 2)]))
     (3, 1)
     """
     sizes = {len(p) for p in itertools.chain(lower, upper)}
     if len(sizes) > 1:
         raise ValueError(f"size mismatch among sizes {sorted(sizes)}")
     if not sizes:
-        return tuple(0 for _ in lower)
+        return iter(())
     n = sizes.pop()
     if n > 256:
         raise ValueError(f"bruhat_table needs n <= 256, got n = {n}")
@@ -334,18 +335,20 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...
     full = (1 << len(upper)) - 1
     # at_most[t] translates a count c to the digit "1" if c <= t, else "0"
     at_most = [b"1" * (t + 1) + b"0" * (255 - t) for t in range(n)]
-    # masks[f][t] holds the upper points whose count in field f is at most
-    # t; a column's bytes run from the last upper point to the first, so
-    # int(..., 2) puts upper[b] at bit b
+    # the counts run from the last upper point to the first, so
+    # int(..., 2) of a column puts upper[b] at bit b
+    table, width = b"".join(map(counts, reversed(upper))), (n - 1) ** 2
+    # masks[f][t] holds the upper points whose count in field f is at most t
     masks = []
-    for column in zip(*map(counts, reversed(upper))):
-        text, top = bytes(column), max(column)
+    for f in range(width):
+        column = table[f::width]
+        top = max(column, default=0)
         masks.append(
-            [int(text.translate(at_most[t]), 2) for t in range(top)]
+            [int(column.translate(at_most[t]), 2) for t in range(top)]
             + [full] * (n - top)
         )
     pick = list.__getitem__
-    return tuple(
+    return (
         functools.reduce(int.__and__, map(pick, masks, counts(v)), full)
         for v in lower
     )
@@ -353,22 +356,23 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> tuple[int, ...
 
 def _rank_counts(n: int):
     """The function giving the (n - 1)^2 rank counts c_w(k, j) of a w in
-    S_n, n <= 256, field j's counts for k = 1..n-1 in turn, j = 1..n-1.
+    S_n, n <= 256, as bytes: field j's counts for k = 1..n-1 in turn,
+    j = 1..n-1.
 
     Field j is the running sum of the indicators [w(a) <= j], so each field
     takes one ``bytes.translate`` of w's first n - 1 entries, shifted down
     by one to fit a byte, and one ``itertools.accumulate``.
 
-    >>> _rank_counts(3)((2, 3, 1))
+    >>> list(_rank_counts(3)((2, 3, 1)))
     [0, 0, 1, 1]
     """
     # marks[j - 1] translates the shifted entry v - 1 to 1 if v <= j, else 0
     marks = [b"\1" * j + b"\0" * (256 - j) for j in range(1, n)]
     down = (-1).__add__
 
-    def counts(w: Perm) -> list[int]:
+    def counts(w: Perm) -> bytes:
         shifted = bytes(map(down, w[:-1]))
-        return list(
+        return bytes(
             itertools.chain.from_iterable(
                 itertools.accumulate(shifted.translate(t)) for t in marks
             )

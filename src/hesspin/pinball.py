@@ -37,9 +37,10 @@ hands its leaves to the same loop.  No (diagram, h) is known to fail: an
 exhaustive sweep passes all 1,836 pairs with n <= 6 and all 6,435 with
 n = 7.  The report still keeps a witness for every failure.
 
-``rolldown``, ``rolldown_word`` and ``degree`` take one point and check
-that it is a fixed point; the whole-table functions take their points
-from the enumeration and check nothing twice.
+``is_fixed_point``, ``rolldown``, ``rolldown_word`` and ``degree`` take one
+point and make one set of argument checks; all but ``is_fixed_point`` then
+check that it is a fixed point.  The whole-table functions take their
+points from the enumeration and check nothing twice.
 """
 
 from __future__ import annotations
@@ -94,16 +95,22 @@ def fixed_points(diagram: Diagram, h: Sequence[int]) -> tuple[Perm, ...]:
 
 
 def is_fixed_point(w: Perm, diagram: Diagram, h: Sequence[int]) -> bool:
-    return is_permissible(filling_of_fixed_point(w, diagram), h)
+    """Whether w's filling is permissible; ValueError on bad arguments."""
+    return is_permissible(*_filling(w, diagram, h))
 
 
-def _checked_filling(w: Perm, diagram: Diagram, h: Sequence[int]):
+def _filling(w: Perm, diagram: Diagram, h: Sequence[int]):
+    # (w's filling, h), once w, the diagram and h are checked, one h(i) per box
     w = validate(w)
     diagram = validate_diagram(diagram)
     h = validate_hessenberg(h)
     if len(h) != diagram_size(diagram):
         raise ValueError(f"h has length {len(h)}, diagram has {diagram_size(diagram)} boxes")
-    filling = filling_of_fixed_point(w, diagram)
+    return filling_of_fixed_point(w, diagram), h
+
+
+def _checked_filling(w: Perm, diagram: Diagram, h: Sequence[int]):
+    filling, h = _filling(w, diagram, h)
     if not is_permissible(filling, h):
         raise ValueError(
             f"{w} is not a fixed point for this (diagram, h): "

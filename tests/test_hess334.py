@@ -402,6 +402,26 @@ class TestTheorem:
         assert checks["diagonal-nonzero"].passed
         assert checks["closed-form-diagonal"].passed
 
+    def test_reads_each_relation_row_once(self, monkeypatch):
+        # both relation tables are read as streams: every row is drawn, and
+        # none is drawn twice or from a second table over the same points
+        real = hess334.bruhat_table
+        sizes, drawn = [], []
+
+        def counting(lower, upper):
+            call = len(sizes)
+            sizes.append(len(lower))
+            for k, row in enumerate(real(lower, upper)):
+                drawn.append((call, k))
+                yield row
+
+        monkeypatch.setattr(hess334, "bruhat_table", counting)
+        report = verify_334_theorem(6)
+        assert report.passed
+        size = len(report.points)
+        assert sizes == [2 * size + 5, 5]
+        assert sorted(drawn) == [(c, k) for c, rows in enumerate(sizes) for k in range(rows)]
+
     def test_dropped_diagonal_entry_is_witnessed(self, monkeypatch):
         # the matrix recurrence loses the diagonal entry of one column
         n, k = 5, 7
@@ -451,6 +471,20 @@ class TestTheorem:
         assert report.passed
         assert peak < 3.0 * 2**20, peak
 
+    @pytest.mark.slow
+    def test_holds_no_rolldown_rows_in_memory(self):
+        # at n = 12 (3,072 points) the pass stays near 9.8 MB; holding the
+        # rolldowns' rows of the Bruhat relation (1.2 MB) or one list of 121
+        # rank counts per point in bruhat_table takes it past the bound
+        tracemalloc.start()
+        try:
+            report = verify_334_theorem(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 10.75 * 2**20, peak
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 4"):
             verify_334_theorem(3)
@@ -486,8 +520,14 @@ class TestBruhatSweeps:
             hess334._Point(w, cls, s, consecutive_substrings(s), (), ())
             for w, cls, s in zip(points, classes, subsets)
         ]
-        got = hess334._bruhat_sweeps(facts, *(_masks(t) for t in dense))
+        below, roll_below, simple_below, simple_below_roll = map(_masks, dense)
+        got = hess334._bruhat_sweeps(facts, below, roll_below, simple_below, simple_below_roll)
         assert got == expected
+        # the rolldowns' rows are read once, in order, so one-shot iterators
+        # give the same witnesses, and every row is read
+        rows, simple_rows = iter(roll_below), iter(simple_below_roll)
+        assert hess334._bruhat_sweeps(facts, below, rows, simple_below, simple_rows) == got
+        assert next(rows, None) is next(simple_rows, None) is None
         return sum(len(witnesses) for _, witnesses in expected)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])

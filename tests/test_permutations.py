@@ -223,7 +223,7 @@ class TestBruhatTable:
 
     @staticmethod
     def assert_matches_tableau(rows, cols):
-        table = bruhat_table(rows, cols)
+        table = tuple(bruhat_table(rows, cols))
         assert len(table) == len(rows)
         for v, mask in zip(rows, table):
             assert 0 <= mask < 1 << len(cols)
@@ -236,7 +236,7 @@ class TestBruhatTable:
         perms = all_permutations(4)
         lower = rng.sample(perms, 7)
         for rows, cols in ((lower, perms), (perms, lower)):
-            table = bruhat_table(rows, cols)
+            table = tuple(bruhat_table(rows, cols))
             assert len(table) == len(rows)
             for v, mask in zip(rows, table):
                 assert list(set_bits(mask)) == [
@@ -265,7 +265,9 @@ class TestBruhatTable:
             [tuple(rng.sample(range(1, n + 1), n)) for _ in range(size)]
             for size in (30, 25)
         )
-        for v, mask in zip(lower, bruhat_table(lower, upper)):
+        table = tuple(bruhat_table(lower, upper))
+        assert len(table) == len(lower)
+        for v, mask in zip(lower, table):
             kv = keys.key(v)
             assert mask == sum(
                 1 << b for b, w in enumerate(upper) if keys.leq(kv, keys.key(w))
@@ -279,7 +281,7 @@ class TestBruhatTable:
         counts = permutations._rank_counts(n)
         for _ in range(20):
             w = tuple(rng.sample(range(1, n + 1), n))
-            assert counts(w) == [
+            assert list(counts(w)) == [
                 sum(1 for a in range(k) if w[a] <= j)
                 for j in range(1, n)
                 for k in range(1, n)
@@ -291,14 +293,41 @@ class TestBruhatTable:
         n = 256
         counts = permutations._rank_counts(n)
         pairs = [(j, k) for j in range(1, n) for k in range(1, n)]
-        assert counts(identity(n)[::-1]) == [max(0, k + j - n) for j, k in pairs]
-        assert counts(identity(n)) == [min(k, j) for j, k in pairs]
+        assert list(counts(identity(n)[::-1])) == [max(0, k + j - n) for j, k in pairs]
+        assert list(counts(identity(n))) == [min(k, j) for j, k in pairs]
 
     def test_empty_inputs(self):
         perms = all_permutations(3)
-        assert bruhat_table([], []) == ()
-        assert bruhat_table([], perms) == ()
-        assert bruhat_table(perms[:2], []) == (0, 0)
+        assert tuple(bruhat_table([], [])) == ()
+        assert tuple(bruhat_table([], perms)) == ()
+        assert tuple(bruhat_table(perms[:2], [])) == (0, 0)
+
+    def test_rows_are_computed_as_they_are_read(self, monkeypatch):
+        # the upper points' counts are taken at the call, and a lower
+        # point's only when its row is read
+        real = permutations._rank_counts
+        seen = []
+
+        def counting(n):
+            counts = real(n)
+
+            def counted(w):
+                seen.append(w)
+                return counts(w)
+
+            return counted
+
+        monkeypatch.setattr(permutations, "_rank_counts", counting)
+        perms = all_permutations(4)
+        lower, upper = perms[:5], perms[5:]
+        rows = bruhat_table(lower, upper)
+        assert seen == list(reversed(upper))
+        for k, (v, mask) in enumerate(zip(lower, rows), 1):
+            assert seen[len(upper) :] == list(lower[:k])
+            assert list(set_bits(mask)) == [
+                b for b, w in enumerate(upper) if bruhat_leq(v, w)
+            ]
+        assert next(rows, None) is None
 
     def test_refuses_more_than_256_entries(self, monkeypatch):
         # a rank count takes one byte; the limit is named before any key
@@ -318,7 +347,7 @@ class TestBruhatTable:
         # the identity's counts reach 255, the largest a count can be at
         # this n; a key is big, so the table is kept to one entry
         e = identity(256)
-        assert bruhat_table([e], [e[::-1]]) == (1,)
+        assert tuple(bruhat_table([e], [e[::-1]])) == (1,)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError, match="size mismatch"):

@@ -129,6 +129,23 @@ class TestRolldown:
                 fn((2, 3, 4, 1), (4,), h)
         assert not is_fixed_point((2, 3, 4, 1), (4,), h)
 
+    @pytest.mark.parametrize(
+        "h, message",
+        [
+            ((3, 3), r"h\(1\) = 3 exceeds n = 2"),
+            ((2, 2), "h has length 2, diagram has 3 boxes"),
+            ((3, 3, 3, 3), r"h\(4\) = 3 violates h\(i\) >= i"),
+            ((1, 1, 3), r"h\(2\) = 1 violates h\(i\) >= i"),
+        ],
+    )
+    def test_bad_h_is_refused_by_every_per_point_function(self, h, message):
+        # is_fixed_point makes the argument checks the others make, so a
+        # short h is not indexed past its end and a long or non-Hessenberg
+        # h gets no answer
+        for fn in (is_fixed_point, rolldown, rolldown_word, degree):
+            with pytest.raises(ValueError, match=message):
+                fn((2, 1, 3), (3,), h)
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_table_matches_per_point_functions(self, n, enumerations):
         h = hessenberg_334(n)
