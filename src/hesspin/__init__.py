@@ -49,7 +49,12 @@ _EXPORTS = {
         "classify",
         "closed_form_restriction",
         "fixed_points_334",
+        "peterson_fixed_point",
         "rolldown_closed_form",
+        "rolldown_closed_form_word",
+        "simple_summand_census",
+        "type_231_fixed_point",
+        "type_312_fixed_point",
         "verify_334_theorem",
     ),
     "permutations": (
@@ -67,6 +72,7 @@ _EXPORTS = {
         "betti_numbers",
         "degree",
         "fixed_points",
+        "is_fixed_point",
         "rolldown",
         "rolldown_table",
         "rolldown_word",

@@ -199,12 +199,28 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     should still use ``sigma_rows``, which numbers one ideal and tabulates
     each column once for a whole table.
     """
-    if len(v) != len(w):
-        raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
-    v = validate(v)
+    v = _checked_pair(v, w)
     n = len(w)
     column = _column(w, word, _packed_units(n))
     return _decoder(n)(_backward(_Ideal([v]), v, column, {0: 1}, _times_root))
+
+
+def _checked_pair(v: Perm, w: Perm) -> Perm:
+    # v as a permutation of w's size; w is checked with its word (_column)
+    if len(v) != len(w):
+        raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
+    return validate(v)
+
+
+def _checked_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> tuple[list[Perm], Optional[int]]:
+    # the rows, each a permutation, and the one size of rows and points
+    # (None when there are neither); the points are checked with their
+    # words (_column)
+    rows = [validate(v) for v in rows]
+    sizes = sorted({len(p) for p in [*rows, *points]})
+    if len(sizes) > 1:
+        raise ValueError(f"size mismatch among rows and points: {sizes}")
+    return rows, sizes[0] if sizes else None
 
 
 def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[Polynomial, ...]]:
@@ -218,17 +234,14 @@ def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[P
     decoder (``_decoder``) turns every packed value of the table into a
     ``Polynomial``, unpacking each distinct monomial once.
     """
-    rows = [validate(v) for v in rows]
-    sizes = sorted({len(p) for p in [*rows, *points]})
-    if len(sizes) > 1:
-        raise ValueError(f"size mismatch among rows and points: {sizes}")
-    unit = _packed_units(sizes[0]) if sizes else ()
+    rows, n = _checked_rows(rows, points)
+    unit = () if n is None else _packed_units(n)
     columns = [_column(w, None, unit) for w in points]
     if not rows:
         # nothing to restrict; the points are checked all the same
         return
     ideal = _weak_ideal(rows)
-    decode = _decoder(sizes[0])
+    decode = _decoder(n)
     for v in rows:
         yield tuple(decode(_backward(ideal, v, col, {0: 1}, _times_root)) for col in columns)
 
@@ -488,9 +501,7 @@ def p_summand_counts(
     >>> p_summand_counts((2, 1, 3), (3, 2, 1))
     {S1Value(coeff=1, degree=1): 2}
     """
-    if len(v) != len(w):
-        raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
-    v = validate(v)
+    v = _checked_pair(v, w)
     return _summand_counts(_Ideal([v]), v, _column(w, word, range(len(w) + 1)))
 
 
@@ -518,10 +529,7 @@ def p_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[S1Val
     and their coefficients, and its dense row is built when it is asked
     for, so no dense table is held.
     """
-    rows = [validate(v) for v in rows]
-    sizes = sorted({len(p) for p in [*rows, *points]})
-    if len(sizes) > 1:
-        raise ValueError(f"size mismatch among rows and points: {sizes}")
+    rows = _checked_rows(rows, points)[0]
     nonzero = [0] * len(rows)
     coeffs: list[list[int]] = [[] for _ in rows]
     for b, (_, entries) in enumerate(_column_stream(points, rows)[1]):

@@ -49,7 +49,7 @@ from .pinball import CheckResult, rolldown_table, rolldown_words, verify_pinball
 if TYPE_CHECKING:
     from .billey import S1Value
 
-__all__ = ["main", "build_parser", "parse_records", "default_hessenberg"]
+__all__ = ["main", "build_parser", "default_hessenberg"]
 
 
 def default_hessenberg(n: int) -> tuple[int, ...]:
@@ -117,11 +117,6 @@ def _jsonable(obj):
 
 
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def parse_records(text: str) -> list[dict]:
-    """Parse machine (json) output back into its records."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 def _emit_table(headers, rows, out) -> None:
@@ -213,8 +208,8 @@ class _Texts(dict):
 
 def _fillings_texts(n: int, shape):
     """The json line and the csv/table cells of a leaf state of the pass
-    (``fillings._leaf_states``): what ``_JSON`` writes of its
-    ``PermissibleRecord``'s ``_asdict()``, keys sorted, and the table row.
+    (``fillings._leaf_states``): the json object with keys filling, pairs,
+    word and x, sorted, and the table row.
 
     Both are joined from the texts of the values 0..n and of each settled
     pair set, keyed by the pass's cached ``pairs_of`` tuples.  The reading

@@ -27,10 +27,11 @@ known: a's pairs are the values in (a, cap(a)] placed before a.  That is
 when a's right neighbor is placed, or when a is placed if it has none.
 ``_PrefixState`` keeps, per depth, the mask of the values placed and the
 packed counts x.  ``_pass`` carries it down the one backtracking pass and
-yields it at each leaf: ``permissible_records`` builds its records from
-those states, while ``hesspin fillings`` and the table functions of
+yields it at each leaf: ``enumerate_permissible`` reads the filling off
+each leaf state, and ``hesspin fillings`` and the table functions of
 ``pinball`` read the word, the pair sets and x off them in place.
-``dimension_pairs`` walks the state over one reading word.
+``dimension_pairs`` walks the state over the reading word of one
+permissible filling.
 
 ``omega(x)`` is the product of ``omega_word(x)``.  ``_omega`` is the one
 product of x vectors: it builds omega(x) by n - 1 list inserts, with no
@@ -43,14 +44,13 @@ from __future__ import annotations
 import functools
 import struct
 from itertools import chain, repeat
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .permutations import Perm, Word, inverse, set_bits, validate
 
 __all__ = [
     "Diagram",
     "Filling",
-    "is_hessenberg",
     "validate_hessenberg",
     "hessenberg_334",
     "hessenberg_peterson",
@@ -67,8 +67,6 @@ __all__ = [
     "is_permissible",
     "permissibility_violation",
     "permissibility_error",
-    "PermissibleRecord",
-    "permissible_records",
     "enumerate_permissible",
     "dimension_pairs",
     "top_parts",
@@ -83,15 +81,6 @@ Filling = tuple[tuple[int, ...], ...]
 
 # ---------------------------------------------------------------------------
 # Hessenberg functions
-
-
-def is_hessenberg(h: Sequence[int]) -> bool:
-    """Whether ``h`` is a valid Hessenberg function on its index range."""
-    try:
-        validate_hessenberg(h)
-    except ValueError:
-        return False
-    return True
 
 
 def validate_hessenberg(h: Sequence[int]) -> Diagram:
@@ -208,8 +197,9 @@ def reading_order(diagram: Diagram) -> tuple[tuple[int, int], ...]:
 
 
 def reading_word(filling: Filling) -> Perm:
-    """The permutation read off column by column, bottom to top."""
-    shape = tuple(len(row) for row in filling)
+    """The permutation read off column by column, bottom to top; ValueError
+    unless the row lengths are a diagram."""
+    shape = validate_diagram(tuple(map(len, filling)))
     return tuple(filling[r - 1][c - 1] for r, c in reading_order(shape))
 
 
@@ -274,17 +264,6 @@ def is_permissible(filling: Filling, h: Sequence[int]) -> bool:
     False
     """
     return permissibility_violation(filling, h) is None
-
-
-class PermissibleRecord(NamedTuple):
-    """One permissible filling with its reading word, sorted dimension
-    pairs and top-part vector x; the field names are the json keys of
-    ``hesspin fillings``."""
-
-    filling: Filling
-    word: Perm
-    pairs: tuple[tuple[int, int], ...]
-    x: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,23 +391,6 @@ class _PrefixState:
         return self._unpack(self.tops[-1].to_bytes(self._size, "little"))
 
 
-def permissible_records(
-    diagram: Diagram, h: Sequence[int]
-) -> Iterator[PermissibleRecord]:
-    """Every permissible filling as a record, in lexicographic order of
-    reading word, built from the leaf states of the one backtracking pass
-    (``_pass``).  The arguments are checked when this is called; the
-    records come lazily.
-    """
-    return _records(_leaf_states(diagram, h))
-
-
-def _records(states: Iterator[_PrefixState]) -> Iterator[PermissibleRecord]:
-    for state in states:
-        w = tuple(state.word)
-        yield PermissibleRecord(state.filling(w), w, state.pairs(), state.x())
-
-
 def _leaf_states(diagram: Diagram, h: Sequence[int]) -> Iterator[_PrefixState]:
     """``_pass(diagram, h)``, with the arguments checked when this is called."""
     diagram = validate_diagram(diagram)
@@ -518,8 +480,9 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
 
 
 def enumerate_permissible(diagram: Diagram, h: Sequence[int]) -> list[Filling]:
-    """All permissible fillings, in lexicographic order of reading word."""
-    return [rec.filling for rec in permissible_records(diagram, h)]
+    """All permissible fillings, in lexicographic order of reading word,
+    read off the leaf states of the one backtracking pass (``_pass``)."""
+    return [state.filling(tuple(state.word)) for state in _leaf_states(diagram, h)]
 
 
 # ---------------------------------------------------------------------------
@@ -527,17 +490,22 @@ def enumerate_permissible(diagram: Diagram, h: Sequence[int]) -> list[Filling]:
 
 
 def dimension_pairs(filling: Filling, h: Sequence[int]) -> frozenset[tuple[int, int]]:
-    """The dimension pairs (a, b) of a permissible filling.
+    """The dimension pairs (a, b) of a permissible filling; ValueError
+    unless ``h`` is a Hessenberg function and the filling is permissible
+    for it.
 
     >>> sorted(dimension_pairs(((2, 4, 3, 1, 5),), (3, 3, 4, 5, 5)))
     [(1, 2), (1, 3), (1, 4)]
     """
-    diagram = validate_diagram(tuple(len(row) for row in filling))
-    n = diagram_size(diagram)
-    if len(h) != n:
-        raise ValueError(f"h has length {len(h)}, filling has {n} boxes")
-    state = _PrefixState(diagram, h)
-    for k, val in enumerate(validate(reading_word(filling))):
+    word = validate(reading_word(filling))
+    h = validate_hessenberg(h)
+    if len(h) != len(word):
+        raise ValueError(f"h has length {len(h)}, filling has {len(word)} boxes")
+    if not is_permissible(filling, h):
+        error = permissibility_error(filling, h)
+        raise ValueError(f"filling {filling} is not permissible: {error}")
+    state = _PrefixState(tuple(map(len, filling)), h)
+    for k, val in enumerate(word):
         state.place(k, val)
     return frozenset(state.pairs())
 
@@ -561,10 +529,11 @@ def top_parts(pairs: frozenset[tuple[int, int]], n: int) -> tuple[int, ...]:
 
 
 def _checked_x(x: Sequence[int]) -> tuple[int, ...]:
-    """``x`` as a tuple, raising ValueError unless 0 <= x_l <= l - 1."""
+    """``x`` as a tuple, raising ValueError unless each x_l is an integer
+    with 0 <= x_l <= l - 1."""
     for l, xl in enumerate(x, start=2):
-        if not 0 <= xl <= l - 1:
-            raise ValueError(f"x_{l} = {xl} out of range 0..{l - 1}")
+        if not isinstance(xl, int) or not 0 <= xl <= l - 1:
+            raise ValueError(f"x_{l} = {xl!r} is not an integer in 0..{l - 1}")
     return tuple(x)
 
 

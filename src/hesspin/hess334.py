@@ -95,7 +95,6 @@ from .pinball import (
 __all__ = [
     "FixedPointClass",
     "fixed_points_334",
-    "is_334_fixed_point",
     "has_321_string",
     "classify",
     "associated_subset",
@@ -129,20 +128,6 @@ _NON_PETERSON = {FixedPointClass.TYPE_312, FixedPointClass.TYPE_231}
 def fixed_points_334(n: int) -> tuple[Perm, ...]:
     """All 334-type fixed points of S_n, sorted by one-line notation."""
     return fixed_points(single_row(n), hessenberg_334(n))
-
-
-def is_334_fixed_point(w: Perm) -> bool:
-    """Whether the filling of w (its inverse) is 334-permissible; n >= 4."""
-    return _fixed_point_error(validate(w)) is None
-
-
-def _fixed_point_error(w: Perm) -> Optional[str]:
-    # why the permutation w is not a 334-type fixed point, or None if it is
-    n = len(w)
-    if n < 4:
-        raise ValueError(f"334-type fixed points need n >= 4, got n = {n}")
-    filling, h = (inverse(w),), hessenberg_334(n)
-    return None if is_permissible(filling, h) else permissibility_error(filling, h)
 
 
 def has_321_string(w: Perm) -> bool:
@@ -274,11 +259,14 @@ class _Point(NamedTuple):
 def _point(w: Perm) -> _Point:
     # the one place a point is classified and its facts derived
     w = validate(w)
-    error = _fixed_point_error(w)
-    if error is not None:
-        raise ValueError(f"{w} is not a 334-type fixed point: {error}")
-    f = inverse(w)
     n = len(w)
+    if n < 4:
+        raise ValueError(f"334-type fixed points need n >= 4, got n = {n}")
+    f = inverse(w)
+    filling, h = (f,), hessenberg_334(n)
+    if not is_permissible(filling, h):
+        error = permissibility_error(filling, h)
+        raise ValueError(f"{w} is not a 334-type fixed point: {error}")
     # the associated subset: move to a Peterson point, read its descents by one
     cur = list(w)
     if not any(f[k] == 3 and f[k + 1] == 1 for k in range(n - 1)):
@@ -565,11 +553,17 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         )
     h = hessenberg_334(n)
     diagram = single_row(n)
-    # the N leaves of the one enumeration pass, in the reading-word frame
-    leaves = list(_leaves(diagram, h))
-    pin = _report(diagram, h, leaves)
-    # (point, rolldown) of each leaf, sorted by point
-    table = sorted((inverse(u), inverse(o)) for u, o, _ in leaves)
+    # (point, rolldown) of each leaf of the one enumeration pass, noted as
+    # the pinball checks read the leaf, then sorted by point
+    table: list[tuple[Perm, Perm]] = []
+
+    def noted(leaves):
+        for u, o, d in leaves:
+            table.append((inverse(u), inverse(o)))
+            yield u, o, d
+
+    pin = _report(diagram, h, noted(_leaves(diagram, h)))
+    table.sort()
     # each point's facts, derived once; every check below reads them
     facts = [_point(w) for w, _ in table]
     points = tuple(p.w for p in facts)

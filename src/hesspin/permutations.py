@@ -43,15 +43,12 @@ __all__ = [
     "from_word",
     "is_reduced_word",
     "inversions",
-    "descents",
     "canonical_word",
     "BruhatKeys",
     "bruhat_keys",
-    "bruhat_key",
     "bruhat_leq",
     "bruhat_table",
     "set_bits",
-    "all_permutations",
 ]
 
 Perm = tuple[int, ...]
@@ -104,7 +101,10 @@ def inverse(w: Perm) -> Perm:
 
     >>> inverse((3, 2, 4, 1, 5))
     (4, 2, 1, 3, 5)
-    >>> all(compose(w, inverse(w)) == identity(3) for w in all_permutations(3))
+    >>> all(
+    ...     compose(w, inverse(w)) == identity(3)
+    ...     for w in itertools.permutations((1, 2, 3))
+    ... )
     True
     """
     out = [0] * len(w)
@@ -168,15 +168,6 @@ def inversions(w: Perm) -> int:
         total += (seen >> v).bit_count()
         seen |= 1 << v
     return total
-
-
-def descents(w: Perm) -> tuple[int, ...]:
-    """The right descent set {i : w(i) > w(i+1)}, as positions.
-
-    >>> descents((3, 2, 4, 1, 5))
-    (1, 3)
-    """
-    return tuple(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
 
 def canonical_word(w: Perm) -> Word:
@@ -283,15 +274,6 @@ def bruhat_keys(n: int) -> BruhatKeys:
     return BruhatKeys(n)
 
 
-def bruhat_key(w: Perm) -> int:
-    """The packed rank key of w; see ``BruhatKeys``.
-
-    >>> bruhat_key((1, 2)), bruhat_key((2, 1))
-    (1, 0)
-    """
-    return bruhat_keys(len(w)).key(w)
-
-
 def bruhat_leq(v: Perm, w: Perm) -> bool:
     """Whether v <= w in Bruhat order, by comparing packed rank keys.
 
@@ -391,11 +373,6 @@ def set_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def all_permutations(n: int) -> tuple[Perm, ...]:
-    """All of S_n in lexicographic one-line order."""
-    return tuple(itertools.permutations(range(1, n + 1)))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ inverses: the reading word w^{-1}, which the pass keeps, and omega(x),
 the inverse of the rolldown.  Only the witnesses of failed checks are
 inverted back.  ``fixed_points``, ``rolldown_words``, ``rolldown_table``
 and ``betti_numbers`` also read only the fixed point (``point()``) or x;
-none of them builds a filling, a pairs tuple or a ``PermissibleRecord``.
+none of them builds a filling or a pairs tuple.
 The degree of a point is ``sum(x)``, since each dimension pair adds one to
 x.
 
@@ -39,7 +39,8 @@ n = 7.  The report still keeps a witness for every failure.
 
 ``is_fixed_point``, ``rolldown``, ``rolldown_word`` and ``degree`` take one
 point and make one set of argument checks; all but ``is_fixed_point`` then
-check that it is a fixed point.  The whole-table functions take their
+read its dimension pairs, which ``dimension_pairs`` refuses to define
+unless the point is a fixed point.  The whole-table functions take their
 points from the enumeration and check nothing twice.
 """
 
@@ -61,7 +62,6 @@ from .fillings import (
     filling_of_fixed_point,
     is_permissible,
     omega_word,
-    permissibility_error,
     top_parts,
     validate_diagram,
     validate_hessenberg,
@@ -109,24 +109,13 @@ def _filling(w: Perm, diagram: Diagram, h: Sequence[int]):
     return filling_of_fixed_point(w, diagram), h
 
 
-def _checked_filling(w: Perm, diagram: Diagram, h: Sequence[int]):
-    filling, h = _filling(w, diagram, h)
-    if not is_permissible(filling, h):
-        raise ValueError(
-            f"{w} is not a fixed point for this (diagram, h): "
-            + permissibility_error(filling, h)
-        )
-    return filling
-
-
 def rolldown_word(w: Perm, diagram: Diagram, h: Sequence[int]) -> Word:
     """A reduced word for rolldown(w): the omega word of x, reversed.
 
     >>> rolldown_word((4, 3, 2, 1, 5), (5,), (3, 3, 4, 5, 5))
     (3, 1, 2, 1)
     """
-    filling = _checked_filling(w, diagram, h)
-    return _word_of(top_parts(dimension_pairs(filling, h), len(w)))
+    return _word_of(top_parts(dimension_pairs(*_filling(w, diagram, h)), len(w)))
 
 
 def _word_of(x) -> Word:
@@ -139,14 +128,12 @@ def rolldown(w: Perm, diagram: Diagram, h: Sequence[int]) -> Perm:
     >>> rolldown((4, 3, 2, 1, 5), (5,), (3, 3, 4, 5, 5))
     (4, 2, 1, 3, 5)
     """
-    filling = _checked_filling(w, diagram, h)
-    return _roll(top_parts(dimension_pairs(filling, h), len(w)))
+    return _roll(top_parts(dimension_pairs(*_filling(w, diagram, h)), len(w)))
 
 
 def degree(w: Perm, diagram: Diagram, h: Sequence[int]) -> int:
     """The number of dimension pairs of w's filling (= length of rolldown)."""
-    filling = _checked_filling(w, diagram, h)
-    return len(dimension_pairs(filling, h))
+    return len(dimension_pairs(*_filling(w, diagram, h)))
 
 
 def rolldown_words(diagram: Diagram, h: Sequence[int]) -> dict[Perm, Word]:

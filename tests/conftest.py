@@ -22,7 +22,8 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def enumerations(monkeypatch):
     """Counts the runs of ``fillings._pass``, the one enumeration pass that
-    ``permissible_records`` and every pinball table function read."""
+    ``enumerate_permissible``, ``hesspin fillings`` and every pinball table
+    function read."""
     calls = []
     real = fillings._pass
 

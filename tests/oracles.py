@@ -92,6 +92,11 @@ class Poly(Polynomial):
         return max(sum(e) for e in self.terms)
 
 
+def all_permutations(n):
+    """All of S_n in lexicographic one-line order."""
+    return tuple(permutations(range(1, n + 1)))
+
+
 def brute_inversions(w):
     """The number of pairs of positions i < j with w(i) > w(j), pair by pair."""
     return sum(

@@ -34,7 +34,6 @@ from hesspin.hess334 import (
     summand_census,
 )
 from hesspin.permutations import (
-    all_permutations,
     bruhat_leq,
     canonical_word,
     from_word,
@@ -43,7 +42,13 @@ from hesspin.permutations import (
 from hesspin.pinball import fixed_points, rolldown, rolldown_word, verify_pinball
 from hesspin.hess334 import verify_334_theorem
 
-from oracles import bruhat_leq_oracle, brute_project, brute_sigma, random_reduced_word
+from oracles import (
+    all_permutations,
+    bruhat_leq_oracle,
+    brute_project,
+    brute_sigma,
+    random_reduced_word,
+)
 
 
 @contextmanager

@@ -24,7 +24,6 @@ from hesspin.fillings import hessenberg_334, hessenberg_identity, single_row
 from hesspin.hess334 import catalog_reduced_word, fixed_points_334
 from hesspin.permutations import (
     BruhatKeys,
-    all_permutations,
     bruhat_leq,
     canonical_word,
     compose,
@@ -40,6 +39,7 @@ from oracles import (
     all_diagram_h,
     all_diagrams,
     all_hessenberg,
+    all_permutations,
     brute_inversions,
     brute_project,
     brute_sigma,

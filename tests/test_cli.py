@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hesspin import hess334
-from hesspin.cli import default_hessenberg, main, parse_records
+from hesspin.cli import default_hessenberg, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 FULL_FLAG_7 = ["fillings", "--n", "7", "--h", "7,7,7,7,7,7,7", "--format", "json"]
@@ -26,6 +26,11 @@ def spawn(argv, stdout, stderr=subprocess.PIPE):
         stderr=stderr,
         env=env,
     )
+
+
+def parse_records(text):
+    """The records of json output, one per line."""
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 def run(capsys, *argv):

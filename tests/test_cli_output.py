@@ -30,11 +30,14 @@ import pytest
 from hesspin import billey, cli, fillings
 from hesspin.cli import default_hessenberg, main
 from hesspin.fillings import (
+    dimension_pairs,
+    enumerate_permissible,
     hessenberg_full,
     hessenberg_identity,
     hessenberg_peterson,
-    permissible_records,
+    reading_word,
     single_row,
+    top_parts,
 )
 from hesspin.pinball import fixed_points, rolldown_table
 
@@ -92,13 +95,14 @@ def test_fillings_streams(monkeypatch, fmt):
 def test_fillings_build_no_records(monkeypatch, capsys, fmt):
     # the lines are read off the leaf states of the pass
     def refuse(*args):
-        raise AssertionError("record, filling or pairs built")
+        raise AssertionError("filling or pairs built")
 
-    monkeypatch.setattr(fillings, "PermissibleRecord", refuse)
     monkeypatch.setattr(fillings._PrefixState, "filling", refuse)
     monkeypatch.setattr(fillings._PrefixState, "pairs", refuse)
     for argv in (["--n", "6", "--h", "6,6,6,6,6,6"], ["--n", "5", "--lambda", "3,2"]):
         assert main(["fillings", *argv, "--format", fmt]) == 0
+    with pytest.raises(AssertionError, match="filling or pairs built"):
+        enumerate_permissible((5,), default_hessenberg(5))
     # the default h at n = 5 is the 334 family
     count = 720 + len(fixed_points((3, 2), default_hessenberg(5)))
     assert capsys.readouterr().out.count("\n") == count + 2 * (fmt == "csv")
@@ -116,16 +120,25 @@ def test_fillings_json_builds_no_table_cells(monkeypatch, capsys):
 
 def _assert_json_lines_generic(capsys, diagram, h) -> None:
     """``fillings --format json`` writes what ``json.dumps`` makes of each
-    record; compared line by line, so that a failure shows one line."""
+    permissible filling with its reading word, sorted dimension pairs and
+    x, from the per-filling functions; compared line by line, so that a
+    failure shows one line."""
     argv = ["fillings", "--n", str(len(h)), "--format", "json"]
     argv += ["--h", ",".join(map(str, h)), "--lambda", ",".join(map(str, diagram))]
     assert main(argv) == 0
     lines = capsys.readouterr().out.split("\n")
     assert lines.pop() == ""
-    records = list(permissible_records(diagram, h))
-    assert len(lines) == len(records) > 0
-    for line, rec in zip(lines, records):
-        assert line == json.dumps(rec._asdict(), sort_keys=True, separators=(",", ":"))
+    fills = enumerate_permissible(diagram, h)
+    assert len(lines) == len(fills) > 0
+    for line, filling in zip(lines, fills):
+        pairs = dimension_pairs(filling, h)
+        record = {
+            "filling": filling,
+            "pairs": sorted(pairs),
+            "word": reading_word(filling),
+            "x": top_parts(pairs, len(h)),
+        }
+        assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 # n = 1 (x empty), the identity h (no pairs), and two-digit values at

@@ -2,11 +2,13 @@
 imports in a fresh interpreter, and its re-exports load only the modules
 they need."""
 
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +93,56 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ lists missing names {missing}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "hesspin").glob("*.py")) + sorted(
+    (ROOT / "demos").glob("*.py")
+)
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _is_all(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+    )
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """The names a ``Name``, an ``Attribute`` or an import alias under
+    ``node`` refers to; strings, docstrings among them, name nothing."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a name in a module's __all__ is re-exported by the package or used
+    # by the package or a demo, outside its own definition and __all__
+    exported: dict[str, str] = {}
+    used: set[str] = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for stmt in tree.body:
+            if _is_all(stmt):
+                if path.parent.name == "hesspin" and path.stem != "__init__":
+                    for name in ast.literal_eval(stmt.value):
+                        exported[name] = path.stem
+                continue
+            names = _referenced(stmt)
+            if isinstance(stmt, DEFINITIONS):
+                names.discard(stmt.name)
+            used |= names
+    assert len(exported) > 50
+    orphans = sorted(
+        f"{module}.{name}"
+        for name, module in exported.items()
+        if name not in hesspin._HOME and name not in used
+    )
+    assert not orphans, f"public names with no caller outside tests: {orphans}"

@@ -18,26 +18,25 @@ from hesspin.fillings import (
     hessenberg_full,
     hessenberg_identity,
     hessenberg_peterson,
-    is_hessenberg,
     is_permissible,
     omega,
     omega_inverse,
     omega_word,
     permissibility_error,
     permissibility_violation,
-    permissible_records,
     reading_order,
     reading_word,
     top_parts,
     validate_diagram,
     validate_hessenberg,
 )
-from hesspin.permutations import all_permutations, from_word, inversions
+from hesspin.permutations import from_word, inversions
 
 from oracles import (
     all_diagram_h,
     all_diagrams,
     all_hessenberg,
+    all_permutations,
     brute_dimension_pairs,
     brute_fillings,
     brute_records,
@@ -65,8 +64,7 @@ class TestHessenbergFunctions:
             validate_hessenberg((1, 2, 4))
         with pytest.raises(ValueError, match=r"h\(2\) = 2 violates weak increase"):
             validate_hessenberg((3, 2, 3))
-        assert not is_hessenberg((2, 1, 3))
-        assert is_hessenberg((2, 3, 3))
+        assert validate_hessenberg([2, 3, 3]) == (2, 3, 3)
 
 
 class TestDiagrams:
@@ -97,6 +95,14 @@ class TestReadingWords:
             for word in itertools.permutations(range(1, n + 1)):
                 f = filling_from_word(word, diagram)
                 assert reading_word(f) == word
+
+    def test_reading_word_rejects_shapes_that_are_not_diagrams(self):
+        with pytest.raises(ValueError, match="row lengths must weakly decrease: row 2 = 3"):
+            reading_word(((1, 2), (3, 4, 5)))
+        with pytest.raises(ValueError, match="row 2 has invalid length 0"):
+            reading_word(((1, 2), ()))
+        with pytest.raises(ValueError, match="at least one row"):
+            reading_word(())
 
     def test_fixed_point_filling_inverts(self):
         w = (2, 4, 3, 1, 5)
@@ -202,22 +208,25 @@ class TestDimensionPairs:
 
 
 class TestPermissibleRecords:
-    """Every record field against the definitions, on every (diagram, h)
-    with n <= 6 (1,836 pairs) and on a few with n = 7.  The oracles share no
-    code with the prefix state of ``permissible_records``."""
+    """The filling, reading word, sorted dimension pairs and x of every
+    leaf state of the enumeration pass (``fillings._leaf_states``) against
+    the definitions, on every (diagram, h) with n <= 6 (1,836 pairs) and on
+    a few with n = 7.  The oracles share no code with the prefix state."""
 
     @staticmethod
     def _assert_fields_match(diagram, h, brute, word_of, tops_of):
-        records = list(permissible_records(diagram, h))
-        words = [rec.word for rec in records]
+        words = []
+        for state in fillings._leaf_states(diagram, h):
+            word = tuple(state.word)
+            filling = state.filling(word)
+            pairs = brute[filling]
+            assert word == word_of(filling)
+            assert state.pairs() == tuple(sorted(pairs)), (diagram, h, word)
+            assert state.x() == tops_of(frozenset(pairs))
+            words.append(word)
+        # distinct words give distinct fillings, each one of the oracle's
         assert words == sorted(set(words))
-        assert len(records) == len(brute)
-        assert {rec.filling for rec in records} == set(brute)
-        for rec in records:
-            assert rec.word == word_of(rec.filling)
-            pairs = brute[rec.filling]
-            assert rec.pairs == tuple(sorted(pairs)), (diagram, h, rec)
-            assert rec.x == tops_of(frozenset(pairs))
+        assert len(words) == len(brute)
 
     @pytest.mark.parametrize(
         "n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
@@ -243,28 +252,33 @@ class TestPermissibleRecords:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_list_and_pair_functions_agree(self, n):
         for diagram, h in all_diagram_h(n):
-            records = list(permissible_records(diagram, h))
-            assert enumerate_permissible(diagram, h) == [r.filling for r in records]
-            for rec in records:
-                assert dimension_pairs(rec.filling, h) == set(rec.pairs)
-
-    def test_records_are_frozen(self):
-        rec = next(permissible_records((2, 1), (2, 3, 3)))
-        assert rec._fields == ("filling", "word", "pairs", "x")
-        with pytest.raises(AttributeError):
-            rec.word = (1, 2, 3)
+            leaves = [
+                (s.filling(tuple(s.word)), s.pairs())
+                for s in fillings._leaf_states(diagram, h)
+            ]
+            assert enumerate_permissible(diagram, h) == [f for f, _ in leaves]
+            for filling, pairs in leaves:
+                assert dimension_pairs(filling, h) == set(pairs)
 
     def test_arguments_checked_before_iteration(self):
         with pytest.raises(ValueError, match="h has length 3, diagram has 4 boxes"):
-            permissible_records((2, 2), (2, 3, 3))
+            fillings._leaf_states((2, 2), (2, 3, 3))
         with pytest.raises(ValueError, match="weakly decrease"):
-            permissible_records((1, 2), (2, 3, 3))
+            fillings._leaf_states((1, 2), (2, 3, 3))
+        with pytest.raises(ValueError, match="weakly decrease"):
+            enumerate_permissible((1, 2), (2, 3, 3))
 
     def test_dimension_pairs_rejects_bad_input(self):
         with pytest.raises(ValueError, match="h has length 4, filling has 5 boxes"):
             dimension_pairs(((2, 4, 3, 1, 5),), (3, 3, 4, 4))
         with pytest.raises(ValueError, match="not a permutation"):
             dimension_pairs(((2, 2, 3),), (3, 3, 3))
+        with pytest.raises(ValueError, match=r"h\(2\) = 1 violates h\(i\) >= i"):
+            dimension_pairs(((1, 2, 3),), (1, 1, 3))
+        # 3|1 breaks 3 <= h(1) = 1
+        message = r"filling \(\(3, 1, 2\),\) is not permissible: adjacency 3\|1"
+        with pytest.raises(ValueError, match=message):
+            dimension_pairs(((3, 1, 2),), (1, 2, 3))
 
 
 class TestOmega:
@@ -276,6 +290,14 @@ class TestOmega:
         assert omega_word((1, 1, 1, 0)) == (1, 2, 3)
         assert omega_word((1, 2, 1, 0)) == (1, 2, 1, 3)
         assert omega((1, 2, 1, 0)) == (3, 2, 4, 1, 5)
+
+    def test_rejects_entries_that_are_not_integers(self):
+        with pytest.raises(ValueError, match=r"x_2 = 0\.5 is not an integer in 0\.\.1"):
+            omega((0.5,))
+        with pytest.raises(ValueError, match=r"x_2 = 0\.0 is not an integer in 0\.\.1"):
+            omega_word((0.0,))
+        with pytest.raises(ValueError, match=r"x_3 = 3 is not an integer in 0\.\.2"):
+            omega((1, 3))
 
     def test_bijective_up_to_n5(self):
         for n in range(2, 6):

@@ -19,7 +19,6 @@ from hesspin.hess334 import (
     consecutive_substrings,
     fixed_points_334,
     has_321_string,
-    is_334_fixed_point,
     peterson_fixed_point,
     rolldown_closed_form,
     rolldown_closed_form_word,
@@ -31,7 +30,7 @@ from hesspin.hess334 import (
 )
 from hesspin.fillings import hessenberg_334, single_row
 from hesspin.permutations import from_word, inversions, is_reduced_word
-from hesspin.pinball import rolldown, rolldown_table
+from hesspin.pinball import is_fixed_point, rolldown, rolldown_table
 
 from oracles import brute_inversions, brute_summand_table, bruhat_sweeps, relation_tables
 
@@ -62,10 +61,11 @@ class TestMembership:
             assert counts[T231] == 2 ** (n - 3)
 
     def test_is_fixed_point(self):
-        assert is_334_fixed_point((4, 3, 2, 1))
-        assert not is_334_fixed_point((2, 3, 4, 1))
-        with pytest.raises(ValueError):
-            is_334_fixed_point((3, 2, 1))
+        h = hessenberg_334(4)
+        assert is_fixed_point((4, 3, 2, 1), single_row(4), h)
+        assert not is_fixed_point((2, 3, 4, 1), single_row(4), h)
+        with pytest.raises(ValueError, match="need n >= 4"):
+            classify((3, 2, 1))
 
     def test_classify_rejects_non_fixed_points(self):
         with pytest.raises(ValueError, match="not a 334-type fixed point"):
@@ -312,6 +312,23 @@ class TestTheorem:
         report = verify_334_theorem(6)
         assert report.passed
         assert sorted(calls) == list(report.points)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_streams_the_leaves_to_the_pinball_checks(self, monkeypatch, n):
+        # the leaves reach the pinball checks one at a time, never as a
+        # list of all N of them
+        seen = []
+        real = hess334._report
+
+        def watched(diagram, h, leaves):
+            seen.append(type(leaves))
+            return real(diagram, h, leaves)
+
+        monkeypatch.setattr(hess334, "_report", watched)
+        report = verify_334_theorem(n)
+        assert len(seen) == 1 and not issubclass(seen[0], (list, tuple))
+        assert report.pinball.points == len(report.points) == 3 * 2 ** (n - 2)
+        assert report.passed
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_shares_one_ideal(self, monkeypatch, n):

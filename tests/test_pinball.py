@@ -15,7 +15,6 @@ from hesspin.fillings import (
 )
 from hesspin import fillings, hess334, pinball
 from hesspin.permutations import (
-    all_permutations,
     from_word,
     identity,
     inverse,
@@ -35,6 +34,7 @@ from hesspin.pinball import (
 
 from oracles import (
     all_diagram_h,
+    all_permutations,
     bruhat_leq_oracle,
     brute_dimension_pairs,
     brute_fillings,
@@ -161,9 +161,8 @@ class TestRolldown:
     def test_tables_build_no_records(self, monkeypatch, enumerations):
         # the table functions read only the word and x of each leaf state
         def refuse(*args):
-            raise AssertionError("record, filling or pairs built")
+            raise AssertionError("filling or pairs built")
 
-        monkeypatch.setattr(fillings, "PermissibleRecord", refuse)
         monkeypatch.setattr(fillings._PrefixState, "filling", refuse)
         monkeypatch.setattr(fillings._PrefixState, "pairs", refuse)
         for diagram, h in (((5,), hessenberg_334(5)), ((3, 2), (2, 3, 4, 5, 5))):
@@ -173,8 +172,8 @@ class TestRolldown:
             assert betti_numbers(diagram, h)
             assert verify_pinball(diagram, h).passed
         assert len(enumerations) == 10
-        with pytest.raises(AssertionError, match="record, filling or pairs"):
-            next(fillings.permissible_records((5,), hessenberg_334(5)))
+        with pytest.raises(AssertionError, match="filling or pairs built"):
+            fillings.enumerate_permissible((5,), hessenberg_334(5))
 
     def test_table_sorted(self):
         h = hessenberg_334(4)
