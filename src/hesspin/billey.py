@@ -117,8 +117,6 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Polynomial(self.nvars, {(0,) * self.nvars: other})
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms

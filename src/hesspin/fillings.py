@@ -169,18 +169,21 @@ def diagram_size(diagram: Diagram) -> int:
 
 
 def column_lengths(diagram: Diagram) -> tuple[int, ...]:
-    """Lengths of the columns (the conjugate diagram).
+    """Lengths of the columns (the conjugate diagram); ValueError unless
+    ``diagram`` is one.
 
     >>> column_lengths((3, 2))
     (2, 2, 1)
     """
+    diagram = validate_diagram(diagram)
     ncols = diagram[0]
     return tuple(sum(1 for part in diagram if part >= c) for c in range(1, ncols + 1))
 
 
 @functools.lru_cache(maxsize=None)
 def reading_order(diagram: Diagram) -> tuple[tuple[int, int], ...]:
-    """Boxes in reading order: columns left to right, bottom to top.
+    """Boxes in reading order: columns left to right, bottom to top;
+    ValueError unless ``diagram`` is a diagram (``column_lengths``).
 
     Cached per diagram, which must be a tuple: ``reading_word`` asks for
     the order of its filling's shape on every call.

@@ -1,9 +1,10 @@
 """Permutations in one-line notation, reduced words, and Bruhat order.
 
 Bruhat order is decided by packed rank keys (``BruhatKeys``): each
-permutation's rank counts fit in one integer, and one comparison is one
-subtraction.  Bulk consumers read a whole relation from ``bruhat_table``,
-one bitmask per row as it is read, built from rank-count thresholds;
+permutation's rank counts fit in one integer, one field of whole bytes per
+count, and one comparison is one subtraction.  Bulk consumers read a whole
+relation from ``bruhat_table``, one bitmask per row as it is read, built
+from rank-count thresholds on the counts read off the keys' bytes;
 ``set_bits`` reads a mask's set bits in ascending order.
 
 A permutation ``w`` in S_n is stored as the tuple ``(w(1), ..., w(n))`` of
@@ -199,14 +200,14 @@ class BruhatKeys:
     """Packed rank keys for Bruhat order on S_n.
 
     The key of w packs the rank counts c_w(k, j) = #{a <= k : w(a) <= j}
-    for 1 <= k, j <= n - 1 into one integer, a field of
-    ``n.bit_length() + 1`` bits per count.  Counts stay below n, so the
-    top (guard) bit of every field is free.  v <= w exactly when
-    c_v >= c_w in every field (Bjorner and Brenti, *Combinatorics of
-    Coxeter Groups*, Sec. 2.1), and one subtraction with every guard bit
-    set borrows out of a field's guard exactly where that field of v is
-    smaller.  Row k of the counts is row k - 1 plus a 1 in each field
-    j >= w(k).
+    for 1 <= k, j <= n - 1 into one integer, a field of ``size`` whole
+    bytes per count, ``size = (n.bit_length() + 8) // 8``: 1 byte for
+    n <= 127, 2 for 128 <= n < 32768.  Counts stay below n, so the top
+    (guard) bit of every field is free.  v <= w exactly when c_v >= c_w in
+    every field (Bjorner and Brenti, *Combinatorics of Coxeter Groups*,
+    Sec. 2.1), and one subtraction with every guard bit set borrows out of
+    a field's guard exactly where that field of v is smaller.  Row k of
+    the counts is row k - 1 plus a 1 in each field j >= w(k).
 
     >>> keys = bruhat_keys(3)
     >>> keys.leq(keys.key((2, 1, 3)), keys.key((3, 2, 1)))
@@ -215,11 +216,12 @@ class BruhatKeys:
     False
     """
 
-    __slots__ = ("n", "_row", "_guard", "_tails")
+    __slots__ = ("n", "size", "_row", "_guard", "_tails")
 
     def __init__(self, n: int):
-        width = n.bit_length() + 1
         self.n = n
+        self.size = (n.bit_length() + 8) // 8
+        width = 8 * self.size
         self._row = width * (n - 1)
         # _tails[v] has a 1 in each field j >= v of one row; _tails[n] = 0
         tails = [0] * (n + 1)
@@ -230,7 +232,12 @@ class BruhatKeys:
         self._guard = sum(guards << (self._row * k) for k in range(n - 1))
 
     def key(self, w: Perm) -> int:
-        """The packed rank counts of w, row 1 in the top bits."""
+        """The packed rank counts of w: row k = 1 in the top bytes, and
+        field j = 1 last in each row.
+
+        >>> bruhat_keys(3).key((2, 1, 3)).to_bytes(4, "big")
+        b'\\x01\\x00\\x02\\x01'
+        """
         if len(w) != self.n:
             raise ValueError(f"size mismatch: {len(w)} vs {self.n}")
         tails, shift = self._tails, self._row
@@ -239,28 +246,6 @@ class BruhatKeys:
             row += tails[value]
             key = (key << shift) | row
         return key
-
-    def key_and_length(self, w: Perm) -> tuple[int, int]:
-        """``key(w)`` and ``inversions(w)``, in one loop over w.
-
-        The row packed before each entry is the one before it, so the
-        first packed row is empty (adding nothing) and the full last row
-        is left out, as in ``key``.
-
-        >>> keys = bruhat_keys(3)
-        >>> keys.key_and_length((2, 3, 1)) == (keys.key((2, 3, 1)), 2)
-        True
-        """
-        if len(w) != self.n:
-            raise ValueError(f"size mismatch: {len(w)} vs {self.n}")
-        tails, shift = self._tails, self._row
-        key = row = seen = length = 0
-        for value in w:
-            length += (seen >> value).bit_count()
-            seen |= 1 << value
-            key = (key << shift) | row
-            row += tails[value]
-        return key, length
 
     def leq(self, kv: int, kw: int) -> bool:
         """Whether v <= w, given their keys."""
@@ -295,11 +280,11 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> Iterator[int]:
     v <= w exactly when no rank count of v is below w's (``BruhatKeys``).
     So for each count field f and each t, take the mask of the upper points
     whose count in f is at most t; v's row is the AND of one such mask per
-    field, picked by v's own count.  Each permutation's counts are one byte
-    string taken straight from its entries (``_rank_counts``); the upper
-    points' strings are joined into one, whose extended slices are the
-    fields' columns.  A count takes one byte, so n must be at most 256; the
-    arguments are checked and the masks built at the call, so ``ValueError``
+    field, picked by v's own count.  Each permutation's counts are read off
+    the bytes of its key: for n <= 256 a count fits in the last byte of its
+    field.  The upper points' counts are joined into one byte string, whose
+    extended slices are the fields' columns.  The arguments are checked and
+    the masks built at the call, so ``ValueError`` (also for n > 256)
     comes before any work.
 
     >>> tuple(bruhat_table([(1, 2), (2, 1)], [(2, 1), (1, 2)]))
@@ -313,13 +298,18 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> Iterator[int]:
     n = sizes.pop()
     if n > 256:
         raise ValueError(f"bruhat_table needs n <= 256, got n = {n}")
-    counts = _rank_counts(n)
+    keys = bruhat_keys(n)
+    key, size, width = keys.key, keys.size, (n - 1) ** 2
+
+    def counts(w: Perm) -> bytes:
+        return key(w).to_bytes(size * width, "big")[size - 1 :: size]
+
     full = (1 << len(upper)) - 1
     # at_most[t] translates a count c to the digit "1" if c <= t, else "0"
     at_most = [b"1" * (t + 1) + b"0" * (255 - t) for t in range(n)]
     # the counts run from the last upper point to the first, so
     # int(..., 2) of a column puts upper[b] at bit b
-    table, width = b"".join(map(counts, reversed(upper))), (n - 1) ** 2
+    table = b"".join(map(counts, reversed(upper)))
     # masks[f][t] holds the upper points whose count in field f is at most t
     masks = []
     for f in range(width):
@@ -336,39 +326,15 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> Iterator[int]:
     )
 
 
-def _rank_counts(n: int):
-    """The function giving the (n - 1)^2 rank counts c_w(k, j) of a w in
-    S_n, n <= 256, as bytes: field j's counts for k = 1..n-1 in turn,
-    j = 1..n-1.
-
-    Field j is the running sum of the indicators [w(a) <= j], so each field
-    takes one ``bytes.translate`` of w's first n - 1 entries, shifted down
-    by one to fit a byte, and one ``itertools.accumulate``.
-
-    >>> list(_rank_counts(3)((2, 3, 1)))
-    [0, 0, 1, 1]
-    """
-    # marks[j - 1] translates the shifted entry v - 1 to 1 if v <= j, else 0
-    marks = [b"\1" * j + b"\0" * (256 - j) for j in range(1, n)]
-    down = (-1).__add__
-
-    def counts(w: Perm) -> bytes:
-        shifted = bytes(map(down, w[:-1]))
-        return bytes(
-            itertools.chain.from_iterable(
-                itertools.accumulate(shifted.translate(t)) for t in marks
-            )
-        )
-
-    return counts
-
-
 def set_bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of a nonnegative ``mask``, ascending.
+    """The positions of the set bits of a nonnegative ``mask``, ascending;
+    ValueError for a negative one, which has infinitely many.
 
     >>> list(set_bits(0b101100))
     [2, 3, 5]
     """
+    if mask < 0:
+        raise ValueError(f"set_bits needs a nonnegative mask, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

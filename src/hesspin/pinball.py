@@ -19,10 +19,12 @@ three from one enumeration pass, taking only the reading word and x of
 each leaf state (``fillings._leaf_states``).  Bruhat order, length and
 distinctness are all unchanged by w -> w^{-1}, so it checks them on the
 inverses: the reading word w^{-1}, which the pass keeps, and omega(x),
-the inverse of the rolldown.  Only the witnesses of failed checks are
-inverted back.  ``fixed_points``, ``rolldown_words``, ``rolldown_table``
-and ``betti_numbers`` also read only the fixed point (``point()``) or x;
-none of them builds a filling or a pairs tuple.
+the inverse of the rolldown: Bruhat order by their packed keys
+(``permutations.BruhatKeys``), length by counting inversions.  Only the
+witnesses of failed checks are inverted back.  ``fixed_points``,
+``rolldown_words``, ``rolldown_table`` and ``betti_numbers`` also read
+only the fixed point (``point()``) or x; none of them builds a filling or
+a pairs tuple.
 The degree of a point is ``sum(x)``, since each dimension pair adds one to
 x.
 
@@ -71,6 +73,7 @@ from .permutations import (
     Word,
     bruhat_keys,
     inverse,
+    inversions,
     validate,
 )
 
@@ -240,10 +243,9 @@ def _report(
     distinct exactly when the o are; only the witnesses are inverted back.
 
     The Betti side counts the degrees; the rolldown lengths are counted as
-    inversions of the permutations o, in the one loop over o that packs
-    its Bruhat key (``BruhatKeys.key_and_length``), so the two sides of
-    ``betti-match`` are computed independently.  A leaf is kept only when
-    its rolldown is not below its point.
+    inversions of the permutations o (``inversions``), so the two sides
+    of ``betti-match`` are computed independently.  A leaf is kept only
+    when its rolldown is not below its point.
 
     Distinctness keeps one fixed-width record (o, u) per leaf, 2n entries
     of the smallest array type that holds n, in one array per length of o.
@@ -258,7 +260,7 @@ def _report(
     """
     n = diagram_size(diagram)
     keys = bruhat_keys(n)
-    key, key_and_length, leq = keys.key, keys.key_and_length, keys.leq
+    key, leq = keys.key, keys.leq
     code = next(c for c in "BHI" if n < 1 << 8 * array(c).itemsize)
     top = n * (n - 1) // 2  # the longest length in S_n
     degrees = [0] * (top + 1)
@@ -269,9 +271,9 @@ def _report(
     for u, o, d in leaves:
         points += 1
         degrees[d] += 1
-        ko, length = key_and_length(o)
+        length = inversions(o)
         lengths[length] += 1
-        if not leq(ko, key(u)):
+        if not leq(key(o), key(u)):
             bruhat_failures.append((inverse(u), inverse(o)))
         buckets[length].fromlist([*o, *u])
     bruhat_failures.sort()

@@ -77,6 +77,14 @@ class TestPolynomial:
         assert one + one == Poly.constant(2, 2)
         assert one * 0 == Poly.zero(2) == Polynomial(2)
 
+    def test_equality_agrees_with_hashing(self):
+        # a constant polynomial is not the int it holds: equal objects
+        # must hash alike, so sets and dicts see what == sees
+        p = Polynomial(1, {(0,): 5})
+        assert p != 5 and 5 != p
+        assert 5 not in {p} and p not in {5}
+        assert p == Polynomial(1, {(0,): 5}) and p in {Polynomial(1, {(0,): 5})}
+
     def test_package_class_does_no_arithmetic(self):
         # the ring operations live in the oracles' subclass only
         names = ["zero", "one", "constant", "variable", "_coerce"]

@@ -83,6 +83,18 @@ class TestDiagrams:
     def test_reading_order_single_row(self):
         assert reading_order((3,)) == ((1, 1), (1, 2), (1, 3))
 
+    def test_column_lengths_rejects_shapes_that_are_not_diagrams(self):
+        with pytest.raises(ValueError, match="row lengths must weakly decrease: row 2 = 2"):
+            column_lengths((1, 2))
+        with pytest.raises(ValueError, match="at least one row"):
+            column_lengths(())
+
+    def test_reading_order_rejects_shapes_that_are_not_diagrams(self):
+        with pytest.raises(ValueError, match="row lengths must weakly decrease: row 2 = 2"):
+            reading_order((1, 2))
+        with pytest.raises(ValueError, match="row 2 has invalid length 0"):
+            reading_order((2, 0))
+
 
 class TestReadingWords:
     def test_reading_word_example(self):

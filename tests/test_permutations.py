@@ -174,13 +174,30 @@ class TestBruhat:
         perms = all_permutations(5)
         assert len(set(map(bruhat_keys(5).key, perms))) == len(perms)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 6])
-    def test_key_and_length_in_one_loop(self, n):
-        keys = bruhat_keys(n)
-        for w in all_permutations(n):
-            assert keys.key_and_length(w) == (keys.key(w), brute_inversions(w))
-        with pytest.raises(ValueError, match="size mismatch"):
-            keys.key_and_length(identity(n + 1))
+    @pytest.mark.parametrize("n", [127, 128, 129])
+    def test_byte_width_boundary(self, n):
+        # a key's fields grow from 1 byte to 2 at n = 128, and at n = 129
+        # the identity's counts reach 128, which leaves a 1-byte field no
+        # guard bit; the identity's key holds the largest counts
+        rng = random.Random(9300 + n)
+        e = identity(n)
+        w0 = e[::-1]
+        pairs = [(e, e), (w0, w0), (e, w0), (w0, e)]
+        for _ in range(4):
+            v, w = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            # swapping an ascent of w moves w up in Bruhat order
+            p, q = sorted(rng.sample(range(n), 2))
+            t = list(w)
+            t[p], t[q] = t[q], t[p]
+            up, down = (tuple(t), w) if w[p] < w[q] else (w, tuple(t))
+            pairs += [(v, w), (e, w), (w, w0), (w, w), (down, up), (up, down)]
+        for v, w in pairs:
+            assert bruhat_leq(v, w) == bruhat_leq_tableau(v, w), (v, w)
+        assert {bruhat_leq(v, w) for v, w in pairs} == {True, False}
+        lower = [pairs[-1][0], e]
+        assert tuple(bruhat_table(lower, [w0, e])) == tuple(
+            bruhat_leq(v, w0) | bruhat_leq(v, e) << 1 for v in lower
+        )
 
     def test_tableau_criterion_large_example(self):
         v = (3, 6, 8, 4, 7, 5, 9, 1, 2)
@@ -250,8 +267,10 @@ class TestBruhatTable:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_packed_keys_on_random_pairs(self, n):
-        # rows built from rank counts taken straight from the entries are
-        # the relation of the packed keys, compared one pair at a time
+        """``bruhat_table`` and ``bruhat_leq`` share the packed keys: the
+        table reads the counts off the keys' bytes, ``leq`` subtracts whole
+        keys.  So this checks the byte reading and the threshold masks;
+        the tableau tests above stay the independent reference."""
         rng = random.Random(9100 + n)
         keys = bruhat_keys(n)
         lower, upper = (
@@ -266,28 +285,41 @@ class TestBruhatTable:
                 1 << b for b, w in enumerate(upper) if keys.leq(kv, keys.key(w))
             ), v
 
+    @staticmethod
+    def key_fields(n, w):
+        """The fields of w's key, each a whole number of bytes, in the
+        key's order."""
+        keys = bruhat_keys(n)
+        size = keys.size
+        data = keys.key(w).to_bytes(size * (n - 1) ** 2, "big")
+        return [
+            int.from_bytes(data[i : i + size], "big")
+            for i in range(0, len(data), size)
+        ]
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_rank_counts_follow_the_definition(self, n):
-        # c_w(k, j) = #{a <= k : w(a) <= j}, field j's counts for
-        # k = 1..n-1 in turn
+        # c_w(k, j) = #{a <= k : w(a) <= j}, row k = 1..n-1 in turn, each
+        # row's fields from j = n - 1 down to j = 1
         rng = random.Random(9200 + n)
-        counts = permutations._rank_counts(n)
         for _ in range(20):
             w = tuple(rng.sample(range(1, n + 1), n))
-            assert list(counts(w)) == [
+            assert self.key_fields(n, w) == [
                 sum(1 for a in range(k) if w[a] <= j)
-                for j in range(1, n)
                 for k in range(1, n)
+                for j in range(n - 1, 0, -1)
             ], w
 
     def test_rank_counts_at_256_entries(self):
-        # the entry 256 is shifted down to the byte 255; the counts of w0
+        # two bytes per field, the count in the last; the counts of w0
         # are max(0, k + j - n) and those of the identity min(k, j)
         n = 256
-        counts = permutations._rank_counts(n)
-        pairs = [(j, k) for j in range(1, n) for k in range(1, n)]
-        assert list(counts(identity(n)[::-1])) == [max(0, k + j - n) for j, k in pairs]
-        assert list(counts(identity(n))) == [min(k, j) for j, k in pairs]
+        assert bruhat_keys(n).size == 2
+        pairs = [(k, j) for k in range(1, n) for j in range(n - 1, 0, -1)]
+        assert self.key_fields(n, identity(n)[::-1]) == [
+            max(0, k + j - n) for k, j in pairs
+        ]
+        assert self.key_fields(n, identity(n)) == [min(k, j) for k, j in pairs]
 
     def test_empty_inputs(self):
         perms = all_permutations(3)
@@ -296,40 +328,35 @@ class TestBruhatTable:
         assert tuple(bruhat_table(perms[:2], [])) == (0, 0)
 
     def test_rows_are_computed_as_they_are_read(self, monkeypatch):
-        # the upper points' counts are taken at the call, and a lower
+        # the upper points' keys are taken at the call, and a lower
         # point's only when its row is read
-        real = permutations._rank_counts
-        seen = []
-
-        def counting(n):
-            counts = real(n)
-
-            def counted(w):
-                seen.append(w)
-                return counts(w)
-
-            return counted
-
-        monkeypatch.setattr(permutations, "_rank_counts", counting)
         perms = all_permutations(4)
         lower, upper = perms[:5], perms[5:]
+        expected = [
+            [b for b, w in enumerate(upper) if bruhat_leq(v, w)] for v in lower
+        ]
+        real = permutations.BruhatKeys.key
+        seen = []
+
+        def counted(self, w):
+            seen.append(w)
+            return real(self, w)
+
+        monkeypatch.setattr(permutations.BruhatKeys, "key", counted)
         rows = bruhat_table(lower, upper)
         assert seen == list(reversed(upper))
-        for k, (v, mask) in enumerate(zip(lower, rows), 1):
+        for k, (mask, bits) in enumerate(zip(rows, expected), 1):
             assert seen[len(upper) :] == list(lower[:k])
-            assert list(set_bits(mask)) == [
-                b for b, w in enumerate(upper) if bruhat_leq(v, w)
-            ]
+            assert list(set_bits(mask)) == bits
         assert next(rows, None) is None
 
     def test_refuses_more_than_256_entries(self, monkeypatch):
-        # a rank count takes one byte; the limit is named before any key
-        # or rank count is built
+        # a rank count must fit in one byte; the limit is named before
+        # any key is built
         def refuse(n):
             raise AssertionError("bruhat_table started work")
 
         monkeypatch.setattr(permutations, "bruhat_keys", refuse)
-        monkeypatch.setattr(permutations, "_rank_counts", refuse)
         e = identity(257)
         with pytest.raises(ValueError, match="n <= 256, got n = 257"):
             bruhat_table([e], [e[::-1]])
@@ -350,6 +377,11 @@ class TestBruhatTable:
 
 
 class TestSetBits:
+    def test_rejects_negative_masks(self):
+        # a negative mask has infinitely many set bits
+        with pytest.raises(ValueError, match="nonnegative mask, got -1"):
+            next(set_bits(-1))
+
     def test_ascending_positions(self):
         assert list(set_bits(0)) == []
         for mask in (1, 0b1011, 1 << 200 | 1 << 3, (1 << 70) - 1):
