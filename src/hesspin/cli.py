@@ -16,8 +16,13 @@ integers that can grow without bound carried as strings.  Projected values
 serialize as {"coeff": "<int>", "deg": <int>} with {"coeff": "0", "deg": 0}
 as the zero sentinel; full multivariate values (matrix --full-torus) as
 lists of {"exps": [..], "coeff": "<int>"}.  Identical flags produce
-byte-identical output.  json and csv lines are written as their records
-are made; table output is written once all rows are known.
+byte-identical output.  Output is written in blocks of whole lines: the
+text is held until it reaches 64 KiB (the capacity of a Linux pipe) and
+then written with one ``write``, so a json or csv block goes out as soon
+as its last record is made, before the next record is, and the rest goes
+out in one final write.  Table output is written once all rows are known,
+in the same blocks.  Records made before an error are written before the
+error is reported.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on invalid input,
 3 on an internal error (a broken invariant of the library, reported in one
@@ -44,7 +49,6 @@ from .fillings import (
     validate_hessenberg,
 )
 from .permutations import from_word
-from .pinball import CheckResult, rolldown_table, rolldown_words, verify_pinball
 
 if TYPE_CHECKING:
     from .billey import S1Value
@@ -119,7 +123,9 @@ def _jsonable(obj):
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _emit_table(headers, rows, out) -> None:
+def _table_lines(headers, rows):
+    """The lines of a table: the header, a rule, then one line per row,
+    columns as wide as their widest cell."""
     widths = [len(cell) for cell in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -128,12 +134,25 @@ def _emit_table(headers, rows, out) -> None:
     def line(cells) -> str:
         return "  ".join(
             cell.ljust(widths[i]) for i, cell in enumerate(cells)
-        ).rstrip()
+        ).rstrip() + "\n"
 
-    out.write(line(headers) + "\n")
-    out.write("  ".join("-" * width for width in widths) + "\n")
-    for row in rows:
-        out.write(line(row) + "\n")
+    yield line(headers)
+    yield "  ".join("-" * width for width in widths) + "\n"
+    yield from map(line, rows)
+
+
+class _Echo:
+    """A file whose ``write`` returns its text, so that a ``csv.writer`` on
+    it returns each row's line from ``writerow``."""
+
+    write = staticmethod(str)
+
+
+def _csv_lines(headers, rows):
+    """The csv lines of the header, then of each row."""
+    writerow = csv.writer(_Echo(), lineterminator="\n").writerow
+    yield writerow(headers)
+    yield from map(writerow, rows)
 
 
 def _encoded(record):
@@ -142,23 +161,39 @@ def _encoded(record):
     return lambda item: encode(record(item)) + "\n"
 
 
+# the capacity of a Linux pipe: one write of a block fills the pipe once
+_BLOCK = 1 << 16
+
+
 def _emit(args, items, headers, line, row) -> None:
     """Write one line per item: ``line(item)`` in json, ``row(item)``'s
     cells in csv and table.
 
-    json and csv write each line as its item arrives; table keeps its rows,
-    since every row sets the column widths.
+    The lines are held until they reach ``_BLOCK`` characters, then written
+    with one ``write``; the rest is written when the items end, or when
+    making one fails, so every line made is written before the error
+    propagates.  json and csv lines are made as their items arrive; table
+    keeps its rows, since every row sets the column widths.
     """
-    out = sys.stdout
     if args.format == "json":
-        for item in items:
-            out.write(line(item))
+        lines = map(line, items)
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(map(row, items))
+        lines = _csv_lines(headers, map(row, items))
     else:
-        _emit_table(headers, [row(item) for item in items], out)
+        lines = _table_lines(headers, [row(item) for item in items])
+    write = sys.stdout.write
+    held, size = [], 0
+    try:
+        for text in lines:
+            held.append(text)
+            size += len(text)
+            if size >= _BLOCK:
+                block = "".join(held)
+                held, size = [], 0
+                write(block)
+    finally:
+        if held:
+            write("".join(held))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +302,7 @@ def cmd_fillings(args) -> int:
 def cmd_rolldowns(args) -> int:
     n, h, shape = _resolve(args)
     _require_single_row(shape, "rolldowns")
+    from .pinball import rolldown_words
 
     def record(item) -> dict:
         w, roll, word = item
@@ -290,6 +326,8 @@ def cmd_rolldowns(args) -> int:
 
 def cmd_verify(args) -> int:
     n, h, shape = _resolve(args)
+    from .pinball import CheckResult, verify_pinball
+
     if args.mode == "basis334":
         _require_single_row(shape, "verify --mode basis334")
         if n >= 4 and h != hessenberg_334(n):
@@ -355,6 +393,7 @@ def cmd_matrix(args) -> int:
     n, h, shape = _resolve(args)
     _require_single_row(shape, "matrix")
     from .billey import p_rows, sigma_rows
+    from .pinball import rolldown_table
 
     table = rolldown_table(shape, h)
     points = tuple(sorted(table))

@@ -260,13 +260,15 @@ def bruhat_keys(n: int) -> BruhatKeys:
 
 
 def bruhat_leq(v: Perm, w: Perm) -> bool:
-    """Whether v <= w in Bruhat order, by comparing packed rank keys.
+    """Whether v <= w in Bruhat order, by comparing packed rank keys;
+    ValueError unless v and w are permutations of the same size.
 
     >>> bruhat_leq((2, 1, 3), (3, 1, 2))
     True
     >>> bruhat_leq((3, 6, 8, 4, 7, 5, 9, 1, 2), (6, 9, 4, 2, 8, 7, 5, 3, 1))
     False
     """
+    v, w = validate(v), validate(w)
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
     keys = bruhat_keys(len(v))
@@ -284,8 +286,8 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> Iterator[int]:
     the bytes of its key: for n <= 256 a count fits in the last byte of its
     field.  The upper points' counts are joined into one byte string, whose
     extended slices are the fields' columns.  The arguments are checked and
-    the masks built at the call, so ``ValueError`` (also for n > 256)
-    comes before any work.
+    the masks built at the call, so ``ValueError`` (for points that are
+    not permutations of one size, and for n > 256) comes before any work.
 
     >>> tuple(bruhat_table([(1, 2), (2, 1)], [(2, 1), (1, 2)]))
     (3, 1)
@@ -296,6 +298,8 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> Iterator[int]:
     if not sizes:
         return iter(())
     n = sizes.pop()
+    for p in itertools.chain(lower, upper):
+        validate(p)
     if n > 256:
         raise ValueError(f"bruhat_table needs n <= 256, got n = {n}")
     keys = bruhat_keys(n)

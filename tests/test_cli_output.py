@@ -22,6 +22,8 @@ so while every check passes it is the same for every n.
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,17 +58,98 @@ def test_output_matches_pinned_digest(capsys, argv):
     assert hashlib.sha256(out).hexdigest() == expected["sha256"]
 
 
+def _subprocess_output(argv, env):
+    """The exit status and standard output of ``python -m hesspin.cli
+    argv`` on this checkout, run in ``env``."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = env.get("PYTHONPATH")
+    env = dict(env, PYTHONPATH=src + os.pathsep + path if path else src)
+    result = subprocess.run(
+        [sys.executable, "-m", "hesspin.cli", *argv],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    return result.returncode, result.stdout
+
+
+FULL_FLAG_7 = "fillings --n 7 --h 7,7,7,7,7,7,7"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_subprocess_output_matches_pinned_digest(fmt, unbuffered):
+    # a real stdout, unbuffered or not, gets the pinned bytes
+    argv = f"{FULL_FLAG_7} --format {fmt}"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code, out = _subprocess_output(argv.split(), env)
+    expected = PINNED[argv]
+    assert code == expected["code"]
+    assert len(out) == expected["bytes"]
+    assert hashlib.sha256(out).hexdigest() == expected["sha256"]
+
+
+@pytest.mark.parametrize("k", [0, 1, 1000])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_records_before_an_internal_error_are_written(monkeypatch, capsys, fmt, k):
+    # json and csv write the first k records (1000 span more than one
+    # block) and no more; table writes nothing, as it waits for every row
+    argv = [*FULL_FLAG_7.split(), "--format", fmt]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    real = cli._leaf_states
+
+    def failing(shape, h):
+        for count, state in enumerate(real(shape, h)):
+            if count == k:
+                raise RuntimeError(f"broken after {k} records")
+            yield state
+
+    monkeypatch.setattr(cli, "_leaf_states", failing)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ("" if fmt == "table" else "".join(lines[: k + (fmt == "csv")]))
+    assert err == f"internal error: broken after {k} records\n"
+
+
 class _Watched(io.StringIO):
-    """A stdout that notes how many records were produced at each write."""
+    """A stdout that notes, at each write, how many records had been
+    produced and what was written."""
 
     def __init__(self, produced):
         super().__init__()
         self.produced = produced
-        self.seen = []
+        self.writes = []
 
     def write(self, text):
-        self.seen.append(len(self.produced))
+        self.writes.append((len(self.produced), text))
         return super().write(text)
+
+
+BLOCK = 64 * 1024
+
+
+def _assert_blocks(out: _Watched, records: int, header: int = 0) -> None:
+    """``out`` got ``records`` record lines after ``header`` lines, in
+    blocks: every write ends a line and holds the lines of exactly the
+    records produced by then, so a block is written as soon as it fills,
+    before the next record is made.  Every write holds less than 64 KiB
+    plus its last line, and every write but the last at least 64 KiB."""
+    texts = [text for _, text in out.writes]
+    assert len(texts) >= 5
+    for text in texts[:-1]:
+        assert len(text) >= BLOCK
+    for text in texts:
+        # the text before the write's last line
+        assert text.rfind("\n", 0, -1) + 1 < BLOCK
+    written = 0
+    for produced, text in out.writes:
+        assert text.endswith("\n")
+        written += text.count("\n")
+        assert produced == written - header
+    assert produced == len(out.produced) == records
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -80,15 +163,10 @@ def test_fillings_streams(monkeypatch, fmt):
             yield state
 
     monkeypatch.setattr(cli, "_leaf_states", watched)
-    # the table emitter is the one that keeps every row
-    monkeypatch.setattr(cli, "_emit_table", None)
     out = _Watched(produced)
     monkeypatch.setattr(sys, "stdout", out)
-    assert main(["fillings", "--n", "6", "--h", "6,6,6,6,6,6", "--format", fmt]) == 0
-    assert len(produced) == 720
-    # record k is written before record k + 1 is enumerated
-    assert out.seen[-720:] == list(range(1, 721))
-    assert out.getvalue().count("\n") == 720 + (fmt == "csv")
+    assert main([*FULL_FLAG_7.split(), "--format", fmt]) == 0
+    _assert_blocks(out, 5040, header=fmt == "csv")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -245,10 +323,9 @@ def test_full_torus_streams_rows(monkeypatch):
     monkeypatch.setattr(billey, "sigma_rows", watched)
     out = _Watched(produced)
     monkeypatch.setattr(sys, "stdout", out)
-    assert main(["matrix", "--n", "5", "--full-torus", "--format", "json"]) == 0
-    assert len(produced) == 24
-    # row k is written before row k + 1 is computed
-    assert out.seen == list(range(1, 25))
+    assert main(["matrix", "--n", "7", "--full-torus", "--format", "json"]) == 0
+    # 96 rows, about 0.6 MB
+    _assert_blocks(out, 96)
 
 
 def test_matrix_streams_rows(monkeypatch):
@@ -264,7 +341,6 @@ def test_matrix_streams_rows(monkeypatch):
     monkeypatch.setattr(billey, "p_rows", watched)
     out = _Watched(produced)
     monkeypatch.setattr(sys, "stdout", out)
-    assert main(["matrix", "--n", "6", "--format", "json"]) == 0
-    assert len(produced) == 48
-    # row k is written before row k + 1 is built
-    assert out.seen == list(range(1, 49))
+    assert main(["matrix", "--n", "8", "--format", "json"]) == 0
+    # 192 rows, about 0.8 MB
+    _assert_blocks(out, 192)

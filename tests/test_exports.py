@@ -47,17 +47,24 @@ LOADED = "print(sorted(m for m in sys.modules if m.startswith('hesspin.')))"
 
 
 def test_pinball_commands_load_no_restriction_layer():
-    loaded = _fresh(
+    # importing the CLI and running fillings load no pinball either
+    imported, filled, verified = _fresh(
         "import contextlib, io, sys\n"
         "from hesspin.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + LOADED
+        + "\nwith contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['fillings', '--n', '5']) == 0\n"
+        + LOADED
+        + "\nwith contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['verify', '--n', '5', '--mode', 'pinball']) == 0\n"
         + LOADED
-    )
-    assert "'hesspin.pinball'" in loaded
-    assert "hesspin.billey" not in loaded
-    assert "hesspin.hess334" not in loaded
+    ).splitlines()
+    assert "'hesspin.cli'" in imported
+    assert "'hesspin.fillings'" in filled
+    assert "hesspin.pinball" not in imported + filled
+    assert "'hesspin.pinball'" in verified
+    assert "hesspin.billey" not in verified
+    assert "hesspin.hess334" not in verified
 
 
 def test_library_loads_no_dataclasses():

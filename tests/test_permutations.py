@@ -169,6 +169,17 @@ class TestBruhat:
         with pytest.raises(ValueError, match="size mismatch"):
             bruhat_leq((1, 2), (1, 2, 3))
 
+    # a repeated value, a value out of range below and above (the last
+    # used to index past the key's tables), and the empty tuple
+    NOT_PERMUTATIONS = [(2, 2, 2), (0, 1, 2), (5, 1, 2), ()]
+
+    @pytest.mark.parametrize("bad", NOT_PERMUTATIONS)
+    def test_rejects_non_permutations(self, bad):
+        w = tuple(range(1, len(bad) + 1))
+        for args in ((bad, w), (w, bad)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                bruhat_leq(*args)
+
     def test_keys_are_injective(self):
         # the rank counts determine the permutation
         perms = all_permutations(5)
@@ -374,6 +385,14 @@ class TestBruhatTable:
             bruhat_table([(1, 2)], [(1, 2, 3)])
         with pytest.raises(ValueError, match="size mismatch"):
             bruhat_table([(1, 2), (1, 2, 3)], [])
+
+    @pytest.mark.parametrize("bad", TestBruhat.NOT_PERMUTATIONS)
+    def test_rejects_non_permutations(self, bad):
+        # at the call, before any row is read
+        w = tuple(range(1, len(bad) + 1))
+        for lower, upper in (([bad], [w]), ([w], [w, bad]), ([], [bad])):
+            with pytest.raises(ValueError, match="not a permutation"):
+                bruhat_table(lower, upper)
 
 
 class TestSetBits:
