@@ -234,10 +234,50 @@ def filling_of_fixed_point(w: Perm, diagram: Diagram) -> Filling:
 def permissibility_violation(
     filling: Filling, h: Sequence[int]
 ) -> Optional[tuple[int, int, int, int]]:
-    """First horizontal adjacency k|j with k > h(j), or None.
+    """First horizontal adjacency k|j with k > h(j), or None; ValueError
+    unless ``filling`` fills a diagram with 1..n and ``h`` is a Hessenberg
+    function of length n.
 
     Returns (row, col, k, j) where k sits at (row, col) and j at (row, col+1).
     """
+    return _violation(filling, _checked(filling, h)[1])
+
+
+def permissibility_error(filling: Filling, h: Sequence[int]) -> str:
+    """Human-readable description of the first violating adjacency;
+    ValueError on bad arguments, as ``permissibility_violation``."""
+    h = _checked(filling, h)[1]
+    return _describe(_violation(filling, h), h)
+
+
+def is_permissible(filling: Filling, h: Sequence[int]) -> bool:
+    """Whether every horizontal adjacency k|j satisfies k <= h(j);
+    ValueError on bad arguments, as ``permissibility_violation``.
+
+    >>> is_permissible(((2, 4, 3, 1, 5),), (3, 3, 4, 5, 5))
+    True
+    >>> is_permissible(((2, 3, 4, 1, 5),), (3, 3, 4, 5, 5))
+    False
+    """
+    return _violation(filling, _checked(filling, h)[1]) is None
+
+
+def _checked(filling: Filling, h: Sequence[int]) -> tuple[Perm, Diagram]:
+    """(reading word, h) as tuples, once the rows of ``filling`` are a
+    diagram, its entries are 1..n and ``h`` is a Hessenberg function of
+    length n; ValueError otherwise."""
+    word = validate(reading_word(filling))
+    h = validate_hessenberg(h)
+    if len(h) != len(word):
+        raise ValueError(f"h has length {len(h)}, filling has {len(word)} boxes")
+    return word, h
+
+
+def _violation(
+    filling: Filling, h: Sequence[int]
+) -> Optional[tuple[int, int, int, int]]:
+    """``permissibility_violation`` for checked arguments: each value j
+    of the filling is an index of h."""
     for r, row in enumerate(filling, start=1):
         for c in range(1, len(row)):
             k, j = row[c - 1], row[c]
@@ -246,9 +286,8 @@ def permissibility_violation(
     return None
 
 
-def permissibility_error(filling: Filling, h: Sequence[int]) -> str:
-    """Human-readable description of the first violating adjacency."""
-    hit = permissibility_violation(filling, h)
+def _describe(hit: Optional[tuple[int, int, int, int]], h: Sequence[int]) -> str:
+    """The text of ``permissibility_error`` for the violation ``hit``."""
     if hit is None:
         return "filling is permissible"
     r, c, k, j = hit
@@ -256,17 +295,6 @@ def permissibility_error(filling: Filling, h: Sequence[int]) -> str:
         f"adjacency {k}|{j} at row {r}, columns {c},{c + 1} "
         f"violates {k} <= h({j}) = {h[j - 1]}"
     )
-
-
-def is_permissible(filling: Filling, h: Sequence[int]) -> bool:
-    """Whether every horizontal adjacency k|j satisfies k <= h(j).
-
-    >>> is_permissible(((2, 4, 3, 1, 5),), (3, 3, 4, 5, 5))
-    True
-    >>> is_permissible(((2, 3, 4, 1, 5),), (3, 3, 4, 5, 5))
-    False
-    """
-    return permissibility_violation(filling, h) is None
 
 
 @functools.lru_cache(maxsize=None)
@@ -500,13 +528,10 @@ def dimension_pairs(filling: Filling, h: Sequence[int]) -> frozenset[tuple[int, 
     >>> sorted(dimension_pairs(((2, 4, 3, 1, 5),), (3, 3, 4, 5, 5)))
     [(1, 2), (1, 3), (1, 4)]
     """
-    word = validate(reading_word(filling))
-    h = validate_hessenberg(h)
-    if len(h) != len(word):
-        raise ValueError(f"h has length {len(h)}, filling has {len(word)} boxes")
-    if not is_permissible(filling, h):
-        error = permissibility_error(filling, h)
-        raise ValueError(f"filling {filling} is not permissible: {error}")
+    word, h = _checked(filling, h)
+    hit = _violation(filling, h)
+    if hit is not None:
+        raise ValueError(f"filling {filling} is not permissible: {_describe(hit, h)}")
     state = _PrefixState(tuple(map(len, filling)), h)
     for k, val in enumerate(word):
         state.place(k, val)

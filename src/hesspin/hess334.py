@@ -68,9 +68,9 @@ from .billey import (
     p_summand_counts,
 )
 from .fillings import (
+    _describe,
+    _violation,
     hessenberg_334,
-    is_permissible,
-    permissibility_error,
     single_row,
 )
 from .permutations import (
@@ -264,9 +264,9 @@ def _point(w: Perm) -> _Point:
         raise ValueError(f"334-type fixed points need n >= 4, got n = {n}")
     f = inverse(w)
     filling, h = (f,), hessenberg_334(n)
-    if not is_permissible(filling, h):
-        error = permissibility_error(filling, h)
-        raise ValueError(f"{w} is not a 334-type fixed point: {error}")
+    hit = _violation(filling, h)
+    if hit is not None:
+        raise ValueError(f"{w} is not a 334-type fixed point: {_describe(hit, h)}")
     # the associated subset: move to a Peterson point, read its descents by one
     cur = list(w)
     if not any(f[k] == 3 and f[k + 1] == 1 for k in range(n - 1)):

@@ -19,12 +19,14 @@ three from one enumeration pass, taking only the reading word and x of
 each leaf state (``fillings._leaf_states``).  Bruhat order, length and
 distinctness are all unchanged by w -> w^{-1}, so it checks them on the
 inverses: the reading word w^{-1}, which the pass keeps, and omega(x),
-the inverse of the rolldown: Bruhat order by their packed keys
-(``permutations.BruhatKeys``), length by counting inversions.  Only the
-witnesses of failed checks are inverted back.  ``fixed_points``,
-``rolldown_words``, ``rolldown_table`` and ``betti_numbers`` also read
-only the fixed point (``point()``) or x; none of them builds a filling or
-a pairs tuple.
+the inverse of the rolldown: length by counting inversions, and Bruhat
+order by their packed keys (``permutations.BruhatKeys``), packed only
+when the two differ.  Bruhat order is reflexive, so a leaf whose rolldown
+is its own point (every leaf of the full flag h = (n, ..., n)) is settled
+by tuple equality and packs no key.  Only the witnesses of failed checks
+are inverted back.  ``fixed_points``, ``rolldown_words``,
+``rolldown_table`` and ``betti_numbers`` also read only the fixed point
+(``point()``) or x; none of them builds a filling or a pairs tuple.
 The degree of a point is ``sum(x)``, since each dimension pair adds one to
 x.
 
@@ -59,10 +61,10 @@ from .fillings import (
     _leaf_states,
     _omega,
     _roll,
+    _violation,
     dimension_pairs,
     diagram_size,
     filling_of_fixed_point,
-    is_permissible,
     omega_word,
     top_parts,
     validate_diagram,
@@ -99,7 +101,7 @@ def fixed_points(diagram: Diagram, h: Sequence[int]) -> tuple[Perm, ...]:
 
 def is_fixed_point(w: Perm, diagram: Diagram, h: Sequence[int]) -> bool:
     """Whether w's filling is permissible; ValueError on bad arguments."""
-    return is_permissible(*_filling(w, diagram, h))
+    return _violation(*_filling(w, diagram, h)) is None
 
 
 def _filling(w: Perm, diagram: Diagram, h: Sequence[int]):
@@ -241,6 +243,8 @@ def _report(
     length and distinctness are unchanged by inversion, so r <= w is
     checked as o <= u, r's length is o's inversion count, and the r are
     distinct exactly when the o are; only the witnesses are inverted back.
+    Bruhat order is reflexive, so o == u settles o <= u, and the keys of
+    o and u are packed and compared only when the two differ.
 
     The Betti side counts the degrees; the rolldown lengths are counted as
     inversions of the permutations o (``inversions``), so the two sides
@@ -273,7 +277,7 @@ def _report(
         degrees[d] += 1
         length = inversions(o)
         lengths[length] += 1
-        if not leq(key(o), key(u)):
+        if o != u and not leq(key(o), key(u)):
             bruhat_failures.append((inverse(u), inverse(o)))
         buckets[length].fromlist([*o, *u])
     bruhat_failures.sort()

@@ -483,6 +483,21 @@ def all_diagram_h(n):
     return [(d, h) for d in all_diagrams(n) for h in all_hessenberg(n)]
 
 
+def regular_poincare(h):
+    """Betti numbers of the regular nilpotent Hessenberg variety of h, the
+    coefficients of prod_j [h(j) - j + 1]_q with [m]_q = 1 + q + ... +
+    q^(m-1), multiplied out one factor at a time."""
+    coeffs = [1]
+    for j, hj in enumerate(h, start=1):
+        m = hj - j + 1
+        out = [0] * (len(coeffs) + m - 1)
+        for i, c in enumerate(coeffs):
+            for k in range(m):
+                out[i + k] += c
+        coeffs = out
+    return tuple(coeffs)
+
+
 def specialize(p, a, b):
     """The terms of ``p`` after substituting t_a for t_b, zeros dropped."""
     out = {}

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from hesspin import fillings
+from hesspin import fillings, hess334, pinball
 from hesspin.fillings import (
     _roll,
     column_lengths,
@@ -148,6 +148,46 @@ class TestPermissibility:
         violation = permissibility_violation(((2, 3, 4, 1, 5),), h)
         assert violation == (1, 3, 4, 1)
         assert "adjacency 4|1" in permissibility_error(((2, 3, 4, 1, 5),), h)
+
+    @pytest.mark.parametrize(
+        "filling, h, message",
+        [
+            # 0 would read h(0) = h[-1], past the front of h
+            (((3, 0),), (1, 2, 3), r"not a permutation of 1\.\.2: \(3, 0\)"),
+            # 5 would read h(5), past the end of h
+            (((1, 5),), (2, 2), r"not a permutation of 1\.\.2: \(1, 5\)"),
+            (((1, 2),), (0, 0), r"h\(1\) = 0 violates h\(i\) >= i"),
+            (((2, 1),), (3, 3, 3), "h has length 3, filling has 2 boxes"),
+            (((1,), (2, 3)), (3, 3, 3), "row lengths must weakly decrease"),
+        ],
+    )
+    def test_bad_arguments_are_refused(self, filling, h, message):
+        for fn in (is_permissible, permissibility_violation, permissibility_error):
+            with pytest.raises(ValueError, match=message):
+                fn(filling, h)
+
+    def test_checked_callers_skip_the_argument_checks(self, monkeypatch):
+        # dimension_pairs checks its arguments once; the per-point functions
+        # of pinball and hess334 check theirs before reading permissibility
+        calls = []
+        real = fillings._checked
+
+        def counted(filling, h):
+            calls.append(filling)
+            return real(filling, h)
+
+        monkeypatch.setattr(fillings, "_checked", counted)
+        h = hessenberg_334(5)
+        assert dimension_pairs(((2, 4, 3, 1, 5),), h)
+        assert calls == [((2, 4, 3, 1, 5),)]
+        calls.clear()
+        assert pinball.is_fixed_point((4, 1, 3, 2, 5), (5,), h)
+        assert not pinball.is_fixed_point((2, 3, 4, 1, 5), (5,), h)
+        assert hess334.classify((4, 1, 3, 2, 5))
+        with pytest.raises(ValueError, match=r"adjacency 4\|1"):
+            hess334.classify((4, 1, 2, 3, 5))
+        assert hess334.verify_334_theorem(5).passed
+        assert calls == []
 
     @pytest.mark.parametrize(
         "diagram,h",

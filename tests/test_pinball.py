@@ -13,7 +13,7 @@ from hesspin.fillings import (
     hessenberg_peterson,
     omega,
 )
-from hesspin import fillings, hess334, pinball
+from hesspin import fillings, hess334, permutations, pinball
 from hesspin.permutations import (
     from_word,
     identity,
@@ -34,11 +34,13 @@ from hesspin.pinball import (
 
 from oracles import (
     all_diagram_h,
+    all_hessenberg,
     all_permutations,
     bruhat_leq_oracle,
     brute_dimension_pairs,
     brute_fillings,
     brute_inversions,
+    regular_poincare,
 )
 
 
@@ -199,6 +201,27 @@ class TestBetti:
     def test_334_total(self):
         for n in (4, 5, 6):
             assert sum(betti_numbers((n,), hessenberg_334(n))) == 3 * 2 ** (n - 2)
+
+    def test_single_row_matches_poincare_product(self):
+        # the regular nilpotent Hessenberg variety of h has Poincare
+        # polynomial prod_j [h(j) - j + 1]_q; every h with n <= 7
+        checked = 0
+        for n in range(1, 8):
+            for h in all_hessenberg(n):
+                expected = regular_poincare(h)
+                assert betti_numbers((n,), h) == expected, h
+                assert verify_pinball((n,), h).betti == expected, h
+                checked += 1
+        assert checked == 625
+
+    @pytest.mark.slow
+    def test_full_flag_n9(self):
+        report = verify_pinball((9,), hessenberg_full(9))
+        assert report.passed
+        assert report.points == 362880
+        # [9]_q!, the Mahonian numbers of S_9
+        assert report.betti == regular_poincare(hessenberg_full(9))
+        assert len(report.betti) == 37 and report.betti[:3] == (1, 8, 35)
 
 
 class TestVerifyPinball:
@@ -365,6 +388,57 @@ class TestVerifyPinball:
             (w, inverse(w)) for w in all_permutations(4) if w != inverse(w)
         )
         assert len(report.bruhat_failures) == 24 - 10
+
+    @staticmethod
+    def _count_keys(monkeypatch):
+        """The permutations whose Bruhat keys are packed from now on."""
+        packed = []
+        real = permutations.BruhatKeys.key
+
+        def counted(self, w):
+            packed.append(w)
+            return real(self, w)
+
+        monkeypatch.setattr(permutations.BruhatKeys, "key", counted)
+        return packed
+
+    def test_full_flag_packs_no_keys(self, monkeypatch):
+        # every rolldown of the full flag is its own point, which Bruhat
+        # order's reflexivity settles without keys
+        packed = self._count_keys(monkeypatch)
+        report = verify_pinball((6,), hessenberg_full(6))
+        assert report.passed and report.points == 720
+        assert packed == []
+
+    @pytest.mark.parametrize(
+        "diagram, h, moved",
+        [
+            ((6,), hessenberg_334(6), 26),
+            ((3, 2), hessenberg_full(5), 0),
+            ((3, 2), (3, 3, 4, 5, 5), 20),
+        ],
+    )
+    def test_keys_packed_only_for_moved_points(self, monkeypatch, diagram, h, moved):
+        # two keys for each point whose rolldown is not the point itself
+        table = rolldown_table(diagram, h)
+        assert sum(1 for w, r in table.items() if r != w) == moved
+        packed = self._count_keys(monkeypatch)
+        assert verify_pinball(diagram, h).passed
+        assert len(packed) == 2 * moved
+
+    def test_every_moved_point_is_key_tested(self, monkeypatch):
+        # with a key comparison that always fails, exactly the points whose
+        # rolldown differs from them fail, so none of them skips the keys
+        monkeypatch.setattr(permutations.BruhatKeys, "leq", lambda self, kv, kw: False)
+        full = verify_pinball((6,), hessenberg_full(6))
+        assert full.checks()[1] == ("rolldown-below-fixed-point", True, ())
+        h = hessenberg_334(6)
+        report = verify_pinball((6,), h)
+        moved = tuple(
+            (w, r) for w, r in sorted(rolldown_table((6,), h).items()) if r != w
+        )
+        assert moved and report.bruhat_failures == moved
+        assert not report.below_fixed_point and not report.passed
 
     def test_collisions_past_n_255(self):
         # entries above 255 do not fit a byte: the records take a wider type
