@@ -40,8 +40,12 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .fillings import (
+    _halves,
+    _key_pairs,
     _leaf_states,
+    _packing,
     _reading_layout,
+    _Table,
     diagram_size,
     hessenberg_334,
     single_row,
@@ -226,39 +230,33 @@ def _require_single_row(shape, command: str) -> None:
 # Subcommands
 
 
-class _Texts(dict):
-    """The text of each key, made by ``make(key)`` when the key is first
-    looked up and kept for every later lookup."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        text = self[key] = self.make(key)
-        return text
-
-
 def _fillings_texts(n: int, shape):
     """The json line and the csv/table cells of a leaf state of the pass
     (``fillings._leaf_states``): the json object with keys filling, pairs,
     word and x, sorted, and the table row.
 
-    Both are joined from the texts of the values 0..n and of each settled
-    pair set, keyed by the pass's cached ``pairs_of`` tuples.  The reading
-    word's texts are made once per leaf; on the single row they are the
-    filling's one row, on several rows each row is joined from them."""
+    Both are joined from texts made once per run, each the first time its
+    key is looked up: the values 0..n, each settled pair set, keyed by the
+    pass's ``pairs_of`` keys (0, no pairs, skipped), and each half of the
+    packed x, keyed as the tables of ``fillings._halves`` are.  The
+    reading word's texts are made once per leaf; on the single row they
+    are the filling's one row, on several rows each row is joined from
+    them."""
     nums = [str(v) for v in range(n + 1)].__getitem__
     rows = None if len(shape) == 1 else _reading_layout(shape)[2]
     sep = "" if n <= 9 else ","
-    pair_json = _Texts(lambda ps: ",".join(f"[{a},{b}]" for a, b in ps))
-    pair_cell = _Texts(_fmt_pairs)
+    pair_json = _Table(lambda key: ",".join(f"[{a},{b}]" for a, b in _key_pairs(key)))
+    pair_cell = _Table(lambda key: _fmt_pairs(_key_pairs(key)))
+    x = _packing(n).x
+    m, low, high = _halves(n)[:3]  # x_2..x_m in the low half
+    low_x = _Table(lambda key: ",".join(map(nums, x(key)[: m - 1])))
+    high_x = _Table(lambda key: ",".join(map(nums, x(key)[m - 1 :])))
+    x_sep = "," if 1 < m < n else ""  # only then are both halves nonempty
 
     def line(state) -> str:
         texts = list(map(nums, state.word))
         word = ",".join(texts)
+        t = state.tops[-1]
         return "".join((
             '{"filling":[[',
             word if rows is None else "],[".join(
@@ -269,20 +267,23 @@ def _fillings_texts(n: int, shape):
             '],"word":[',
             word,
             '],"x":[',
-            ",".join(map(nums, state.x())),
+            low_x[t & low],
+            x_sep,
+            high_x[t & high],
             "]}\n",
         ))
 
     def cells(state) -> tuple[str, ...]:
         texts = list(map(nums, state.word))
         word = sep.join(texts)
+        t = state.tops[-1]
         return (
             word if rows is None else " | ".join(
                 [sep.join([texts[p] for p in row]) for row in rows]
             ),
             word,
             " ".join(map(pair_cell.__getitem__, filter(None, state.pairs_of))) or "-",
-            ",".join(map(nums, state.x())) or "-",
+            low_x[t & low] + x_sep + high_x[t & high] or "-",
         )
 
     return line, cells
@@ -358,7 +359,7 @@ def _torus_line():
     ``_JSON`` writes {"entries": [[{"coeff", "exps"}, ...], ...], "v": v}:
     terms in ``sorted_terms()`` order, joined from a table of the text after
     each exponent tuple's coefficient, built as the tuples first appear."""
-    after = _Texts(lambda exps: '","exps":[' + ",".join(map(str, exps)) + "]}")
+    after = _Table(lambda exps: '","exps":[' + ",".join(map(str, exps)) + "]}")
 
     def entry(p) -> str:
         terms = [
@@ -385,7 +386,7 @@ def _torus_cell():
     tuples first appear."""
     from .billey import _monomial, _polynomial_text
 
-    names = _Texts(_monomial).__getitem__
+    names = _Table(_monomial).__getitem__
     return lambda p: _polynomial_text(p.sorted_terms(), names)
 
 

@@ -25,18 +25,21 @@ that b comes before a in the reading word.  So when boxes are placed in
 reading order, the pairs of a value a are settled as soon as its cap is
 known: a's pairs are the values in (a, cap(a)] placed before a.  That is
 when a's right neighbor is placed, or when a is placed if it has none.
-``_PrefixState`` keeps, per depth, the mask of the values placed and the
-packed counts x.  ``_pass`` carries it down the one backtracking pass and
-yields it at each leaf: ``enumerate_permissible`` reads the filling off
-each leaf state, and ``hesspin fillings`` and the table functions of
-``pinball`` read the word, the pair sets and x off them in place.
-``dimension_pairs`` walks the state over the reading word of one
-permissible filling.
+``_PrefixState`` keeps, per depth, the mask of the values placed and one
+packed int (``_packing``): the counts x by top part and, in a field of its
+own, the number of pairs, the degree.  ``_pass`` carries it down the one
+backtracking pass and yields it at each leaf: ``enumerate_permissible``
+reads the filling off each leaf state, and ``hesspin fillings`` and the
+table functions of ``pinball`` read the word, the pair-set keys, x and
+the degree off them in place.  ``dimension_pairs`` walks the state over
+the reading word of one permissible filling.
 
 ``omega(x)`` is the product of ``omega_word(x)``.  ``_omega`` is the one
 product of x vectors: it builds omega(x) by n - 1 list inserts, with no
 word built.  ``omega`` checks x first, and ``_roll`` inverts it into the
-rolldown of a point with top-part vector x.
+rolldown of a point with top-part vector x.  A leaf reads omega(x) off its
+packed x as the product of the omega of each half of x (``_halves``), two
+tables whose entries ``_omega`` builds the first time each half appears.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ from __future__ import annotations
 import functools
 import struct
 from itertools import chain, repeat
-from typing import Iterator, Optional, Sequence
+from math import factorial
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .permutations import Perm, Word, inverse, set_bits, validate
 
@@ -313,36 +318,57 @@ def _reading_layout(diagram: Diagram):
     return left, right, rows
 
 
+class _Table(dict):
+    """The value of each key, made by ``make(key)`` when the key is first
+    looked up and kept for every later lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _Packing(NamedTuple):
+    """How x and the degree are packed into one int for S_n.
+
+    Field b, of ``width`` bits, holds x_b: the smallest standard size that
+    holds x_b <= n - 1.  Fields 0 and 1 hold no top part; together they
+    are the count field, the number of pairs, at most n(n - 1)/2, which
+    2 * ``width`` bits hold for every n.  Adding ``unit[b]`` counts one
+    more pair with top part b, ``count`` masks the count field, and
+    ``x(t)`` unpacks (x_2, ..., x_n) from a packed int t."""
+
+    width: int
+    unit: tuple[int, ...]
+    count: int
+    x: Callable[[int], tuple[int, ...]]
+
+
 @functools.lru_cache(maxsize=None)
-def _packing(n: int):
-    """How x is packed for S_n: one field per top part, of the smallest
-    standard size that holds x_l <= n - 1.  Returns ``unit``, where adding
-    ``unit[b]`` counts one more pair with top part b, the packed byte length
-    and the unpacker giving (x_2, ..., x_n)."""
+def _packing(n: int) -> _Packing:
     code = next(c for c in "BHIQ" if n <= 1 << 8 * struct.calcsize("<" + c))
     size = struct.calcsize("<" + code)
+    unpack = struct.Struct(f"<{2 * size}x{n - 1}{code}").unpack
+    length = (n + 1) * size
+
+    def x(t: int) -> tuple[int, ...]:
+        return unpack(t.to_bytes(length, "little"))
+
     unit = tuple(1 << 8 * size * b for b in range(n + 1))
-    return unit, (n + 1) * size, struct.Struct(f"<{2 * size}x{n - 1}{code}").unpack
+    return _Packing(8 * size, unit, (1 << 16 * size) - 1, x)
 
 
-class _PairSets(dict):
-    """Settled pair sets, keyed by ``mask | 1 << a``: a value a and the mask
-    of the values b that form a dimension pair (a, b), all above a.  Each
-    key maps to the pairs ((a, b) for b in the mask, ascending) and their
-    packed top-part counts, the sum of ``unit[b]``."""
-
-    def __init__(self, unit: tuple[int, ...]):
-        super().__init__()
-        self.unit = unit
-
-    def __missing__(self, key: int):
-        low = key & -key
-        tops = list(set_bits(key ^ low))
-        value = self[key] = (
-            tuple(zip(repeat(low.bit_length() - 1), tops)),
-            sum(map(self.unit.__getitem__, tops)),
-        )
-        return value
+def _key_pairs(key: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (a, b), b ascending, of the pair-set key ``mask | 1 << a``:
+    a value a and the mask of the values b that form a dimension pair
+    (a, b), all above a."""
+    low = key & -key
+    return tuple(zip(repeat(low.bit_length() - 1), set_bits(key ^ low)))
 
 
 class _PrefixState:
@@ -351,18 +377,21 @@ class _PrefixState:
     ``place(k, val)`` puts ``val`` at reading position k, given the state
     of positions 0..k-1: ``word[:k]``, ``seen[k]`` (the mask of values
     placed, bit v for value v) and ``tops[k]`` (the packed top-part counts
-    of the pairs settled so far).  It writes ``word[k]``, ``where[val] =
-    k + 1``, ``seen[k + 1]`` and ``tops[k + 1]``, so a backtracking pass
-    keeps one state per depth.
+    and count of the pairs settled so far, ``_packing``).  It writes
+    ``word[k]``, ``where[val] = k + 1``, ``seen[k + 1]`` and ``tops[k +
+    1]``, so a backtracking pass keeps one state per depth.
 
     Placing a box settles the pairs of at most two values.  Its left
     neighbor a now has cap h(val), and a's pairs are the values in
     (a, h(val)] placed before a: ``seen[left] & (a, h(val)]``.  If the box
     has no right neighbor, val's cap is n and its pairs are ``seen[k] &
-    (val, n]``.  ``pairs_of[a]`` holds a's pairs; once every box is placed,
-    ``pairs()`` and ``x()`` read the sorted pairs and x off the state,
-    ``point()`` the fixed point ``word^{-1}`` (value v sits at position
-    ``where[v]``), and ``filling(tuple(word))`` the filling.
+    (val, n]``.  ``pairs_of[a]`` holds a's pair-set key ``mask | 1 << a``
+    (``_key_pairs``), or 0 when a has no pairs, and a table of the pass
+    gives each key's packed counts once.  Once every box is placed,
+    ``pairs()``, ``x()`` and ``degree()`` read the sorted pairs, x and the
+    number of pairs off the state, ``point()`` the fixed point
+    ``word^{-1}`` (value v sits at position ``where[v]``), and
+    ``filling(tuple(word))`` the filling.
     """
 
     __slots__ = (
@@ -373,22 +402,28 @@ class _PrefixState:
         "pairs_of",
         "place",
         "_rows",
-        "_unpack",
-        "_size",
+        "_packing",
     )
 
     def __init__(self, diagram: Diagram, h: Sequence[int]):
         n = len(h)
         left, right, self._rows = _reading_layout(diagram)
-        unit, self._size, self._unpack = _packing(n)
-        sets = _PairSets(unit)
+        packing = self._packing = _packing(n)
+        unit = packing.unit
+
+        def counts(key: int) -> int:
+            # a key's packed counts: unit[b] per top part b, 1 per pair
+            tops = key & (key - 1)
+            return sum(map(unit.__getitem__, set_bits(tops))) + tops.bit_count()
+
+        spread = _Table(counts)
         capped = [0] + [(2 << c) - 1 for c in h]  # bits of the values <= h(v)
         above = [~((2 << a) - 1) for a in range(n + 1)]  # bits of the values > a
         word = self.word = [0] * n
         where = self.where = [0] * (n + 1)
         seen = self.seen = [0] * (n + 1)
         tops = self.tops = [0] * (n + 1)
-        pairs_of = self.pairs_of = [()] * (n + 1)
+        pairs_of = self.pairs_of = [0] * (n + 1)
 
         def place(k: int, val: int) -> None:
             word[k] = val
@@ -398,11 +433,17 @@ class _PrefixState:
             lk = left[k]
             if lk >= 0:
                 a = word[lk]
-                pairs_of[a], spread = sets[seen[lk] & capped[val] & above[a] | 1 << a]
-                t += spread
+                key = seen[lk] & capped[val] & above[a]
+                if key:
+                    key |= 1 << a
+                    t += spread[key]
+                pairs_of[a] = key
             if right[k] < 0:
-                pairs_of[val], spread = sets[s & above[val] | 1 << val]
-                t += spread
+                key = s & above[val]
+                if key:
+                    key |= 1 << val
+                    t += spread[key]
+                pairs_of[val] = key
             seen[k + 1] = s | 1 << val
             tops[k + 1] = t
 
@@ -416,10 +457,13 @@ class _PrefixState:
         return tuple([tuple([w[p] for p in row]) for row in self._rows])
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(chain.from_iterable(self.pairs_of))
+        return tuple(chain.from_iterable(map(_key_pairs, filter(None, self.pairs_of))))
 
     def x(self) -> tuple[int, ...]:
-        return self._unpack(self.tops[-1].to_bytes(self._size, "little"))
+        return self._packing.x(self.tops[-1])
+
+    def degree(self) -> int:
+        return self.tops[-1] & self._packing.count
 
 
 def _leaf_states(diagram: Diagram, h: Sequence[int]) -> Iterator[_PrefixState]:
@@ -441,17 +485,21 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     column) is already placed: each adjacency is checked once, as early as
     possible.  Each depth keeps the mask of the values still to try there
     and its prefix state (``_PrefixState``): the mask of the values placed
-    before it and the packed x of the pairs settled so far.  Placing a box
-    settles the pairs of at most two values, each pair set looked up by
-    value and mask, so a leaf costs O(n) steps.  A prefix that no filling
-    extends is cut as soon as the smallest value still to place has no
-    left neighbor it fits (see the loop), so h = identity on the single
-    row, with its one filling, takes O(n^2) steps rather than 2^n.
+    before it and the packed x and count of the pairs settled so far.
+    Placing a box settles the pairs of at most two values, each pair set
+    looked up by its integer key, so a leaf costs O(n) steps.  The last
+    box has one value left, which is placed at once if it fits its left
+    neighbor.  A prefix that no filling extends is cut as soon as the
+    smallest value still to place has no left neighbor it fits (see the
+    loop), so h = identity on the single row, with its one filling, takes
+    O(n^2) steps rather than 2^n.
 
     One state is yielded at every leaf, with every box placed; it is the
     same object each time, valid until the pass takes its next step.  Its
-    ``word``, ``point()``, ``x()``, ``pairs()`` and ``filling(tuple(word))``
-    read the filling off it, and a consumer builds only what it reads.
+    ``word``, ``tops[-1]`` (the packed x and degree), ``pairs_of`` (the
+    pair-set keys), ``point()``, ``x()``, ``degree()``, ``pairs()`` and
+    ``filling(tuple(word))`` read the filling off it, and a consumer
+    builds only what it reads.
     """
     n = len(h)
     left = _reading_layout(diagram)[0]
@@ -478,7 +526,12 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     ]
     # An explicit stack: free[k] holds the values still to try at position k,
     # lowest first.  Nested generators would pass every state up through n
-    # frames.
+    # frames.  The last position has one value left, placed directly when
+    # it fits its left neighbor (the dead-prefix test there is this test).
+    if n == 1:
+        place(0, 1)
+        yield state
+        return
     free = [0] * n
     free[0] = full
     last = n - 1
@@ -493,11 +546,15 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
         low = c & -c
         free[k] = c ^ low
         place(k, low.bit_length() - 1)
-        if k == last:
-            yield state
-            continue
         k += 1
         rest = full ^ seen[k]
+        if k == last:
+            lk = left[k]
+            if lk < 0 or rest & allowed[word[lk]]:
+                place(k, rest.bit_length() - 1)
+                yield state
+            k -= 1
+            continue
         m = rest & -rest
         if m & tight[k]:
             others = rest ^ m
@@ -529,13 +586,20 @@ def dimension_pairs(filling: Filling, h: Sequence[int]) -> frozenset[tuple[int, 
     [(1, 2), (1, 3), (1, 4)]
     """
     word, h = _checked(filling, h)
+    return frozenset(_placed(filling, word, h).pairs())
+
+
+def _placed(filling: Filling, word: Perm, h: Sequence[int]) -> _PrefixState:
+    """The prefix state of ``filling``, with reading word ``word``, once
+    every box is placed, for checked arguments (``_checked``); ValueError
+    unless the filling is permissible."""
     hit = _violation(filling, h)
     if hit is not None:
         raise ValueError(f"filling {filling} is not permissible: {_describe(hit, h)}")
     state = _PrefixState(tuple(map(len, filling)), h)
     for k, val in enumerate(word):
         state.place(k, val)
-    return frozenset(state.pairs())
+    return state
 
 
 def top_parts(pairs: frozenset[tuple[int, int]], n: int) -> tuple[int, ...]:
@@ -593,6 +657,45 @@ def _omega(x: Sequence[int]) -> Perm:
     for l, xl in enumerate(x, 2):
         w.insert(l - 1 - xl, l)
     return tuple(w)
+
+
+def _gather(w: Perm) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map p -> (p[w(1) - 1], ..., p[w(n) - 1]), one C call."""
+    return itemgetter(*[v - 1 for v in w]) if len(w) > 1 else tuple
+
+
+class _Halves(NamedTuple):
+    """omega(x) of a packed x (``_packing``) from two tables.
+
+    omega(x) is the product of the blocks u_2 ... u_n, so with x split
+    after x_m it is omega(x_2, ..., x_m, 0, ...) o omega(0, ..., x_{m+1},
+    ..., x_n): as one-line tuples, the first read at the positions of the
+    second.  For a packed t, ``gathers[t & high](omegas[t & low])`` is
+    omega(x).  ``omegas`` maps the low half to its permutation (m + 1..n
+    fixed), ``gathers`` maps the high half to the ``_gather`` of its
+    permutation; both are filled by ``_omega`` as keys first appear.  m
+    minimises m! + n!/m!, the most entries the two can hold: 456 at n = 8."""
+
+    split: int
+    low: int
+    high: int
+    omegas: _Table
+    gathers: _Table
+
+
+@functools.lru_cache(maxsize=None)
+def _halves(n: int) -> _Halves:
+    width, _, count, x = _packing(n)
+    m = min(range(1, n + 1), key=lambda m: factorial(m) + factorial(n) // factorial(m))
+    low = ((1 << width * (m + 1)) - 1) ^ count
+    high = ((1 << width * (n + 1)) - 1) ^ low ^ count
+    return _Halves(
+        m,
+        low,
+        high,
+        _Table(lambda key: _omega(x(key))),
+        _Table(lambda key: _gather(_omega(x(key)))),
+    )
 
 
 def _roll(x: Sequence[int]) -> Perm:

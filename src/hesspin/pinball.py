@@ -6,29 +6,33 @@ rolldown of a fixed point collects the dimension pairs of its filling into
 the top-part vector x and returns ``omega(x)^{-1}``; its length equals the
 number of dimension pairs.  ``fillings._omega`` is the one product of x
 vectors: it builds ``omega(x)`` by n - 1 list inserts, with no word built.
-``verify_pinball`` reads it as it is, ``fillings._roll`` inverts it for
-``rolldown`` and ``rolldown_table``, and the 334 theorem inverts the
-omega(x) of its leaves.  ``rolldown_word`` and ``rolldown_words`` give the
-reversed omega word itself.
+``fillings._roll`` inverts it for ``rolldown`` and ``rolldown_table``.
+The leaves that ``verify_pinball`` and the 334 theorem check read
+omega(x) off the packed x of their leaf state, as the product of two
+cached halves (``fillings._halves``) whose entries ``_omega`` builds, and
+the 334 theorem inverts it.  ``rolldown_word`` and ``rolldown_words`` give
+the reversed omega word itself.
 
 ``verify_pinball`` checks the three success conditions of Betti poset
 pinball (Harada and Tymoczko, arXiv:1007.2750): rolldowns are pairwise
 distinct, each rolldown sits below its fixed point in Bruhat order, and the
 rolldown length distribution matches the Betti numbers.  It reads all
-three from one enumeration pass, taking only the reading word and x of
-each leaf state (``fillings._leaf_states``).  Bruhat order, length and
-distinctness are all unchanged by w -> w^{-1}, so it checks them on the
-inverses: the reading word w^{-1}, which the pass keeps, and omega(x),
-the inverse of the rolldown: length by counting inversions, and Bruhat
-order by their packed keys (``permutations.BruhatKeys``), packed only
-when the two differ.  Bruhat order is reflexive, so a leaf whose rolldown
-is its own point (every leaf of the full flag h = (n, ..., n)) is settled
-by tuple equality and packs no key.  Only the witnesses of failed checks
-are inverted back.  ``fixed_points``, ``rolldown_words``,
+three from one enumeration pass, taking only the reading word and the
+packed x of each leaf state (``fillings._leaf_states``).  Bruhat order,
+length and distinctness are all unchanged by w -> w^{-1}, so it checks
+them on the inverses: the reading word w^{-1}, which the pass keeps, and
+omega(x), the inverse of the rolldown: length by counting inversions, and
+Bruhat order by their packed keys (``permutations.BruhatKeys``), packed
+only when the two differ.  Bruhat order is reflexive, so a leaf whose
+rolldown is its own point (every leaf of the full flag h = (n, ..., n)) is
+settled by tuple equality and packs no key.  Only the witnesses of failed
+checks are inverted back.  ``fixed_points``, ``rolldown_words``,
 ``rolldown_table`` and ``betti_numbers`` also read only the fixed point
-(``point()``) or x; none of them builds a filling or a pairs tuple.
-The degree of a point is ``sum(x)``, since each dimension pair adds one to
-x.
+(``point()``), x or the degree; none of them builds a filling or a pairs
+tuple.  The degree of a point, its number of dimension pairs, is read off
+the count field of the packed x (``fillings._packing``), which the pass
+adds to as it settles each pair set; the rolldown's length is still
+counted from omega(x) itself.
 
 The checks stream: each leaf is checked as the pass yields it, and
 ``verify_pinball`` keeps two count arrays (by degree and by rolldown
@@ -43,9 +47,10 @@ n = 7.  The report still keeps a witness for every failure.
 
 ``is_fixed_point``, ``rolldown``, ``rolldown_word`` and ``degree`` take one
 point and make one set of argument checks; all but ``is_fixed_point`` then
-read its dimension pairs, which ``dimension_pairs`` refuses to define
-unless the point is a fixed point.  The whole-table functions take their
-points from the enumeration and check nothing twice.
+place its filling's reading word (``fillings._placed``), which refuses a
+point that is not a fixed point, and read x or the degree off the state.
+The whole-table functions take their points from the enumeration and
+check nothing twice.
 """
 
 from __future__ import annotations
@@ -58,15 +63,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fillings import (
     Diagram,
+    _halves,
     _leaf_states,
-    _omega,
+    _packing,
+    _placed,
     _roll,
     _violation,
-    dimension_pairs,
     diagram_size,
     filling_of_fixed_point,
     omega_word,
-    top_parts,
     validate_diagram,
     validate_hessenberg,
 )
@@ -114,13 +119,20 @@ def _filling(w: Perm, diagram: Diagram, h: Sequence[int]):
     return filling_of_fixed_point(w, diagram), h
 
 
+def _state(w: Perm, diagram: Diagram, h: Sequence[int]):
+    # the prefix state of w's filling with every box placed, after the one
+    # set of checks; ValueError unless w is a fixed point
+    filling, h = _filling(w, diagram, h)
+    return _placed(filling, inverse(w), h)
+
+
 def rolldown_word(w: Perm, diagram: Diagram, h: Sequence[int]) -> Word:
     """A reduced word for rolldown(w): the omega word of x, reversed.
 
     >>> rolldown_word((4, 3, 2, 1, 5), (5,), (3, 3, 4, 5, 5))
     (3, 1, 2, 1)
     """
-    return _word_of(top_parts(dimension_pairs(*_filling(w, diagram, h)), len(w)))
+    return _word_of(_state(w, diagram, h).x())
 
 
 def _word_of(x) -> Word:
@@ -133,12 +145,12 @@ def rolldown(w: Perm, diagram: Diagram, h: Sequence[int]) -> Perm:
     >>> rolldown((4, 3, 2, 1, 5), (5,), (3, 3, 4, 5, 5))
     (4, 2, 1, 3, 5)
     """
-    return _roll(top_parts(dimension_pairs(*_filling(w, diagram, h)), len(w)))
+    return _roll(_state(w, diagram, h).x())
 
 
 def degree(w: Perm, diagram: Diagram, h: Sequence[int]) -> int:
     """The number of dimension pairs of w's filling (= length of rolldown)."""
-    return len(dimension_pairs(*_filling(w, diagram, h)))
+    return _state(w, diagram, h).degree()
 
 
 def rolldown_words(diagram: Diagram, h: Sequence[int]) -> dict[Perm, Word]:
@@ -167,7 +179,7 @@ def betti_numbers(diagram: Diagram, h: Sequence[int]) -> tuple[int, ...]:
     The trailing entry is the top nonzero Betti number, so the tuple has
     length 1 + max degree.
     """
-    counts = Counter(sum(s.x()) for s in _leaf_states(diagram, h))
+    counts = Counter(s.degree() for s in _leaf_states(diagram, h))
     return tuple(counts[k] for k in range(max(counts) + 1))
 
 
@@ -226,11 +238,15 @@ def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
 def _leaves(diagram: Diagram, h: Sequence[int]) -> Iterator[tuple[Perm, Perm, int]]:
     """(reading word, omega(x), degree) of each leaf state of the one
     enumeration pass, in the pass's order: the inverses of the fixed point
-    and of its rolldown, and ``sum(x)``."""
-    omega = _omega
+    and of its rolldown, and the number of pairs.  omega(x) and the degree
+    are read off the packed x: omega(x) from the two tables of
+    ``fillings._halves``, the degree from the count field (``_packing``)."""
+    n = diagram_size(diagram)
+    count = _packing(n).count
+    _, low, high, omegas, gathers = _halves(n)
     for state in _leaf_states(diagram, h):
-        x = state.x()
-        yield tuple(state.word), omega(x), sum(x)
+        t = state.tops[-1]
+        yield tuple(state.word), gathers[t & high](omegas[t & low]), t & count
 
 
 def _report(

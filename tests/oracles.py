@@ -498,6 +498,98 @@ def regular_poincare(h):
     return tuple(coeffs)
 
 
+def omega_of_word(x):
+    """omega(x) as the product of its omega word u_2 ... u_n, u_l = s_(l-1)
+    s_(l-2) ... s_(l-x_l), each letter s_i swapping positions i and i + 1
+    of the one-line tuple, starting from the identity."""
+    w = list(range(1, len(x) + 2))
+    for l, xl in enumerate(x, start=2):
+        for i in range(l - 1, l - 1 - xl, -1):
+            w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
+
+
+def _standard_count(shape):
+    """f^shape, the number of standard tableaux, by the hook length formula."""
+    cols = [sum(1 for part in shape if part > c) for c in range(shape[0])]
+    hooks = 1
+    for r, part in enumerate(shape):
+        for c in range(part):
+            hooks *= (part - c - 1) + (cols[c] - r - 1) + 1
+    count = 1
+    for k in range(2, sum(shape) + 1):
+        count *= k
+    return count // hooks
+
+
+def _semistandard(shape, content):
+    """Every semistandard tableau of ``shape`` and ``content``, as rows:
+    letter k goes in as a horizontal strip of content[k - 1] boxes, no row
+    past its part of ``shape`` or past the row above it before k."""
+    tableaux = [tuple(() for _ in shape)]
+    for k, count in enumerate(content, start=1):
+        grown = []
+        for rows in tableaux:
+            old = [len(row) for row in rows]
+
+            def place(r, left, new):
+                if left == 0:
+                    grown.append(tuple(new) + rows[r:])
+                    return
+                if r == len(shape):
+                    return
+                cap = shape[r] if r == 0 else min(shape[r], old[r - 1])
+                for c in range(min(left, cap - old[r]), -1, -1):
+                    place(r + 1, left - c, new + [rows[r] + (k,) * c])
+
+            place(0, count, [])
+        tableaux = grown
+    return tableaux
+
+
+def _charge(word):
+    """Lascoux-Schutzenberger charge of a word whose content is a partition.
+    Standard subwords are taken out in turn: scanning leftward from the
+    right end, and cyclically, take a 1, then a 2, and so on up to the
+    largest letter left.  Within one, 1 has index 0 and r + 1 has the index
+    of r, plus 1 when the scan wrapped past the left end to reach it; the
+    charge is the sum of all indices."""
+    left = list(range(len(word)))
+    total = 0
+    while left:
+        top = max(word[p] for p in left)
+        at, index, taken = len(word), 0, []
+        for r in range(1, top + 1):
+            spots = [p for p in left if word[p] == r]
+            before = [p for p in spots if p < at]
+            if before:
+                at = max(before)
+            else:
+                at = max(spots)
+                index += 1
+            total += index
+            taken.append(at)
+        left = [p for p in left if p not in taken]
+    return total
+
+
+def springer_poincare(mu):
+    """Betti numbers of the Springer fiber of Jordan type ``mu``: the
+    coefficients of the sum over partitions lam of f^lam q^n(mu)
+    K_(lam,mu)(1/q), where n(mu) = sum_i (i - 1) mu_i and the Kostka-Foulkes
+    polynomial K_(lam,mu)(q) is the sum of q^charge over the semistandard
+    tableaux of shape lam and content mu, read row by row from the bottom
+    row up, each left to right."""
+    n_mu = sum(i * part for i, part in enumerate(mu))
+    coeffs = [0] * (n_mu + 1)
+    for lam in all_diagrams(sum(mu)):
+        f = _standard_count(lam)
+        for rows in _semistandard(lam, mu):
+            word = [v for row in reversed(rows) for v in row]
+            coeffs[n_mu - _charge(word)] += f
+    return tuple(coeffs)
+
+
 def specialize(p, a, b):
     """The terms of ``p`` after substituting t_a for t_b, zeros dropped."""
     out = {}

@@ -2,6 +2,8 @@
 
 import functools
 import itertools
+import math
+import random
 
 import pytest
 
@@ -38,6 +40,7 @@ from oracles import (
     all_hessenberg,
     all_permutations,
     brute_dimension_pairs,
+    omega_of_word,
     brute_fillings,
     brute_records,
     inversion_tops,
@@ -189,6 +192,26 @@ class TestPermissibility:
         assert hess334.verify_334_theorem(5).passed
         assert calls == []
 
+    def test_per_point_functions_check_once(self, monkeypatch):
+        # rolldown, rolldown_word and degree check their arguments once, in
+        # pinball, and then read the pairs without checking them again
+        calls = []
+        real = fillings._checked
+
+        def counted(filling, h):
+            calls.append(filling)
+            return real(filling, h)
+
+        monkeypatch.setattr(fillings, "_checked", counted)
+        w, h = (4, 3, 2, 1, 5), hessenberg_334(5)
+        assert pinball.rolldown(w, (5,), h) == (4, 2, 1, 3, 5)
+        assert pinball.rolldown_word(w, (5,), h) == (3, 1, 2, 1)
+        assert pinball.degree(w, (5,), h) == 4
+        for fn in (pinball.rolldown, pinball.rolldown_word, pinball.degree):
+            with pytest.raises(ValueError, match=r"not permissible: adjacency 4\|1"):
+                fn((2, 3, 4, 1, 5), (5,), h)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "diagram,h",
         [
@@ -280,6 +303,25 @@ class TestPermissibleRecords:
         assert words == sorted(set(words))
         assert len(words) == len(brute)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_count_field_is_the_number_of_pairs(self, n):
+        count = fillings._packing(n).count
+        for diagram, h in all_diagram_h(n):
+            for state in fillings._leaf_states(diagram, h):
+                assert state.tops[-1] & count == len(state.pairs()), (diagram, h)
+                assert state.degree() == sum(state.x())
+
+    @pytest.mark.parametrize("n, width", [(255, 8), (256, 8), (257, 16)])
+    def test_count_field_where_the_width_changes(self, n, width):
+        # w0's filling under the full flag has every pair (a, b): the count
+        # n(n - 1)/2 overflows one field but not the two of the count field
+        assert fillings._packing(n).width == width
+        w0 = tuple(range(n, 0, -1))
+        state = pinball._state(w0, (n,), hessenberg_full(n))
+        assert state.degree() == n * (n - 1) // 2 == len(state.pairs())
+        assert state.x() == tuple(range(1, n))
+        assert pinball.degree(w0, (n,), hessenberg_full(n)) == n * (n - 1) // 2
+
     @pytest.mark.parametrize(
         "n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
     )
@@ -337,6 +379,36 @@ class TestOmega:
     @staticmethod
     def _vectors(n):
         return itertools.product(*(range(l) for l in range(2, n + 1)))
+
+    @staticmethod
+    def _assert_halves_multiply(n, vectors):
+        """omega(x) from the two tables of ``fillings._halves``, for x
+        packed with its count field, against the omega word's product."""
+        packing = fillings._packing(n)
+        m, low, high, omegas, gathers = fillings._halves(n)
+        checked = 0
+        for x in vectors:
+            t = sum(xl << packing.width * l for l, xl in enumerate(x, 2)) + sum(x)
+            assert gathers[t & high](omegas[t & low]) == omega_of_word(x), x
+            checked += 1
+        assert checked
+        # each table holds at most the distinct halves
+        assert len(omegas) <= math.factorial(m)
+        assert len(gathers) <= math.factorial(n) // math.factorial(m)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_halves_multiply_to_omega(self, n):
+        # every x in the box; at n = 1 both halves are empty, at n = 2 the
+        # low one is
+        self._assert_halves_multiply(n, self._vectors(n))
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_halves_multiply_to_omega_at_random(self, n):
+        rng = random.Random(n)
+        vectors = [
+            tuple(rng.randrange(l) for l in range(2, n + 1)) for _ in range(500)
+        ]
+        self._assert_halves_multiply(n, vectors)
 
     def test_word_and_examples(self):
         assert omega_word((1, 1, 1, 0)) == (1, 2, 3)

@@ -34,6 +34,7 @@ from hesspin.pinball import (
 
 from oracles import (
     all_diagram_h,
+    all_diagrams,
     all_hessenberg,
     all_permutations,
     bruhat_leq_oracle,
@@ -41,6 +42,7 @@ from oracles import (
     brute_fillings,
     brute_inversions,
     regular_poincare,
+    springer_poincare,
 )
 
 
@@ -214,6 +216,15 @@ class TestBetti:
                 checked += 1
         assert checked == 625
 
+    @pytest.mark.parametrize(
+        "n", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)]
+    )
+    def test_springer_matches_kostka_foulkes(self, n):
+        # h = identity gives the Springer fiber of Jordan type mu, whose
+        # Poincare polynomial is sum_lam f^lam q^n(mu) K_(lam,mu)(1/q)
+        for mu in all_diagrams(n):
+            assert betti_numbers(mu, hessenberg_identity(n)) == springer_poincare(mu), mu
+
     @pytest.mark.slow
     def test_full_flag_n9(self):
         report = verify_pinball((9,), hessenberg_full(9))
@@ -331,10 +342,28 @@ class TestVerifyPinball:
             assert r == rolldown(w, (2, 2), h)
         assert verify_pinball((2, 2), h).points == len(table)
 
+    @staticmethod
+    def _omega_by(monkeypatch, faulty):
+        """Make ``faulty(x)`` the omega(x) of every leaf, where the leaves
+        read it: the whole packed x keys the low table, which holds
+        ``faulty(x)``, and the high table holds only the identity gather."""
+        real = fillings._halves
+
+        def halves(n):
+            x = fillings._packing(n).x
+            return real(n)._replace(
+                low=real(n).low | real(n).high,
+                high=0,
+                omegas=fillings._Table(lambda key: faulty(x(key))),
+                gathers={0: tuple},
+            )
+
+        monkeypatch.setattr(pinball, "_halves", halves)
+
     def test_checks_catch_colliding_rolldowns(self, monkeypatch):
         # every omega(x), so every rolldown, the identity: all collide,
         # lengths all 0
-        monkeypatch.setattr(pinball, "_omega", lambda x: identity(len(x) + 1))
+        self._omega_by(monkeypatch, lambda x: identity(len(x) + 1))
         report = verify_pinball((4,), hessenberg_334(4))
         assert not report.injective
         points = fixed_points((4,), hessenberg_334(4))
@@ -361,7 +390,7 @@ class TestVerifyPinball:
         def faulty(x):
             return omega(tuple(x[:-1]) + (0,))
 
-        monkeypatch.setattr(pinball, "_omega", faulty)
+        self._omega_by(monkeypatch, faulty)
         report = verify_pinball(diagram, h)
         owners = {}
         for w, pairs in sorted(_brute_points(diagram, h)):
@@ -379,7 +408,7 @@ class TestVerifyPinball:
         # w^{-1}.  Its inverse w in place of omega(x) makes the rolldown
         # w^{-1}: still distinct and of the right lengths, but not below w
         # unless w is an involution.
-        monkeypatch.setattr(pinball, "_omega", fillings._roll)
+        self._omega_by(monkeypatch, fillings._roll)
         report = verify_pinball((4,), hessenberg_full(4))
         assert report.injective
         assert report.betti_matched
