@@ -28,11 +28,14 @@ when a's right neighbor is placed, or when a is placed if it has none.
 ``_PrefixState`` keeps, per depth, the mask of the values placed and one
 packed int (``_packing``): the counts x by top part and, in a field of its
 own, the number of pairs, the degree.  ``_pass`` carries it down the one
-backtracking pass and yields it at each leaf: ``enumerate_permissible``
+backtracking pass, box by box up to the last T <= 3 boxes (the tail),
+which it finishes from a table keyed by the mask of the values left: the
+orders of those values that fit the tail, each with the pair-set keys it
+settles.  It yields the state at each leaf: ``enumerate_permissible``
 reads the filling off each leaf state, and ``hesspin fillings`` and the
 table functions of ``pinball`` read the word, the pair-set keys, x and
 the degree off them in place.  ``dimension_pairs`` walks the state over
-the reading word of one permissible filling.
+the reading word of one permissible filling, box by box.
 
 ``omega(x)`` is the product of ``omega_word(x)``.  ``_omega`` is the one
 product of x vectors: it builds omega(x) by n - 1 list inserts, with no
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from itertools import chain, repeat
+from itertools import chain, permutations, repeat
 from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -378,28 +381,31 @@ class _PrefixState:
     of positions 0..k-1: ``word[:k]``, ``seen[k]`` (the mask of values
     placed, bit v for value v) and ``tops[k]`` (the packed top-part counts
     and count of the pairs settled so far, ``_packing``).  It writes
-    ``word[k]``, ``where[val] = k + 1``, ``seen[k + 1]`` and ``tops[k +
-    1]``, so a backtracking pass keeps one state per depth.
+    ``word[k]``, ``seen[k + 1]`` and ``tops[k + 1]``, so a backtracking
+    pass keeps one state per depth.
 
     Placing a box settles the pairs of at most two values.  Its left
     neighbor a now has cap h(val), and a's pairs are the values in
-    (a, h(val)] placed before a: ``seen[left] & (a, h(val)]``.  If the box
-    has no right neighbor, val's cap is n and its pairs are ``seen[k] &
-    (val, n]``.  ``pairs_of[a]`` holds a's pair-set key ``mask | 1 << a``
-    (``_key_pairs``), or 0 when a has no pairs, and a table of the pass
-    gives each key's packed counts once.  Once every box is placed,
-    ``pairs()``, ``x()`` and ``degree()`` read the sorted pairs, x and the
-    number of pairs off the state, ``point()`` the fixed point
-    ``word^{-1}`` (value v sits at position ``where[v]``), and
-    ``filling(tuple(word))`` the filling.
+    (a, h(val)] placed before a: ``seen[left] & capped[val] & above[a]``.
+    If the box has no right neighbor, val's cap is n and its pairs are
+    ``seen[k] & above[val]``.  ``pairs_of[a]`` holds a's pair-set key
+    ``mask | 1 << a`` (``_key_pairs``), or 0 when a has no pairs
+    (``pairs_of[0]`` stays 0), and ``spread``, a table of the pass, gives
+    each key's packed counts once; ``_pass`` reads ``spread``, ``capped``
+    and ``above`` too.  Once every box is placed, ``pairs()``,
+    ``x()`` and ``degree()`` read the sorted pairs, x and the number of
+    pairs off ``pairs_of`` and ``tops[-1]``, ``point()`` the fixed point
+    ``word^{-1}``, and ``filling(tuple(word))`` the filling.
     """
 
     __slots__ = (
         "word",
-        "where",
         "seen",
         "tops",
         "pairs_of",
+        "spread",
+        "capped",
+        "above",
         "place",
         "_rows",
         "_packing",
@@ -416,18 +422,17 @@ class _PrefixState:
             tops = key & (key - 1)
             return sum(map(unit.__getitem__, set_bits(tops))) + tops.bit_count()
 
-        spread = _Table(counts)
-        capped = [0] + [(2 << c) - 1 for c in h]  # bits of the values <= h(v)
-        above = [~((2 << a) - 1) for a in range(n + 1)]  # bits of the values > a
+        spread = self.spread = _Table(counts)
+        # bits of the values <= h(v), and of the values > a
+        capped = self.capped = [0] + [(2 << c) - 1 for c in h]
+        above = self.above = [~((2 << a) - 1) for a in range(n + 1)]
         word = self.word = [0] * n
-        where = self.where = [0] * (n + 1)
         seen = self.seen = [0] * (n + 1)
         tops = self.tops = [0] * (n + 1)
         pairs_of = self.pairs_of = [0] * (n + 1)
 
         def place(k: int, val: int) -> None:
             word[k] = val
-            where[val] = k + 1
             s = seen[k]
             t = tops[k]
             lk = left[k]
@@ -450,7 +455,7 @@ class _PrefixState:
         self.place = place
 
     def point(self) -> Perm:
-        return tuple(self.where[1:])
+        return inverse(self.word)
 
     def filling(self, w: Perm) -> Filling:
         """The filling with reading word ``w``, the word placed so far."""
@@ -476,6 +481,23 @@ def _leaf_states(diagram: Diagram, h: Sequence[int]) -> Iterator[_PrefixState]:
     return _pass(diagram, h)
 
 
+def _tail_length(diagram: Diagram) -> int:
+    """The length T <= 3 of the tail that ``_pass`` finishes from a table:
+    the most last reading positions in which every box but the first has
+    its left neighbor in the tail, or none.
+
+    >>> [_tail_length(d) for d in [(4,), (5, 2), (1, 1, 1), (4, 3), (2, 2)]]
+    [3, 3, 3, 2, 1]
+    """
+    left = _reading_layout(diagram)[0]
+    n = len(left)
+    return next(
+        t
+        for t in range(min(3, n), 0, -1)
+        if all(not 0 <= left[p] < n - t for p in range(n - t + 1, n))
+    )
+
+
 def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     """The prefix state of every permissible filling, in lexicographic order
     of reading word, from one backtracking pass.
@@ -487,24 +509,38 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     and its prefix state (``_PrefixState``): the mask of the values placed
     before it and the packed x and count of the pairs settled so far.
     Placing a box settles the pairs of at most two values, each pair set
-    looked up by its integer key, so a leaf costs O(n) steps.  The last
-    box has one value left, which is placed at once if it fits its left
-    neighbor.  A prefix that no filling extends is cut as soon as the
-    smallest value still to place has no left neighbor it fits (see the
-    loop), so h = identity on the single row, with its one filling, takes
-    O(n^2) steps rather than 2^n.
+    looked up by its integer key.  A prefix that no filling extends is cut
+    as soon as the smallest value still to place has no left neighbor it
+    fits (see the loop), so h = identity on the single row, with its one
+    filling, takes O(n^2) steps rather than 2^n.
+
+    The last T <= 3 boxes, the tail (``_tail_length``), are not placed one
+    by one.  Every tail box but the first has its left neighbor in the
+    tail or none, so which orders of the values left fit the tail's own
+    adjacencies, and the pairs those boxes settle, depend only on the
+    mask ``rest`` of the values left: ``seen`` there is ``full ^ rest``.
+    A table of the pass holds those orders in lexicographic order,
+    grouped by first value, each with the tail values' pair-set keys and
+    the packed counts they add: at most C(n, T) * T! orders (336 at
+    n = 8), each placed once with ``place`` when its ``rest`` first
+    appears.  What the prefix adds, the
+    first tail box's left neighbor (the head), is settled once per node
+    for each first value: whether it fits and the head's pair-set key.  A
+    leaf then costs a few list stores.
 
     One state is yielded at every leaf, with every box placed; it is the
     same object each time, valid until the pass takes its next step.  Its
     ``word``, ``tops[-1]`` (the packed x and degree), ``pairs_of`` (the
     pair-set keys), ``point()``, ``x()``, ``degree()``, ``pairs()`` and
     ``filling(tuple(word))`` read the filling off it, and a consumer
-    builds only what it reads.
+    builds only what it reads; ``seen`` and ``tops`` at the tail's inner
+    depths are not kept.
     """
     n = len(h)
     left = _reading_layout(diagram)[0]
     state = _PrefixState(diagram, h)
-    word, seen, place = state.word, state.seen, state.place
+    word, seen, tops, pairs_of = state.word, state.seen, state.tops, state.pairs_of
+    place, spread, capped, above = state.place, state.spread, state.capped, state.above
     full = (2 << n) - 2  # bits of the values 1..n
     # allowed[a]: the values v with a <= h(v), those that may sit right of a
     allowed = [0] + [
@@ -524,47 +560,84 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
         tuple(sorted({left[p] for p in range(k, n) if 0 <= left[p] < k}))
         for k in range(n)
     ]
-    # An explicit stack: free[k] holds the values still to try at position k,
-    # lowest first.  Nested generators would pass every state up through n
-    # frames.  The last position has one value left, placed directly when
-    # it fits its left neighbor (the dead-prefix test there is this test).
-    if n == 1:
-        place(0, 1)
-        yield state
-        return
-    free = [0] * n
-    free[0] = full
-    last = n - 1
+    k0 = n - _tail_length(diagram)  # the tail's first position
+    head = left[k0]
+
+    def completions(rest: int) -> list:
+        # Each order of rest that fits the tail's own adjacencies, placed
+        # once at this node, by first value: (order, each tail value and
+        # its pair-set key, padded to three by (0, 0), the packed counts
+        # of the tail's pairs, the head's taken back out).  Every field
+        # placing writes here is written again before a leaf is yielded.
+        groups = {}
+        for order in permutations(set_bits(rest)):
+            for p, v in enumerate(order, k0):
+                if left[p] >= k0 and not allowed[word[left[p]]] >> v & 1:
+                    break
+                place(p, v)
+            else:
+                keys = [(v, pairs_of[v]) for v in order + (0, 0)[len(order) - 1 :]]
+                counts = tops[n] - tops[k0]
+                if head >= 0:
+                    counts -= spread[pairs_of[word[head]]]
+                entry = (order, *chain.from_iterable(keys), counts)
+                groups.setdefault(order[0], []).append(entry)
+        return [*groups.items()]
+
+    tail = _Table(completions)
+    # An explicit stack: free[k] holds the values still to try at position
+    # k < k0, lowest first.  Nested generators would pass every state up
+    # through n frames.  Depth k0 takes its leaves from the tail table.
+    free = [0] * k0
     k = 0
+    rest = full
     while True:
-        c = free[k]
-        if not c:
-            if k == 0:
+        if k == k0:
+            # the head's value a (0, whose key pairs_of[0] stays 0, when
+            # there is none), the first values that fit right of it, and
+            # the mask that each first value v caps at h(v) for a's pairs
+            t = tops[k]
+            if head < 0:
+                a, fit, mask = 0, full, 0
+            else:
+                a = word[head]
+                fit, mask = allowed[a], seen[head] & above[a]
+            for v, ends in tail[rest]:
+                if fit >> v & 1:
+                    key = mask & capped[v]
+                    base = t
+                    if key:
+                        key |= 1 << a
+                        base += spread[key]
+                    pairs_of[a] = key
+                    for order, a0, p0, a1, p1, a2, p2, counts in ends:
+                        word[k0:] = order
+                        pairs_of[a0] = p0
+                        pairs_of[a1] = p1
+                        pairs_of[a2] = p2
+                        tops[n] = base + counts
+                        yield state
+            c = 0
+        else:
+            lk = left[k]
+            c = rest if lk < 0 else rest & allowed[word[lk]]
+            m = rest & -rest
+            if m & tight[k]:
+                others = rest ^ m
+                for q in near[k]:
+                    others |= 1 << word[q]
+                if not others & fits[m]:
+                    c = 0
+        while not c:
+            if not k:
                 return
             k -= 1
-            continue
+            c = free[k]
         low = c & -c
         free[k] = c ^ low
         place(k, low.bit_length() - 1)
         k += 1
         rest = full ^ seen[k]
-        if k == last:
-            lk = left[k]
-            if lk < 0 or rest & allowed[word[lk]]:
-                place(k, rest.bit_length() - 1)
-                yield state
-            k -= 1
-            continue
-        m = rest & -rest
-        if m & tight[k]:
-            others = rest ^ m
-            for q in near[k]:
-                others |= 1 << word[q]
-            if not others & fits[m]:
-                k -= 1
-                continue
-        lk = left[k]
-        free[k] = rest if lk < 0 else rest & allowed[word[lk]]
 
 
 def enumerate_permissible(diagram: Diagram, h: Sequence[int]) -> list[Filling]:

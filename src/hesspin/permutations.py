@@ -216,10 +216,11 @@ class BruhatKeys:
     False
     """
 
-    __slots__ = ("n", "size", "_row", "_guard", "_tails")
+    __slots__ = ("n", "size", "_row", "_guard", "_tails", "_values")
 
     def __init__(self, n: int):
         self.n = n
+        self._values = list(range(1, n + 1))
         self.size = (n.bit_length() + 8) // 8
         width = 8 * self.size
         self._row = width * (n - 1)
@@ -233,13 +234,16 @@ class BruhatKeys:
 
     def key(self, w: Perm) -> int:
         """The packed rank counts of w: row k = 1 in the top bytes, and
-        field j = 1 last in each row.
+        field j = 1 last in each row; ValueError unless w is a permutation
+        of 1..n.
 
         >>> bruhat_keys(3).key((2, 1, 3)).to_bytes(4, "big")
         b'\\x01\\x00\\x02\\x01'
         """
         if len(w) != self.n:
             raise ValueError(f"size mismatch: {len(w)} vs {self.n}")
+        if sorted(w) != self._values:
+            raise ValueError(f"not a permutation of 1..{self.n}: {tuple(w)}")
         tails, shift = self._tails, self._row
         key = row = 0
         for value in w[:-1]:

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -291,11 +292,13 @@ class TestPermissibleRecords:
     @staticmethod
     def _assert_fields_match(diagram, h, brute, word_of, tops_of):
         words = []
+        values = range(1, diagram_size(diagram) + 1)
         for state in fillings._leaf_states(diagram, h):
             word = tuple(state.word)
             filling = state.filling(word)
             pairs = brute[filling]
             assert word == word_of(filling)
+            assert state.point() == tuple(word.index(v) + 1 for v in values)
             assert state.pairs() == tuple(sorted(pairs)), (diagram, h, word)
             assert state.x() == tops_of(frozenset(pairs))
             words.append(word)
@@ -335,7 +338,10 @@ class TestPermissibleRecords:
             for h in hs:
                 self._assert_fields_match(diagram, h, oracle(h), word_of, tops_of)
 
-    @pytest.mark.parametrize("diagram", [(7,), (4, 3), (3, 2, 2)])
+    # the tail the pass finishes from its table (fillings._tail_length):
+    # three boxes after a head, (7,); three and no head, (1,) * 7; two,
+    # (4, 3) and (3, 2, 2); one, its head far back, (3, 3, 1)
+    @pytest.mark.parametrize("diagram", [(7,), (4, 3), (3, 2, 2), (1,) * 7, (3, 3, 1)])
     def test_fields_match_oracles_at_7(self, diagram):
         word_of = functools.cache(reading_word)
         tops_of = functools.cache(lambda pairs: top_parts(pairs, 7))
@@ -353,6 +359,31 @@ class TestPermissibleRecords:
             assert enumerate_permissible(diagram, h) == [f for f, _ in leaves]
             for filling, pairs in leaves:
                 assert dimension_pairs(filling, h) == set(pairs)
+
+    @pytest.mark.parametrize(
+        "diagram, length",
+        [
+            ((6,), 3), ((5, 2), 3), ((1,) * 6, 3), ((2, 1), 3), ((2,), 2), ((1,), 1),
+            ((4, 3), 2), ((3, 2, 2), 2), ((2, 2), 1), ((3, 3, 1), 1),
+        ],
+    )
+    def test_tail_length(self, diagram, length):
+        assert fillings._tail_length(diagram) == length
+
+    @pytest.mark.slow
+    def test_tail_table_memory(self):
+        # The tail table holds at most C(9, 3) * 3! = 504 orders, keyed by
+        # the values left alone; the pass traces about 0.26 MB.  A table
+        # keyed by the head's value as well, with the head settled in each
+        # entry, traces over 0.8 MB.
+        tracemalloc.start()
+        try:
+            leaves = sum(1 for _ in fillings._leaf_states((9,), hessenberg_full(9)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert leaves == math.factorial(9)
+        assert peak < 400_000, peak
 
     def test_arguments_checked_before_iteration(self):
         with pytest.raises(ValueError, match="h has length 3, diagram has 4 boxes"):

@@ -180,6 +180,13 @@ class TestBruhat:
             with pytest.raises(ValueError, match="not a permutation"):
                 bruhat_leq(*args)
 
+    # unchecked, (1, 2, 4) and (0, 1, 2) would pack the keys of (1, 2, 3)
+    # and (3, 1, 2): a last value is never read, and 0 adds what n does
+    @pytest.mark.parametrize("bad", [(1, 2, 4), (0, 1, 2), (2, 2, 3), (1, 2, -1)])
+    def test_keys_reject_non_permutations(self, bad):
+        with pytest.raises(ValueError, match="not a permutation of 1..3"):
+            bruhat_keys(3).key(bad)
+
     def test_keys_are_injective(self):
         # the rank counts determine the permutation
         perms = all_permutations(5)
