@@ -40,10 +40,9 @@ stream (``_column_stream``) numbers the rows' ideal once and builds each
 point's column once.  ``p_rows`` collects it, keeping each row as a
 bitmask of its nonzero columns and their coefficients, and yields the
 dense rows one at a time.  Poset upper triangularity is one pass over the
-stream (``_Triangularity``), reading each column's diagonal and its
-entries against a caller's Bruhat relation: ``check_upper_triangular``
-gives it ``permutations.bruhat_table`` and canonical words, and
-``hess334.verify_334_theorem`` its own relation and catalog words.  No
+stream (``_Triangularity``): it reads each column's diagonal and tests each
+nonzero entry with ``BruhatKeys.leq``, on canonical words for
+``check_upper_triangular`` and catalog words for ``verify_334_theorem``.  No
 restriction consults Bruhat keys, and the ideal depends only on the rows,
 so checking their vanishing against Bruhat order is not a tautology.
 """
@@ -55,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 from .permutations import (
     Perm,
     Word,
-    bruhat_table,
+    bruhat_keys,
     canonical_word,
     inversions,
     is_permutation,
@@ -631,17 +630,17 @@ class _Triangularity:
     """The one poset-upper-triangularity pass over a column stream.
 
     Row a and column b are labelled by ``points``, row a restricting the
-    class of ``rolls[a]``, and bit b of ``below[a]`` is set exactly when
-    points[a] <= points[b].  ``diagonals`` reads each column's entries as
+    class of ``rolls[a]``.  ``diagonals`` reads each column's entries as
     they come and records the diagonal zeros and every nonzero entry
-    (v, w) with v not below w; ``report`` lists the vanishing witnesses
-    row by row in column order, however far the columns were read.
+    (v, w) with v not below w, one ``BruhatKeys.leq`` on the points'
+    packed keys per entry; ``report`` lists the vanishing witnesses row by
+    row in column order, however far the columns were read.
     """
 
-    __slots__ = ("points", "rolls", "below", "zeros", "found")
+    __slots__ = ("points", "rolls", "zeros", "found")
 
-    def __init__(self, points: Sequence[Perm], rolls: Sequence[Perm], below: Sequence[int]):
-        self.points, self.rolls, self.below = points, rolls, below
+    def __init__(self, points: Sequence[Perm], rolls: Sequence[Perm]):
+        self.points, self.rolls = points, rolls
         self.zeros: list[Perm] = []
         # (row, column, coefficient) of each vanishing witness
         self.found: list[tuple[int, int, int]] = []
@@ -650,16 +649,18 @@ class _Triangularity:
         self, columns: Iterable[tuple[list[_Letter], list[tuple[int, int]]]]
     ) -> Iterator[tuple[list[_Letter], S1Value]]:
         """Each column of the stream with its diagonal value."""
-        below, found = self.below, self.found
+        points, found = self.points, self.found
+        keys = bruhat_keys(len(points[0]) if points else 1)
+        leq, key = keys.leq, list(map(keys.key, points))
         for b, (column, entries) in enumerate(columns):
-            value = S1_ZERO
+            value, kw = S1_ZERO, key[b]
             for a, c in entries:
                 if a == b:
                     value = S1Value(c, inversions(self.rolls[b]))
-                if not below[a] >> b & 1:
+                if not leq(key[a], kw):
                     found.append((a, b, c))
             if value == S1_ZERO:
-                self.zeros.append(self.points[b])
+                self.zeros.append(points[b])
             yield column, value
 
     def report(self) -> TriangularReport:
@@ -677,15 +678,14 @@ def check_upper_triangular(rolldowns: Mapping[Perm, Perm]) -> TriangularReport:
 
     The points are the sorted keys of ``rolldowns``, and row v restricts
     the class of ``rolldowns[v]``.  Every entry comes from the matrix's
-    recurrence on canonical words (``_column_stream``), and Bruhat order
-    over the points from ``bruhat_table``.  Violations are listed row by
-    row in column order.
+    recurrence on canonical words (``_column_stream``), and no relation
+    table is built.  Violations are listed row by row in column order.
     """
     points = tuple(sorted(map(validate, rolldowns)))
     rolls = tuple(validate(rolldowns[w]) for w in points)
     if len({len(p) for p in points + rolls}) > 1:
         raise ValueError("size mismatch among points and rolldowns")
-    triangle = _Triangularity(points, rolls, tuple(bruhat_table(points, points)))
+    triangle = _Triangularity(points, rolls)
     for _ in triangle.diagonals(_column_stream(points, rolls)[1]):
         pass
     return triangle.report()

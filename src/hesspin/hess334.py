@@ -33,11 +33,11 @@ each class has one definition, its constructor, and ``classify`` is that
 record's class.  The theorem builds the record once per point, and the
 public per-point functions build it for their one point.
 The Bruhat-order lemmas read the relation as bitmasks over the points
-(``permutations.bruhat_table``), each row once, with masks built once per
-run: one per class, one per j of the points whose subset holds j, and H1
-thresholds over the 312-type points.  The five lemmas on pairs are one
-loop over the points, a few big-int operations per point, and a lemma's
-witnesses are the set bits of the masks where it fails.
+(``permutations.bruhat_table``), one stream read once, with masks built
+once per run: one per class, one per j of the points whose subset holds
+j, and H1 thresholds over the 312-type points.  The five lemmas on pairs
+are one loop over the points, a few big-int operations per point, and a
+lemma's witnesses are the set bits of the masks where it fails.
 
 The summand census counts the subword summands of a catalog word by
 ``billey``'s backward pass over it from the rolldown rather than
@@ -46,9 +46,10 @@ ascending coefficient.  ``verify_334_theorem`` makes one pass over the
 points on ``billey``'s column stream, which numbers the rolldowns'
 weak-order ideal once and builds each catalog word's column once.  Each
 column serves both censuses and, through ``billey``'s one triangularity
-pass, the diagonal and vanishing checks, so the theorem holds no matrix.
-``summand_census`` for one point goes through ``billey.p_summand_counts``,
-which numbers only the part of the ideal its pass reaches.
+pass on packed Bruhat keys, the diagonal and vanishing checks, so the
+theorem holds neither a matrix nor a row of the relation.  One point's
+``summand_census`` goes through ``billey.p_summand_counts``, which
+numbers only the part of the ideal its pass reaches.
 """
 
 from __future__ import annotations
@@ -569,20 +570,12 @@ def verify_334_theorem(n: int) -> Theorem334Report:
     points = tuple(p.w for p in facts)
     rolls = tuple(r for _, r in table)
 
-    # The relations the checks read, rows of one table over the points (see
-    # _bruhat_sweeps): the points' rows are held for the triangularity pass,
-    # the simple reflections' follow, and the sweeps read the rolldowns' once
-    simples = tuple(simple(i, n) for i in range(1, n))
-    rows = iter(bruhat_table(points + simples + rolls, points))
-    below = tuple(itertools.islice(rows, len(points)))
-    simple_below = tuple(itertools.islice(rows, n - 1))
-
     # One pass over the points, on the rolldowns' weak-order ideal: each
     # point's column is built once, for its column of the matrix (every
     # entry computed, none skipped by Bruhat order), which the triangularity
-    # pass reads against the points' relation, and for both censuses
+    # pass tests against the points' packed Bruhat keys, and for both censuses
     ideal, columns = _column_stream(points, rolls, [p.word for p in facts])
-    triangle = _Triangularity(points, rolls, below)
+    triangle = _Triangularity(points, rolls)
     closed_fails, prefix_fails, diagonal_fails, census_fails, wrong_rows = [], [], [], [], []
     for p, roll, (column, value) in zip(facts, rolls, triangle.diagonals(columns)):
         if roll != p.roll:
@@ -607,13 +600,20 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         wrong_rows += [(p.w, r.index) for r in _simple_rows(p, column) if not r.passed]
 
     triangular = triangle.report()
+    # The lemmas' relation, one table over the points read as a stream: the
+    # simple reflections' rows, then each point's and its rolldown's, in step
+    simples = tuple(simple(i, n) for i in range(1, n))
+    rows = bruhat_table(simples + tuple(itertools.chain(*zip(points, rolls))), points)
+    simple_below = tuple(itertools.islice(rows, n - 1))
+    halves = itertools.tee(rows)
+    below, roll_below = (itertools.islice(h, k, None, 2) for k, h in enumerate(halves))
     checks = [
         ("rolldown-closed-form", closed_fails),
         ("rolldown-one-line-prefix", prefix_fails),
         ("diagonal-nonzero", triangular.diagonal_zeros),
         ("bruhat-vanishing", triangular.vanishing_violations),
         ("closed-form-diagonal", diagonal_fails),
-        *_bruhat_sweeps(facts, below, rows, simple_below, bruhat_table(simples, rolls)),
+        *_bruhat_sweeps(facts, below, roll_below, simple_below, bruhat_table(simples, rolls)),
         ("summand-census", census_fails),
         ("simple-summand-values", wrong_rows),
     ]

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from hesspin import billey
+from hesspin import billey, permutations
 from hesspin.billey import (
     S1_ZERO,
     Polynomial,
@@ -52,6 +52,20 @@ from oracles import (
     vandermonde,
     weak_down_set,
 )
+
+
+def _refuse_bruhat_order(monkeypatch, message):
+    # every Bruhat entry point that billey holds, and the packed keys'
+    # methods, raise with ``message``
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    names = [name for name in vars(billey) if "bruhat" in name.lower()]
+    assert "bruhat_keys" in names
+    for name in names:
+        monkeypatch.setattr(billey, name, refuse)
+    for name in ["key", "leq"]:
+        monkeypatch.setattr(BruhatKeys, name, refuse)
 
 
 class TestPolynomial:
@@ -283,13 +297,7 @@ class TestSigma:
             ((2, 1, 4, 3), (4, 2, 3, 1)),
         ]
         expected = [brute_sigma(v, w, canonical_word(w)) for v, w in cases]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("sigma_restriction took a refused path")
-
-        monkeypatch.setattr(billey, "bruhat_table", refuse)
-        for name in ["key", "leq"]:
-            monkeypatch.setattr(BruhatKeys, name, refuse)
+        _refuse_bruhat_order(monkeypatch, "sigma_restriction took a refused path")
         # Polynomial has no product to take (TestPolynomial)
         assert [sigma_restriction(v, w) for v, w in cases] == expected
         assert all(expected)
@@ -593,13 +601,7 @@ class TestSummands:
         words = [canonical_word(w) for _, w in cases]
         expected = [project_s1(brute_sigma(v, w, b)) for (v, w), b in zip(cases, words)]
         tables = [brute_summand_table(b, 4)[v] for (v, _), b in zip(cases, words)]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the census took a refused path")
-
-        monkeypatch.setattr(billey, "bruhat_table", refuse)
-        for name in ["key", "leq"]:
-            monkeypatch.setattr(BruhatKeys, name, refuse)
+        _refuse_bruhat_order(monkeypatch, "the census took a refused path")
         assert [p_restriction(v, w) for v, w in cases] == expected
         assert [p_summand_counts(v, w) for v, w in cases] == tables
         assert all(expected)
@@ -671,22 +673,15 @@ class TestMatrix:
     def test_makes_no_bruhat_comparison(self, monkeypatch):
         # bruhat-vanishing checks the matrix against Bruhat order, so the
         # matrix itself must not consult any Bruhat entry point billey has
-        def refuse(*args, **kwargs):
-            raise AssertionError("p_rows consulted Bruhat order")
-
-        names = [name for name in vars(billey) if "bruhat" in name.lower()]
-        assert "bruhat_table" in names
-        for name in names:
-            monkeypatch.setattr(billey, name, refuse)
-        for name in ["key", "leq"]:
-            monkeypatch.setattr(BruhatKeys, name, refuse)
+        _refuse_bruhat_order(monkeypatch, "p_rows consulted Bruhat order")
         points = all_permutations(4)
         assert next(p_rows(points, points))[-1] == S1Value(1, 0)
 
 
 class TestUpperTriangularTable:
-    """check_upper_triangular reads Bruhat order off ``bruhat_table``, row
-    mask by row mask; the dense tableau criterion is the oracle."""
+    """check_upper_triangular tests each nonzero entry against the points'
+    packed Bruhat keys, one ``BruhatKeys.leq`` per entry and no relation
+    table; the dense tableau criterion is the oracle."""
 
     @staticmethod
     def assert_matches_oracle(rolls):
@@ -715,6 +710,33 @@ class TestUpperTriangularTable:
         report = self.assert_matches_oracle(rolls)
         assert report.vanishing_violations and report.diagonal_zeros
         assert self.assert_matches_oracle({w: w for w in points}).passed
+
+    def test_one_key_comparison_per_nonzero_entry(self, monkeypatch):
+        # no N x N relation: bruhat_table is refused, and each nonzero entry
+        # of the matrix costs one comparison of packed keys
+        table = rolldown_table(single_row(6), hessenberg_334(6))
+        points = sorted(table)
+        nonzero = sum(
+            value != S1_ZERO
+            for row in p_rows([table[w] for w in points], points)
+            for value in row
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_upper_triangular built a relation table")
+
+        for module in [permutations, billey]:
+            monkeypatch.setattr(module, "bruhat_table", refuse, raising=False)
+        calls = []
+        real = BruhatKeys.leq
+
+        def counted(keys, kv, kw):
+            calls.append((kv, kw))
+            return real(keys, kv, kw)
+
+        monkeypatch.setattr(BruhatKeys, "leq", counted)
+        assert check_upper_triangular(table).passed
+        assert len(calls) == nonzero > len(points)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_random_tables_flag_in_row_major_order(self, n):

@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+import types
 from collections import Counter
 
 import pytest
@@ -32,7 +33,13 @@ from hesspin.fillings import hessenberg_334, single_row
 from hesspin.permutations import from_word, inversions, is_reduced_word
 from hesspin.pinball import is_fixed_point, rolldown, rolldown_table
 
-from oracles import brute_inversions, brute_summand_table, bruhat_sweeps, relation_tables
+from oracles import (
+    brute_inversions,
+    brute_summand_table,
+    bruhat_leq_tableau,
+    bruhat_sweeps,
+    relation_tables,
+)
 
 PET_NO = FixedPointClass.PETERSON_NO_321
 PET_321 = FixedPointClass.PETERSON_321
@@ -381,36 +388,38 @@ class TestTheorem:
     @pytest.mark.parametrize("n", [5, 6])
     def test_vanishing_witnesses_follow_the_relation(self, monkeypatch, n):
         # the theorem passes, so bruhat-vanishing's witness path is reached
-        # only by clearing bits of the points' rows of the Bruhat relation:
-        # its witnesses must be the nonzero entries of the matrix outside
-        # the corrupted relation, diagonal ones included, in row-major order
+        # only by corrupting the relation the triangularity pass reads: the
+        # packed keys' leq says False on a random ~30% of the pairs of points
+        # and on every third diagonal pair.  The witnesses must be the
+        # nonzero entries of the matrix outside the corrupted relation,
+        # diagonal ones included, in row-major order
         rng = random.Random(8200 + n)
-        real = hess334.bruhat_table
-        corrupted = []
+        points = fixed_points_334(n)
+        size = len(points)
+        cleared = {
+            (a, b)
+            for a in range(size)
+            for b in range(size)
+            if rng.random() < 0.3 or (a == b and a % 3 == 0)
+        }
+        keys = billey.bruhat_keys(n)
+        index = {keys.key(w): a for a, w in enumerate(points)}
 
-        def clearing(lower, upper):
-            table = list(real(lower, upper))
-            size = len(upper)
-            if tuple(lower[:size]) == tuple(upper):
-                for a in range(size):
-                    cleared = sum(1 << b for b in range(size) if rng.random() < 0.3)
-                    if a % 3 == 0:
-                        cleared |= 1 << a
-                    table[a] &= ~cleared
-                corrupted.append(table[:size])
-            return tuple(table)
+        def leq(kv, kw):
+            return (index[kv], index[kw]) not in cleared and keys.leq(kv, kw)
 
-        monkeypatch.setattr(hess334, "bruhat_table", clearing)
+        corrupted = types.SimpleNamespace(key=keys.key, leq=leq)
+        monkeypatch.setattr(billey, "bruhat_keys", lambda m: corrupted)
         report = verify_334_theorem(n)
-        [below] = corrupted
-        points = report.points
+        assert report.points == points
         table = rolldown_table(single_row(n), hessenberg_334(n))
         # restriction values do not depend on the reduced word
         expected = [
             (points[a], points[b], value)
             for a, row in enumerate(p_rows([table[w] for w in points], points))
             for b, value in enumerate(row)
-            if value != S1_ZERO and not below[a] >> b & 1
+            if value != S1_ZERO
+            and ((a, b) in cleared or not bruhat_leq_tableau(points[a], points[b]))
         ]
         assert any(v == w for v, w, _ in expected)
         assert any(v != w for v, w, _ in expected)
@@ -490,9 +499,10 @@ class TestTheorem:
 
     @pytest.mark.slow
     def test_holds_no_rolldown_rows_in_memory(self):
-        # at n = 12 (3,072 points) the pass stays near 9.8 MB; holding the
-        # rolldowns' rows of the Bruhat relation (1.2 MB) or one list of 121
-        # rank counts per point in bruhat_table takes it past the bound
+        # at n = 12 (3,072 points) the pass stays near 7.6 MiB; holding the
+        # points' or the rolldowns' rows of the Bruhat relation (1.2 MB each;
+        # the points' rows took the peak to 8.85 MiB) or one list of 121 rank
+        # counts per point in bruhat_table takes it past the bound
         tracemalloc.start()
         try:
             report = verify_334_theorem(12)
@@ -500,7 +510,7 @@ class TestTheorem:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak < 10.75 * 2**20, peak
+        assert peak < 8.0 * 2**20, peak
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 4"):
