@@ -23,34 +23,39 @@ one backward pass over b from v down to the identity (``_backward``),
 stepping numbered states of the right weak-order ideal below v
 (``_Ideal``), so a step is a list lookup; its callers differ only in the
 value a state carries and how a move updates it.  ``sigma_restriction``
-and ``sigma_rows`` carry polynomials as maps from packed monomials to
-coefficients.  ``p_summand_counts`` carries {weight: count} multisets of
-projected root products, counting how many subwords give each summand,
-and ``p_restriction`` sums that multiset.  Every pass reads its letters
-from w's column (``_column``), the one place the roots r(j, b) are derived
-and b is checked against w.  A table numbers the whole ideal of its rows
-once (``_weak_ideal``) and builds each column once, and one decoder per
-table (``_decoder``) unpacks each distinct monomial once and builds each
-``Polynomial`` without re-checking it.  A single entry numbers only the
+carries polynomials as maps from packed monomials to coefficients;
+``p_summand_counts`` carries {weight: count} multisets of projected root
+products, counting how many subwords give each summand, and
+``p_restriction`` sums that multiset.  A single entry numbers only the
 states its pass reaches, looking up each step when the pass first takes
-it.  The matrix has one prefix recurrence, which returns a column's
-nonzero entries (``_column_entries``), reading the column in letter order
-and keeping only partial products inside the rows' ideal.  One column
-stream (``_column_stream``) numbers the rows' ideal once and builds each
-point's column once.  ``p_rows`` collects it, keeping each row as a
-bitmask of its nonzero columns and their coefficients, and yields the
-dense rows one at a time.  Poset upper triangularity is one pass over the
-stream (``_Triangularity``): it reads each column's diagonal and tests each
-nonzero entry with ``BruhatKeys.leq``, on canonical words for
-``check_upper_triangular`` and catalog words for ``verify_334_theorem``.  No
-restriction consults Bruhat keys, and the ideal depends only on the rows,
-so checking their vanishing against Bruhat order is not a tautology.
+it.  Every pass reads its letters from w's column (``_column``), the one
+place the roots r(j, b) are derived and b is checked against w.
+
+Tables come from one forward prefix recurrence per column instead, reading
+the column in letter order and keeping only partial products inside the
+rows' weak-order ideal, numbered once (``_weak_ideal``) and stepped by its
+ascent table (``_ascents``): on projected weights for the matrix
+(``_column_entries``) and on packed polynomials for the full torus
+(``_torus_entries``).  One column stream (``_column_stream``) builds each
+point's column once.  ``p_rows`` and ``sigma_rows`` collect it, keeping
+each row as a bitmask of its nonzero columns and their values, and yield
+the dense rows one at a time; a full-torus value is held as one flat tuple
+of coefficients and exponent tuples shared across the table
+(``_exponents``), and becomes a ``Polynomial`` without re-checking.
+
+Poset upper triangularity is one pass over the stream (``_Triangularity``):
+it reads each column's diagonal and tests each nonzero entry with
+``BruhatKeys.leq``, on canonical words for ``check_upper_triangular`` and
+catalog words for ``verify_334_theorem``.  No restriction consults Bruhat
+keys, and the ideal depends only on the rows, so checking their vanishing
+against Bruhat order is not a tautology.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from .fillings import _Table
 from .permutations import (
     Perm,
     Word,
@@ -198,8 +203,9 @@ def sigma_restriction(v: Perm, w: Perm, word: Optional[Sequence[int]] = None) ->
     """
     v = _checked_pair(v, w)
     n = len(w)
-    column = _column(w, word, _packed_units(n))
-    return _decoder(n)(_backward(_Ideal([v]), v, column, {0: 1}, _times_root))
+    packed = _backward(_Ideal([v]), v, _column(w, word, _packed_units(n)), {0: 1}, _times_root)
+    exponents = _exponents(n)
+    return Polynomial._trusted(n, {exponents[m]: c for m, c in packed.items() if c})
 
 
 def _checked_pair(v: Perm, w: Perm) -> Perm:
@@ -223,24 +229,20 @@ def _checked_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> tuple[list[Pe
 def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[Polynomial, ...]]:
     """``sigma_restriction(v, w)`` for every w in ``points``, one row v at a time.
 
-    The rows are read and checked up front, and their weak-order ideal is
-    numbered once for the whole table.  Each point's column (``_column``)
-    is built and its canonical word checked once, up front, instead of
-    once per entry.  Each row's values are computed when it is asked for,
-    so a caller can stream them; one
-    decoder (``_decoder``) turns every packed value of the table into a
-    ``Polynomial``, unpacking each distinct monomial once.
+    The full-torus analogue of ``p_rows``, with the same arguments and
+    checks, computed the same way: every column comes from the forward
+    recurrence on packed monomials (``_torus_entries``) on the first
+    ``next``, each point's column built and its canonical word checked
+    when the pass reaches it.  Each row keeps a bitmask of its nonzero
+    columns and one flat tuple of terms per nonzero entry, and its dense
+    row of ``Polynomial``s is built when it is asked for.
     """
     rows, n = _checked_rows(rows, points)
-    unit = () if n is None else _packed_units(n)
-    columns = [_column(w, None, unit) for w in points]
-    if not rows:
-        # nothing to restrict; the points are checked all the same
-        return
-    ideal = _weak_ideal(rows)
-    decode = _decoder(n)
-    for v in rows:
-        yield tuple(decode(_backward(ideal, v, col, {0: 1}, _times_root)) for col in columns)
+    for mask, held in zip(*_held_rows(rows, points, torus=True)):
+        row = [Polynomial._trusted(n, {}) for _ in points]
+        for b, terms in zip(set_bits(mask), held):
+            row[b] = Polynomial._trusted(n, dict(zip(terms[::2], terms[1::2])))
+        yield tuple(row)
 
 
 class _Ideal:
@@ -420,28 +422,13 @@ def _times_weight(value: dict[int, int], out: dict[int, int], lower: int, upper:
         out[c * weight] = out.get(c * weight, 0) + count
 
 
-def _decoder(n: int) -> Callable[[Mapping[int, int]], Polynomial]:
-    """Turns the packed values of the full-torus pass into ``Polynomial``s.
-
-    Each distinct packed monomial is unpacked into its exponent tuple once,
-    for every value the decoder is given; cancelled coefficients are
-    dropped.  The tuples have length n by construction, so the polynomial
-    is built without ``Polynomial.__init__``'s checks.
-    """
+def _exponents(n: int) -> dict[int, tuple[int, ...]]:
+    """The exponent tuple of each packed monomial of S_n, unpacked when it
+    is first looked up and shared by every later lookup.  The tuples have
+    length n by construction, so the full-torus passes build their
+    ``Polynomial``s without ``Polynomial.__init__``'s checks."""
     shifts, mask = _fields(n)
-    exponents: dict[int, tuple[int, ...]] = {}
-
-    def decode(packed: Mapping[int, int]) -> Polynomial:
-        terms = {}
-        for mono, c in packed.items():
-            if c:
-                exps = exponents.get(mono)
-                if exps is None:
-                    exps = exponents[mono] = tuple(mono >> s & mask for s in shifts)
-                terms[exps] = c
-        return Polynomial._trusted(n, terms)
-
-    return decode
+    return _Table(lambda mono: tuple(mono >> s & mask for s in shifts))
 
 
 def project_s1(p: Polynomial) -> S1Value:
@@ -527,13 +514,7 @@ def p_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[S1Val
     for, so no dense table is held.
     """
     rows = _checked_rows(rows, points)[0]
-    nonzero = [0] * len(rows)
-    coeffs: list[list[int]] = [[] for _ in rows]
-    for b, (_, entries) in enumerate(_column_stream(points, rows)[1]):
-        for a, c in entries:
-            nonzero[a] |= 1 << b
-            coeffs[a].append(c)
-    for v, mask, cs in zip(rows, nonzero, coeffs):
+    for v, mask, cs in zip(rows, *_held_rows(rows, points)):
         degree = inversions(v)
         row = [S1_ZERO] * len(points)
         for b, c in zip(set_bits(mask), cs):
@@ -541,27 +522,65 @@ def p_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[S1Val
         yield tuple(row)
 
 
+def _held_rows(
+    rows: Sequence[Perm], points: Sequence[Perm], torus: bool = False
+) -> tuple[list[int], list[list]]:
+    # each row's bitmask of nonzero columns and its nonzero values in
+    # column order, from one column stream on the points' canonical words
+    nonzero = [0] * len(rows)
+    held: list[list] = [[] for _ in rows]
+    for b, (_, entries) in enumerate(_column_stream(points, rows, torus=torus)[1]):
+        for a, value in entries:
+            nonzero[a] |= 1 << b
+            held[a].append(value)
+    return nonzero, held
+
+
 def _column_stream(
-    points: Sequence[Perm], rolls: Sequence[Perm], words: Optional[Sequence[Word]] = None
-) -> tuple[_Ideal, Iterator[tuple[list[_Letter], list[tuple[int, int]]]]]:
+    points: Sequence[Perm],
+    rolls: Sequence[Perm],
+    words: Optional[Sequence[Word]] = None,
+    torus: bool = False,
+) -> tuple[_Ideal, Iterator[tuple[list[_Letter], list[tuple]]]]:
     """The weak-order ideal of ``rolls``, numbered once, and the columns.
 
     The stream yields, for each point w in order, w's column of projected
     weights (``_column``) on its word in ``words``, or its canonical word
     when ``words`` is None, and that column's nonzero (row, coefficient)
     entries (``_column_entries``), row a restricting the class of
-    ``rolls[a]``.  Each column is built once, when the stream reaches it.
+    ``rolls[a]``.  With ``torus`` the columns hold packed units and the
+    entries are (row, terms) pairs of full-torus values (``_torus_entries``).
+    Each column is built once, when the stream reaches it.
     """
     ideal = _weak_ideal(rolls)
+    recurrence = _torus_entries if torus else _column_entries
     # without rows the ideal is empty and every column has no entries
-    entries = _column_entries(ideal, rolls) if rolls else lambda column: []
+    entries = recurrence(ideal, rolls) if rolls else lambda column: []
 
     def stream():
         for w, word in zip(points, words or [None] * len(points)):
-            column = _column(w, word, range(len(w) + 1))
+            unit = _packed_units(len(w)) if torus else range(len(w) + 1)
+            column = _column(w, word, unit)
             yield column, entries(column)
 
     return ideal, stream()
+
+
+def _ascents(ideal: _Ideal, rolls: Sequence[Perm]) -> tuple[list[list[int]], list[list[int]]]:
+    """``up[i][k]``, permutation k times s_i when that is longer and in
+    ``ideal``, the weak-order ideal of ``rolls``, else -1; and
+    ``rows_of[k]``, the rows a with ``rolls[a]`` permutation k."""
+    number = ideal.number
+    # the ascent steps are the descent steps read backwards
+    up = [[-1] * len(number) for _ in ideal.down]
+    for i, step in enumerate(ideal.down):
+        for k, child in enumerate(step):
+            if child >= 0:
+                up[i][child] = k
+    rows_of: list[list[int]] = [[] for _ in number]
+    for a, v in enumerate(rolls):
+        rows_of[number[v]].append(a)
+    return up, rows_of
 
 
 def _column_entries(
@@ -578,24 +597,13 @@ def _column_entries(
     j adds u * s_{b_j} with weight times r(j, b), upper - lower, where the
     length rises.  A partial product of a reduced subword reaching v is a
     reduced prefix of v, so it lies below v in the right weak order, and
-    only products in I are kept.  ``up[i][k]`` is the number of permutation
-    k times s_i when that is longer and in I, read off I's descent steps,
-    so a pass steps states by list lookups.  I is the same for every column
-    and compares no keys, so checking the matrix's vanishing against Bruhat
+    only products in I are kept.  A state steps up by I's ascent table
+    (``_ascents``), a list lookup.  I is the same for every column and
+    compares no keys, so checking the matrix's vanishing against Bruhat
     order still tests something.  Each row takes its column's value from
     the state of its rolldown, and nothing is held between columns.
     """
-    number = ideal.number
-    # the ascent steps are the descent steps read backwards
-    up = [[-1] * len(number) for _ in ideal.down]
-    for i, step in enumerate(ideal.down):
-        for k, child in enumerate(step):
-            if child >= 0:
-                up[i][child] = k
-    # the rows of each state; the same rolldown may serve several rows
-    rows_of: list[list[int]] = [[] for _ in number]
-    for a, v in enumerate(rolls):
-        rows_of[number[v]].append(a)
+    up, rows_of = _ascents(ideal, rolls)
     bottom = ideal.bottom
 
     def entries(column: Sequence[_Letter]) -> list[tuple[int, int]]:
@@ -609,6 +617,48 @@ def _column_entries(
                 if u2 >= 0:
                     weights[u2] = weights.get(u2, 0) + c * weight
         return [(a, c) for u, c in weights.items() if c for a in rows_of[u]]
+
+    return entries
+
+
+def _torus_entries(
+    ideal: _Ideal, rolls: Sequence[Perm]
+) -> Callable[[Sequence[_Letter]], list[tuple[int, tuple]]]:
+    """``_column_entries`` on the full torus, for columns of packed units.
+
+    Each state carries its summed root products as a map from packed
+    monomials to coefficients, which letter j adds times r(j, b) into the
+    longer state (``_times_root``).  A nonzero entry comes as (row, terms),
+    terms one flat tuple exps_1, c_1, exps_2, c_2, ..., so a held term is
+    two pointers: the exponent tuples come from one table (``_exponents``)
+    and the rows of one state share its tuple.
+    """
+    up, rows_of = _ascents(ideal, rolls)
+    bottom, exponents = ideal.bottom, _exponents(len(rolls[0]))
+
+    def entries(column: Sequence[_Letter]) -> list[tuple[int, tuple]]:
+        values = {bottom: {0: 1}}
+        for _, i, lower, upper in reversed(column):
+            step = up[i]
+            # as in _column_entries, no state moves twice on one letter
+            for u, value in list(values.items()):
+                u2 = step[u]
+                if u2 >= 0:
+                    out = values.get(u2)
+                    if out is None:
+                        values[u2] = out = {}
+                    _times_root(value, out, lower, upper)
+        found = []
+        for u, value in values.items():
+            if rows_of[u]:
+                terms = []
+                for m, c in value.items():
+                    if c:
+                        terms += exponents[m], c
+                if terms:
+                    terms = tuple(terms)
+                    found += [(a, terms) for a in rows_of[u]]
+        return found
 
     return entries
 
@@ -651,7 +701,7 @@ class _Triangularity:
         """Each column of the stream with its diagonal value."""
         points, found = self.points, self.found
         keys = bruhat_keys(len(points[0]) if points else 1)
-        leq, key = keys.leq, list(map(keys.key, points))
+        leq, key = keys.leq, list(map(keys._pack, points))
         for b, (column, entries) in enumerate(columns):
             value, kw = S1_ZERO, key[b]
             for a, c in entries:

@@ -244,6 +244,11 @@ class BruhatKeys:
             raise ValueError(f"size mismatch: {len(w)} vs {self.n}")
         if sorted(w) != self._values:
             raise ValueError(f"not a permutation of 1..{self.n}: {tuple(w)}")
+        return self._pack(w)
+
+    def _pack(self, w: Perm) -> int:
+        # ``key`` without its checks, for callers whose w is already known
+        # to be a permutation of 1..n
         tails, shift = self._tails, self._row
         key = row = 0
         for value in w[:-1]:
@@ -276,7 +281,7 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
     if len(v) != len(w):
         raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
     keys = bruhat_keys(len(v))
-    return keys.leq(keys.key(v), keys.key(w))
+    return keys.leq(keys._pack(v), keys._pack(w))
 
 
 def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> Iterator[int]:
@@ -307,7 +312,7 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> Iterator[int]:
     if n > 256:
         raise ValueError(f"bruhat_table needs n <= 256, got n = {n}")
     keys = bruhat_keys(n)
-    key, size, width = keys.key, keys.size, (n - 1) ** 2
+    key, size, width = keys._pack, keys.size, (n - 1) ** 2
 
     def counts(w: Perm) -> bytes:
         return key(w).to_bytes(size * width, "big")[size - 1 :: size]

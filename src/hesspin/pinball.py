@@ -280,7 +280,7 @@ def _report(
     """
     n = diagram_size(diagram)
     keys = bruhat_keys(n)
-    key, leq = keys.key, keys.leq
+    key, leq = keys._pack, keys.leq
     code = next(c for c in "BHI" if n < 1 << 8 * array(c).itemsize)
     top = n * (n - 1) // 2  # the longest length in S_n
     degrees = [0] * (top + 1)

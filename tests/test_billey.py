@@ -64,7 +64,7 @@ def _refuse_bruhat_order(monkeypatch, message):
     assert "bruhat_keys" in names
     for name in names:
         monkeypatch.setattr(billey, name, refuse)
-    for name in ["key", "leq"]:
+    for name in ["key", "_pack", "leq"]:
         monkeypatch.setattr(BruhatKeys, name, refuse)
 
 
@@ -307,6 +307,65 @@ class TestSigma:
         rows = [perms[k] for k in range(0, 24, 5)]
         table = list(sigma_rows(iter(rows), perms))
         assert table == [tuple(sigma_restriction(v, w) for w in perms) for v in rows]
+
+    def test_rows_take_only_the_forward_pass(self, monkeypatch):
+        # a table comes from the matrix's forward recurrence, and a single
+        # entry from the backward pass; neither consults Bruhat order
+        perms = all_permutations(4)
+        expected = [tuple(sigma_restriction(v, w) for w in perms) for v in perms]
+        backward = []
+        real = billey._backward
+        monkeypatch.setattr(billey, "_backward", lambda *args: backward.append(args))
+        _refuse_bruhat_order(monkeypatch, "sigma_rows took a refused path")
+        assert list(sigma_rows(perms, perms)) == expected
+        assert backward == []
+        monkeypatch.setattr(billey, "_backward", real)
+        assert sigma_restriction(perms[-1], perms[-1]) == expected[-1][-1]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_rows_sharing_a_state_match_single_entries(self, n):
+        # repeated rows, and the rows of a rolldown table where several
+        # points roll down to one permutation, read one state of the pass
+        rng = random.Random(7700 + n)
+        perms = all_permutations(n)
+        short = [v for v in perms if inversions(v) <= 2]
+        points = rng.sample(perms, 2 * n)
+        rows = rng.sample(perms, n) + [short[k % len(short)] for k in range(2 * n)]
+        rows += rows[:2]
+        assert len(set(rows)) < len(rows)
+        values = list(sigma_rows(rows, points))
+        assert values == [tuple(sigma_restriction(v, w) for w in points) for v in rows]
+        assert any(p for row in values for p in row)
+        # one state's terms are held once for all of its rows
+        entries = billey._torus_entries(_weak_ideal(rows), rows)
+        found = entries(billey._column(perms[-1], None, billey._packed_units(n)))
+        held = {}
+        for a, terms in found:
+            assert held.setdefault(rows[a], terms) is terms
+        assert len(found) == len(rows) > len(held)
+
+    def test_rows_without_rows_or_points(self):
+        perms = all_permutations(3)
+        assert list(sigma_rows([], perms)) == []
+        assert list(sigma_rows(perms, [])) == [()] * len(perms)
+        assert list(sigma_rows([], [])) == []
+
+    @pytest.mark.slow
+    def test_rows_hold_compact_terms(self):
+        # the 334 rolldowns at n = 8, 192 x 192 entries: the pass holds one
+        # flat tuple of shared exponent tuples and coefficients per nonzero
+        # entry, near 3.9 MiB traced; one dict per entry takes 5.6 MiB
+        table = rolldown_table(single_row(8), hessenberg_334(8))
+        points = sorted(table)
+        rows = [table[w] for w in points]
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in sigma_rows(rows, points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == len(points) == 192
+        assert peak < 5 * 2**20, peak
 
     def test_rows_check_each_word_once(self, monkeypatch):
         # one canonical word per column, however many rows

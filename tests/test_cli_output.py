@@ -10,7 +10,9 @@ enumeration pass per run, from the per-point implementation.
 It also pins ``matrix --n 4..7``, projected and ``--full-torus``, in the
 same three formats.  Those were recorded while ``sigma_restriction`` still
 summed Polynomial products over the reduced subwords it walked, before
-its backward pass over packed monomials.
+its backward pass over packed monomials.  ``matrix --n 8 --full-torus
+--format json`` was recorded while ``sigma_rows`` still ran that backward
+pass once per entry, before it moved onto the forward column recurrence.
 
 ``verify --mode basis334`` is pinned for n = 4..8 in the same three
 formats.  Those were recorded while ``p_summand_counts`` still ran a

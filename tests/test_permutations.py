@@ -187,6 +187,40 @@ class TestBruhat:
         with pytest.raises(ValueError, match="not a permutation of 1..3"):
             bruhat_keys(3).key(bad)
 
+    def test_trusted_callers_skip_the_key_check(self, monkeypatch):
+        # callers whose points are already known permutations pack keys
+        # without the public key's check
+        from hesspin.billey import check_upper_triangular
+        from hesspin.fillings import hessenberg_334, single_row
+        from hesspin.hess334 import verify_334_theorem
+        from hesspin.pinball import rolldown_table, verify_pinball
+
+        checked, packed = [], []
+        real_key, real_pack = permutations.BruhatKeys.key, permutations.BruhatKeys._pack
+
+        def counted_key(keys, w):
+            checked.append(w)
+            return real_key(keys, w)
+
+        def counted_pack(keys, w):
+            packed.append(w)
+            return real_pack(keys, w)
+
+        monkeypatch.setattr(permutations.BruhatKeys, "key", counted_key)
+        monkeypatch.setattr(permutations.BruhatKeys, "_pack", counted_pack)
+        h = hessenberg_334(6)
+        assert verify_pinball((6,), h).passed
+        assert verify_334_theorem(6).passed
+        assert check_upper_triangular(rolldown_table(single_row(6), h)).passed
+        perms = all_permutations(4)
+        assert bruhat_leq(perms[1], perms[-1])
+        assert len(list(bruhat_table(perms, perms))) == len(perms)
+        assert checked == [] and packed
+        # the public key keeps its check
+        with pytest.raises(ValueError, match="not a permutation"):
+            bruhat_keys(3).key((1, 1, 3))
+        assert checked == [(1, 1, 3)]
+
     def test_keys_are_injective(self):
         # the rank counts determine the permutation
         perms = all_permutations(5)
@@ -353,14 +387,14 @@ class TestBruhatTable:
         expected = [
             [b for b, w in enumerate(upper) if bruhat_leq(v, w)] for v in lower
         ]
-        real = permutations.BruhatKeys.key
+        real = permutations.BruhatKeys._pack
         seen = []
 
         def counted(self, w):
             seen.append(w)
             return real(self, w)
 
-        monkeypatch.setattr(permutations.BruhatKeys, "key", counted)
+        monkeypatch.setattr(permutations.BruhatKeys, "_pack", counted)
         rows = bruhat_table(lower, upper)
         assert seen == list(reversed(upper))
         for k, (mask, bits) in enumerate(zip(rows, expected), 1):

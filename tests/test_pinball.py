@@ -422,13 +422,13 @@ class TestVerifyPinball:
     def _count_keys(monkeypatch):
         """The permutations whose Bruhat keys are packed from now on."""
         packed = []
-        real = permutations.BruhatKeys.key
+        real = permutations.BruhatKeys._pack
 
         def counted(self, w):
             packed.append(w)
             return real(self, w)
 
-        monkeypatch.setattr(permutations.BruhatKeys, "key", counted)
+        monkeypatch.setattr(permutations.BruhatKeys, "_pack", counted)
         return packed
 
     def test_full_flag_packs_no_keys(self, monkeypatch):
