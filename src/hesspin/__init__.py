@@ -25,6 +25,7 @@ _EXPORTS = {
         "p_summand_counts",
         "project_s1",
         "sigma_restriction",
+        "sigma_rows",
     ),
     "fillings": (
         "dimension_pairs",

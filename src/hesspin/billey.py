@@ -39,9 +39,9 @@ ascent table (``_ascents``): on projected weights for the matrix
 (``_torus_entries``).  One column stream (``_column_stream``) builds each
 point's column once.  ``p_rows`` and ``sigma_rows`` collect it, keeping
 each row as a bitmask of its nonzero columns and their values, and yield
-the dense rows one at a time; a full-torus value is held as one flat tuple
-of coefficients and exponent tuples shared across the table
-(``_exponents``), and becomes a ``Polynomial`` without re-checking.
+the dense rows one at a time.  A full-torus value is held as one flat tuple
+of coefficients and shared exponent tuples (``_exponents``) in
+``sorted_terms()`` order, which ``matrix --full-torus`` writes as it comes.
 
 Poset upper triangularity is one pass over the stream (``_Triangularity``):
 it reads each column's diagonal and tests each nonzero entry with
@@ -234,12 +234,13 @@ def sigma_rows(rows: Iterable[Perm], points: Sequence[Perm]) -> Iterator[tuple[P
     recurrence on packed monomials (``_torus_entries``) on the first
     ``next``, each point's column built and its canonical word checked
     when the pass reaches it.  Each row keeps a bitmask of its nonzero
-    columns and one flat tuple of terms per nonzero entry, and its dense
-    row of ``Polynomial``s is built when it is asked for.
+    columns and a flat tuple of terms per nonzero entry; its dense row is
+    built when asked for, each zero entry the one zero of the call.
     """
     rows, n = _checked_rows(rows, points)
+    zero = Polynomial._trusted(n, {})
     for mask, held in zip(*_held_rows(rows, points, torus=True)):
-        row = [Polynomial._trusted(n, {}) for _ in points]
+        row = [zero] * len(points)
         for b, terms in zip(set_bits(mask), held):
             row[b] = Polynomial._trusted(n, dict(zip(terms[::2], terms[1::2])))
         yield tuple(row)
@@ -423,10 +424,8 @@ def _times_weight(value: dict[int, int], out: dict[int, int], lower: int, upper:
 
 
 def _exponents(n: int) -> dict[int, tuple[int, ...]]:
-    """The exponent tuple of each packed monomial of S_n, unpacked when it
-    is first looked up and shared by every later lookup.  The tuples have
-    length n by construction, so the full-torus passes build their
-    ``Polynomial``s without ``Polynomial.__init__``'s checks."""
+    """Each packed monomial's exponent tuple, of length n, unpacked on its
+    first lookup and shared by later ones (``Polynomial._trusted`` holds)."""
     shifts, mask = _fields(n)
     return _Table(lambda mono: tuple(mono >> s & mask for s in shifts))
 
@@ -631,7 +630,8 @@ def _torus_entries(
     longer state (``_times_root``).  A nonzero entry comes as (row, terms),
     terms one flat tuple exps_1, c_1, exps_2, c_2, ..., so a held term is
     two pointers: the exponent tuples come from one table (``_exponents``)
-    and the rows of one state share its tuple.
+    and the rows of one state share its tuple.  Terms descend as packed
+    ints, ``sorted_terms()`` order since t_1 is the top field (``_fields``).
     """
     up, rows_of = _ascents(ideal, rolls)
     bottom, exponents = ideal.bottom, _exponents(len(rolls[0]))
@@ -652,8 +652,8 @@ def _torus_entries(
         for u, value in values.items():
             if rows_of[u]:
                 terms = []
-                for m, c in value.items():
-                    if c:
+                for m in sorted(value, reverse=True):
+                    if c := value[m]:
                         terms += exponents[m], c
                 if terms:
                     terms = tuple(terms)

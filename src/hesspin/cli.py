@@ -37,6 +37,7 @@ import csv
 import json
 import os
 import sys
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .fillings import (
@@ -52,7 +53,7 @@ from .fillings import (
     validate_diagram,
     validate_hessenberg,
 )
-from .permutations import from_word
+from .permutations import from_word, set_bits
 
 if TYPE_CHECKING:
     from .billey import S1Value
@@ -354,63 +355,61 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _torus_line():
-    """The json line of a ``matrix --full-torus`` row (v, polynomials), as
-    ``_JSON`` writes {"entries": [[{"coeff", "exps"}, ...], ...], "v": v}:
-    terms in ``sorted_terms()`` order, joined from a table of the text after
-    each exponent tuple's coefficient, built as the tuples first appear."""
-    after = _Table(lambda exps: '","exps":[' + ",".join(map(str, exps)) + "]}")
-
-    def entry(p) -> str:
-        terms = [
-            '{"coeff":"' + str(coeff) + after[exps] for exps, coeff in p.sorted_terms()
-        ]
-        return "[" + ",".join(terms) + "]"
-
-    def line(item) -> str:
-        v, entries = item
-        return "".join((
-            '{"entries":[',
-            ",".join(map(entry, entries)),
-            '],"v":[',
-            ",".join(map(str, v)),
-            "]}\n",
-        ))
-
-    return line
-
-
-def _torus_cell():
-    """The csv/table cell of a full-torus polynomial, its ``repr``, with
-    each exponent tuple's variable names (``t3^2*t5``) made once, as the
-    tuples first appear."""
+def _torus_texts(n: int, columns: int):
+    """The json line and the csv/table cells of a ``matrix --full-torus``
+    row (v, mask, held), read off the terms the recurrence holds
+    (``billey._held_rows``): each nonzero entry's flat tuple exps, coeff,
+    ... is already in ``sorted_terms()`` order and joined as it comes, and
+    every zero entry is one constant, the text of no terms, so no
+    ``Polynomial`` is built.  A json term is joined from a table of the text
+    after each exponent tuple's coefficient, and a cell, the entry's
+    ``repr``, from a table of each tuple's variable names (``t3^2*t5``)."""
     from .billey import _monomial, _polynomial_text
 
-    names = _Table(_monomial).__getitem__
-    return lambda p: _polynomial_text(p.sorted_terms(), names)
+    after = _Table(lambda exps: '","exps":[' + ",".join(map(str, exps)) + "]}")
+
+    def dense(text):
+        zero = text(())
+
+        def texts(mask: int, held) -> list[str]:
+            out = [zero] * columns
+            for b, terms in zip(set_bits(mask), held):
+                out[b] = text(zip(terms[::2], terms[1::2]))
+            return out
+
+        return texts
+
+    entries = dense(
+        lambda ts: "[" + ",".join(['{"coeff":"' + str(c) + after[e] for e, c in ts]) + "]"
+    )
+    cells = dense(partial(_polynomial_text, monomial=_Table(_monomial).__getitem__))
+
+    def line(item) -> str:
+        v, mask, held = item
+        vs = ",".join(map(str, v))
+        return '{"entries":[' + ",".join(entries(mask, held)) + '],"v":[' + vs + "]}\n"
+
+    return line, lambda item: (_fmt_entries(item[0], n), *cells(item[1], item[2]))
 
 
 def cmd_matrix(args) -> int:
     n, h, shape = _resolve(args)
     _require_single_row(shape, "matrix")
-    from .billey import p_rows, sigma_rows
+    from .billey import _checked_rows, _held_rows, p_rows
     from .pinball import rolldown_table
 
     table = rolldown_table(shape, h)
     points = tuple(sorted(table))
     if args.full_torus:
-        items = zip(points, sigma_rows((table[v] for v in points), points))
-        line, as_cell = _torus_line(), _torus_cell()
+        rows = _checked_rows([table[v] for v in points], points)[0]
+        items = zip(points, *_held_rows(rows, points, torus=True))
+        line, row = _torus_texts(n, len(points))
     else:
         items = zip(points, p_rows((table[v] for v in points), points))
         line = _encoded(
             lambda item: {"v": item[0], "entries": [_s1_json(e) for e in item[1]]}
         )
-        as_cell = _fmt_s1
-
-    def row(item) -> tuple[str, ...]:
-        v, entries = item
-        return (_fmt_entries(v, n), *map(as_cell, entries))
+        row = lambda item: (_fmt_entries(item[0], n), *map(_fmt_s1, item[1]))
 
     headers = ("v", *(_fmt_entries(w, n) for w in points))
     _emit(args, items, headers, line, row)

@@ -303,10 +303,36 @@ class TestSigma:
         assert all(expected)
 
     def test_rows_match_single_entries(self):
+        # every row and point of S_n for n <= 5, the rows given as an iterator
+        for n in range(1, 6):
+            perms = all_permutations(n)
+            table = list(sigma_rows(iter(perms), perms))
+            assert table == [tuple(sigma_restriction(v, w) for w in perms) for v in perms]
+
+    def test_rows_share_one_zero(self):
+        # every zero entry of a call is one object, the zero polynomial
         perms = all_permutations(4)
-        rows = [perms[k] for k in range(0, 24, 5)]
-        table = list(sigma_rows(iter(rows), perms))
-        assert table == [tuple(sigma_restriction(v, w) for w in perms) for v in rows]
+        zeros = {id(p): p for row in sigma_rows(perms, perms) for p in row if not p}
+        assert len(zeros) == 1
+        assert next(iter(zeros.values())) == Polynomial(4, {})
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_held_terms_descend(self, n):
+        # each held tuple lists its terms in sorted_terms() order, so the
+        # CLI writes them as they come; every row of S_n, and at n = 6
+        # every seventh point (all 720 take 3.6 s)
+        perms = all_permutations(n)
+        points = perms[::7] if n == 6 else perms
+        masks, held = billey._held_rows(perms, points, torus=True)
+        count = 0
+        for mask, entries in zip(masks, held):
+            assert len(entries) == bin(mask).count("1")
+            for terms in entries:
+                pairs = list(zip(terms[::2], terms[1::2]))
+                assert pairs == Polynomial(n, dict(pairs)).sorted_terms()
+                assert len(pairs) == len(dict(pairs)) and all(c for _, c in pairs)
+                count += 1
+        assert count == sum(bruhat_leq(v, w) for v in perms for w in points)
 
     def test_rows_take_only_the_forward_pass(self, monkeypatch):
         # a table comes from the matrix's forward recurrence, and a single

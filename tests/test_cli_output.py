@@ -13,6 +13,10 @@ summed Polynomial products over the reduced subwords it walked, before
 its backward pass over packed monomials.  ``matrix --n 8 --full-torus
 --format json`` was recorded while ``sigma_rows`` still ran that backward
 pass once per entry, before it moved onto the forward column recurrence.
+``matrix --n 5 --full-torus`` with the Peterson and the full-flag h, whose
+entries are mostly nonzero and have negative coefficients, was recorded
+while the CLI still wrote each entry from a ``Polynomial`` of ``sigma_rows``,
+before it read the held terms.
 
 ``verify --mode basis334`` is pinned for n = 4..8 in the same three
 formats.  Those were recorded while ``p_summand_counts`` still ran a
@@ -293,17 +297,43 @@ def test_full_torus_json_matches_generic_encoder(capsys):
 
 
 def test_full_torus_cells_match_repr():
-    # the table and csv cells are joined from per-exponent name texts
-    cell = cli._torus_cell()
-    h = hessenberg_full(4)
-    table = rolldown_table(single_row(4), h)
+    # the table and csv cells are joined from the held terms and
+    # per-exponent name texts
+    table = rolldown_table(single_row(4), hessenberg_full(4))
     points = sorted(table)
-    for row in billey.sigma_rows([table[v] for v in points], points):
-        for p in row:
-            assert cell(p) == repr(p)
-    for terms in ({(0, 0): -3}, {(0, 1): -1, (2, 0): 1}, {(1, 1): 2, (0, 0): 1}):
+    rows = [table[v] for v in points]
+    cells = cli._torus_texts(4, len(points))[1]
+    held = billey._held_rows(rows, points, torus=True)
+    for item, polys in zip(zip(points, *held), billey.sigma_rows(rows, points)):
+        assert cells(item) == ("".join(map(str, item[0])), *map(repr, polys))
+    cells = cli._torus_texts(2, 1)[1]
+    for terms in ({(0, 0): -3}, {(0, 1): -1, (2, 0): 1}, {(1, 1): 2, (0, 0): 1}, {}):
         p = billey.Polynomial(2, terms)
-        assert cell(p) == repr(p)
+        flat = tuple(x for term in p.sorted_terms() for x in term)
+        mask, held = (1, [flat]) if flat else (0, [])
+        assert cells(((2, 1), mask, held)) == ("21", repr(p))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_full_torus_builds_no_polynomial(monkeypatch, capsys, fmt):
+    # every entry is written from the terms the recurrence holds
+    built = []
+
+    def trusted(cls, nvars, terms):
+        built.append(terms)
+
+    def init(self, nvars, terms=None):
+        built.append(terms)
+
+    monkeypatch.setattr(billey.Polynomial, "_trusted", classmethod(trusted))
+    monkeypatch.setattr(billey.Polynomial, "__init__", init)
+    assert main(["matrix", "--n", "5", "--h", "5,5,5,5,5", "--full-torus", "--format", fmt]) == 0
+    assert built == []
+    header = {"json": 0, "csv": 1, "table": 2}[fmt]
+    assert capsys.readouterr().out.count("\n") == 120 + header
+    # the count sees a polynomial that is built
+    billey.Polynomial(2)
+    assert built == [None]
 
 
 def test_rolldowns_make_one_enumeration_pass(enumerations, capsys):
@@ -314,15 +344,21 @@ def test_rolldowns_make_one_enumeration_pass(enumerations, capsys):
 
 def test_full_torus_streams_rows(monkeypatch):
     produced = []
-    real = billey.sigma_rows
+    real = billey._held_rows
 
-    def watched(rows, points):
-        for row in real(rows, points):
-            produced.append(row)
-            yield row
+    def watched(rows, points, torus=False):
+        masks, held = real(rows, points, torus=torus)
 
-    # cmd_matrix imports sigma_rows from billey when it runs
-    monkeypatch.setattr(billey, "sigma_rows", watched)
+        def stream():
+            for terms in held:
+                produced.append(terms)
+                yield terms
+
+        return masks, stream()
+
+    # cmd_matrix imports _held_rows from billey when it runs, and reads
+    # each row's held terms as it writes the row
+    monkeypatch.setattr(billey, "_held_rows", watched)
     out = _Watched(produced)
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["matrix", "--n", "7", "--full-torus", "--format", "json"]) == 0
