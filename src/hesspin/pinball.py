@@ -21,11 +21,12 @@ three from one enumeration pass, taking only the reading word and the
 packed x of each leaf state (``fillings._leaf_states``).  Bruhat order,
 length and distinctness are all unchanged by w -> w^{-1}, so it checks
 them on the inverses: the reading word w^{-1}, which the pass keeps, and
-omega(x), the inverse of the rolldown: length by counting inversions, and
-Bruhat order by their packed keys (``permutations.BruhatKeys``), packed
-only when the two differ.  Bruhat order is reflexive, so a leaf whose
-rolldown is its own point (every leaf of the full flag h = (n, ..., n)) is
-settled by tuple equality and packs no key.  Only the witnesses of failed
+omega(x), the inverse of the rolldown: length by counting inversions,
+for all points of one degree at once (``_lengths``), and Bruhat order by
+their packed keys (``permutations.BruhatKeys``), packed only when the two
+differ.  Bruhat order is reflexive, so a leaf whose rolldown is its own
+point (every leaf of the full flag h = (n, ..., n)) is settled by tuple
+equality and packs no key.  Only the witnesses of failed
 checks are inverted back.  ``fixed_points``, ``rolldown_words``,
 ``rolldown_table`` and ``betti_numbers`` also read only the fixed point
 (``point()``), x or the degree; none of them builds a filling or a pairs
@@ -34,16 +35,17 @@ the count field of the packed x (``fillings._packing``), which the pass
 adds to as it settles each pair set; the rolldown's length is still
 counted from omega(x) itself.
 
-The checks stream: each leaf is checked as the pass yields it, and
-``verify_pinball`` keeps two count arrays (by degree and by rolldown
-length), one fixed-width (omega(x), reading word) record of 2n small
-integers per point for distinctness, bucketed by rolldown length and
-checked one bucket at a time once the pass ends, and the witnesses of
-failed checks, never the (point, rolldown) table or an object per point;
-its report counts the points it checked.  ``hess334.verify_334_theorem``
-hands its leaves to the same loop.  No (diagram, h) is known to fail: an
-exhaustive sweep passes all 1,836 pairs with n <= 6 and all 6,435 with
-n = 7.  The report still keeps a witness for every failure.
+The checks stream: each leaf is checked for Bruhat order as the pass
+yields it, and ``verify_pinball`` keeps one fixed-width (omega(x), reading
+word) record of 2n small integers per point, bucketed by degree, and the
+witnesses of failed checks, never the (point, rolldown) table or an
+object per point.  Once the pass ends, the bucket sizes are the Betti
+numbers, the lengths are counted one bucket at a time, and each bucket
+is checked for distinctness; its report counts the points it checked.
+``hess334.verify_334_theorem`` hands its leaves to the same loop.  No
+(diagram, h) is known to fail: an exhaustive sweep passes all 1,836
+pairs with n <= 6 and all 6,435 with n = 7.  The report still keeps a
+witness for every failure.
 
 ``is_fixed_point``, ``rolldown``, ``rolldown_word`` and ``degree`` take one
 point and make one set of argument checks; all but ``is_fixed_point`` then
@@ -56,6 +58,7 @@ check nothing twice.
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 from collections import Counter
 from operator import itemgetter
@@ -80,7 +83,6 @@ from .permutations import (
     Word,
     bruhat_keys,
     inverse,
-    inversions,
     validate,
 )
 
@@ -226,9 +228,9 @@ def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
     """Check the pinball success conditions for (diagram, h) exhaustively.
 
     Each leaf of one enumeration pass is checked as it comes (``_report``):
-    only the counts by degree and by length, one fixed-width record of each
-    (rolldown, point) pair and the witnesses of failed checks are kept,
-    never the whole table.
+    only one fixed-width record of each (rolldown, point) pair, bucketed by
+    degree, and the witnesses of failed checks are kept, never the whole
+    table.
     """
     diagram = validate_diagram(diagram)
     h = validate_hessenberg(h)
@@ -262,48 +264,67 @@ def _report(
     Bruhat order is reflexive, so o == u settles o <= u, and the keys of
     o and u are packed and compared only when the two differ.
 
-    The Betti side counts the degrees; the rolldown lengths are counted as
-    inversions of the permutations o (``inversions``), so the two sides
-    of ``betti-match`` are computed independently.  A leaf is kept only
-    when its rolldown is not below its point.
+    Each leaf leaves one fixed-width record (o, u), 2n entries of the
+    smallest array type that holds n, in one array per degree, and is
+    kept as a witness only when its rolldown is not below its point.  The
+    Betti side of ``betti-match`` counts the records of each degree.  The
+    rolldown lengths are counted once the pass ends, as the inversions of
+    the o of each bucket's records all at once (``_lengths``), so the two
+    sides are computed independently.
 
-    Distinctness keeps one fixed-width record (o, u) per leaf, 2n entries
-    of the smallest array type that holds n, in one array per length of o.
-    Equal o have equal lengths, and the bucket sizes are the length counts,
-    which for a passing (diagram, h) are its Betti numbers.  Once every
-    leaf is in, each bucket is checked on its own: the set of the bytes of
-    its o, built at C level, is smaller than the bucket exactly when two
-    records share an o, and only then is the bucket walked in Python to
-    collect the owners of each shared o.  So u and o are never held as
-    objects per point, and the largest bucket bounds the objects held at
-    once.
+    Equal o have equal lengths, so a record whose length differs from its
+    degree moves to the bucket of its length, and two records with one o
+    then share a bucket.  For a passing (diagram, h) no record moves and
+    the bucket sizes are its Betti numbers.  Each bucket is then checked
+    on its own: the set of the bytes of its o, built at C level, is
+    smaller than the bucket exactly when two records share an o, and only
+    then is the bucket walked in Python to collect the owners of each
+    shared o.  So u and o are never held as objects per point, and the
+    largest bucket bounds the objects held at once.
     """
     n = diagram_size(diagram)
     keys = bruhat_keys(n)
     key, leq = keys._pack, keys.leq
     code = next(c for c in "BHI" if n < 1 << 8 * array(c).itemsize)
     top = n * (n - 1) // 2  # the longest length in S_n
-    degrees = [0] * (top + 1)
-    lengths = [0] * (top + 1)
-    buckets = [array(code) for _ in range(top + 1)]  # records (o, u) by length
+    buckets = [array(code) for _ in range(top + 1)]  # records (o, u) by degree
     bruhat_failures: list[tuple[Perm, Perm]] = []  # (w, r), inverted back
-    points = 0
     for u, o, d in leaves:
-        points += 1
-        degrees[d] += 1
-        length = inversions(o)
-        lengths[length] += 1
         if o != u and not leq(key(o), key(u)):
             bruhat_failures.append((inverse(u), inverse(o)))
-        buckets[length].fromlist([*o, *u])
+        buckets[d].fromlist([*o, *u])
     bruhat_failures.sort()
+
+    step = 2 * n  # the entries of one record
+    degrees = [len(records) // step for records in buckets]
+    lengths = [0] * (top + 1)
+    moved: dict[int, array] = {}  # length -> the records that move there
+    for d, records in enumerate(buckets):
+        if not records:  # _lengths costs n(n - 1)/2 steps even when empty
+            continue
+        found = _lengths(records, n)
+        if found.count(d) == len(found):
+            lengths[d] += len(found)
+            continue
+        kept = array(code)
+        for k, length in enumerate(found):
+            lengths[length] += 1
+            record = records[k * step : (k + 1) * step]
+            if length == d:
+                kept += record
+            else:
+                moved.setdefault(length, array(code)).extend(record)
+        buckets[d] = kept
+    for length, records in moved.items():
+        buckets[length] += records
 
     width = n * array(code).itemsize  # the bytes of one o or one u
     first = struct.Struct(f"{width}s{width}x")  # (o,) as bytes, u skipped
     head = itemgetter(0)
-    entries = struct.Struct(f"{2 * n}{code}")  # o + u as 2n ints
+    entries = struct.Struct(f"{step}{code}")  # o + u as 2n ints
     collisions = []
-    for records, size in zip(buckets, lengths):
+    for records in buckets:
+        size = len(records) // step
         if size < 2 or len(set(map(head, first.iter_unpack(records)))) == size:
             continue
         owners: dict = {}  # o -> the u of every record with that o
@@ -326,7 +347,7 @@ def _report(
         diagram=diagram,
         h=h,
         betti=_trimmed(degrees),
-        points=points,
+        points=sum(degrees),
         injective=not collisions,
         collisions=tuple(collisions),
         below_fixed_point=not bruhat_failures,
@@ -334,6 +355,41 @@ def _report(
         betti_matched=not betti_mismatches,
         betti_mismatches=betti_mismatches,
     )
+
+
+def _lengths(records: array, n: int) -> array:
+    """The inversion count of the o of each (o, u) record in ``records``,
+    2n entries a record, counted for all records at once.
+
+    Column i of the o (every 2n-th entry from i) is spread into fields of
+    twice the entries' width and read as one int C_i, record k in field k.
+    With G the top (guard) bit of every field, ((C_i | G) - C_j) & G sets
+    the guard of each record whose o(i) > o(j): the entries are distinct
+    and below the guard, so no borrow leaves its field (the packed
+    comparison of ``BruhatKeys.leq``).  The sum over all i < j, shifted
+    down by the guard's place, holds each record's length in its field,
+    which holds n(n - 1)/2 for every n the entry type allows.  The result
+    has one entry per record, of the field's array type.
+    """
+    itemsize = records.itemsize
+    wide = next(c for c in "HILQ" if array(c).itemsize == 2 * itemsize)
+    shift = 16 * itemsize - 1  # the guard's place in its field
+    size = len(records) // (2 * n)
+    order = sys.byteorder
+    guards = int.from_bytes(array(wide, [1 << shift]) * size, order)
+    column = array(wide, bytes(2 * itemsize * size))
+    # the low halves of the fields of ``column``, as entries of ``records``
+    low = memoryview(column).cast("B").cast(records.typecode)[order == "big" :: 2]
+    entries = memoryview(records)
+    above = []  # C_i | G for the columns i before j
+    total = 0
+    for j in range(n):
+        low[:] = entries[j :: 2 * n]
+        c = int.from_bytes(column, order)
+        for a in above:
+            total += (a - c) & guards
+        above.append(c | guards)
+    return array(wide, (total >> shift).to_bytes(2 * itemsize * size, order))
 
 
 def _trimmed(counts: list[int]) -> tuple[int, ...]:

@@ -1,8 +1,10 @@
 """Rolldowns and the pinball success conditions."""
 
 import math
+import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -303,8 +305,8 @@ class TestVerifyPinball:
     def test_memory_per_point_when_h1_is_1(self):
         # With h(1) = 1 every omega(x) begins with 1, so one record bucket
         # per first entry of omega(x) would hold every point (135 B per
-        # point traced); the buckets by rolldown length spread as the Betti
-        # numbers, and the traced peak is about 26 B per point.
+        # point traced); the buckets by degree spread as the Betti numbers,
+        # and the traced peak is about 26 B per point.
         report, peak = self._traced(9, (1,) + hessenberg_full(9)[1:])
         assert report.passed and report.points == 40320
         assert peak < 48 * report.points, peak
@@ -403,6 +405,78 @@ class TestVerifyPinball:
         assert len({inversions(r) for r, _ in expected}) >= 2
         assert not report.injective and not report.passed
 
+    @staticmethod
+    def _brute_mismatches(diagram, h, faulty):
+        """``betti_mismatches`` when ``faulty(x)`` is every omega(x): the
+        brute degrees against the brute lengths of the faulty rolldowns."""
+        n = sum(diagram)
+        degrees, lengths = [], []
+        for w, pairs in _brute_points(diagram, h):
+            x = [sum(1 for _, b in pairs if b == l) for l in range(2, n + 1)]
+            degrees.append(len(pairs))
+            lengths.append(brute_inversions(faulty(x)))
+        return tuple(
+            (k, degrees.count(k), lengths.count(k))
+            for k in range(n * (n - 1) // 2 + 1)
+            if degrees.count(k) != lengths.count(k)
+        )
+
+    @pytest.mark.parametrize(
+        "diagram, h",
+        [
+            ((5,), hessenberg_full(5)),
+            ((6,), hessenberg_334(6)),
+            ((3, 2), (3, 3, 4, 5, 5)),
+        ],
+    )
+    def test_moved_records_stay_distinct(self, monkeypatch, diagram, h):
+        # omega(x) with its first two entries swapped is still injective but
+        # one longer or shorter, so every record leaves its degree's bucket
+        # and none of them collides; the lengths of the full flag and the
+        # 334 family still match their Betti numbers, those of the last
+        # pair do not
+        def faulty(x):
+            o = list(omega(x))
+            o[0], o[1] = o[1], o[0]
+            return tuple(o)
+
+        self._omega_by(monkeypatch, faulty)
+        report = verify_pinball(diagram, h)
+        assert report.injective and report.collisions == ()
+        assert report.betti_mismatches == self._brute_mismatches(diagram, h, faulty)
+        assert report.betti_matched == (diagram != (3, 2))
+
+    def test_moved_record_collides_with_one_that_stayed(self, monkeypatch):
+        # x = (1, 0, 0) has degree 1 but is sent to the identity, the
+        # omega of x = 0: its record moves to the length-0 bucket, where
+        # the record of the identity point stayed
+        def faulty(x):
+            return identity(4) if tuple(x) == (1, 0, 0) else omega(x)
+
+        self._omega_by(monkeypatch, faulty)
+        h = hessenberg_full(4)
+        report = verify_pinball((4,), h)
+        e, s1 = identity(4), from_word(4, (1,))
+        assert report.collisions == ((e, (e, s1)),)
+        assert report.betti_mismatches == ((0, 1, 2), (1, 3, 2))
+        assert report.betti_mismatches == self._brute_mismatches((4,), h, faulty)
+        assert report.below_fixed_point and not report.passed
+
+    def test_lengths_counted_in_bulk(self, monkeypatch):
+        # the rolldown lengths come from ``_lengths`` once per bucket, not
+        # from an inversion count per leaf
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return inversions(w)
+
+        monkeypatch.setattr(permutations, "inversions", counted)
+        monkeypatch.setattr(pinball, "inversions", counted, raising=False)
+        report = verify_pinball((7,), hessenberg_full(7))
+        assert report.passed and report.points == 5040
+        assert calls == []
+
     def test_checks_catch_rolldowns_above(self, monkeypatch):
         # For the full flag the rolldown of w is w itself, so omega(x) is
         # w^{-1}.  Its inverse w in place of omega(x) makes the rolldown
@@ -480,6 +554,8 @@ class TestVerifyPinball:
         assert report.points == 3
         assert report.collisions == ((e, tuple(sorted((e, w1, w2)))),)
         assert report.below_fixed_point
+        # degrees 1, 0, 1 against three rolldowns of length 0
+        assert report.betti_mismatches == ((0, 1, 3), (1, 2, 0))
 
     def test_report_is_exhaustive(self):
         report = verify_pinball((4,), hessenberg_334(4))
@@ -491,6 +567,48 @@ class TestVerifyPinball:
             k for k, b in enumerate(report.betti) for _ in range(b)
         )
         assert lengths == expected
+
+
+class TestLengths:
+    """``pinball._lengths`` record by record against ``brute_inversions``."""
+
+    @staticmethod
+    def _records(code, perms):
+        """One (o, u) record per o in ``perms``, u its reverse."""
+        records = array(code)
+        for o in perms:
+            records.fromlist([*o, *reversed(o)])
+        return records
+
+    def _check(self, code, perms, n):
+        found = pinball._lengths(self._records(code, perms), n)
+        assert list(found) == [brute_inversions(o) for o in perms]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_random_buckets(self, n):
+        rng = random.Random(n)
+        perms = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(200)]
+        self._check("B", perms, n)
+
+    def test_longest_in_bytes(self):
+        # n = 255 is the largest n held in bytes; w0's length 32,385 is the
+        # largest in a 16-bit field below its guard bit
+        n = 255
+        e, w0 = identity(n), tuple(range(n, 0, -1))
+        found = pinball._lengths(self._records("B", [e, w0, e]), n)
+        assert list(found) == [0, n * (n - 1) // 2, 0] == [0, 32385, 0]
+
+    def test_past_n_255(self):
+        n = 256
+        rng = random.Random(n)
+        perms = [identity(n), tuple(range(n, 0, -1))]
+        perms += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
+        self._check("H", perms, n)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_empty_and_single_buckets(self, count):
+        perms = [(3, 1, 4, 5, 2)][:count]
+        self._check("B", perms, 5)
 
 
 class TestFixedPoints:
