@@ -42,13 +42,15 @@ product of x vectors: it builds omega(x) by n - 1 list inserts, with no
 word built.  ``omega`` checks x first, and ``_roll`` inverts it into the
 rolldown of a point with top-part vector x.  A leaf reads omega(x) off its
 packed x as the product of the omega of each half of x (``_halves``), two
-tables whose entries ``_omega`` builds the first time each half appears.
+tables whose entries ``_omega`` builds the first time each half appears;
+the product comes out as the bytes of a pinball record (``_record_code``).
 """
 
 from __future__ import annotations
 
 import functools
 import struct
+from array import array
 from itertools import chain, permutations, repeat
 from math import factorial
 from operator import itemgetter
@@ -737,17 +739,29 @@ def _gather(w: Perm) -> Callable[[Sequence[int]], tuple[int, ...]]:
     return itemgetter(*[v - 1 for v in w]) if len(w) > 1 else tuple
 
 
+def _record_code(n: int) -> str:
+    """The typecode of the smallest array type that holds 1..n: a
+    permutation of S_n as a pinball record is the bytes of
+    ``array(_record_code(n), w)``, one byte an entry for n < 256."""
+    return next(c for c in "BHI" if n < 1 << 8 * array(c).itemsize)
+
+
 class _Halves(NamedTuple):
-    """omega(x) of a packed x (``_packing``) from two tables.
+    """omega(x) of a packed x (``_packing``) from two tables, as a record
+    (``_record_code``).
 
     omega(x) is the product of the blocks u_2 ... u_n, so with x split
     after x_m it is omega(x_2, ..., x_m, 0, ...) o omega(0, ..., x_{m+1},
     ..., x_n): as one-line tuples, the first read at the positions of the
-    second.  For a packed t, ``gathers[t & high](omegas[t & low])`` is
-    omega(x).  ``omegas`` maps the low half to its permutation (m + 1..n
-    fixed), ``gathers`` maps the high half to the ``_gather`` of its
-    permutation; both are filled by ``_omega`` as keys first appear.  m
-    minimises m! + n!/m!, the most entries the two can hold: 456 at n = 8."""
+    second.  For a packed t, ``gathers[t & high](omegas[t & low])`` is the
+    record of omega(x), one C call.  For n < 256 ``omegas`` maps the low
+    half to the 256-byte translation table T of its permutation, T[j] its
+    value at j, and ``gathers`` maps the high half to the bound
+    ``translate`` of its permutation's bytes.  For n >= 256 ``omegas``
+    holds the low half's permutation and ``gathers`` the ``_gather`` of
+    the high half's, with its result encoded.  Both tables are filled by
+    ``_omega`` as keys first appear.  m minimises m! + n!/m!, the most
+    entries the two can hold: 456 at n = 8."""
 
     split: int
     low: int
@@ -762,13 +776,19 @@ def _halves(n: int) -> _Halves:
     m = min(range(1, n + 1), key=lambda m: factorial(m) + factorial(n) // factorial(m))
     low = ((1 << width * (m + 1)) - 1) ^ count
     high = ((1 << width * (n + 1)) - 1) ^ low ^ count
-    return _Halves(
-        m,
-        low,
-        high,
-        _Table(lambda key: _omega(x(key))),
-        _Table(lambda key: _gather(_omega(x(key)))),
-    )
+    code = _record_code(n)
+    if code == "B":
+        omegas = _Table(lambda key: bytes((0, *_omega(x(key)))).ljust(256, b"\0"))
+        gathers = _Table(lambda key: bytes(_omega(x(key))).translate)
+    else:
+        omegas = _Table(lambda key: _omega(x(key)))
+
+        def gather(key: int) -> Callable[[Perm], bytes]:
+            take = _gather(_omega(x(key)))
+            return lambda p: array(code, take(p)).tobytes()
+
+        gathers = _Table(gather)
+    return _Halves(m, low, high, omegas, gathers)
 
 
 def _roll(x: Sequence[int]) -> Perm:

@@ -70,6 +70,8 @@ from .billey import (
 )
 from .fillings import (
     _describe,
+    _leaf_states,
+    _roll,
     _violation,
     hessenberg_334,
     single_row,
@@ -88,7 +90,6 @@ from .permutations import (
 from .pinball import (
     CheckResult,
     PinballReport,
-    _leaves,
     _report,
     fixed_points,
 )
@@ -554,16 +555,16 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         )
     h = hessenberg_334(n)
     diagram = single_row(n)
-    # (point, rolldown) of each leaf of the one enumeration pass, noted as
-    # the pinball checks read the leaf, then sorted by point
+    # (point, rolldown) of each leaf state of the one enumeration pass,
+    # noted as the state goes on to the pinball checks, then sorted by point
     table: list[tuple[Perm, Perm]] = []
 
-    def noted(leaves):
-        for u, o, d in leaves:
-            table.append((inverse(u), inverse(o)))
-            yield u, o, d
+    def noted(states):
+        for state in states:
+            table.append((state.point(), _roll(state.x())))
+            yield state
 
-    pin = _report(diagram, h, noted(_leaves(diagram, h)))
+    pin = _report(diagram, h, noted(_leaf_states(diagram, h)))
     table.sort()
     # each point's facts, derived once; every check below reads them
     facts = [_point(w) for w, _ in table]

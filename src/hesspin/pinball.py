@@ -7,11 +7,11 @@ the top-part vector x and returns ``omega(x)^{-1}``; its length equals the
 number of dimension pairs.  ``fillings._omega`` is the one product of x
 vectors: it builds ``omega(x)`` by n - 1 list inserts, with no word built.
 ``fillings._roll`` inverts it for ``rolldown`` and ``rolldown_table``.
-The leaves that ``verify_pinball`` and the 334 theorem check read
-omega(x) off the packed x of their leaf state, as the product of two
-cached halves (``fillings._halves``) whose entries ``_omega`` builds, and
-the 334 theorem inverts it.  ``rolldown_word`` and ``rolldown_words`` give
-the reversed omega word itself.
+The leaves that ``verify_pinball`` checks read omega(x) off the packed x
+of their leaf state, as the product of two cached halves
+(``fillings._halves``) whose entries ``_omega`` builds, already encoded
+as record bytes (``fillings._record_code``).  ``rolldown_word`` and
+``rolldown_words`` give the reversed omega word itself.
 
 ``verify_pinball`` checks the three success conditions of Betti poset
 pinball (Harada and Tymoczko, arXiv:1007.2750): rolldowns are pairwise
@@ -24,28 +24,31 @@ them on the inverses: the reading word w^{-1}, which the pass keeps, and
 omega(x), the inverse of the rolldown: length by counting inversions,
 for all points of one degree at once (``_lengths``), and Bruhat order by
 their packed keys (``permutations.BruhatKeys``), packed only when the two
-differ.  Bruhat order is reflexive, so a leaf whose rolldown is its own
-point (every leaf of the full flag h = (n, ..., n)) is settled by tuple
-equality and packs no key.  Only the witnesses of failed
-checks are inverted back.  ``fixed_points``, ``rolldown_words``,
-``rolldown_table`` and ``betti_numbers`` also read only the fixed point
-(``point()``), x or the degree; none of them builds a filling or a pairs
-tuple.  The degree of a point, its number of dimension pairs, is read off
-the count field of the packed x (``fillings._packing``), which the pass
-adds to as it settles each pair set; the rolldown's length is still
-counted from omega(x) itself.
+differ.  Both are held as record bytes, one byte an entry for n < 256,
+so a leaf whose rolldown is its own point (every leaf of the full flag
+h = (n, ..., n)) is settled by one bytes comparison, by the reflexivity
+of Bruhat order, and packs no key.  Only the witnesses of failed checks
+are decoded and inverted back to tuples.  ``fixed_points``,
+``rolldown_words``, ``rolldown_table`` and ``betti_numbers`` also read
+only the fixed point (``point()``), x or the degree; none of them builds
+a filling or a pairs tuple.  The degree of a point, its number of
+dimension pairs, is read off the count field of the packed x
+(``fillings._packing``), which the pass adds to as it settles each pair
+set; the rolldown's length is still counted from omega(x) itself.
 
-The checks stream: each leaf is checked for Bruhat order as the pass
-yields it, and ``verify_pinball`` keeps one fixed-width (omega(x), reading
-word) record of 2n small integers per point, bucketed by degree, and the
+The checks stream: ``_report`` reads the leaf states of the pass in one
+loop, checks each for Bruhat order as the pass yields it, and keeps one
+fixed-width (omega(x), reading word) record of 2n small integers per
+point, appended as two byte strings to the array of its degree, and the
 witnesses of failed checks, never the (point, rolldown) table or an
 object per point.  Once the pass ends, the bucket sizes are the Betti
 numbers, the lengths are counted one bucket at a time, and each bucket
 is checked for distinctness; its report counts the points it checked.
-``hess334.verify_334_theorem`` hands its leaves to the same loop.  No
-(diagram, h) is known to fail: an exhaustive sweep passes all 1,836
-pairs with n <= 6 and all 6,435 with n = 7.  The report still keeps a
-witness for every failure.
+``hess334.verify_334_theorem`` hands the states of its pass to the same
+loop, noting each point and its rolldown on the way.  No (diagram, h) is
+known to fail: an exhaustive sweep passes all 1,836 pairs with n <= 6
+and all 6,435 with n = 7.  The report still keeps a witness for every
+failure.
 
 ``is_fixed_point``, ``rolldown``, ``rolldown_word`` and ``degree`` take one
 point and make one set of argument checks; all but ``is_fixed_point`` then
@@ -61,8 +64,9 @@ import struct
 import sys
 from array import array
 from collections import Counter
+from functools import partial
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fillings import (
     Diagram,
@@ -70,6 +74,8 @@ from .fillings import (
     _leaf_states,
     _packing,
     _placed,
+    _PrefixState,
+    _record_code,
     _roll,
     _violation,
     diagram_size,
@@ -234,43 +240,35 @@ def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
     """
     diagram = validate_diagram(diagram)
     h = validate_hessenberg(h)
-    return _report(diagram, h, _leaves(diagram, h))
-
-
-def _leaves(diagram: Diagram, h: Sequence[int]) -> Iterator[tuple[Perm, Perm, int]]:
-    """(reading word, omega(x), degree) of each leaf state of the one
-    enumeration pass, in the pass's order: the inverses of the fixed point
-    and of its rolldown, and the number of pairs.  omega(x) and the degree
-    are read off the packed x: omega(x) from the two tables of
-    ``fillings._halves``, the degree from the count field (``_packing``)."""
-    n = diagram_size(diagram)
-    count = _packing(n).count
-    _, low, high, omegas, gathers = _halves(n)
-    for state in _leaf_states(diagram, h):
-        t = state.tops[-1]
-        yield tuple(state.word), gathers[t & high](omegas[t & low]), t & count
+    return _report(diagram, h, _leaf_states(diagram, h))
 
 
 def _report(
-    diagram: Diagram, h: tuple[int, ...], leaves: Iterable[tuple[Perm, Perm, int]]
+    diagram: Diagram, h: tuple[int, ...], states: Iterable[_PrefixState]
 ) -> PinballReport:
-    """The three pinball checks over ``leaves``, one leaf at a time.
+    """The three pinball checks over the leaf ``states`` of the pass for
+    (diagram, h), one leaf at a time.
 
-    Each leaf (u, o, d) holds the inverses u = w^{-1} of a fixed point and
-    o = r^{-1} of its rolldown, and the point's degree.  Bruhat order,
-    length and distinctness are unchanged by inversion, so r <= w is
-    checked as o <= u, r's length is o's inversion count, and the r are
-    distinct exactly when the o are; only the witnesses are inverted back.
-    Bruhat order is reflexive, so o == u settles o <= u, and the keys of
-    o and u are packed and compared only when the two differ.
+    Each leaf gives u = w^{-1}, the reading word of its fixed point w,
+    o = r^{-1} = omega(x), the inverse of its rolldown, read off its
+    packed x by the two tables of ``fillings._halves``, and its degree d,
+    the count field of the packed x (``fillings._packing``).  Both u and
+    o are record bytes: the entries of the smallest array type that holds
+    n (``fillings._record_code``), so a byte each for n < 256.  Bruhat
+    order, length and distinctness are unchanged by inversion, so r <= w
+    is checked as o <= u, r's length is o's inversion count, and the r are
+    distinct exactly when the o are; only the witnesses are decoded and
+    inverted back.  Bruhat order is reflexive, so o == u, one bytes
+    comparison, settles o <= u, and the keys of o and u are packed and
+    compared only when the two differ.
 
-    Each leaf leaves one fixed-width record (o, u), 2n entries of the
-    smallest array type that holds n, in one array per degree, and is
-    kept as a witness only when its rolldown is not below its point.  The
-    Betti side of ``betti-match`` counts the records of each degree.  The
-    rolldown lengths are counted once the pass ends, as the inversions of
-    the o of each bucket's records all at once (``_lengths``), so the two
-    sides are computed independently.
+    Each leaf appends one fixed-width record (o, u), 2n entries, to the
+    array of its degree, as two byte strings, and is kept as a witness
+    only when its rolldown is not below its point.  The Betti side of
+    ``betti-match`` counts the records of each degree.  The rolldown
+    lengths are counted once the pass ends, as the inversions of the o of
+    each bucket's records all at once (``_lengths``), so the two sides are
+    computed independently.
 
     Equal o have equal lengths, so a record whose length differs from its
     degree moves to the bucket of its length, and two records with one o
@@ -285,14 +283,25 @@ def _report(
     n = diagram_size(diagram)
     keys = bruhat_keys(n)
     key, leq = keys._pack, keys.leq
-    code = next(c for c in "BHI" if n < 1 << 8 * array(c).itemsize)
+    code = _record_code(n)
+    entries_of = partial(array, code)  # record bytes -> their entries
+    encode = bytes if code == "B" else lambda word: entries_of(word).tobytes()
+    count = _packing(n).count
+    _, low, high, omegas, gathers = _halves(n)
     top = n * (n - 1) // 2  # the longest length in S_n
     buckets = [array(code) for _ in range(top + 1)]  # records (o, u) by degree
     bruhat_failures: list[tuple[Perm, Perm]] = []  # (w, r), inverted back
-    for u, o, d in leaves:
-        if o != u and not leq(key(o), key(u)):
-            bruhat_failures.append((inverse(u), inverse(o)))
-        buckets[d].fromlist([*o, *u])
+    for state in states:
+        t = state.tops[-1]
+        o = gathers[t & high](omegas[t & low])
+        u = encode(state.word)
+        if o != u:
+            ov, uv = entries_of(o), entries_of(u)
+            if not leq(key(ov), key(uv)):
+                bruhat_failures.append((inverse(uv), inverse(ov)))
+        records = buckets[t & count]
+        records.frombytes(o)
+        records.frombytes(u)
     bruhat_failures.sort()
 
     step = 2 * n  # the entries of one record

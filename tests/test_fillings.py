@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -412,15 +413,16 @@ class TestOmega:
         return itertools.product(*(range(l) for l in range(2, n + 1)))
 
     @staticmethod
-    def _assert_halves_multiply(n, vectors):
+    def _assert_halves_multiply(n, vectors, record=bytes):
         """omega(x) from the two tables of ``fillings._halves``, for x
-        packed with its count field, against the omega word's product."""
+        packed with its count field, against the ``record`` encoding of
+        the omega word's product: one byte an entry below n = 256."""
         packing = fillings._packing(n)
         m, low, high, omegas, gathers = fillings._halves(n)
         checked = 0
         for x in vectors:
             t = sum(xl << packing.width * l for l, xl in enumerate(x, 2)) + sum(x)
-            assert gathers[t & high](omegas[t & low]) == omega_of_word(x), x
+            assert gathers[t & high](omegas[t & low]) == record(omega_of_word(x)), x
             checked += 1
         assert checked
         # each table holds at most the distinct halves
@@ -440,6 +442,17 @@ class TestOmega:
             tuple(rng.randrange(l) for l in range(2, n + 1)) for _ in range(500)
         ]
         self._assert_halves_multiply(n, vectors)
+
+    def test_halves_give_wide_records_past_n_255(self):
+        # 256 does not fit a byte: omega(x) comes out as 16-bit entries
+        n = 256
+        rng = random.Random(n)
+        vectors = [
+            tuple(rng.randrange(l) for l in range(2, n + 1)) for _ in range(3)
+        ]
+        self._assert_halves_multiply(
+            n, vectors, record=lambda w: array("H", w).tobytes()
+        )
 
     def test_word_and_examples(self):
         assert omega_word((1, 1, 1, 0)) == (1, 2, 3)

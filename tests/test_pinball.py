@@ -347,17 +347,19 @@ class TestVerifyPinball:
     @staticmethod
     def _omega_by(monkeypatch, faulty):
         """Make ``faulty(x)`` the omega(x) of every leaf, where the leaves
-        read it: the whole packed x keys the low table, which holds
-        ``faulty(x)``, and the high table holds only the identity gather."""
+        read it: the whole packed x keys the low table, which holds the
+        record bytes of ``faulty(x)`` (``fillings._record_code``), and the
+        high table holds only the map that keeps them."""
         real = fillings._halves
 
         def halves(n):
             x = fillings._packing(n).x
+            code = fillings._record_code(n)
             return real(n)._replace(
                 low=real(n).low | real(n).high,
                 high=0,
-                omegas=fillings._Table(lambda key: faulty(x(key))),
-                gathers={0: tuple},
+                omegas=fillings._Table(lambda key: array(code, faulty(x(key))).tobytes()),
+                gathers={0: bytes},
             )
 
         monkeypatch.setattr(pinball, "_halves", halves)
@@ -543,19 +545,40 @@ class TestVerifyPinball:
         assert moved and report.bruhat_failures == moved
         assert not report.below_fixed_point and not report.passed
 
-    def test_collisions_past_n_255(self):
-        # entries above 255 do not fit a byte: the records take a wider type
+    def test_collisions_past_n_255(self, monkeypatch):
+        # entries above 255 do not fit a byte: the records take a wider
+        # type, through a real pass over the two points of h = (1, ...,
+        # 254, 256, 256), the identity (degree 0) and s_255 (degree 1)
         n = 256
-        e, w1, w2 = identity(n), from_word(n, (1,)), from_word(n, (255,))
-        # (point, rolldown, degree), taken to the reading-word frame
-        leaves = [(w1, e, 1), (e, e, 0), (w2, e, 1)]
-        leaves = [(inverse(w), inverse(r), d) for w, r, d in leaves]
-        report = pinball._report((n,), hessenberg_full(n), leaves)
-        assert report.points == 3
-        assert report.collisions == ((e, tuple(sorted((e, w1, w2)))),)
+        h = tuple(range(1, n - 1)) + (n, n)
+        e, s = identity(n), from_word(n, (n - 1,))
+        report = verify_pinball((n,), h)
+        assert report.passed and report.points == 2 and report.betti == (1, 1)
+        # both rolldowns the identity
+        self._omega_by(monkeypatch, lambda x: e)
+        report = verify_pinball((n,), h)
+        assert report.points == 2
+        assert report.collisions == ((e, (e, s)),)
         assert report.below_fixed_point
-        # degrees 1, 0, 1 against three rolldowns of length 0
-        assert report.betti_mismatches == ((0, 1, 3), (1, 2, 0))
+        # degrees 0 and 1 against two rolldowns of length 0
+        assert report.betti_mismatches == ((0, 1, 2), (1, 1, 0))
+        # the two rolldowns swapped: the identity's rolldown s_255 is not
+        # below it, and its witness is decoded from the wide records
+        self._omega_by(monkeypatch, lambda x: e if any(x) else s)
+        report = verify_pinball((n,), h)
+        assert report.injective and report.betti_matched
+        assert report.bruhat_failures == ((e, s),)
+
+    def test_byte_records_gather_nothing(self, monkeypatch):
+        # below n = 256 omega(x) is a bytes translation: the itemgetter
+        # tables of ``fillings._gather`` are for wider records only
+        def refused(w):
+            raise AssertionError(f"_gather called for {w}")
+
+        monkeypatch.setattr(fillings, "_gather", refused)
+        fillings._halves.cache_clear()  # build the n = 7 tables afresh
+        report = verify_pinball((7,), hessenberg_full(7))
+        assert report.passed and report.points == 5040
 
     def test_report_is_exhaustive(self):
         report = verify_pinball((4,), hessenberg_334(4))
