@@ -286,7 +286,7 @@ def _report(
     code = _record_code(n)
     entries_of = partial(array, code)  # record bytes -> their entries
     encode = bytes if code == "B" else lambda word: entries_of(word).tobytes()
-    count = _packing(n).count
+    degree = _packing(n).count  # the count field of a packed x
     _, low, high, omegas, gathers = _halves(n)
     top = n * (n - 1) // 2  # the longest length in S_n
     buckets = [array(code) for _ in range(top + 1)]  # records (o, u) by degree
@@ -299,7 +299,7 @@ def _report(
             ov, uv = entries_of(o), entries_of(u)
             if not leq(key(ov), key(uv)):
                 bruhat_failures.append((inverse(uv), inverse(ov)))
-        records = buckets[t & count]
+        records = buckets[t & degree]
         records.frombytes(o)
         records.frombytes(u)
     bruhat_failures.sort()
