@@ -731,10 +731,9 @@ def check_upper_triangular(rolldowns: Mapping[Perm, Perm]) -> TriangularReport:
     recurrence on canonical words (``_column_stream``), and no relation
     table is built.  Violations are listed row by row in column order.
     """
+    # the points are checked here, as _Triangularity packs their keys unchecked
     points = tuple(sorted(map(validate, rolldowns)))
-    rolls = tuple(validate(rolldowns[w]) for w in points)
-    if len({len(p) for p in points + rolls}) > 1:
-        raise ValueError("size mismatch among points and rolldowns")
+    rolls = _checked_rows([rolldowns[w] for w in points], points)[0]
     triangle = _Triangularity(points, rolls)
     for _ in triangle.diagonals(_column_stream(points, rolls)[1]):
         pass

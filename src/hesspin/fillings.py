@@ -39,11 +39,12 @@ the reading word of one permissible filling, box by box.
 
 ``omega(x)`` is the product of ``omega_word(x)``.  ``_omega`` is the one
 product of x vectors: it builds omega(x) by n - 1 list inserts, with no
-word built.  ``omega`` checks x first, and ``_roll`` inverts it into the
-rolldown of a point with top-part vector x.  A leaf reads omega(x) off its
-packed x as the product of the omega of each half of x (``_halves``), two
-tables whose entries ``_omega`` builds the first time each half appears;
-the product comes out as the bytes of a pinball record (``_record_code``).
+word built.  ``omega`` checks x first, and ``pinball.rolldown`` and
+``rolldown_table`` invert it into the rolldown of a point with top-part
+vector x.  A leaf reads omega(x) off its packed x as the product of the
+omega of each half of x (``_halves``), two tables whose entries ``_omega``
+builds the first time each half appears; the product comes out as the
+bytes of a pinball record (``_record_code``).
 """
 
 from __future__ import annotations
@@ -719,7 +720,9 @@ def omega_word(x: Sequence[int]) -> Word:
 
 def _omega(x: Sequence[int]) -> Perm:
     """omega(x), built by n - 1 list inserts; x is not checked.  This is the
-    one product of x vectors: ``omega`` checks x first, ``_roll`` inverts.
+    one product of x vectors: ``omega`` checks x first, ``_halves`` fills
+    its tables from it, and the rolldown omega(x)^{-1} of a point with
+    top-part vector x is its inverse.
 
     The block u_l of ``omega_word(x)`` moves l left past x_l smaller values,
     so in omega(x) the value l sits after exactly x_l of 1..l-1 less than
@@ -789,16 +792,6 @@ def _halves(n: int) -> _Halves:
 
         gathers = _Table(gather)
     return _Halves(m, low, high, omegas, gathers)
-
-
-def _roll(x: Sequence[int]) -> Perm:
-    """omega(x)^{-1}, the rolldown of any fixed point with top-part vector
-    x, which is ``from_word(n, reversed(omega_word(x)))``; x is not checked.
-
-    >>> _roll((1, 2, 1, 0))
-    (4, 2, 1, 3, 5)
-    """
-    return inverse(_omega(x))
 
 
 def omega(x: Sequence[int]) -> Perm:

@@ -23,21 +23,25 @@ and the circle-projected restriction of the rolldown class at its own
 fixed point.  ``verify_334_theorem`` recomputes all of them from the
 dimension-pair definitions, computes the restriction matrix, and checks
 the poset upper triangularity that makes the rolldown classes a module
-basis, together with the supporting Bruhat-order lemmas.  One private
-record per point holds its class, subset, runs, catalog word and
-closed-form rolldown, built by one constructor that checks the point's
-filling is permissible, reads its class and associated subset, and rebuilds
-the point from that subset with the class's named constructor (w_A, u_A or
-v_A); a point that does not come back as itself is an internal error.  So
-each class has one definition, its constructor, and ``classify`` is that
-record's class.  The theorem builds the record once per point, and the
-public per-point functions build it for their one point.
+basis, together with the supporting Bruhat-order lemmas.  The rolldowns it
+checks are the ones its pinball checks passed: each (point, rolldown) is
+decoded from the record that ``pinball._report`` keeps for the point in
+the one enumeration pass.  One private record per point holds its class,
+subset, runs, catalog word and closed-form rolldown, built by one
+constructor that checks the point's filling is permissible, reads its
+class and associated subset, and rebuilds the point from that subset with
+the class's named constructor (w_A, u_A or v_A); a point that does not
+come back as itself is an internal error.  So each class has one
+definition, its constructor, and ``classify`` is that record's class.  The
+theorem builds the record once per point, and the public per-point
+functions build it for their one point.
 The Bruhat-order lemmas read the relation as bitmasks over the points
-(``permutations.bruhat_table``), one stream read once, with masks built
-once per run: one per class, one per j of the points whose subset holds
-j, and H1 thresholds over the 312-type points.  The five lemmas on pairs
-are one loop over the points, a few big-int operations per point, and a
-lemma's witnesses are the set bits of the masks where it fails.
+(``permutations.bruhat_table``), one stream read once, each point's row
+and its rolldown's in pairs, with masks built once per run: one per class,
+one per j of the points whose subset holds j, and H1 thresholds over the
+312-type points.  The five lemmas on pairs are one loop over the points, a
+few big-int operations per point, and a lemma's witnesses are the set bits
+of the masks where it fails.
 
 The summand census counts the subword summands of a catalog word by
 ``billey``'s backward pass over it from the rolldown rather than
@@ -57,6 +61,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import struct
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .billey import (
@@ -70,8 +75,6 @@ from .billey import (
 )
 from .fillings import (
     _describe,
-    _leaf_states,
-    _roll,
     _violation,
     hessenberg_334,
     single_row,
@@ -553,19 +556,17 @@ def verify_334_theorem(n: int) -> Theorem334Report:
         raise ValueError(
             f"the 334 module basis needs n >= 4 (n = 3 is the full flag); got {n}"
         )
-    h = hessenberg_334(n)
-    diagram = single_row(n)
-    # (point, rolldown) of each leaf state of the one enumeration pass,
-    # noted as the state goes on to the pinball checks, then sorted by point
-    table: list[tuple[Perm, Perm]] = []
-
-    def noted(states):
-        for state in states:
-            table.append((state.point(), _roll(state.x())))
-            yield state
-
-    pin = _report(diagram, h, noted(_leaf_states(diagram, h)))
-    table.sort()
+    pin, buckets = _report(single_row(n), hessenberg_334(n))
+    # (point, rolldown) = (u^{-1}, o^{-1}) of each (o, u) record that the
+    # pinball checks read, one byte an entry, sorted by point; the records
+    # are dropped before the matrix pass
+    record = struct.Struct(f"{n}s{n}s")
+    table = sorted(
+        (inverse(u), inverse(o))
+        for records in buckets
+        for o, u in record.iter_unpack(records)
+    )
+    del buckets
     # each point's facts, derived once; every check below reads them
     facts = [_point(w) for w, _ in table]
     points = tuple(p.w for p in facts)
@@ -602,19 +603,18 @@ def verify_334_theorem(n: int) -> Theorem334Report:
 
     triangular = triangle.report()
     # The lemmas' relation, one table over the points read as a stream: the
-    # simple reflections' rows, then each point's and its rolldown's, in step
+    # simple reflections' rows, then each point's and its rolldown's, read
+    # in pairs off the one iterator
     simples = tuple(simple(i, n) for i in range(1, n))
     rows = bruhat_table(simples + tuple(itertools.chain(*zip(points, rolls))), points)
     simple_below = tuple(itertools.islice(rows, n - 1))
-    halves = itertools.tee(rows)
-    below, roll_below = (itertools.islice(h, k, None, 2) for k, h in enumerate(halves))
     checks = [
         ("rolldown-closed-form", closed_fails),
         ("rolldown-one-line-prefix", prefix_fails),
         ("diagonal-nonzero", triangular.diagonal_zeros),
         ("bruhat-vanishing", triangular.vanishing_violations),
         ("closed-form-diagonal", diagonal_fails),
-        *_bruhat_sweeps(facts, below, roll_below, simple_below, bruhat_table(simples, rolls)),
+        *_bruhat_sweeps(facts, zip(rows, rows), simple_below, bruhat_table(simples, rolls)),
         ("summand-census", census_fails),
         ("simple-summand-values", wrong_rows),
     ]
@@ -629,18 +629,18 @@ def verify_334_theorem(n: int) -> Theorem334Report:
 
 def _bruhat_sweeps(
     facts: Sequence[_Point],
-    below: Iterable[int],
-    roll_below: Iterable[int],
+    rows: Iterable[tuple[int, int]],
     simple_below: Sequence[int],
     simple_below_roll: Iterable[int],
 ) -> tuple[tuple[str, tuple], ...]:
     """The theorem's six Bruhat-order lemmas, as (name, witnesses) pairs.
 
-    Writing points[a] for facts[a].w, bit b of below[a] is set when
-    points[a] <= points[b], and of roll_below[a] when the rolldown of
-    points[a] is below points[b]; bit a of simple_below[i - 1]
-    (simple_below_roll[i - 1]) is set when s_i <= points[a] (its rolldown),
-    as ``bruhat_table`` gives them.  Every row is read once, in order.  The
+    Writing points[a] for facts[a].w, ``rows`` yields one pair (below[a],
+    roll_below[a]) per point: bit b of below[a] is set when points[a] <=
+    points[b], and of roll_below[a] when the rolldown of points[a] is below
+    points[b]; bit a of simple_below[i - 1] (simple_below_roll[i - 1]) is
+    set when s_i <= points[a] (its rolldown), as ``bruhat_table`` gives
+    them.  Every row is read once, in order.  The
     five pair lemmas are one loop over the points, each taking a few big-int
     operations per point on masks over the points: one per class, one per j
     of the points whose subset holds j, and the points whose subset contains
@@ -695,7 +695,7 @@ def _bruhat_sweeps(
                 member.append((points[a], i, "rolldown"))
 
     equivalence, monotonicity, containment, relations, segment = found = ([], [], [], [], [])
-    for p, x, y in zip(facts, below, roll_below):
+    for p, (x, y) in zip(facts, rows):
         # sup: the points whose subset contains p's
         sup = full
         for j in p.subset:

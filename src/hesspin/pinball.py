@@ -5,8 +5,8 @@ The torus-fixed points carried by a (diagram, h) pair are the permutations
 rolldown of a fixed point collects the dimension pairs of its filling into
 the top-part vector x and returns ``omega(x)^{-1}``; its length equals the
 number of dimension pairs.  ``fillings._omega`` is the one product of x
-vectors: it builds ``omega(x)`` by n - 1 list inserts, with no word built.
-``fillings._roll`` inverts it for ``rolldown`` and ``rolldown_table``.
+vectors: it builds ``omega(x)`` by n - 1 list inserts, with no word built,
+and ``rolldown`` and ``rolldown_table`` invert it.
 The leaves that ``verify_pinball`` checks read omega(x) off the packed x
 of their leaf state, as the product of two cached halves
 (``fillings._halves``) whose entries ``_omega`` builds, already encoded
@@ -40,15 +40,15 @@ The checks stream: ``_report`` reads the leaf states of the pass in one
 loop, checks each for Bruhat order as the pass yields it, and keeps one
 fixed-width (omega(x), reading word) record of 2n small integers per
 point, appended as two byte strings to the array of its degree, and the
-witnesses of failed checks, never the (point, rolldown) table or an
-object per point.  Once the pass ends, the bucket sizes are the Betti
-numbers, the lengths are counted one bucket at a time, and each bucket
-is checked for distinctness; its report counts the points it checked.
-``hess334.verify_334_theorem`` hands the states of its pass to the same
-loop, noting each point and its rolldown on the way.  No (diagram, h) is
-known to fail: an exhaustive sweep passes all 1,836 pairs with n <= 6
-and all 6,435 with n = 7.  The report still keeps a witness for every
-failure.
+witnesses of failed checks, never the (point, rolldown) table or an object
+per point.  Once the pass ends, the bucket sizes are the Betti numbers,
+the lengths are counted one bucket at a time, and each bucket is checked
+for distinctness; its report counts the points it checked.
+``hess334.verify_334_theorem`` reads its (point, rolldown) table off the
+same records, so the rolldowns it checks are the ones checked here.  No
+(diagram, h) is known to fail: an exhaustive sweep passes all 1,836 pairs
+with n <= 6 and all 6,435 with n = 7.  The report still keeps a witness for
+every failure.
 
 ``is_fixed_point``, ``rolldown``, ``rolldown_word`` and ``degree`` take one
 point and make one set of argument checks; all but ``is_fixed_point`` then
@@ -66,7 +66,7 @@ from array import array
 from collections import Counter
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .fillings import (
     Diagram,
@@ -74,9 +74,8 @@ from .fillings import (
     _leaf_states,
     _packing,
     _placed,
-    _PrefixState,
+    _omega,
     _record_code,
-    _roll,
     _violation,
     diagram_size,
     filling_of_fixed_point,
@@ -153,7 +152,7 @@ def rolldown(w: Perm, diagram: Diagram, h: Sequence[int]) -> Perm:
     >>> rolldown((4, 3, 2, 1, 5), (5,), (3, 3, 4, 5, 5))
     (4, 2, 1, 3, 5)
     """
-    return _roll(_state(w, diagram, h).x())
+    return inverse(_omega(_state(w, diagram, h).x()))
 
 
 def degree(w: Perm, diagram: Diagram, h: Sequence[int]) -> int:
@@ -177,7 +176,9 @@ def rolldown_words(diagram: Diagram, h: Sequence[int]) -> dict[Perm, Word]:
 def rolldown_table(diagram: Diagram, h: Sequence[int]) -> dict[Perm, Perm]:
     """Rolldowns of every fixed point, keyed in sorted fixed-point order."""
     return dict(
-        sorted((s.point(), _roll(s.x())) for s in _leaf_states(diagram, h))
+        sorted(
+            (s.point(), inverse(_omega(s.x()))) for s in _leaf_states(diagram, h)
+        )
     )
 
 
@@ -238,16 +239,13 @@ def verify_pinball(diagram: Diagram, h: Sequence[int]) -> PinballReport:
     degree, and the witnesses of failed checks are kept, never the whole
     table.
     """
-    diagram = validate_diagram(diagram)
-    h = validate_hessenberg(h)
-    return _report(diagram, h, _leaf_states(diagram, h))
+    return _report(validate_diagram(diagram), validate_hessenberg(h))[0]
 
 
-def _report(
-    diagram: Diagram, h: tuple[int, ...], states: Iterable[_PrefixState]
-) -> PinballReport:
-    """The three pinball checks over the leaf ``states`` of the pass for
-    (diagram, h), one leaf at a time.
+def _report(diagram: Diagram, h: tuple[int, ...]) -> tuple[PinballReport, list[array]]:
+    """The three pinball checks over the leaf states of one enumeration
+    pass for (diagram, h), one leaf at a time, and the record arrays they
+    read, one (o, u) record of 2n entries per point.
 
     Each leaf gives u = w^{-1}, the reading word of its fixed point w,
     o = r^{-1} = omega(x), the inverse of its rolldown, read off its
@@ -278,8 +276,12 @@ def _report(
     smaller than the bucket exactly when two records share an o, and only
     then is the bucket walked in Python to collect the owners of each
     shared o.  So u and o are never held as objects per point, and the
-    largest bucket bounds the objects held at once.
+    largest bucket bounds the objects held at once.  The buckets, by then
+    one per rolldown length, are returned with the report, and
+    ``hess334.verify_334_theorem`` reads its (point, rolldown) table off
+    them.
     """
+    states = _leaf_states(diagram, h)  # h checked against the diagram first
     n = diagram_size(diagram)
     keys = bruhat_keys(n)
     key, leq = keys._pack, keys.leq
@@ -363,7 +365,7 @@ def _report(
         bruhat_failures=tuple(bruhat_failures),
         betti_matched=not betti_mismatches,
         betti_mismatches=betti_mismatches,
-    )
+    ), buckets
 
 
 def _lengths(records: array, n: int) -> array:

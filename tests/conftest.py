@@ -1,9 +1,11 @@
-"""Shared test plumbing: the acceptance verdict summary and a counter of
-filling enumerations."""
+"""Shared test plumbing: the acceptance verdict summary, a counter of
+filling enumerations and a faulty omega(x) for the pinball leaves."""
+
+from array import array
 
 import pytest
 
-from hesspin import fillings
+from hesspin import fillings, pinball
 
 VERDICTS: list[str] = []
 
@@ -33,3 +35,29 @@ def enumerations(monkeypatch):
 
     monkeypatch.setattr(fillings, "_pass", counted)
     return calls
+
+
+@pytest.fixture
+def omega_by(monkeypatch):
+    """Makes ``faulty(x)`` the omega(x) of every leaf, where the leaves
+    read it: the whole packed x keys the low table of ``pinball._halves``,
+    which holds the record bytes of ``faulty(x)``
+    (``fillings._record_code``), and the high table holds only the map
+    that keeps them.  The pinball checks and the 334 theorem both read
+    their rolldowns from these leaves."""
+    real = fillings._halves
+
+    def set_faulty(faulty):
+        def halves(n):
+            x = fillings._packing(n).x
+            code = fillings._record_code(n)
+            return real(n)._replace(
+                low=real(n).low | real(n).high,
+                high=0,
+                omegas=fillings._Table(lambda key: array(code, faulty(x(key))).tobytes()),
+                gathers={0: bytes},
+            )
+
+        monkeypatch.setattr(pinball, "_halves", halves)
+
+    return set_faulty

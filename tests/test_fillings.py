@@ -11,7 +11,6 @@ import pytest
 
 from hesspin import fillings, hess334, pinball
 from hesspin.fillings import (
-    _roll,
     column_lengths,
     diagram_size,
     dimension_pairs,
@@ -478,10 +477,21 @@ class TestOmega:
             for x in self._vectors(n):
                 assert inversions(omega(x)) == sum(x)
 
-    def test_roll_is_reversed_word_product(self):
-        for n in range(1, 8):
-            for x in self._vectors(n):
-                assert _roll(x) == from_word(n, tuple(reversed(omega_word(x))))
+    @pytest.mark.parametrize(
+        "diagram, h",
+        [((n,), hessenberg_full(n)) for n in range(1, 8)]
+        + [((6,), hessenberg_334(6)), ((3, 2), (3, 3, 4, 5, 5))],
+    )
+    def test_rolldowns_are_reversed_word_products(self, diagram, h):
+        # the full flag's leaves carry every x, each once
+        n = diagram_size(diagram)
+        table = pinball.rolldown_table(diagram, h)
+        for state in fillings._leaf_states(diagram, h):
+            w, x = state.point(), state.x()
+            roll = from_word(n, tuple(reversed(omega_word(x))))
+            assert table[w] == roll
+            if n <= 5:
+                assert pinball.rolldown(w, diagram, h) == roll
 
     def test_inversion_tops_characterize(self):
         for n in range(2, 6):

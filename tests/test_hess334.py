@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from hesspin import billey, hess334
+from hesspin import billey, fillings, hess334, pinball
 from hesspin.billey import S1_ZERO, S1Value, p_restriction, p_rows
 from hesspin.hess334 import (
     FixedPointClass,
@@ -29,8 +29,8 @@ from hesspin.hess334 import (
     type_312_fixed_point,
     verify_334_theorem,
 )
-from hesspin.fillings import hessenberg_334, single_row
-from hesspin.permutations import from_word, inversions, is_reduced_word
+from hesspin.fillings import hessenberg_334, omega, single_row
+from hesspin.permutations import from_word, inverse, inversions, is_reduced_word
 from hesspin.pinball import is_fixed_point, rolldown, rolldown_table
 
 from oracles import (
@@ -321,21 +321,59 @@ class TestTheorem:
         assert sorted(calls) == list(report.points)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_streams_the_leaves_to_the_pinball_checks(self, monkeypatch, n):
-        # the leaves reach the pinball checks one at a time, never as a
-        # list of all N of them
-        seen = []
-        real = hess334._report
+    def test_streams_the_leaves_to_the_pinball_checks(self, monkeypatch, enumerations, n):
+        # one enumeration pass, through one ``_leaf_states`` call in the
+        # pinball checks, whose leaves are read one at a time, never made
+        # into a list of all N of them
+        calls = []
+        real = pinball._leaf_states
 
-        def watched(diagram, h, leaves):
-            seen.append(type(leaves))
-            return real(diagram, h, leaves)
+        class Leaves:
+            def __init__(self, states):
+                self.states = states
 
-        monkeypatch.setattr(hess334, "_report", watched)
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                return next(self.states)
+
+            def __length_hint__(self):  # list(), tuple() and sorted() ask
+                raise AssertionError("the leaf states were made into a list")
+
+        def watched(diagram, h):
+            calls.append((diagram, h))
+            return Leaves(real(diagram, h))
+
+        monkeypatch.setattr(pinball, "_leaf_states", watched)
         report = verify_334_theorem(n)
-        assert len(seen) == 1 and not issubclass(seen[0], (list, tuple))
+        assert calls == [(single_row(n), hessenberg_334(n))]
+        assert len(enumerations) == 1
         assert report.pinball.points == len(report.points) == 3 * 2 ** (n - 2)
         assert report.passed
+
+    def test_checks_the_rolldowns_the_pinball_checks_read(self, omega_by):
+        # omega(x) with x_n dropped to 0, where the pinball leaves read it:
+        # the theorem checks those faulty rolldowns, so rolldown-closed-form
+        # lists exactly the points with x_n > 0
+        n = 5
+
+        def faulty(x):
+            return omega(tuple(x[:-1]) + (0,))
+
+        omega_by(faulty)
+        report = verify_334_theorem(n)
+        states = fillings._leaf_states(single_row(n), hessenberg_334(n))
+        rolls = sorted((s.point(), inverse(faulty(s.x()))) for s in states)
+        expected = tuple(
+            (w, r, rolldown_closed_form(w))
+            for w, r in rolls
+            if r != rolldown_closed_form(w)
+        )
+        assert 0 < len(expected) < len(rolls)
+        checks = {c.name: c for c in report.checks()}
+        assert checks["rolldown-closed-form"].witnesses == expected
+        assert not report.passed
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_shares_one_ideal(self, monkeypatch, n):
@@ -548,12 +586,15 @@ class TestBruhatSweeps:
             for w, cls, s in zip(points, classes, subsets)
         ]
         below, roll_below, simple_below, simple_below_roll = map(_masks, dense)
-        got = hess334._bruhat_sweeps(facts, below, roll_below, simple_below, simple_below_roll)
+        got = hess334._bruhat_sweeps(
+            facts, zip(below, roll_below), simple_below, simple_below_roll
+        )
         assert got == expected
         # the rolldowns' rows are read once, in order, so one-shot iterators
         # give the same witnesses, and every row is read
         rows, simple_rows = iter(roll_below), iter(simple_below_roll)
-        assert hess334._bruhat_sweeps(facts, below, rows, simple_below, simple_rows) == got
+        pairs = zip(below, rows)
+        assert hess334._bruhat_sweeps(facts, pairs, simple_below, simple_rows) == got
         assert next(rows, None) is next(simple_rows, None) is None
         return sum(len(witnesses) for _, witnesses in expected)
 

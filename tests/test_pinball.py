@@ -344,30 +344,10 @@ class TestVerifyPinball:
             assert r == rolldown(w, (2, 2), h)
         assert verify_pinball((2, 2), h).points == len(table)
 
-    @staticmethod
-    def _omega_by(monkeypatch, faulty):
-        """Make ``faulty(x)`` the omega(x) of every leaf, where the leaves
-        read it: the whole packed x keys the low table, which holds the
-        record bytes of ``faulty(x)`` (``fillings._record_code``), and the
-        high table holds only the map that keeps them."""
-        real = fillings._halves
-
-        def halves(n):
-            x = fillings._packing(n).x
-            code = fillings._record_code(n)
-            return real(n)._replace(
-                low=real(n).low | real(n).high,
-                high=0,
-                omegas=fillings._Table(lambda key: array(code, faulty(x(key))).tobytes()),
-                gathers={0: bytes},
-            )
-
-        monkeypatch.setattr(pinball, "_halves", halves)
-
-    def test_checks_catch_colliding_rolldowns(self, monkeypatch):
+    def test_checks_catch_colliding_rolldowns(self, omega_by):
         # every omega(x), so every rolldown, the identity: all collide,
         # lengths all 0
-        self._omega_by(monkeypatch, lambda x: identity(len(x) + 1))
+        omega_by(lambda x: identity(len(x) + 1))
         report = verify_pinball((4,), hessenberg_334(4))
         assert not report.injective
         points = fixed_points((4,), hessenberg_334(4))
@@ -385,7 +365,7 @@ class TestVerifyPinball:
             ((3, 2), hessenberg_full(5)),
         ],
     )
-    def test_collisions_in_many_buckets(self, monkeypatch, diagram, h):
+    def test_collisions_in_many_buckets(self, omega_by, diagram, h):
         # omega(x) with x_n dropped to 0: points whose x differ only in x_n
         # share a rolldown, and the shared rolldowns have different lengths,
         # so the clashes fall in several of the report's buckets
@@ -394,7 +374,7 @@ class TestVerifyPinball:
         def faulty(x):
             return omega(tuple(x[:-1]) + (0,))
 
-        self._omega_by(monkeypatch, faulty)
+        omega_by(faulty)
         report = verify_pinball(diagram, h)
         owners = {}
         for w, pairs in sorted(_brute_points(diagram, h)):
@@ -431,7 +411,7 @@ class TestVerifyPinball:
             ((3, 2), (3, 3, 4, 5, 5)),
         ],
     )
-    def test_moved_records_stay_distinct(self, monkeypatch, diagram, h):
+    def test_moved_records_stay_distinct(self, omega_by, diagram, h):
         # omega(x) with its first two entries swapped is still injective but
         # one longer or shorter, so every record leaves its degree's bucket
         # and none of them collides; the lengths of the full flag and the
@@ -442,20 +422,20 @@ class TestVerifyPinball:
             o[0], o[1] = o[1], o[0]
             return tuple(o)
 
-        self._omega_by(monkeypatch, faulty)
+        omega_by(faulty)
         report = verify_pinball(diagram, h)
         assert report.injective and report.collisions == ()
         assert report.betti_mismatches == self._brute_mismatches(diagram, h, faulty)
         assert report.betti_matched == (diagram != (3, 2))
 
-    def test_moved_record_collides_with_one_that_stayed(self, monkeypatch):
+    def test_moved_record_collides_with_one_that_stayed(self, omega_by):
         # x = (1, 0, 0) has degree 1 but is sent to the identity, the
         # omega of x = 0: its record moves to the length-0 bucket, where
         # the record of the identity point stayed
         def faulty(x):
             return identity(4) if tuple(x) == (1, 0, 0) else omega(x)
 
-        self._omega_by(monkeypatch, faulty)
+        omega_by(faulty)
         h = hessenberg_full(4)
         report = verify_pinball((4,), h)
         e, s1 = identity(4), from_word(4, (1,))
@@ -479,12 +459,12 @@ class TestVerifyPinball:
         assert report.passed and report.points == 5040
         assert calls == []
 
-    def test_checks_catch_rolldowns_above(self, monkeypatch):
+    def test_checks_catch_rolldowns_above(self, omega_by):
         # For the full flag the rolldown of w is w itself, so omega(x) is
         # w^{-1}.  Its inverse w in place of omega(x) makes the rolldown
         # w^{-1}: still distinct and of the right lengths, but not below w
         # unless w is an involution.
-        self._omega_by(monkeypatch, fillings._roll)
+        omega_by(lambda x: inverse(fillings._omega(x)))
         report = verify_pinball((4,), hessenberg_full(4))
         assert report.injective
         assert report.betti_matched
@@ -545,7 +525,7 @@ class TestVerifyPinball:
         assert moved and report.bruhat_failures == moved
         assert not report.below_fixed_point and not report.passed
 
-    def test_collisions_past_n_255(self, monkeypatch):
+    def test_collisions_past_n_255(self, omega_by):
         # entries above 255 do not fit a byte: the records take a wider
         # type, through a real pass over the two points of h = (1, ...,
         # 254, 256, 256), the identity (degree 0) and s_255 (degree 1)
@@ -555,7 +535,7 @@ class TestVerifyPinball:
         report = verify_pinball((n,), h)
         assert report.passed and report.points == 2 and report.betti == (1, 1)
         # both rolldowns the identity
-        self._omega_by(monkeypatch, lambda x: e)
+        omega_by(lambda x: e)
         report = verify_pinball((n,), h)
         assert report.points == 2
         assert report.collisions == ((e, (e, s)),)
@@ -564,7 +544,7 @@ class TestVerifyPinball:
         assert report.betti_mismatches == ((0, 1, 2), (1, 1, 0))
         # the two rolldowns swapped: the identity's rolldown s_255 is not
         # below it, and its witness is decoded from the wide records
-        self._omega_by(monkeypatch, lambda x: e if any(x) else s)
+        omega_by(lambda x: e if any(x) else s)
         report = verify_pinball((n,), h)
         assert report.injective and report.betti_matched
         assert report.bruhat_failures == ((e, s),)
