@@ -512,10 +512,16 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     and its prefix state (``_PrefixState``): the mask of the values placed
     before it and the packed x and count of the pairs settled so far.
     Placing a box settles the pairs of at most two values, each pair set
-    looked up by its integer key.  A prefix that no filling extends is cut
-    as soon as the smallest value still to place has no left neighbor it
-    fits (see the loop), so h = identity on the single row, with its one
-    filling, takes O(n^2) steps rather than 2^n.
+    looked up by its integer key.  From depth ``len(diagram)`` on, every
+    box left has a left neighbor, so the first box to take a value left up
+    to t follows a placed value (at ``near[k]``) or a value left above t,
+    at most h(t) either way: the prefix is cut when some t left with h(t)
+    < n has ``capped[t] & (placed | rest & above[t]) == 0``, a test skipped
+    when a placed value meets the smallest value left, and so every t.  On
+    the single row this is exact (after p, the last value placed, the next
+    value left above the largest t left with h(t) < p, those below it
+    descending, then the rest ascending, is permissible), so the pass
+    extends no dead prefix there: h = identity takes O(n^2) steps, not 2^n.
 
     The last T <= 3 boxes, the tail (``_tail_length``), are not placed one
     by one.  Every tail box but the first has its left neighbor in the
@@ -526,10 +532,10 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     grouped by first value, each with the tail values' pair-set keys and
     the packed counts they add: at most C(n, T) * T! orders (336 at
     n = 8), each placed once with ``place`` when its ``rest`` first
-    appears.  What the prefix adds, the
-    first tail box's left neighbor (the head), is settled once per node
-    for each first value: whether it fits and the head's pair-set key.  A
-    leaf then costs a few list stores.
+    appears.  What the prefix adds, the first tail box's left neighbor
+    (the head), is settled once per node for each first value: whether
+    the value may follow the head and the head's pair-set key.  A leaf
+    then costs a few list stores.
 
     One state is yielded at every leaf, with every box placed; it is the
     same object each time, valid until the pass takes its next step.  Its
@@ -539,7 +545,7 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     builds only what it reads; ``seen`` and ``tops`` at the tail's inner
     depths are not kept.
     """
-    n = len(h)
+    n, rows = len(h), len(diagram)
     left = _reading_layout(diagram)[0]
     state = _PrefixState(diagram, h)
     word, seen, tops, pairs_of = state.word, state.seen, state.tops, state.pairs_of
@@ -549,16 +555,8 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     allowed = [0] + [
         sum(1 << v for v in range(1, n + 1) if h[v - 1] >= a) for a in range(1, n + 1)
     ]
-    # Dead prefixes.  Once the first column is placed, every unplaced
-    # position has a left neighbor, so the smallest unplaced value m needs
-    # some a <= h(m) left of it: a placed value at the left neighbor of an
-    # unplaced position (at the positions near[k]) or another unplaced
-    # value.  One always exists when h(m) = n, so only the values with
-    # h(m) < n are tested, and only from depth len(diagram) on (tight[k]).
-    # fits[1 << m] holds the bits of the values a <= h(m).
-    fits = {1 << v: (2 << h[v - 1]) - 1 for v in range(1, n + 1)}
+    # the values t with h(t) < n, and near[k]: the placed positions left of unplaced ones
     narrow = sum(1 << v for v in range(1, n + 1) if h[v - 1] < n)
-    tight = [narrow if k >= len(diagram) else 0 for k in range(n)]
     near = [
         tuple(sorted({left[p] for p in range(k, n) if 0 <= left[p] < k}))
         for k in range(n)
@@ -567,7 +565,7 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
     head = left[k0]
 
     def completions(rest: int) -> list:
-        # Each order of rest that fits the tail's own adjacencies, placed
+        # Each order of rest that meets the tail's own adjacencies, placed
         # once at this node, by first value: (order, each tail value and
         # its pair-set key, padded to three by (0, 0), the packed counts
         # of the tail's pairs, the head's taken back out).  Every field
@@ -624,13 +622,15 @@ def _pass(diagram: Diagram, h: tuple[int, ...]) -> Iterator[_PrefixState]:
         else:
             lk = left[k]
             c = rest if lk < 0 else rest & allowed[word[lk]]
-            m = rest & -rest
-            if m & tight[k]:
-                others = rest ^ m
+            if c and k >= rows and rest & narrow:
+                placed = 0
                 for q in near[k]:
-                    others |= 1 << word[q]
-                if not others & fits[m]:
-                    c = 0
+                    placed |= 1 << word[q]
+                if not placed & capped[(rest & -rest).bit_length() - 1]:
+                    for t in set_bits(rest & narrow):
+                        if not capped[t] & (placed | rest & above[t]):
+                            c = 0
+                            break
         while not c:
             if not k:
                 return

@@ -292,7 +292,7 @@ def bruhat_table(lower: Sequence[Perm], upper: Sequence[Perm]) -> Iterator[int]:
     So for each count field f and each t, take the mask of the upper points
     whose count in f is at most t; v's row is the AND of one such mask per
     field, picked by v's own count.  Each permutation's counts are read off
-    the bytes of its key: for n <= 256 a count fits in the last byte of its
+    the bytes of its key: for n <= 256 a count sits in the last byte of its
     field.  The upper points' counts are joined into one byte string, whose
     extended slices are the fields' columns.  The arguments are checked and
     the masks built at the call, so ``ValueError`` (for points that are

@@ -79,7 +79,6 @@ from .fillings import (
     _violation,
     diagram_size,
     filling_of_fixed_point,
-    omega_word,
     validate_diagram,
     validate_hessenberg,
 )
@@ -143,7 +142,11 @@ def rolldown_word(w: Perm, diagram: Diagram, h: Sequence[int]) -> Word:
 
 
 def _word_of(x) -> Word:
-    return tuple(reversed(omega_word(x)))
+    # omega_word(x) reversed, x unchecked: u_l reversed is l - x_l, ...,
+    # l - 1, for l from n down to 2
+    return tuple(
+        letter for l in range(len(x) + 1, 1, -1) for letter in range(l - x[l - 2], l)
+    )
 
 
 def rolldown(w: Perm, diagram: Diagram, h: Sequence[int]) -> Perm:

@@ -213,6 +213,18 @@ class TestPermissibility:
                 fn((2, 3, 4, 1, 5), (5,), h)
         assert calls == []
 
+    def test_rolldown_words_check_no_x(self, monkeypatch):
+        # x comes off the placed state, so rolldown_word and rolldown_words
+        # do not check it again as the public omega_word does
+        def refused(x):
+            raise AssertionError(f"x = {x} checked again")
+
+        monkeypatch.setattr(fillings, "_checked_x", refused)
+        w, h = (4, 3, 2, 1, 5), hessenberg_334(5)
+        assert pinball.rolldown_word(w, (5,), h) == (3, 1, 2, 1)
+        words = pinball.rolldown_words((5,), h)
+        assert len(words) == 24 and words[w] == (3, 1, 2, 1)
+
     @pytest.mark.parametrize(
         "diagram,h",
         [
@@ -246,6 +258,38 @@ class TestPermissibility:
         small = set(enumerate_permissible((4,), h_small))
         big = set(enumerate_permissible((4,), h_big))
         assert small < big
+
+
+class TestDeadPrefixes:
+    def test_single_row_extends_no_dead_prefix(self, monkeypatch):
+        # On the single row the pass's dead-prefix rule is exact: every
+        # prefix it extends by a box before its tail table is a prefix of
+        # some leaf's reading word, for each of the 625 h with n <= 7.  A
+        # rule that tested only the smallest value left extended 7,931
+        # dead prefixes here.
+        extended = []
+        init = fillings._PrefixState.__init__
+
+        def recording_init(self, diagram, h):
+            init(self, diagram, h)
+            place, word = self.place, self.word
+
+            def recording_place(k, val):
+                extended.append(tuple(word[:k]))
+                place(k, val)
+
+            self.place = recording_place
+
+        monkeypatch.setattr(fillings._PrefixState, "__init__", recording_init)
+        for n in range(1, 8):
+            k0 = n - fillings._tail_length((n,))
+            for h in all_hessenberg(n):
+                extended.clear()
+                alive = set()
+                for state in fillings._leaf_states((n,), h):
+                    alive.update(tuple(state.word[:k]) for k in range(k0))
+                dead = sorted({p for p in extended if len(p) < k0} - alive)
+                assert not dead, (h, len(dead), dead[:3])
 
 
 class TestDimensionPairs:

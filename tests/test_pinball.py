@@ -616,11 +616,16 @@ class TestLengths:
 
 class TestFixedPoints:
     def test_identity_prunes_dead_prefixes(self):
-        # h = identity on the single row has one fixed point; a pass that
-        # cut dead prefixes only at their first bad adjacency took 2^n
-        # steps, 11 s at n = 24
+        # h = identity on the single row has one fixed point, and h = (2,
+        # 3, 3, 4, ..., n) four; a pass that cut dead prefixes only at
+        # their first bad adjacency took 2^n steps, 11 s at n = 24 on the
+        # first, and one that tested only the smallest value left took
+        # 71 s at n = 28 on the second
         start = time.perf_counter()
         assert fixed_points((24,), hessenberg_identity(24)) == (identity(24),)
+        h = (2, 3) + tuple(range(3, 41))
+        assert len(fixed_points((40,), h)) == 4
+        assert betti_numbers((40,), h) == regular_poincare(h)
         assert time.perf_counter() - start < 0.5
 
     def test_peterson_points_are_staircase_concatenations(self):
