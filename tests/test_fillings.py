@@ -195,7 +195,9 @@ class TestPermissibility:
 
     def test_per_point_functions_check_once(self, monkeypatch):
         # rolldown, rolldown_word and degree check their arguments once, in
-        # pinball, and then read the pairs without checking them again
+        # pinball, and then read the pairs without checking them again; x
+        # comes off the placed state, so rolldown_word and rolldown_words
+        # do not check it as the public omega_word does
         calls = []
         real = fillings._checked
 
@@ -203,7 +205,11 @@ class TestPermissibility:
             calls.append(filling)
             return real(filling, h)
 
+        def refused(x):
+            raise AssertionError(f"x = {x} checked again")
+
         monkeypatch.setattr(fillings, "_checked", counted)
+        monkeypatch.setattr(fillings, "_checked_x", refused)
         w, h = (4, 3, 2, 1, 5), hessenberg_334(5)
         assert pinball.rolldown(w, (5,), h) == (4, 2, 1, 3, 5)
         assert pinball.rolldown_word(w, (5,), h) == (3, 1, 2, 1)
@@ -212,16 +218,6 @@ class TestPermissibility:
             with pytest.raises(ValueError, match=r"not permissible: adjacency 4\|1"):
                 fn((2, 3, 4, 1, 5), (5,), h)
         assert calls == []
-
-    def test_rolldown_words_check_no_x(self, monkeypatch):
-        # x comes off the placed state, so rolldown_word and rolldown_words
-        # do not check it again as the public omega_word does
-        def refused(x):
-            raise AssertionError(f"x = {x} checked again")
-
-        monkeypatch.setattr(fillings, "_checked_x", refused)
-        w, h = (4, 3, 2, 1, 5), hessenberg_334(5)
-        assert pinball.rolldown_word(w, (5,), h) == (3, 1, 2, 1)
         words = pinball.rolldown_words((5,), h)
         assert len(words) == 24 and words[w] == (3, 1, 2, 1)
 
